@@ -1,24 +1,21 @@
 """Jacobi-rotation algorithms for simultaneous orthogonal diagonalization
-of symmetric matrices and 3rd/4th-order symmetric tensors."""
+of symmetric matrices and 3rd/4th-order symmetric tensors.
 
-from .symtensor import (SymTensor, TensorSet, mode_product,
-                        multi_mode_product, rotate_all_modes_givens,
-                        diag_sq_norm, offdiag_sq_norm, set_diag_sq_norm,
+The reference computations the tests compare against live in
+``jacobidiag.oracle``."""
+
+from .symtensor import (TensorSet, mode_product, multi_mode_product,
                         symmetrize, symmetry_error, save_tensorset,
                         load_tensorset)
 from .geometry import (GivensRotation, givens_matrix, givens_generator,
-                       random_rotation, lambda_of, lambda_entry,
-                       RotationState, apply_rotation,
-                       finite_difference_h_prime, save_orthomat,
-                       load_orthomat)
-from .angles import (ConstantObjectiveError, SubproblemView, XiPolynomial,
-                     AngleResult, proximal_gamma, h_prime_at_zero,
-                     h_derivatives_at_zero, omega_xi_coeffs, solve_xi_roots,
-                     xi_to_x_candidates, best_angle, brute_force_angle,
-                     tau_identity_check)
+                       random_rotation, lambda_of, RotationState,
+                       save_orthomat, load_orthomat)
+from .angles import (ConstantObjectiveError, SubproblemView, AngleResult,
+                     proximal_gamma, h_prime_at_zero, h_derivatives_at_zero,
+                     omega_xi_coeffs, solve_xi_roots, xi_to_x_candidates,
+                     best_angle)
 from .sweeps import (METHODS, RunConfig, IterationRecord, RunResult,
-                     upper_pairs, cyclic_pair, select_pair_gradient,
-                     select_pair_max, stationarity_norm, run,
+                     upper_pairs, select_pair_gradient, select_pair_max, run,
                      write_trajectory_csv)
 from .harness import (ExperimentSpec, make_diag_tensor, make_test_problem,
                       AlgorithmReport, BenchmarkReport, run_benchmark,

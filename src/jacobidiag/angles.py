@@ -24,12 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symtensor import multi_mode_product
-
 __all__ = [
     "ConstantObjectiveError",
     "SubproblemView",
-    "XiPolynomial",
     "AngleResult",
     "proximal_gamma",
     "h_prime_at_zero",
@@ -38,8 +35,6 @@ __all__ = [
     "solve_xi_roots",
     "xi_to_x_candidates",
     "best_angle",
-    "brute_force_angle",
-    "tau_identity_check",
 ]
 
 QUARTER_PI = math.pi / 4
@@ -133,44 +128,6 @@ class SubproblemView:
     def tau_tilde(self, x):
         return self.h_tilde(np.arctan(x))
 
-    def rotated(self, theta):
-        """View of the same pair after rotating the plane by theta."""
-        c, s = math.cos(theta), math.sin(theta)
-        g = np.array([[c, -s], [s, c]])
-        d = self.order
-        out = np.empty_like(self.nu)
-        for ell in range(self.size):
-            block = np.empty((2,) * d)
-            for idx in np.ndindex(*block.shape):
-                block[idx] = self.nu[ell, sum(idx)]
-            rot = multi_mode_product(block, g.T)
-            for w in range(d + 1):
-                out[ell, w] = rot[(0,) * (d - w) + (1,) * w]
-        return SubproblemView(out, self.delta0)
-
-    def _scalar_fn(self):
-        """Fast pure-python evaluator of h_tilde for scalar theta."""
-        d = self.order
-        binom = _BINOM[d]
-        rows = [[binom[w] * float(self.nu[ell, w]) for w in range(d + 1)]
-                for ell in range(self.size)]
-        delta0 = self.delta0
-
-        def fn(theta):
-            c = math.cos(theta)
-            s = math.sin(theta)
-            total = 0.0
-            for row in rows:
-                t1 = 0.0
-                t2 = 0.0
-                for w, coef in enumerate(row):
-                    t1 += coef * c ** (d - w) * s ** w
-                    t2 += coef * (-s) ** (d - w) * c ** w
-                total += t1 * t1 + t2 * t2
-            return total - delta0 * 2.0 * (s * c) ** 2
-
-        return fn
-
 
 def h_prime_at_zero(view):
     """h'(0) = 2 d sum_l (nu0 nu1 - nu_{d-1} nu_d); equals -2 Lambda[i, j]."""
@@ -202,27 +159,9 @@ def h_derivatives_at_zero(view):
     return float(h1), float(h2)
 
 
-@dataclass
-class XiPolynomial:
-    """Omega(xi): quadratic for d in {2, 3}, quartic for d = 4.
-
-    Coefficients are stored highest degree first.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("polynomial coefficients must be finite")
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-
 def omega_xi_coeffs(view):
-    """Coefficients of Omega(xi) for the view, proximal term included.
+    """Coefficients of Omega(xi) for the view, proximal term included,
+    highest degree first: a quadratic for d in {2, 3}, a quartic for d = 4.
 
     Per-tensor coefficients are summed (the subproblem objectives share the
     denominator (1+x^2)^d, so they add), and 4*delta0 enters once: in the
@@ -236,7 +175,7 @@ def omega_xi_coeffs(view):
         h1, h2 = h_derivatives_at_zero(view)
         a = h1
         b = -h2 + 4.0 * d0
-        return XiPolynomial(np.array([a, b, -4.0 * a]))
+        return np.array([a, b, -4.0 * a])
     v0, v1, v2, v3, v4 = (nu[:, w] for w in range(5))
     a = 8.0 * np.sum(v0 * v1 - v3 * v4)
     b = 8.0 * np.sum(v0**2 - 3 * v2 * v0 - 4 * v1**2 - 4 * v3**2
@@ -247,8 +186,7 @@ def omega_xi_coeffs(view):
                       + 9 * v2 * v4 + 12 * v1**2 - 36 * v2**2
                       + 12 * v3**2) + 4.0 * d0
     e = 80.0 * np.sum(6 * v2 * v3 - v0 * v3 - 6 * v1 * v2 + v1 * v4)
-    return XiPolynomial(np.array([a, b, 4 * a + c, 3 * b + dd,
-                                  2 * a + 2 * c + e]))
+    return np.array([a, b, 4 * a + c, 3 * b + dd, 2 * a + 2 * c + e])
 
 
 def _collapse(roots):
@@ -262,14 +200,17 @@ def _collapse(roots):
     return out
 
 
-def solve_xi_roots(poly):
-    """All real roots of Omega, multiplicities collapsed.
+def solve_xi_roots(coeffs):
+    """All real roots of Omega (coefficients highest degree first),
+    multiplicities collapsed.
 
     Quadratics go through the stable discriminant formula, higher degrees
     through companion-matrix eigenvalues of the monicized polynomial.
     Raises ConstantObjectiveError when Omega vanishes identically.
     """
-    c = np.asarray(poly.coeffs, dtype=np.float64)
+    c = np.asarray(coeffs, dtype=np.float64)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("polynomial coefficients must be finite")
     scale = float(np.max(np.abs(c))) if c.size else 0.0
     if scale == 0.0:
         raise ConstantObjectiveError("Omega is identically zero")
@@ -393,101 +334,3 @@ def best_angle(view):
     gain = gains[xs.index(best_x)]
     candidates = [(math.atan(x), v0 + g) for x, g in zip(xs, gains)]
     return AngleResult(math.atan(best_x), float(gain), candidates)
-
-
-def _golden_max(fn, lo, hi, tol=1e-12):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fn(x1)
-    xm = 0.5 * (a + b)
-    return xm, fn(xm)
-
-
-def _parabolic_polish(fn, theta, lo, hi, step=1e-5):
-    """One quadratic-fit step with a wide stencil.
-
-    Golden section stalls anywhere inside the plateau where the objective
-    is flat to machine precision (width ~sqrt(eps/|h''|)); the parabola
-    vertex through points step apart locates a clean maximum to ~1e-10.
-    """
-    t = min(max(theta, lo + step), hi - step)
-    vm, v0, vp = fn(t - step), fn(t), fn(t + step)
-    denom = vp - 2.0 * v0 + vm
-    if not (denom < 0.0 and math.isfinite(denom)):
-        return theta, fn(theta)
-    shift = -0.5 * step * (vp - vm) / denom
-    if abs(shift) > step:
-        return theta, fn(theta)
-    cand = min(max(t + shift, lo), hi)
-    vc = fn(cand)
-    if vc >= v0:
-        return cand, vc
-    return theta, fn(theta)
-
-
-def brute_force_angle(view, grid_points=2049):
-    """Reference maximizer: dense grid plus golden-section refinement.
-
-    Every grid-local maximum is refined to a 1e-12 bracket and polished
-    with a parabolic step; the best refined point wins, with the same tie
-    rules as best_angle.  Test oracle only -- independent of the
-    polynomial machinery.
-    """
-    if grid_points < 1000:
-        raise ValueError("grid_points must be at least 1000")
-    if grid_points % 2 == 0:
-        grid_points += 1                 # keep theta = 0 on the grid
-    thetas = np.linspace(-QUARTER_PI, QUARTER_PI, grid_points)
-    values = view.h_tilde(thetas)
-    v0 = float(view.h_tilde(0.0))
-    if float(np.max(values) - np.min(values)) <= 1e-15 * (1.0 + abs(v0)):
-        return AngleResult(0.0, 0.0, [(0.0, v0)])
-    fn = view._scalar_fn()
-    cands = []
-    for k in range(grid_points):
-        left = values[k - 1] if k > 0 else -math.inf
-        right = values[k + 1] if k < grid_points - 1 else -math.inf
-        if values[k] >= left and values[k] >= right:
-            lo = thetas[max(k - 1, 0)]
-            hi = thetas[min(k + 1, grid_points - 1)]
-            t, _ = _golden_max(fn, lo, hi)
-            cands.append(_parabolic_polish(fn, t, -QUARTER_PI, QUARTER_PI))
-    vmax = max(v for _, v in cands)
-    tie_tol = 1e-13 * (1.0 + abs(vmax))
-    theta = min((t for t, v in cands if v >= vmax - tie_tol),
-                key=lambda t: (abs(t), t < 0))
-    value = dict(cands)[theta]
-    return AngleResult(float(theta), float(value - v0), cands)
-
-
-def tau_identity_check(view, x):
-    """Residuals of the two rational identities for tau (d in {2, 3}).
-
-        tau(x) - tau(0) = [h'(0)(x - x^3) + h''(0) x^2 / 2] / (1+x^2)^2
-        tau'(x) = [h'(0)(1 - 6x^2 + x^4) + h''(0)(x - x^3)] / (1+x^2)^3
-
-    The left sides are evaluated directly (tau' via the rotated view), so
-    the residuals genuinely test the closed forms.  Requires delta0 = 0.
-    """
-    if view.delta0 != 0.0:
-        raise ValueError("identities hold for the unpenalized objective only")
-    h1, h2 = h_derivatives_at_zero(view)
-    x = float(x)
-    one = 1.0 + x * x
-    lhs1 = view.tau(x) - view.tau(0.0)
-    rhs1 = (h1 * (x - x**3) + 0.5 * h2 * x * x) / one**2
-    hp = h_prime_at_zero(view.rotated(math.atan(x)))
-    lhs2 = hp / one
-    rhs2 = (h1 * (1.0 - 6.0 * x * x + x**4) + h2 * (x - x**3)) / one**3
-    return abs(lhs1 - rhs1), abs(lhs2 - rhs2)

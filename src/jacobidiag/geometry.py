@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symtensor import TensorSet, set_diag_sq_norm
+from .symtensor import TensorSet
 
 __all__ = [
     "GivensRotation",
@@ -25,10 +25,7 @@ __all__ = [
     "givens_generator",
     "random_rotation",
     "lambda_of",
-    "lambda_entry",
     "RotationState",
-    "apply_rotation",
-    "finite_difference_h_prime",
     "save_orthomat",
     "load_orthomat",
 ]
@@ -102,31 +99,16 @@ def random_rotation(n, seed):
 
 
 def lambda_of(tensors):
-    """Skew-symmetric gradient matrix Lambda of the rotated tensor set.
+    """Skew-symmetric gradient matrix Lambda of a (rotated) TensorSet.
 
-    Accepts a TensorSet or a RotationState; reads only the diagonal and
-    near-diagonal entries of each tensor (O(m n^2) work).
+    Reads only the diagonal and near-diagonal entries of each tensor
+    (O(m n^2) work).
     """
-    if isinstance(tensors, RotationState):
-        tensors = tensors.tensors
     d = tensors.order
     diags = tensors.diags()                     # (m, n)
     near = tensors.near_diag()                  # (m, n, n)
     s = np.einsum("akl,al->kl", near, diags)
     return d * (s - s.T)
-
-
-def lambda_entry(tensors, i, j):
-    """Single entry Lambda[i, j] without forming the full matrix."""
-    if isinstance(tensors, RotationState):
-        tensors = tensors.tensors
-    d = tensors.order
-    stack = tensors.stack
-    wi = stack[(slice(None),) + (i,) * d]
-    wj = stack[(slice(None),) + (j,) * d]
-    wijj = stack[(slice(None), i) + (j,) * (d - 1)]
-    wiij = stack[(slice(None),) + (i,) * (d - 1) + (j,)]
-    return d * float(np.sum(wijj * wj - wi * wiij))
 
 
 class RotationState:
@@ -158,7 +140,7 @@ class RotationState:
             self.tensors = source.rotated_by(q)
         self.q = q
         self.total_sq_norm = source.frob_sq()
-        self.f_current = set_diag_sq_norm(self.tensors)
+        self.f_current = self.tensors.diag_sq_norm()
         self.rotation_count = 0
         self.reorth_count = 0
 
@@ -173,11 +155,9 @@ class RotationState:
     def offdiag_sq(self):
         return self.tensors.offdiag_sq_norm()
 
-    def lambda_matrix(self):
-        return lambda_of(self.tensors)
-
     def lambda_norm(self):
-        return float(np.linalg.norm(self.lambda_matrix()))
+        """||Lambda(Q)||, which equals the projected-gradient norm."""
+        return float(np.linalg.norm(lambda_of(self.tensors)))
 
     def orthogonality_error(self):
         n = self.dim
@@ -193,7 +173,7 @@ class RotationState:
         self.q[:, i] = c * qi + s * qj
         self.q[:, j] = c * qj - s * qi
         self.tensors.rotate_plane(i, j, rot.theta)
-        self.f_current = set_diag_sq_norm(self.tensors)
+        self.f_current = self.tensors.diag_sq_norm()
         self.rotation_count += 1
         if self.orthogonality_error() > ORTH_TOL:
             self.reorthonormalize()
@@ -207,24 +187,8 @@ class RotationState:
             q[:, -1] *= -1.0
         self.q = q
         self.tensors = self.source.rotated_by(q)
-        self.f_current = set_diag_sq_norm(self.tensors)
+        self.f_current = self.tensors.diag_sq_norm()
         self.reorth_count += 1
-
-
-def apply_rotation(state, rot):
-    """Functional alias for RotationState.apply."""
-    return state.apply(rot)
-
-
-def finite_difference_h_prime(state, i, j, step=1e-5):
-    """Central finite difference of theta -> f(Q G(i,j,theta)) at 0.
-
-    Rotates copies of the full tensor set (the real objective path), so it
-    is independent of the closed-form gradient formulas it is used to check.
-    """
-    plus = state.tensors.copy().rotate_plane(i, j, step)
-    minus = state.tensors.copy().rotate_plane(i, j, -step)
-    return (set_diag_sq_norm(plus) - set_diag_sq_norm(minus)) / (2 * step)
 
 
 # ---------------------------------------------------------------------------

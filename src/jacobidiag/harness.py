@@ -20,12 +20,12 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .angles import (SubproblemView, best_angle, brute_force_angle,
-                     h_prime_at_zero, tau_identity_check)
-from .geometry import (RotationState, finite_difference_h_prime, lambda_of,
-                       random_rotation)
+from .angles import SubproblemView, best_angle, h_prime_at_zero
+from .geometry import RotationState, lambda_of, random_rotation
+from .oracle import (brute_force_angle, finite_difference_h_prime,
+                     tau_identity_check)
 from .sweeps import RunConfig, run, write_trajectory_csv
-from .symtensor import SymTensor, TensorSet, multi_mode_product, symmetrize
+from .symtensor import TensorSet, multi_mode_product, symmetrize
 
 __all__ = [
     "ExperimentSpec",
@@ -69,7 +69,7 @@ class ExperimentSpec:
 
 
 def make_diag_tensor(spec):
-    """Diagonal SymTensor for the spec's profile.
+    """Diagonal tensor (a TensorSet with m = 1) for the spec's profile.
 
     Built-in profiles have unit Frobenius norm: 'equal' puts 1/sqrt(n) on
     the diagonal, 'linear' puts (i+1)/sqrt(sum of squares).  A custom
@@ -90,11 +90,7 @@ def make_diag_tensor(spec):
             raise ValueError(f"custom profile must have length {n}")
         if not np.all(np.isfinite(values)) or float(np.dot(values, values)) == 0:
             raise ValueError("custom profile must be finite with nonzero norm")
-    return SymTensor.from_diagonal(values, spec.order)
-
-
-def _noise(rng, shape, sigma):
-    return symmetrize(sigma * rng.standard_normal(shape)).data
+    return TensorSet.from_diagonal(values, spec.order)
 
 
 def make_test_problem(spec):
@@ -103,28 +99,24 @@ def make_test_problem(spec):
     The ground-truth Q satisfies  A0 x_k Q^T (all modes) = D,  so with
     sigma = 0 the rotated set is exactly diagonal at Q.
     """
-    d, n = spec.order, spec.n
-    diag = make_diag_tensor(spec)
-    rot = random_rotation(n, spec.seed_rot)
-    base = multi_mode_product(diag, rot.T)
+    rot = random_rotation(spec.n, spec.seed_rot)
+    base = multi_mode_product(make_diag_tensor(spec).stack[0], rot.T)
     q_true = rot.T
     rng = np.random.default_rng(spec.seed_noise)
-    shape = (n,) * d
+
+    def member():
+        if spec.sigma > 0:
+            return base + symmetrize(
+                spec.sigma * rng.standard_normal(base.shape))
+        return base
+
     if spec.slice_mode:
-        arr = base.copy()
-        if spec.sigma > 0:
-            arr = arr + _noise(rng, shape, spec.sigma)
-        parent = SymTensor(arr, copy=False)
-        slices = [SymTensor._wrap(np.ascontiguousarray(parent.data[..., i]))
-                  for i in range(n)]
-        return TensorSet(slices), q_true
-    tensors = []
-    for _ in range(spec.m):
-        arr = base.copy()
-        if spec.sigma > 0:
-            arr = arr + _noise(rng, shape, spec.sigma)
-        tensors.append(SymTensor(arr, copy=False))
-    return TensorSet(tensors), q_true
+        # slice i is parent[..., i]; slices of a bitwise-symmetric tensor
+        # are bitwise symmetric, so the stack needs no second check
+        parent = TensorSet(member()).stack[0]
+        return TensorSet._wrap(
+            np.ascontiguousarray(np.moveaxis(parent, -1, 0))), q_true
+    return TensorSet([member() for _ in range(spec.m)]), q_true
 
 
 @dataclass
@@ -264,11 +256,15 @@ def verify_invariants(tensors, seed=0, samples=40):
     Covers: analytic gradient vs central finite differences, the rational
     identities of the restricted objective (orders 2 and 3), algebraic vs
     brute-force angle maximization, and the f + offdiag = total partition.
+    Residuals are relative to ||T||^2, so a set whose squared norm is zero
+    (or underflows to zero) is refused with ValueError.
     """
     if not isinstance(tensors, TensorSet):
         tensors = TensorSet(tensors)
     d, n = tensors.order, tensors.dim
     total = tensors.frob_sq()
+    if total == 0.0:
+        raise ValueError("cannot verify a tensor set whose squared norm is 0")
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -276,7 +272,7 @@ def verify_invariants(tensors, seed=0, samples=40):
     worst_fd = 0.0
     worst_match = 0.0
     for state in _random_states(tensors, samples, seed):
-        lam = lambda_of(state)
+        lam = lambda_of(state.tensors)
         i = int(rng.integers(0, n - 1))
         j = int(rng.integers(i + 1, n))
         view = SubproblemView.from_tensors(state.tensors, i, j)

@@ -35,10 +35,8 @@ __all__ = [
     "IterationRecord",
     "RunResult",
     "upper_pairs",
-    "cyclic_pair",
     "select_pair_gradient",
     "select_pair_max",
-    "stationarity_norm",
     "run",
     "write_trajectory_csv",
 ]
@@ -52,16 +50,6 @@ CSV_HEADER = "k,sweep,i,j,theta,f,offdiag_sq,lambda_norm,skipped,wall_ms"
 def upper_pairs(n):
     """Row-major upper-triangle pair order (0,1), (0,2), ..., (n-2,n-1)."""
     return tuple((i, j) for i in range(n - 1) for j in range(i + 1, n))
-
-
-def cyclic_pair(counter, n):
-    """Pair for the given rotation counter under the cyclic rule.
-
-    Periodic with period n(n-1)/2 (one sweep)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    pairs = upper_pairs(n)
-    return pairs[counter % len(pairs)]
 
 
 def select_pair_max(lam):
@@ -94,11 +82,6 @@ def select_pair_gradient(lam, eps):
     return select_pair_max(lam)
 
 
-def stationarity_norm(state):
-    """||Lambda(Q)||, which equals the projected-gradient norm."""
-    return float(np.linalg.norm(lambda_of(state)))
-
-
 @dataclass
 class RunConfig:
     """Driver knobs; None fields resolve to scale-aware defaults at run time.
@@ -114,7 +97,6 @@ class RunConfig:
     max_sweeps: int = 100
     stationarity_tol: float | None = None
     record_every: int = 1
-    seed: int | None = None      # provenance only; runs are deterministic
     name: str | None = None
 
     def __post_init__(self):

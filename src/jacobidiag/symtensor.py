@@ -1,10 +1,14 @@
-"""Dense symmetric tensors of order 2-4 and Givens two-plane rotation kernels.
+"""Sets of dense symmetric tensors of order 2-4 and the Givens plane kernel.
 
-Tensors are stored as full dense ``(n,)*d`` float64 arrays.  Symmetry is an
-invariant of the values, not of the storage: every constructor and every
-mutating kernel finishes by re-reading each entry from its sorted
-(canonical) multi-index, so tensors stay *bitwise* symmetric under any
-sequence of rotations.
+There is one container, :class:`TensorSet`: m >= 1 symmetric tensors of a
+common order d and dimension n, stored as one ``(m,) + (n,)*d`` float64
+array so the rotation and gradient kernels vectorize over the set.  A
+single matrix or tensor is the m = 1 case.
+
+Symmetry is an invariant of the values, not of the storage: the validating
+constructor and every mutating kernel finish by re-reading each entry from
+its sorted (canonical) multi-index, so tensors stay *bitwise* symmetric
+under any sequence of rotations.
 
 Index convention: all indices and modes are 0-based.
 """
@@ -18,14 +22,9 @@ import math
 import numpy as np
 
 __all__ = [
-    "SymTensor",
     "TensorSet",
     "mode_product",
     "multi_mode_product",
-    "rotate_all_modes_givens",
-    "diag_sq_norm",
-    "offdiag_sq_norm",
-    "set_diag_sq_norm",
     "symmetrize",
     "symmetry_error",
     "save_tensorset",
@@ -33,6 +32,7 @@ __all__ = [
 ]
 
 _SUPPORTED_ORDERS = (2, 3, 4)
+SYMMETRY_TOL = 1e-9        # accepted deviation from symmetry, relative to ||T||
 
 # einsum specs keyed by order, for a stack with one leading set axis
 _STACK_DIAG = {2: "aii->ai", 3: "aiii->ai", 4: "aiiii->ai"}
@@ -52,6 +52,11 @@ def _canonicalize_stack(stack):
     dim = stack.shape[-1]
     flat = stack.reshape(stack.shape[0], -1)
     flat[:] = flat[:, _canonical_map(order, dim)]
+
+
+def _bitwise_symmetric(arr):
+    flat = arr.reshape(-1)
+    return np.array_equal(flat, flat[_canonical_map(arr.ndim, arr.shape[0])])
 
 
 def _rotate_planes_stack(stack, i, j, c, s):
@@ -87,132 +92,55 @@ def _apply_orthogonal_stack(stack, q):
 
 
 def symmetrize(tensor):
-    """Average a cubical array over all index permutations.
+    """Average a cubical array over all index permutations (new ndarray).
 
-    Returns a :class:`SymTensor`.  Already-symmetric input is a fixed point.
+    The result is bitwise symmetric; already bitwise-symmetric input is
+    returned as an exact copy.
     """
-    arr = np.asarray(tensor.data if isinstance(tensor, SymTensor) else tensor,
-                     dtype=np.float64)
+    arr = np.array(tensor, dtype=np.float64)
     if arr.ndim not in _SUPPORTED_ORDERS:
         raise ValueError(f"unsupported tensor order {arr.ndim}")
     if len(set(arr.shape)) != 1:
         raise ValueError(f"tensor is not cubical: shape {arr.shape}")
-    flat = arr.reshape(-1)
-    if np.array_equal(flat, flat[_canonical_map(arr.ndim, arr.shape[0])]):
-        return SymTensor._wrap(arr.copy())    # exact fixed point
+    if _bitwise_symmetric(arr):
+        return arr
     acc = np.zeros_like(arr)
     for perm in itertools.permutations(range(arr.ndim)):
         acc += arr.transpose(perm)
     acc /= math.factorial(arr.ndim)
-    return SymTensor(acc, copy=False)
+    _canonicalize_stack(acc[None])
+    return acc
 
 
 def symmetry_error(tensor):
     """Max absolute deviation from full symmetry over all index permutations."""
-    arr = np.asarray(tensor.data if isinstance(tensor, SymTensor) else tensor,
-                     dtype=np.float64)
+    arr = np.asarray(tensor, dtype=np.float64)
     err = 0.0
     for perm in itertools.permutations(range(arr.ndim)):
         err = max(err, float(np.max(np.abs(arr - arr.transpose(perm)))))
     return err
 
 
-class SymTensor:
-    """Dense fully symmetric tensor of order d in {2, 3, 4} and dimension n >= 2.
+def _check_members(stack):
+    """Raise ValueError unless the stack holds finite cubical tensors of a
+    supported order and n >= 2, each symmetric within SYMMETRY_TOL * ||T||.
 
-    The validating constructor checks symmetry within ``tol * ||T||`` and then
-    canonicalizes, so ``data`` is bitwise symmetric afterwards.
+    Finiteness is checked first: the symmetry deviation of a symmetric pair
+    of infinities is NaN, which no threshold comparison rejects.
     """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data, copy=True, validate=True, tol=1e-9):
-        arr = np.array(data, dtype=np.float64, copy=copy)
-        if validate:
-            if arr.ndim not in _SUPPORTED_ORDERS:
-                raise ValueError(f"unsupported tensor order {arr.ndim}")
-            if len(set(arr.shape)) != 1 or arr.shape[0] < 2:
-                raise ValueError(f"bad tensor shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("tensor entries must be finite")
-            err = symmetry_error(arr)
-            if err > tol * max(float(np.linalg.norm(arr)), 1e-300):
-                raise ValueError(
-                    f"tensor is not symmetric: deviation {err:.3e} exceeds "
-                    f"{tol:g} * ||T||")
-            _canonicalize_stack(arr[None])
-        self.data = arr
-
-    @classmethod
-    def _wrap(cls, arr):
-        """Trusted constructor: no copy, no checks (internal use)."""
-        obj = cls.__new__(cls)
-        obj.data = arr
-        return obj
-
-    @classmethod
-    def zeros(cls, order, dim):
-        return cls._wrap(np.zeros((dim,) * order))
-
-    @classmethod
-    def from_diagonal(cls, values, order):
-        """Diagonal tensor with the given diagonal vector."""
-        if order not in _SUPPORTED_ORDERS:
-            raise ValueError(f"unsupported tensor order {order}")
-        values = np.asarray(values, dtype=np.float64)
-        n = values.size
-        arr = np.zeros((n,) * order)
-        arr[(np.arange(n),) * order] = values
-        return cls._wrap(arr)
-
-    @property
-    def order(self):
-        return self.data.ndim
-
-    @property
-    def dim(self):
-        return self.data.shape[0]
-
-    def copy(self):
-        return SymTensor._wrap(self.data.copy())
-
-    def frob_sq(self):
-        return float(np.vdot(self.data, self.data))
-
-    def diag(self):
-        """The diagonal vector (T[j, j, ..., j])_j."""
-        return np.einsum(_STACK_DIAG[self.order], self.data[None])[0]
-
-    def diag_sq_norm(self):
-        d = self.diag()
-        return float(np.dot(d, d))
-
-    def offdiag_sq_norm(self):
-        """Squared norm of the off-diagonal part, equal to ||T||^2 minus the
-        squared diagonal norm.
-
-        Summed directly over the zero-diagonal copy: the subtraction form
-        carries an eps*||T||^2 noise floor that would mask convergence far
-        below it."""
-        tmp = self.data.copy()
-        idx = np.arange(self.dim)
-        tmp[(idx,) * self.order] = 0.0
-        return float(np.vdot(tmp, tmp))
-
-    def rotate_plane(self, i, j, theta):
-        """In-place rotation of all modes by the (i, j) Givens plane."""
-        _check_pair(i, j, self.dim)
-        _rotate_planes_stack(self.data[None], i, j, math.cos(theta),
-                             math.sin(theta))
-        return self
-
-    def __repr__(self):
-        return f"SymTensor(order={self.order}, dim={self.dim})"
-
-
-def _check_pair(i, j, n):
-    if not (0 <= i < j < n):
-        raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
+    order = stack.ndim - 1
+    if order not in _SUPPORTED_ORDERS:
+        raise ValueError(f"unsupported tensor order {order}")
+    if len(set(stack.shape[1:])) != 1 or stack.shape[-1] < 2:
+        raise ValueError(f"bad tensor shape {stack.shape[1:]}")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("tensor entries must be finite")
+    for ell, arr in enumerate(stack):
+        err = symmetry_error(arr)
+        if err > SYMMETRY_TOL * max(float(np.linalg.norm(arr)), 1e-300):
+            raise ValueError(
+                f"tensor {ell} is not symmetric: deviation {err:.3e} exceeds "
+                f"{SYMMETRY_TOL:g} * ||T||")
 
 
 def mode_product(tensor, matrix, mode):
@@ -222,8 +150,7 @@ def mode_product(tensor, matrix, mode):
     result is a plain ndarray with that mode resized to p.  ``mode`` is a
     0-based axis.
     """
-    arr = np.asarray(tensor.data if isinstance(tensor, SymTensor) else tensor,
-                     dtype=np.float64)
+    arr = np.asarray(tensor, dtype=np.float64)
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-D")
@@ -238,61 +165,51 @@ def mode_product(tensor, matrix, mode):
 
 def multi_mode_product(tensor, matrix):
     """Contract ``matrix`` with every mode: T x_0 M x_1 M ... (plain ndarray)."""
-    arr = np.asarray(tensor.data if isinstance(tensor, SymTensor) else tensor,
-                     dtype=np.float64)
+    arr = np.asarray(tensor, dtype=np.float64)
     for axis in range(arr.ndim):
         arr = mode_product(arr, matrix, axis)
     return arr
 
 
-def rotate_all_modes_givens(tensor, i, j, theta):
-    """Rotate every mode of ``tensor`` by the (i, j, theta) Givens plane.
-
-    Mutates and returns ``tensor``.  Equivalent to the full mode-product
-    composition with G(i,j,theta)^T but touches only the i/j fibers,
-    O(d n^(d-1)) per call.
-    """
-    return tensor.rotate_plane(i, j, theta)
-
-
-def diag_sq_norm(tensor):
-    """Sum of squared diagonal entries."""
-    return tensor.diag_sq_norm()
-
-
-def offdiag_sq_norm(tensor):
-    """||T||^2 minus the squared diagonal norm (never negative)."""
-    return tensor.offdiag_sq_norm()
-
-
 class TensorSet:
-    """m >= 1 symmetric tensors of common order and dimension.
+    """m >= 1 symmetric tensors of common order d in {2, 3, 4} and dimension
+    n >= 2, stored as one stacked ``(m,) + (n,)*d`` array.
 
-    Stored as one stacked ``(m,) + (n,)*d`` array so rotation and gradient
-    kernels vectorize over the set.
+    ``TensorSet(arrays)`` takes one ``(n,)*d`` array (m = 1) or a list or
+    tuple of them.  It copies, checks that every entry is finite and every
+    member symmetric within ``SYMMETRY_TOL * ||T||``, and canonicalizes, so
+    ``stack`` is bitwise symmetric afterwards.
     """
 
     __slots__ = ("stack",)
 
-    def __init__(self, tensors):
-        tensors = list(tensors)
-        if not tensors:
-            raise ValueError("TensorSet needs at least one tensor")
-        arrs = []
-        for t in tensors:
-            if not isinstance(t, SymTensor):
-                t = SymTensor(t)
-            arrs.append(t.data)
-        shape = arrs[0].shape
-        if any(a.shape != shape for a in arrs):
-            raise ValueError("all tensors in a set must share order and dim")
-        self.stack = np.stack(arrs)
+    def __init__(self, arrays):
+        if isinstance(arrays, (list, tuple)):
+            # np.stack raises ValueError for an empty list or unequal shapes
+            stack = np.stack(arrays, dtype=np.float64)
+        else:
+            stack = np.array(arrays, dtype=np.float64)[None]
+        _check_members(stack)
+        _canonicalize_stack(stack)
+        self.stack = stack
 
     @classmethod
     def _wrap(cls, stack):
+        """Trusted constructor: no copy, no checks (internal use)."""
         obj = cls.__new__(cls)
         obj.stack = stack
         return obj
+
+    @classmethod
+    def from_diagonal(cls, values, order):
+        """One diagonal tensor (m = 1) with the given diagonal vector."""
+        if order not in _SUPPORTED_ORDERS:
+            raise ValueError(f"unsupported tensor order {order}")
+        values = np.asarray(values, dtype=np.float64)
+        n = values.size
+        stack = np.zeros((1,) + (n,) * order)
+        stack[(0,) + (np.arange(n),) * order] = values
+        return cls._wrap(stack)
 
     @property
     def order(self):
@@ -306,11 +223,9 @@ class TensorSet:
         return self.stack.shape[0]
 
     def __getitem__(self, ell):
-        # view into the stack; copy() before mutating independently
-        return SymTensor._wrap(self.stack[ell])
-
-    def __iter__(self):
-        return (self[ell] for ell in range(len(self)))
+        """One-member view into the stack; copy() before mutating it alone."""
+        ell = range(len(self))[ell]          # IndexError when out of range
+        return TensorSet._wrap(self.stack[ell:ell + 1])
 
     def copy(self):
         return TensorSet._wrap(self.stack.copy())
@@ -319,15 +234,21 @@ class TensorSet:
         return float(np.vdot(self.stack, self.stack))
 
     def diags(self):
-        """(m, n) array of diagonal vectors."""
+        """(m, n) array of diagonal vectors (W[j, j, ..., j])_j."""
         return np.einsum(_STACK_DIAG[self.order], self.stack)
 
     def diag_sq_norm(self):
+        """Sum of squared diagonal entries over the set (the objective f)."""
         d = self.diags()
         return float(np.vdot(d, d))
 
     def offdiag_sq_norm(self):
-        """Total squared off-diagonal mass (direct summation, see SymTensor)."""
+        """Total squared off-diagonal mass, equal to ||T||^2 minus the
+        squared diagonal norm.
+
+        Summed directly over the zero-diagonal copy: the subtraction form
+        carries an eps*||T||^2 noise floor that would mask convergence far
+        below it."""
         tmp = self.stack.copy()
         idx = np.arange(self.dim)
         tmp[(slice(None),) + (idx,) * self.order] = 0.0
@@ -340,8 +261,14 @@ class TensorSet:
         return np.einsum(_STACK_NEAR[self.order], self.stack)
 
     def rotate_plane(self, i, j, theta):
-        """In-place Givens rotation of all modes of every member tensor."""
-        _check_pair(i, j, self.dim)
+        """In-place Givens rotation of all modes of every member tensor.
+
+        Touches only the i/j slices of each mode, O(d m n^(d-1)) before the
+        symmetry-restoring gather.
+        """
+        if not (0 <= i < j < self.dim):
+            raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, "
+                             f"n={self.dim}")
         _rotate_planes_stack(self.stack, i, j, math.cos(theta), math.sin(theta))
         return self
 
@@ -356,11 +283,6 @@ class TensorSet:
     def __repr__(self):
         return (f"TensorSet(m={len(self)}, order={self.order}, "
                 f"dim={self.dim})")
-
-
-def set_diag_sq_norm(tensors):
-    """Sum of squared diagonal entries over a TensorSet (the objective f)."""
-    return tensors.diag_sq_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +303,12 @@ def save_tensorset(path, tensors):
 
 
 def load_tensorset(path):
-    """Read a tensor set; validates symmetry within 1e-9*||T|| and
-    re-symmetrizes (permutation average) on load."""
+    """Read a tensor set.
+
+    Each member is checked once (finite entries, symmetric within
+    SYMMETRY_TOL * ||T||); members that are not bitwise symmetric are
+    replaced by their permutation average.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         body = fh.read().split()
@@ -398,14 +324,12 @@ def load_tensorset(path):
     if len(body) != m * n**d:
         raise ValueError(
             f"expected {m * n**d} values in {path}, found {len(body)}")
-    flat = np.array(body, dtype=np.float64).reshape((m,) + (n,) * d)
-    tensors = []
-    for ell in range(m):
-        arr = flat[ell]
-        err = symmetry_error(arr)
-        if err > 1e-9 * max(float(np.linalg.norm(arr)), 1e-300):
-            raise ValueError(
-                f"tensor {ell} in {path} is not symmetric within 1e-9*||T|| "
-                f"(deviation {err:.3e})")
-        tensors.append(symmetrize(arr))
-    return TensorSet(tensors)
+    stack = np.array(body, dtype=np.float64).reshape((m,) + (n,) * d)
+    try:
+        _check_members(stack)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for arr in stack:
+        if not _bitwise_symmetric(arr):
+            arr[...] = symmetrize(arr)
+    return TensorSet._wrap(stack)

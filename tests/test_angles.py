@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from jacobidiag.angles import (ConstantObjectiveError, SubproblemView,
-                               XiPolynomial, best_angle, brute_force_angle,
-                               h_derivatives_at_zero, h_prime_at_zero,
-                               omega_xi_coeffs, proximal_gamma,
-                               solve_xi_roots, tau_identity_check,
+                               best_angle, h_derivatives_at_zero,
+                               h_prime_at_zero, omega_xi_coeffs,
+                               proximal_gamma, solve_xi_roots,
                                xi_to_x_candidates)
 from jacobidiag.geometry import RotationState, lambda_of, random_rotation
-from jacobidiag.symtensor import TensorSet, set_diag_sq_norm, symmetrize
+from jacobidiag.oracle import brute_force_angle, tau_identity_check
+from jacobidiag.symtensor import TensorSet, symmetrize
 
 QP = math.pi / 4
 
@@ -75,7 +75,7 @@ def test_derivatives_unsupported_order():
 def test_h_prime_equals_minus_two_lambda(order):
     ts = random_set(order, 5, 60 + order, m=2)
     state = RotationState(ts, random_rotation(5, 3))
-    lam = lambda_of(state)
+    lam = lambda_of(state.tensors)
     for (i, j) in [(0, 2), (1, 4), (3, 4)]:
         view = SubproblemView.from_tensors(state.tensors, i, j)
         assert h_prime_at_zero(view) == pytest.approx(
@@ -90,7 +90,7 @@ def test_view_differs_from_ambient_f_by_constant():
     consts = []
     for theta in (-0.6, -0.2, 0.0, 0.3, 0.7):
         rotated = state.tensors.copy().rotate_plane(i, j, theta)
-        consts.append(set_diag_sq_norm(rotated) - view.h(theta))
+        consts.append(rotated.diag_sq_norm() - view.h(theta))
     scale = state.total_sq_norm
     assert max(consts) - min(consts) <= 1e-10 * scale
 
@@ -101,7 +101,7 @@ def test_view_differs_from_ambient_f_by_constant():
 def test_omega_third_order_diagonal_example():
     view = SubproblemView([[1.0, 0.0, 0.0, 0.0]])
     poly = omega_xi_coeffs(view)
-    assert np.allclose(poly.coeffs, [0.0, 6.0, 0.0], atol=0)
+    assert np.allclose(poly, [0.0, 6.0, 0.0], atol=0)
     roots = solve_xi_roots(poly)
     assert roots == [0.0]
     assert xi_to_x_candidates(0.0) == [-1.0, 1.0]
@@ -111,8 +111,8 @@ def test_omega_third_order_diagonal_example():
 def test_omega_delta0_shifts_linear_coeff_only(order):
     base = random_view(order, 5)
     shifted = SubproblemView(base.nu, delta0=0.25)
-    c0 = omega_xi_coeffs(base).coeffs
-    c1 = omega_xi_coeffs(shifted).coeffs
+    c0 = omega_xi_coeffs(base)
+    c1 = omega_xi_coeffs(shifted)
     assert c1[0] == c0[0]
     assert c1[1] == pytest.approx(c0[1] + 4 * 0.25, rel=1e-14)
     assert c1[2] == c0[2]
@@ -121,8 +121,8 @@ def test_omega_delta0_shifts_linear_coeff_only(order):
 def test_omega_delta0_shift_fourth_order():
     base = random_view(4, 6)
     shifted = SubproblemView(base.nu, delta0=0.5)
-    c0 = omega_xi_coeffs(base).coeffs
-    c1 = omega_xi_coeffs(shifted).coeffs
+    c0 = omega_xi_coeffs(base)
+    c1 = omega_xi_coeffs(shifted)
     # b and d both gain 4*delta0; Omega coeffs are [a, b, 4a+c, 3b+d, ...]
     assert c1[0] == c0[0]
     assert c1[1] == pytest.approx(c0[1] + 2.0, rel=1e-14)
@@ -132,18 +132,18 @@ def test_omega_delta0_shift_fourth_order():
 
 
 def test_omega_degrees():
-    assert omega_xi_coeffs(random_view(2, 1)).degree == 2
-    assert omega_xi_coeffs(random_view(3, 1)).degree == 2
-    assert omega_xi_coeffs(random_view(4, 1)).degree == 4
+    assert len(omega_xi_coeffs(random_view(2, 1))) - 1 == 2
+    assert len(omega_xi_coeffs(random_view(3, 1))) - 1 == 2
+    assert len(omega_xi_coeffs(random_view(4, 1))) - 1 == 4
 
 
 def test_omega_multi_tensor_additivity():
     va = random_view(3, 11)
     vb = random_view(3, 12)
     both = SubproblemView(np.vstack([va.nu, vb.nu]), delta0=0.125)
-    expect = (omega_xi_coeffs(va).coeffs + omega_xi_coeffs(vb).coeffs
+    expect = (omega_xi_coeffs(va) + omega_xi_coeffs(vb)
               + np.array([0.0, 0.5, 0.0]))
-    assert np.allclose(omega_xi_coeffs(both).coeffs, expect, rtol=1e-14)
+    assert np.allclose(omega_xi_coeffs(both), expect, rtol=1e-14)
 
 
 def _numeric_omega_coeffs(view):
@@ -185,10 +185,10 @@ def test_candidates_are_roots_of_reconstructed_omega(order, delta0):
 # root solving and the xi -> x map
 
 def test_solve_xi_roots_basic():
-    assert solve_xi_roots(XiPolynomial([6.0, 0.0])) == [0.0]
-    assert solve_xi_roots(XiPolynomial([1.0, 0.0, -1.0])) == [-1.0, 1.0]
+    assert solve_xi_roots([6.0, 0.0]) == [0.0]
+    assert solve_xi_roots([1.0, 0.0, -1.0]) == [-1.0, 1.0]
     with pytest.raises(ConstantObjectiveError):
-        solve_xi_roots(XiPolynomial([0.0, 0.0, 0.0]))
+        solve_xi_roots([0.0, 0.0, 0.0])
 
 
 def test_solve_xi_roots_planted_quartic():
@@ -196,7 +196,7 @@ def test_solve_xi_roots_planted_quartic():
     coeffs = np.array([1.0])
     for r in target:
         coeffs = np.convolve(coeffs, [1.0, -r])
-    roots = solve_xi_roots(XiPolynomial(coeffs))
+    roots = solve_xi_roots(coeffs)
     assert len(roots) == 4
     for got, want in zip(roots, sorted(target)):
         assert got == pytest.approx(want, abs=1e-10)
@@ -204,7 +204,7 @@ def test_solve_xi_roots_planted_quartic():
 
 def test_solve_xi_roots_degree_reduction():
     # leading coefficient far below the cutoff: treated as the linear poly
-    roots = solve_xi_roots(XiPolynomial([1e-16, 2.0, -3.0]))
+    roots = solve_xi_roots([1e-16, 2.0, -3.0])
     assert roots == [pytest.approx(1.5)]
 
 

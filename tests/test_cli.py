@@ -67,6 +67,17 @@ def test_run_missing_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_non_finite_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "inf.st"
+    bad.write_text("symtensor v1 d=2 n=2 m=1\n1 inf\ninf 3\n")
+    code = cli.main(["run", "--in", str(bad), "--algo", "c",
+                     "--max-sweeps", "5", "--tol", "1e-8",
+                     "--csv", str(tmp_path / "o.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: tensor entries must be finite" in err
+
+
 def test_run_unknown_algo_is_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--in", "x", "--algo", "newton", "--max-sweeps", "5",
@@ -103,6 +114,16 @@ def test_verify_invalid_file_exits_2(tmp_path):
     bad = tmp_path / "bad.st"
     bad.write_text("symtensor v1 d=2 n=2 m=1\n1 2\n2.5 3\n")
     assert cli.main(["verify", "--in", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "1e-320"])
+def test_verify_zero_norm_exits_2(tmp_path, capsys, value):
+    # an all-zero set, and one whose squared norm underflows to zero
+    zero = tmp_path / "zero.st"
+    zero.write_text("symtensor v1 d=3 n=2 m=1\n"
+                    + " ".join([value] * 8) + "\n")
+    assert cli.main(["verify", "--in", str(zero), "--samples", "6"]) == 2
+    assert "squared norm is 0" in capsys.readouterr().err
 
 
 def test_verify_failure_exits_3(tmp_path, monkeypatch, capsys):

@@ -6,11 +6,10 @@ import pytest
 
 from jacobidiag.geometry import GivensRotation, RotationState, lambda_of
 from jacobidiag.harness import ExperimentSpec, make_test_problem
-from jacobidiag.sweeps import (RunConfig, cyclic_pair, run,
-                               select_pair_gradient, select_pair_max,
-                               stationarity_norm, upper_pairs,
+from jacobidiag.sweeps import (RunConfig, run, select_pair_gradient,
+                               select_pair_max, upper_pairs,
                                write_trajectory_csv)
-from jacobidiag.symtensor import SymTensor, TensorSet, symmetrize
+from jacobidiag.symtensor import TensorSet
 
 
 def noisy_problem(order, n=6, sigma=1e-2, seed=5):
@@ -28,16 +27,6 @@ def skew(n, seed):
 
 # ---------------------------------------------------------------------------
 # pair selection
-
-def test_cyclic_pair_order_and_period():
-    assert [cyclic_pair(k, 3) for k in range(4)] == [(0, 1), (0, 2), (1, 2),
-                                                     (0, 1)]
-    assert cyclic_pair(0, 2) == (0, 1)
-    assert cyclic_pair(17, 2) == (0, 1)
-    p = 5 * 4 // 2
-    assert cyclic_pair(p, 5) == cyclic_pair(0, 5)
-    assert len(upper_pairs(5)) == p
-
 
 def test_select_pair_max_cases():
     lam = np.zeros((6, 6))
@@ -65,6 +54,9 @@ def test_select_pair_gradient_cases():
     for eps in (2.0 / 6, 0.01):
         assert select_pair_gradient(lam, eps) == (2, 5)
     assert select_pair_gradient(np.zeros((5, 5)), 0.1) is None
+    # the cyclic order scanned above, one sweep long
+    assert upper_pairs(3) == ((0, 1), (0, 2), (1, 2))
+    assert len(upper_pairs(5)) == 5 * 4 // 2
     for seed in range(20):
         lam = skew(8, 100 + seed)
         eps = 2.0 / 8
@@ -75,10 +67,10 @@ def test_select_pair_gradient_cases():
 def test_stationarity_norm_matches_lambda():
     ts = noisy_problem(3)
     state = RotationState(ts)
-    assert stationarity_norm(state) == pytest.approx(
-        float(np.linalg.norm(lambda_of(state))), rel=1e-14)
-    diag = TensorSet([SymTensor.from_diagonal([1.0, 2.0, 3.0], 3)])
-    assert stationarity_norm(RotationState(diag)) == 0.0
+    assert state.lambda_norm() == pytest.approx(
+        float(np.linalg.norm(lambda_of(state.tensors))), rel=1e-14)
+    diag = TensorSet.from_diagonal([1.0, 2.0, 3.0], 3)
+    assert RotationState(diag).lambda_norm() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +100,7 @@ def test_run_rejects_bad_q0():
 # driver behavior
 
 def test_diagonal_input_stops_immediately():
-    ts = TensorSet([SymTensor.from_diagonal([1.0, 0.5, -2.0, 0.1], 3)])
+    ts = TensorSet.from_diagonal([1.0, 0.5, -2.0, 0.1], 3)
     for method in ("c", "g", "gmax", "cthresh", "pc"):
         res = run(ts, RunConfig(method=method))
         assert res.converged and res.stop_reason == "stationary"
