@@ -20,7 +20,7 @@ roots, together with {0, +-pi/4}, form a complete candidate set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,10 @@ QUARTER_PI = math.pi / 4
 
 _BINOM = {2: (1.0, 2.0, 1.0), 3: (1.0, 3.0, 3.0, 1.0),
           4: (1.0, 4.0, 6.0, 4.0, 1.0)}
+
+# _J_AXES[d][a, w]: axis a of view column w takes index j (else i): a >= d - w
+_J_AXES = {d: np.add.outer(np.arange(d), np.arange(d + 1)) >= d
+           for d in _BINOM}
 
 # imaginary-part cutoff for accepting a polynomial root as real, and
 # leading-coefficient cutoff for degree reduction
@@ -83,11 +87,8 @@ class SubproblemView:
 
     @classmethod
     def from_tensors(cls, tensors, i, j, delta0=0.0):
-        d = tensors.order
-        stack = tensors.stack
-        cols = [stack[(slice(None),) + (i,) * (d - w) + (j,) * w]
-                for w in range(d + 1)]
-        return cls(np.stack(cols, axis=1), delta0)
+        idx = np.where(_J_AXES[tensors.order], j, i)
+        return cls(tensors.stack[(slice(None), *idx)], delta0)
 
     @property
     def order(self):
@@ -243,7 +244,7 @@ def solve_xi_roots(coeffs):
 
 
 def xi_to_x_candidates(xi):
-    """Tangent candidates in [-1, 1] from a xi root of Omega.
+    """Tangents in [-1, 1] that a xi root of Omega maps back to.
 
     The two roots of x^2 - xi x - 1 multiply to -1; the in-range one is
     returned (both, for xi = 0).
@@ -257,12 +258,10 @@ def xi_to_x_candidates(xi):
 
 @dataclass
 class AngleResult:
-    """Chosen angle, its objective gain over theta = 0, and the candidates
-    (theta, penalized value) that were evaluated."""
+    """Chosen angle and its penalized objective gain over theta = 0."""
 
     theta: float
     gain: float
-    candidates: list = field(default_factory=list)
 
 
 # low-order-first coefficients of (1 + x^2)^k
@@ -273,6 +272,10 @@ _ONE_PLUS_XSQ_POW = {
     3: np.array([1.0, 0.0, 3.0, 0.0, 3.0, 0.0, 1.0]),
     4: np.array([1.0, 0.0, 4.0, 0.0, 6.0, 0.0, 4.0, 0.0, 1.0]),
 }
+# anti-diagonal index a + b of each raveled (d+1)^2 entry; signs (-1)^k
+_ANTI_DIAG = {d: np.add.outer(np.arange(d + 1), np.arange(d + 1)).ravel()
+              for d in _BINOM}
+_ALT_SIGN = {d: (-1.0) ** np.arange(2 * d + 1) for d in _BINOM}
 
 
 def _gain_numerator(view):
@@ -283,18 +286,14 @@ def _gain_numerator(view):
     q is assembled coefficient-wise from the restricted entries, so
     evaluating it keeps full relative accuracy for tiny x, where forming
     h~(theta) - h~(0) by subtraction would lose everything to cancellation.
+    With p = binom * nu, sum_l T1^2 and sum_l T2^2 are the anti-diagonal
+    sums s of the Gram matrix p^T p, forward and reversed with signs (-1)^k.
     """
     d = view.order
-    binom = _BINOM[d]
-    q = np.zeros(2 * d + 1)
-    rho0 = 0.0
-    for ell in range(view.size):
-        p1 = np.array([binom[w] * view.nu[ell, w] for w in range(d + 1)])
-        p2 = np.array([binom[d - k] * view.nu[ell, d - k] * (-1.0) ** k
-                       for k in range(d + 1)])
-        q += np.convolve(p1, p1) + np.convolve(p2, p2)
-        rho0 += p1[0] ** 2 + p2[0] ** 2
-    q -= rho0 * _ONE_PLUS_XSQ_POW[d]
+    p = np.asarray(_BINOM[d]) * view.nu
+    s = np.bincount(_ANTI_DIAG[d], weights=(p.T @ p).ravel())
+    q = s + _ALT_SIGN[d] * s[::-1]
+    q -= (s[0] + s[-1]) * _ONE_PLUS_XSQ_POW[d]
     if view.delta0:
         pen = 2.0 * view.delta0 * _ONE_PLUS_XSQ_POW[d - 2]
         q[2:2 + pen.size] -= pen
@@ -317,11 +316,10 @@ def best_angle(view):
     solver stays exact down to gains far below floating-point resolution
     of h~ itself.  Ties are broken by smaller |theta|, then positive sign.
     """
-    v0 = float(view.h_tilde(0.0))
     try:
         xis = solve_xi_roots(omega_xi_coeffs(view))
     except ConstantObjectiveError:
-        return AngleResult(0.0, 0.0, [(0.0, v0)])
+        return AngleResult(0.0, 0.0)
     xs = [0.0, 1.0, -1.0]
     for xi in xis:
         xs.extend(xi_to_x_candidates(xi))
@@ -331,6 +329,4 @@ def best_angle(view):
     tie_tol = 1e-12 * abs(gmax)
     best_x = min((x for x, g in zip(xs, gains) if g >= gmax - tie_tol),
                  key=lambda x: (abs(x), x < 0))
-    gain = gains[xs.index(best_x)]
-    candidates = [(math.atan(x), v0 + g) for x, g in zip(xs, gains)]
-    return AngleResult(math.atan(best_x), float(gain), candidates)
+    return AngleResult(math.atan(best_x), float(gains[xs.index(best_x)]))

@@ -123,6 +123,10 @@ class RotationState:
         if not isinstance(source, TensorSet):
             source = TensorSet(source)
         self.source = source
+        self.total_sq_norm = source.frob_sq()
+        if not 0.0 < self.total_sq_norm < math.inf:
+            raise ValueError(f"the tensor set's squared norm is "
+                             f"{self.total_sq_norm:g}; need 0 < ||T||^2 < inf")
         n = source.dim
         if q0 is None:
             q = np.eye(n)
@@ -139,7 +143,6 @@ class RotationState:
                 raise ValueError("Q0 must have determinant +1")
             self.tensors = source.rotated_by(q)
         self.q = q
-        self.total_sq_norm = source.frob_sq()
         self.f_current = self.tensors.diag_sq_norm()
         self.rotation_count = 0
         self.reorth_count = 0

@@ -16,6 +16,7 @@ from .symtensor import multi_mode_product
 
 __all__ = [
     "rotated_view",
+    "local_maxima",
     "brute_force_angle",
     "tau_identity_check",
     "finite_difference_h_prime",
@@ -103,13 +104,10 @@ def _parabolic_polish(fn, theta, lo, hi, step=1e-5):
     return theta, fn(theta)
 
 
-def brute_force_angle(view, grid_points=2049):
-    """Reference maximizer: dense grid plus golden-section refinement.
-
-    Every grid-local maximum is refined to a 1e-12 bracket and polished
-    with a parabolic step; the best refined point wins, with the same tie
-    rules as best_angle.  Independent of the polynomial machinery.
-    """
+def local_maxima(view, grid_points=2049):
+    """(theta, h~(theta)) at every grid-local maximum on [-pi/4, pi/4],
+    refined to a 1e-12 bracket and polished with a parabolic step; empty
+    when h~ is flat on the grid.  Independent of the polynomial machinery."""
     if grid_points < 1000:
         raise ValueError("grid_points must be at least 1000")
     if grid_points % 2 == 0:
@@ -118,7 +116,7 @@ def brute_force_angle(view, grid_points=2049):
     values = view.h_tilde(thetas)
     v0 = float(view.h_tilde(0.0))
     if float(np.max(values) - np.min(values)) <= 1e-15 * (1.0 + abs(v0)):
-        return AngleResult(0.0, 0.0, [(0.0, v0)])
+        return []
     fn = _scalar_fn(view)
     cands = []
     for k in range(grid_points):
@@ -129,12 +127,20 @@ def brute_force_angle(view, grid_points=2049):
             hi = thetas[min(k + 1, grid_points - 1)]
             t, _ = _golden_max(fn, lo, hi)
             cands.append(_parabolic_polish(fn, t, -QUARTER_PI, QUARTER_PI))
+    return cands
+
+
+def brute_force_angle(view, grid_points=2049):
+    """Reference maximizer: the best local maximum, best_angle's tie rules."""
+    cands = local_maxima(view, grid_points)
+    if not cands:
+        return AngleResult(0.0, 0.0)
     vmax = max(v for _, v in cands)
     tie_tol = 1e-13 * (1.0 + abs(vmax))
     theta = min((t for t, v in cands if v >= vmax - tie_tol),
                 key=lambda t: (abs(t), t < 0))
     value = dict(cands)[theta]
-    return AngleResult(float(theta), float(value - v0), cands)
+    return AngleResult(float(theta), float(value - float(view.h_tilde(0.0))))
 
 
 def tau_identity_check(view, x):

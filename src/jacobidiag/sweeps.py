@@ -204,31 +204,20 @@ def run(tensors, config=None, q0=None):
                 converged = True
                 reason = "stationary"
                 break
-            if cfg.method in ("c", "pc"):
+            # Lambda != 0 here, so neither selector returns None
+            if cfg.method == "g":
+                i, j = select_pair_gradient(lam, eps)
+            elif cfg.method == "gmax":
+                i, j = select_pair_max(lam)
+            else:
                 i, j = pairs[pos]
-            elif cfg.method == "cthresh":
-                i, j = pairs[pos]
-                if abs(lam[i, j]) <= thresh / n:
+                if cfg.method == "cthresh" and abs(lam[i, j]) <= thresh / n:
                     records.append(IterationRecord(
                         k=k, sweep=sweep, i=i, j=j, theta=0.0,
                         f=state.f_current, offdiag_sq=state.offdiag_sq(),
                         lambda_norm=lam_norm, skipped=True,
                         wall_ms=(time.perf_counter() - t0) * 1e3))
                     continue
-            elif cfg.method == "g":
-                sel = select_pair_gradient(lam, eps)
-                if sel is None:
-                    converged = True
-                    reason = "stationary"
-                    break
-                i, j = sel
-            else:  # gmax
-                sel = select_pair_max(lam)
-                if sel is None:
-                    converged = True
-                    reason = "stationary"
-                    break
-                i, j = sel
             view = SubproblemView.from_tensors(state.tensors, i, j, delta0)
             result = best_angle(view)
             state.apply(GivensRotation(i, j, result.theta))
@@ -255,14 +244,10 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def write_trajectory_csv(path, result, record_every=None):
-    """Write the iteration trajectory as CSV.
-
-    With record_every > 1, only every record_every-th rotation is emitted
-    (skipped threshold visits are elided) plus the final record.
-    """
-    every = record_every if record_every is not None \
-        else result.config.record_every
+def write_trajectory_csv(path, result):
+    """Write the trajectory as CSV: with the run's record_every > 1, only
+    every record_every-th rotation (no skipped visits) plus the last record."""
+    every = result.config.record_every
     recs = result.records
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")

@@ -202,11 +202,13 @@ class TensorSet:
 
     @classmethod
     def from_diagonal(cls, values, order):
-        """One diagonal tensor (m = 1) with the given diagonal vector."""
+        """One diagonal tensor (m = 1) with the given n >= 2 finite values."""
         if order not in _SUPPORTED_ORDERS:
             raise ValueError(f"unsupported tensor order {order}")
         values = np.asarray(values, dtype=np.float64)
         n = values.size
+        if n < 2 or not np.all(np.isfinite(values)):
+            raise ValueError("a diagonal needs n >= 2 finite entries")
         stack = np.zeros((1,) + (n,) * order)
         stack[(0,) + (np.arange(n),) * order] = values
         return cls._wrap(stack)

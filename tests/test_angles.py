@@ -9,7 +9,8 @@ from jacobidiag.angles import (ConstantObjectiveError, SubproblemView,
                                proximal_gamma, solve_xi_roots,
                                xi_to_x_candidates)
 from jacobidiag.geometry import RotationState, lambda_of, random_rotation
-from jacobidiag.oracle import brute_force_angle, tau_identity_check
+from jacobidiag.oracle import (brute_force_angle, local_maxima,
+                               tau_identity_check)
 from jacobidiag.symtensor import TensorSet, symmetrize
 
 QP = math.pi / 4
@@ -292,10 +293,24 @@ def test_oracle_finds_local_maxima_near_candidates():
     for seed in range(30):
         order = 2 + seed % 3
         view = random_view(order, 3000 + seed)
-        orc = brute_force_angle(view, 2048)
-        cand = [t for t, _ in best_angle(view).candidates]
-        for t_oracle, _ in orc.candidates:
+        xs = [0.0, 1.0, -1.0]
+        for xi in solve_xi_roots(omega_xi_coeffs(view)):
+            xs.extend(xi_to_x_candidates(xi))
+        cand = [math.atan(x) for x in xs]
+        for t_oracle, _ in local_maxima(view, 2048):
             assert min(abs(t_oracle - t) for t in cand) <= 1e-8
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 3, 14])
+@pytest.mark.parametrize("delta0", [0.0, 0.1])
+def test_gain_is_h_tilde_difference(order, m, delta0):
+    for seed in range(10):
+        view = random_view(order, 4000 + seed, m=m, delta0=delta0)
+        res = best_angle(view)
+        v0 = view.h_tilde(0.0)
+        assert abs(res.gain - (view.h_tilde(res.theta) - v0)) \
+            <= 1e-10 * (1.0 + abs(v0))
 
 
 def test_brute_force_requires_dense_grid():

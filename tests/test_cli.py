@@ -3,7 +3,7 @@ import pytest
 
 from jacobidiag import cli
 from jacobidiag.harness import CheckResult
-from jacobidiag.symtensor import load_tensorset
+from jacobidiag.symtensor import TensorSet, load_tensorset, save_tensorset
 
 
 def gen_args(out, **over):
@@ -76,6 +76,20 @@ def test_run_non_finite_file_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"error: {bad}: tensor entries must be finite" in err
+
+
+@pytest.mark.parametrize("scale,norm", [(1e-170, "0"), (1e160, "inf")])
+def test_run_under_and_overflowing_norm_exits_2(tmp_path, capsys, scale,
+                                                 norm):
+    problem = tmp_path / "p.st"
+    cli.main(gen_args(problem))
+    scaled = tmp_path / "scaled.st"
+    save_tensorset(scaled, TensorSet(scale * load_tensorset(problem).stack[0]))
+    code = cli.main(["run", "--in", str(scaled), "--algo", "c",
+                     "--max-sweeps", "5", "--tol", "0",
+                     "--csv", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert f"squared norm is {norm};" in capsys.readouterr().err
 
 
 def test_run_unknown_algo_is_argparse_error(tmp_path):

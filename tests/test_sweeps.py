@@ -90,6 +90,14 @@ def test_config_validation():
         run(noisy_problem(2, n=6), cfg)      # 0.5 > 2/n
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_run_refuses_under_and_overflowing_norm(scale):
+    # ||T||^2 underflows to 0 at 1e-170 and overflows to inf at 1e160
+    ts = noisy_problem(3, sigma=1e-3)
+    with pytest.raises(ValueError, match="squared norm is"):
+        run(TensorSet(scale * ts.stack[0]), RunConfig())
+
+
 def test_run_rejects_bad_q0():
     ts = noisy_problem(2)
     with pytest.raises(ValueError):
@@ -238,9 +246,9 @@ def test_csv_roundtrip_and_format(tmp_path):
 
 def test_csv_record_every_keeps_final(tmp_path):
     ts = noisy_problem(3, sigma=1e-2)
-    res = run(ts, RunConfig(method="c", max_sweeps=3))
+    res = run(ts, RunConfig(method="c", max_sweeps=3, record_every=7))
     path = tmp_path / "thin.csv"
-    write_trajectory_csv(path, res, record_every=7)
+    write_trajectory_csv(path, res)
     rows = read_csv(path)
     ks = [int(r["k"]) for r in rows]
     assert ks[-1] == res.records[-1].k

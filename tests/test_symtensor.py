@@ -195,6 +195,12 @@ def test_from_diagonal_layout():
     assert t.offdiag_sq_norm() == 0.0
 
 
+@pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0]])
+def test_from_diagonal_rejects_bad_input(values):
+    with pytest.raises(ValueError):
+        TensorSet.from_diagonal(values, 3)
+
+
 def test_tensorset_validation():
     with pytest.raises(ValueError):
         TensorSet([])
