@@ -116,7 +116,9 @@ class RotationState:
 
     Keeps a reference to the unrotated source set so Q can be
     re-orthonormalized and the working tensors rebuilt if floating-point
-    drift ever exceeds ORTH_TOL.
+    drift ever exceeds ORTH_TOL.  ``apply`` does not check the drift (the
+    check is O(n^3)); ``sweeps.run`` checks it once per sweep and calls
+    ``reorthonormalize`` when needed.
     """
 
     def __init__(self, source, q0=None):
@@ -167,7 +169,11 @@ class RotationState:
         return float(np.linalg.norm(self.q.T @ self.q - np.eye(n)))
 
     def apply(self, rot):
-        """Apply a GivensRotation: Q <- Q G, rotate all tensors, refresh f."""
+        """Apply a GivensRotation: Q <- Q G, rotate all tensors, refresh f.
+
+        Orthogonality of Q is not checked here; callers applying many
+        rotations check ``orthogonality_error`` against ORTH_TOL now and
+        then, as ``sweeps.run`` does after every sweep."""
         i, j, c, s = rot.i, rot.j, rot.c, rot.s
         if j >= self.dim:
             raise ValueError(f"pair ({i}, {j}) out of range for n={self.dim}")
@@ -178,8 +184,6 @@ class RotationState:
         self.tensors.rotate_plane(i, j, rot.theta)
         self.f_current = self.tensors.diag_sq_norm()
         self.rotation_count += 1
-        if self.orthogonality_error() > ORTH_TOL:
-            self.reorthonormalize()
         return self
 
     def reorthonormalize(self):

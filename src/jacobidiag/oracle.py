@@ -2,7 +2,8 @@
 ``harness.verify_invariants`` and the tests.  Each takes a route independent
 of the closed forms it checks: grid search for the angle, explicit 2x...x2
 block rotations for the rational identities, rotated copies of the whole
-tensor set for the gradient."""
+tensor set for the gradient, a whole-stack symmetry gather for the plane
+rotation kernel."""
 
 from __future__ import annotations
 
@@ -12,15 +13,35 @@ import numpy as np
 
 from .angles import (QUARTER_PI, _BINOM, AngleResult, SubproblemView,
                      h_derivatives_at_zero, h_prime_at_zero)
-from .symtensor import multi_mode_product
+from .symtensor import _canonicalize_stack, multi_mode_product
 
 __all__ = [
+    "rotate_planes_reference",
     "rotated_view",
     "local_maxima",
     "brute_force_angle",
     "tau_identity_check",
     "finite_difference_h_prime",
 ]
+
+
+def rotate_planes_reference(stack, i, j, c, s):
+    """Apply G(i,j,theta)^T on every mode of every tensor in the stack, in
+    place, by updating the i/j slices of each mode over the whole stack and
+    then re-reading every entry from its sorted multi-index (O(m n^d)).
+    ``symtensor._rotate_planes_stack`` must match it bitwise."""
+    order = stack.ndim - 1
+    for axis in range(1, order + 1):
+        sl = [slice(None)] * (order + 1)
+        sl[axis] = i
+        idx_i = tuple(sl)
+        sl[axis] = j
+        idx_j = tuple(sl)
+        ti = stack[idx_i].copy()
+        tj = stack[idx_j]
+        stack[idx_i] = c * ti + s * tj
+        stack[idx_j] = c * tj - s * ti
+    _canonicalize_stack(stack)
 
 
 def rotated_view(view, theta):

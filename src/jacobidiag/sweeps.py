@@ -13,7 +13,8 @@ Variants (method codes used throughout the package and the CLI):
 Every variant stops at max_sweeps or when ||Lambda|| falls to the
 stationarity tolerance; cthresh additionally stops on a progress-free sweep.
 A run is strictly sequential; records carry the pre-rotation ||Lambda|| and
-the post-rotation objective.
+the post-rotation objective.  After every sweep, a stationary stop included,
+Q is re-orthonormalized if its drift ||Q^T Q - I|| exceeds ORTH_TOL.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import SubproblemView, best_angle
-from .geometry import GivensRotation, RotationState, lambda_of
+from .geometry import ORTH_TOL, GivensRotation, RotationState, lambda_of
 from .symtensor import TensorSet
 
 __all__ = [
@@ -228,6 +229,8 @@ def run(tensors, config=None, q0=None):
                 f=state.f_current, offdiag_sq=state.offdiag_sq(),
                 lambda_norm=lam_norm, skipped=False,
                 wall_ms=(time.perf_counter() - t0) * 1e3))
+        if state.orthogonality_error() > ORTH_TOL:
+            state.reorthonormalize()
         if converged:
             break
         if cfg.method == "cthresh" and not progress:

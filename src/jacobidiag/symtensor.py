@@ -6,9 +6,10 @@ array so the rotation and gradient kernels vectorize over the set.  A
 single matrix or tensor is the m = 1 case.
 
 Symmetry is an invariant of the values, not of the storage: the validating
-constructor and every mutating kernel finish by re-reading each entry from
-its sorted (canonical) multi-index, so tensors stay *bitwise* symmetric
-under any sequence of rotations.
+constructor and the whole-set contraction re-read each entry from its sorted
+(canonical) multi-index, and the plane rotation builds the two rows it
+changes once and writes them to every mode, so tensors stay *bitwise*
+symmetric under any sequence of rotations.
 
 Index convention: all indices and modes are 0-based.
 """
@@ -59,24 +60,50 @@ def _bitwise_symmetric(arr):
     return np.array_equal(flat, flat[_canonical_map(arr.ndim, arr.shape[0])])
 
 
-def _rotate_planes_stack(stack, i, j, c, s):
-    """Apply G(i,j,theta)^T on every mode of every tensor in the stack, in place.
+def _axis_slice(axis, k):
+    """Index selecting entry k of the given axis of a stack or row block."""
+    return (slice(None),) * axis + (k,)
 
-    Only the i/j slices of each mode are touched; afterwards the canonical
-    gather restores exact symmetry (the untouched block maps to itself).
+
+def _rotate_planes_stack(stack, i, j, c, s):
+    """Apply G(i,j,theta)^T on every mode of every tensor in the stack, in
+    place, in O(d m n^(d-1)) work.
+
+    Only entries with an index in {i, j} change, and by symmetry each one
+    equals an entry of row i or row j of axis 1.  The kernel copies those
+    two rows into a ``(m, 2, n, ..., n)`` block, rotates it on axes 1..d,
+    makes each row symmetric with the order-(d-1) canonical map, copies
+    row i's j-slices into row j's i-slices, and writes both rows into the
+    i and j slices of every axis.
+
+    The result is bitwise what rotating all of the stack mode by mode and
+    then re-reading every entry from its sorted multi-index gives
+    (``oracle.rotate_planes_reference``).  A rotated entry is built by the
+    same elementwise ``c*x +- s*y`` steps in axis order from entries of a
+    bitwise-symmetric input, so its value depends only on the sequence of
+    i/j labels on its hit axes and on the multiset of its other indices.
+    The sorted multi-index puts every i before every j, and so does the
+    block's representative (row i, rest sorted; row j only when no index
+    is i).
     """
     order = stack.ndim - 1
+    rows = stack[:, [i, j]]          # a copy; rows i and j at 0 and 1
     for axis in range(1, order + 1):
-        sl = [slice(None)] * (order + 1)
-        sl[axis] = i
-        idx_i = tuple(sl)
-        sl[axis] = j
-        idx_j = tuple(sl)
-        ti = stack[idx_i].copy()
-        tj = stack[idx_j]
-        stack[idx_i] = c * ti + s * tj
-        stack[idx_j] = c * tj - s * ti
-    _canonicalize_stack(stack)
+        a, b = (0, 1) if axis == 1 else (i, j)
+        idx_i, idx_j = _axis_slice(axis, a), _axis_slice(axis, b)
+        ti = rows[idx_i].copy()
+        tj = rows[idx_j]
+        rows[idx_i] = c * ti + s * tj
+        rows[idx_j] = c * tj - s * ti
+    rows = np.take(rows.reshape(2 * stack.shape[0], -1),
+                   _canonical_map(order - 1, stack.shape[-1]),
+                   axis=1).reshape(rows.shape)
+    row_i, row_j = rows[:, 0], rows[:, 1]
+    for axis in range(1, order):
+        row_j[_axis_slice(axis, i)] = row_i[_axis_slice(axis, j)]
+    for axis in range(1, order + 1):
+        stack[_axis_slice(axis, i)] = row_i
+        stack[_axis_slice(axis, j)] = row_j
 
 
 def _apply_orthogonal_stack(stack, q):
@@ -137,7 +164,11 @@ def _check_members(stack):
         raise ValueError("tensor entries must be finite")
     for ell, arr in enumerate(stack):
         err = symmetry_error(arr)
-        if err > SYMMETRY_TOL * max(float(np.linalg.norm(arr)), 1e-300):
+        # ||T|| = amax * ||T / amax||: compared in units of amax, neither
+        # side overflows or underflows at extreme scales
+        amax = float(np.max(np.abs(arr)))
+        if amax > 0.0 and err / amax > SYMMETRY_TOL * float(
+                np.linalg.norm(arr / amax)):
             raise ValueError(
                 f"tensor {ell} is not symmetric: deviation {err:.3e} exceeds "
                 f"{SYMMETRY_TOL:g} * ||T||")
@@ -248,13 +279,18 @@ class TensorSet:
         """Total squared off-diagonal mass, equal to ||T||^2 minus the
         squared diagonal norm.
 
-        Summed directly over the zero-diagonal copy: the subtraction form
+        Summed directly over the off-diagonal entries: the subtraction form
         carries an eps*||T||^2 noise floor that would mask convergence far
-        below it."""
-        tmp = self.stack.copy()
-        idx = np.arange(self.dim)
-        tmp[(slice(None),) + (idx,) * self.order] = 0.0
-        return float(np.vdot(tmp, tmp))
+        below it.  In a flattened member the diagonal entries sit every
+        ``step = (n^d - 1) / (n - 1)`` places from 0, so the entries after
+        position 0, cut into rows of ``step``, hold the diagonal in their
+        last column; the sum reads the other columns as a strided view,
+        with no copy of the stack."""
+        n = self.dim
+        step = (n ** self.order - 1) // (n - 1)
+        off = self.stack.reshape(len(self), -1)[:, 1:].reshape(
+            len(self), n - 1, step)[:, :, :-1]
+        return float(np.einsum("abc,abc->", off, off))
 
     def near_diag(self):
         """(m, n, n) array N with N[l, k, p] = W^(l)[k, p, p, ..., p]."""
@@ -265,8 +301,9 @@ class TensorSet:
     def rotate_plane(self, i, j, theta):
         """In-place Givens rotation of all modes of every member tensor.
 
-        Touches only the i/j slices of each mode, O(d m n^(d-1)) before the
-        symmetry-restoring gather.
+        Rotates rows i and j once and writes them to the i/j slices of
+        every mode: O(d m n^(d-1)) work, bitwise symmetric afterwards (see
+        ``_rotate_planes_stack``).
         """
         if not (0 <= i < j < self.dim):
             raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, "

@@ -78,6 +78,16 @@ def test_run_non_finite_file_exits_2(tmp_path, capsys):
     assert f"error: {bad}: tensor entries must be finite" in err
 
 
+def test_run_asymmetric_extreme_scale_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "asym.st"
+    bad.write_text("symtensor v1 d=2 n=2 m=1\n1e160 2e160\n0 1e160\n")
+    code = cli.main(["run", "--in", str(bad), "--algo", "c",
+                     "--max-sweeps", "5", "--tol", "1e-8",
+                     "--csv", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert f"error: {bad}: tensor 0 is not symmetric" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scale,norm", [(1e-170, "0"), (1e160, "inf")])
 def test_run_under_and_overflowing_norm_exits_2(tmp_path, capsys, scale,
                                                  norm):

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from jacobidiag import sweeps
 from jacobidiag.geometry import GivensRotation, RotationState, lambda_of
 from jacobidiag.harness import ExperimentSpec, make_test_problem
+from jacobidiag.oracle import rotate_planes_reference
 from jacobidiag.sweeps import (RunConfig, run, select_pair_gradient,
                                select_pair_max, upper_pairs,
                                write_trajectory_csv)
@@ -128,6 +130,45 @@ def test_monotone_ascent(method):
     # conservation at every logged iteration
     for rec in res.records:
         assert rec.f + rec.offdiag_sq == pytest.approx(scale, rel=1e-9)
+
+
+def test_trajectories_match_reference_kernel_bitwise(monkeypatch):
+    spec = ExperimentSpec(n=5, order=4, m=2, sigma=1e-2, seed_rot=7,
+                          seed_noise=8, profile="linear")
+    ts, _ = make_test_problem(spec)
+
+    def reference_rotate_plane(self, i, j, theta):
+        rotate_planes_reference(self.stack, i, j, math.cos(theta),
+                                math.sin(theta))
+        return self
+
+    def trajectory(method):
+        res = run(ts, RunConfig(method=method, max_sweeps=10))
+        assert res.state.rotation_count > 0
+        return [(r.i, r.j, r.theta, r.f) for r in res.records]
+
+    methods = ("c", "gmax", "pc")
+    fast = [trajectory(method) for method in methods]
+    monkeypatch.setattr(TensorSet, "rotate_plane", reference_rotate_plane)
+    reference = [trajectory(method) for method in methods]
+    assert fast == reference
+
+
+def test_forced_reorthonormalization_keeps_ascent(monkeypatch):
+    monkeypatch.setattr(sweeps, "ORTH_TOL", 0.0)     # rebuild on any drift
+    ts = noisy_problem(3, sigma=5e-2)
+    total = ts.frob_sq()
+    res = run(ts, RunConfig(method="c", max_sweeps=20))
+    state = res.state
+    assert state.reorth_count > 0
+    prev = res.f_initial
+    for rec in res.records:
+        assert rec.f >= prev - 1e-12 * total
+        prev = rec.f
+    assert state.f_current >= prev - 1e-12 * total
+    n = state.dim
+    assert np.linalg.norm(state.q.T @ state.q - np.eye(n)) <= 1e-12
+    assert np.linalg.det(state.q) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_threshold_skips_and_stops_without_progress():

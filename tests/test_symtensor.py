@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from jacobidiag.oracle import rotate_planes_reference
 from jacobidiag.symtensor import (TensorSet, load_tensorset, mode_product,
                                   multi_mode_product, save_tensorset,
                                   symmetrize, symmetry_error)
@@ -128,6 +130,28 @@ def test_rotate_bad_pair_rejected():
             t.rotate_plane(i, j, 0.1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_row_kernel_matches_reference_bitwise(order, m, n):
+    rng = np.random.default_rng(100 * order + 10 * m + n)
+    ts = TensorSet([symmetrize(rng.standard_normal((n,) * order))
+                    for _ in range(m)])
+    ref = ts.stack.copy()
+    fixed = [(0, 1, math.pi / 4), (0, n - 1, -math.pi / 4),
+             (n - 2, n - 1, math.pi / 4), (0, 1, -math.pi / 4)]
+    randoms = []
+    for _ in range(40):
+        i, j = sorted(rng.choice(n, size=2, replace=False))
+        randoms.append((int(i), int(j), float(rng.uniform(-0.8, 0.8))))
+    for i, j, theta in fixed + randoms:
+        ts.rotate_plane(i, j, theta)
+        rotate_planes_reference(ref, i, j, math.cos(theta), math.sin(theta))
+        assert np.array_equal(ts.stack, ref), (i, j, theta)
+        for member in ts.stack:
+            assert symmetry_error(member) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # diagonal / off-diagonal metrics
 
@@ -141,8 +165,9 @@ def test_diag_sq_norm_equal_diagonal_is_one():
 
 
 def test_offdiag_examples():
-    t = TensorSet.from_diagonal([1.0, -2.0, 0.5], 3)
-    assert t.offdiag_sq_norm() == 0.0
+    for order in (2, 3, 4):
+        t = TensorSet.from_diagonal([1.0, -2.0, 0.5], order)
+        assert t.offdiag_sq_norm() == 0.0
     m = TensorSet(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert m.offdiag_sq_norm() == pytest.approx(2.0)
 
@@ -152,6 +177,37 @@ def test_partition_diag_plus_offdiag(order):
     t = random_symtensor(order, 5, 20 + order)
     assert t.diag_sq_norm() + t.offdiag_sq_norm() == pytest.approx(
         t.frob_sq(), rel=1e-12)
+
+
+def zeroed_diagonal_sq(ts):
+    """The off-diagonal sum the long way: copy, zero the diagonal, sum."""
+    tmp = ts.stack.copy()
+    idx = np.arange(ts.dim)
+    tmp[(slice(None),) + (idx,) * ts.order] = 0.0
+    return float(np.vdot(tmp, tmp))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_offdiag_matches_zeroed_copy(order, m):
+    rng = np.random.default_rng(70 + 10 * order + m)
+    for n in (2, 3, 7):
+        ts = TensorSet([symmetrize(rng.standard_normal((n,) * order))
+                        for _ in range(m)])
+        assert ts.offdiag_sq_norm() == pytest.approx(
+            zeroed_diagonal_sq(ts), rel=1e-14)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_offdiag_keeps_mass_far_below_rounding(order):
+    rng = np.random.default_rng(80 + order)
+    n = 5
+    noise = 1e-15 * symmetrize(rng.standard_normal((n,) * order))
+    base = TensorSet.from_diagonal(np.linspace(1.0, 2.0, n), order).stack[0]
+    ts = TensorSet(base + noise)
+    mass = ts.offdiag_sq_norm()
+    assert 1e-31 * ts.frob_sq() < mass < 1e-28 * ts.frob_sq()
+    assert mass == pytest.approx(zeroed_diagonal_sq(ts), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +223,15 @@ def test_constructor_rejects_bad_input():
     asym = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         TensorSet(asym)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-310])
+def test_constructor_rejects_asymmetry_at_extreme_scale(scale):
+    asym = scale * np.array([[1.0, 2.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not symmetric"):
+            TensorSet(asym)
 
 
 def test_constructor_canonicalizes_tiny_asymmetry():
