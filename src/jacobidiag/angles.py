@@ -15,6 +15,11 @@ halves it to Omega(xi), a quadratic for d in {2, 3} and a quartic for d = 4,
 whose coefficients are closed forms in the restricted entries.  Real xi
 roots map back through x^2 - xi x - 1 = 0; arctangents of the |x| <= 1
 roots, together with {0, +-pi/4}, form a complete candidate set.
+
+Omega is the only form of the subproblem the solver builds: since
+dh~/dtheta = x^k Omega(x - 1/x) / (1+x^2)^k with k = deg Omega, its
+coefficients also give each candidate's gain h~(theta) - h~(0) in closed
+form (``_gain_numerator``).
 """
 
 from __future__ import annotations
@@ -146,18 +151,16 @@ def h_derivatives_at_zero(view):
     d = view.order
     nu = view.nu
     if d == 2:
-        h1 = 4.0 * np.sum(nu[:, 0] * nu[:, 1] - nu[:, 1] * nu[:, 2])
         h2 = -4.0 * np.sum(nu[:, 0]**2 + nu[:, 2]**2
                            - 2 * nu[:, 0] * nu[:, 2] - 4 * nu[:, 1]**2)
     elif d == 3:
-        h1 = 6.0 * np.sum(nu[:, 0] * nu[:, 1] - nu[:, 2] * nu[:, 3])
         h2 = -6.0 * np.sum(nu[:, 0]**2 + nu[:, 3]**2 - 3 * nu[:, 1]**2
                            - 3 * nu[:, 2]**2 - 2 * nu[:, 0] * nu[:, 2]
                            - 2 * nu[:, 1] * nu[:, 3])
     else:
         raise ValueError(f"closed-form derivatives only for d in (2, 3), "
                          f"got d={d}")
-    return float(h1), float(h2)
+    return h_prime_at_zero(view), float(h2)
 
 
 def omega_xi_coeffs(view):
@@ -174,11 +177,9 @@ def omega_xi_coeffs(view):
     d0 = view.delta0
     if d in (2, 3):
         h1, h2 = h_derivatives_at_zero(view)
-        a = h1
-        b = -h2 + 4.0 * d0
-        return np.array([a, b, -4.0 * a])
+        return np.array([h1, -h2 + 4.0 * d0, -4.0 * h1])
     v0, v1, v2, v3, v4 = (nu[:, w] for w in range(5))
-    a = 8.0 * np.sum(v0 * v1 - v3 * v4)
+    a = h_prime_at_zero(view)
     b = 8.0 * np.sum(v0**2 - 3 * v2 * v0 - 4 * v1**2 - 4 * v3**2
                      + v4**2 - 3 * v2 * v4) + 4.0 * d0
     c = 8.0 * np.sum(18 * v1 * v2 - 7 * v0 * v1 + 3 * v0 * v3
@@ -264,69 +265,52 @@ class AngleResult:
     gain: float
 
 
-# low-order-first coefficients of (1 + x^2)^k
-_ONE_PLUS_XSQ_POW = {
-    0: np.array([1.0]),
-    1: np.array([1.0, 0.0, 1.0]),
-    2: np.array([1.0, 0.0, 2.0, 0.0, 1.0]),
-    3: np.array([1.0, 0.0, 3.0, 0.0, 3.0, 0.0, 1.0]),
-    4: np.array([1.0, 0.0, 4.0, 0.0, 6.0, 0.0, 4.0, 0.0, 1.0]),
-}
-# anti-diagonal index a + b of each raveled (d+1)^2 entry; signs (-1)^k
-_ANTI_DIAG = {d: np.add.outer(np.arange(d + 1), np.arange(d + 1)).ravel()
-              for d in _BINOM}
-_ALT_SIGN = {d: (-1.0) ** np.arange(2 * d + 1) for d in _BINOM}
+def _gain_numerator(omega):
+    """Coefficients (highest degree first, like Omega's A0, A1, ...) of the
+    polynomial q with  h~(arctan x) - h~(0) = q(x) / (1 + x^2)^k,  where
+    k = deg Omega:
 
+        k = 2:  q = A0 (x - x^3) - (A1/2) x^2
+        k = 4:  q = A0 (x - x^7) + (A0 + A2/3)(x^3 - x^5)
+                    - (A1/2)(x^2 + x^6) - (A3/4) x^4
 
-def _gain_numerator(view):
-    """Low-order-first coefficients of the degree-2d polynomial q with
-
-        h~(arctan x) - h~(0) = q(x) / (1 + x^2)^d.
-
-    q is assembled coefficient-wise from the restricted entries, so
-    evaluating it keeps full relative accuracy for tiny x, where forming
-    h~(theta) - h~(0) by subtraction would lose everything to cancellation.
-    With p = binom * nu, sum_l T1^2 and sum_l T2^2 are the anti-diagonal
-    sums s of the Gram matrix p^T p, forward and reversed with signs (-1)^k.
+    With x = tan(theta), dh~/dtheta = x^k Omega(x - 1/x) / (1 + x^2)^k, so
+    Omega fixes q through (1 + x^2) q' - 2 k x q = x^k Omega(x - 1/x) and
+    q(0) = 0; the forms above solve that given the linear relation that
+    Omega's coefficients obey (A2 = -4 A0 for k = 2; 3 A4 = -48 A0 - 4 A2
+    for k = 4).  q has no constant term, so it keeps full relative accuracy
+    for tiny x, where forming h~(theta) - h~(0) by subtraction would lose
+    everything to cancellation.
     """
-    d = view.order
-    p = np.asarray(_BINOM[d]) * view.nu
-    s = np.bincount(_ANTI_DIAG[d], weights=(p.T @ p).ravel())
-    q = s + _ALT_SIGN[d] * s[::-1]
-    q -= (s[0] + s[-1]) * _ONE_PLUS_XSQ_POW[d]
-    if view.delta0:
-        pen = 2.0 * view.delta0 * _ONE_PLUS_XSQ_POW[d - 2]
-        q[2:2 + pen.size] -= pen
-    q[0] = 0.0
-    return q
-
-
-def _eval_gain(q, order, x):
-    num = 0.0
-    for c in q[::-1]:
-        num = num * x + c
-    return num / (1.0 + x * x) ** order
+    a0, c2 = omega[0], -0.5 * omega[1]
+    if len(omega) == 3:
+        return np.array([-a0, c2, a0, 0.0])
+    c3 = a0 + omega[2] / 3.0
+    return np.array([-a0, c2, -c3, -0.25 * omega[3], c3, c2, a0, 0.0])
 
 
 def best_angle(view):
     """Maximize h~ over [-pi/4, pi/4] via the Omega(xi) reduction.
 
-    Candidate tangents are {0, +-1} plus the mapped real xi roots; the
-    winner maximizes the cancellation-free gain h~(theta) - h~(0), so the
-    solver stays exact down to gains far below floating-point resolution
-    of h~ itself.  Ties are broken by smaller |theta|, then positive sign.
+    Omega alone fixes both the maximizer and its gain: candidate tangents
+    are {0, +-1} plus the mapped real xi roots, and the winner maximizes
+    the cancellation-free gain h~(theta) - h~(0) (``_gain_numerator``), so
+    the solver stays exact down to gains far below floating-point
+    resolution of h~ itself.  Ties go to smaller |theta|, then to + sign.
     """
+    omega = omega_xi_coeffs(view)
     try:
-        xis = solve_xi_roots(omega_xi_coeffs(view))
+        xis = solve_xi_roots(omega)
     except ConstantObjectiveError:
         return AngleResult(0.0, 0.0)
     xs = [0.0, 1.0, -1.0]
     for xi in xis:
         xs.extend(xi_to_x_candidates(xi))
-    q = _gain_numerator(view)
-    gains = [_eval_gain(q, view.order, x) for x in xs]
-    gmax = max(gains)
+    xs = np.array(xs)
+    gains = np.polyval(_gain_numerator(omega), xs) \
+        / (1.0 + xs * xs) ** (len(omega) - 1)
+    gmax = gains.max()
     tie_tol = 1e-12 * abs(gmax)
-    best_x = min((x for x, g in zip(xs, gains) if g >= gmax - tie_tol),
-                 key=lambda x: (abs(x), x < 0))
-    return AngleResult(math.atan(best_x), float(gains[xs.index(best_x)]))
+    best = min(np.flatnonzero(gains >= gmax - tie_tol),
+               key=lambda t: (abs(xs[t]), xs[t] < 0))
+    return AngleResult(math.atan(xs[best]), float(gains[best]))

@@ -110,8 +110,8 @@ class RunConfig:
             raise ValueError("record_every must be >= 1")
         for attr in ("eps", "delta0", "thresh", "stationarity_tol"):
             v = getattr(self, attr)
-            if v is not None and v < 0:
-                raise ValueError(f"{attr} must be nonnegative")
+            if v is not None and not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{attr} must be finite and nonnegative")
 
     @property
     def label(self):

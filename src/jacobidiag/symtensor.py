@@ -52,7 +52,7 @@ def _canonicalize_stack(stack):
     order = stack.ndim - 1
     dim = stack.shape[-1]
     flat = stack.reshape(stack.shape[0], -1)
-    flat[:] = flat[:, _canonical_map(order, dim)]
+    flat[:] = np.take(flat, _canonical_map(order, dim), axis=1)
 
 
 def _bitwise_symmetric(arr):

@@ -1,10 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobidiag.angles import (ConstantObjectiveError, SubproblemView,
-                               best_angle, h_derivatives_at_zero,
+                               _gain_numerator, best_angle,
+                               h_derivatives_at_zero,
                                h_prime_at_zero, omega_xi_coeffs,
                                proximal_gamma, solve_xi_roots,
                                xi_to_x_candidates)
@@ -25,6 +29,20 @@ def random_set(order, dim, seed, m=1):
     rng = np.random.default_rng(seed)
     return TensorSet([symmetrize(rng.standard_normal((dim,) * order))
                       for _ in range(m)])
+
+
+def exact_gain(view, x):
+    """h~(arctan x) - h~(0) in exact rational arithmetic."""
+    x = Fraction(x)
+    d = view.order
+    one = 1 + x * x
+    total = -Fraction(view.delta0) * 2 * x * x / one**2
+    for row in view.nu.tolist():
+        p = [math.comb(d, w) * Fraction(v) for w, v in enumerate(row)]
+        t1 = sum(pw * x**w for w, pw in enumerate(p))
+        t2 = sum(pw * (-x)**(d - w) for w, pw in enumerate(p))
+        total += (t1 * t1 + t2 * t2) / one**d - p[0]**2 - p[d]**2
+    return total
 
 
 def fd_derivatives(view, step=1e-5):
@@ -311,6 +329,52 @@ def test_gain_is_h_tilde_difference(order, m, delta0):
         v0 = view.h_tilde(0.0)
         assert abs(res.gain - (view.h_tilde(res.theta) - v0)) \
             <= 1e-10 * (1.0 + abs(v0))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 3, 14])
+@pytest.mark.parametrize("delta0", [0.0, 0.3])
+def test_gain_is_exact_on_near_diagonal_views(order, m, delta0):
+    # gains down to ~1e-24, which a tolerance relative to h~(0) cannot see;
+    # at 1e-12 some views get theta = 0 because solve_xi_roots drops a
+    # leading coefficient below 1e-13 of the largest (ROADMAP item 4)
+    rng = np.random.default_rng(5000 + 10 * order + m)
+    for scale in (1e-4, 1e-8, 1e-12):
+        for _ in range(4):
+            nu = rng.standard_normal((m, order + 1))
+            nu[:, 1:-1] *= scale
+            view = SubproblemView(nu, delta0)
+            res = best_angle(view)
+            exact = exact_gain(view, math.tan(res.theta))
+            assert abs(float(Fraction(res.gain) - exact)) \
+                <= 1e-10 * float(exact)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("delta0", [0.0, 0.3])
+def test_gain_numerator_on_grid(order, delta0):
+    xs = np.linspace(-1.0, 1.0, 101)
+    for seed in range(10):
+        view = random_view(order, 6000 + seed, m=3, delta0=delta0)
+        omega = omega_xi_coeffs(view)
+        got = np.polyval(_gain_numerator(omega), xs) \
+            / (1.0 + xs * xs) ** (len(omega) - 1)
+        v0 = view.h_tilde(0.0)
+        want = view.h_tilde(np.arctan(xs)) - v0
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + abs(v0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(order=st.sampled_from([2, 3, 4]), m=st.sampled_from([1, 3, 14]),
+       delta0=st.sampled_from([0.0, 1e-3, 0.3]),
+       seed=st.integers(0, 2**32 - 1), k=st.integers(-200, 200))
+def test_best_angle_is_exactly_scale_covariant(order, m, delta0, seed, k):
+    # scaling nu by 2^k and delta0 by 4^k scales Omega and q by 4^k exactly
+    base = random_view(order, seed, m=m, delta0=delta0)
+    scaled = SubproblemView(2.0**k * base.nu, 4.0**k * delta0)
+    a, b = best_angle(base), best_angle(scaled)
+    assert b.theta == a.theta
+    assert b.gain == 4.0**k * a.gain
 
 
 def test_brute_force_requires_dense_grid():

@@ -102,6 +102,17 @@ def test_run_under_and_overflowing_norm_exits_2(tmp_path, capsys, scale,
     assert f"squared norm is {norm};" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_run_non_finite_delta0_exits_2(tmp_path, capsys, value):
+    problem = tmp_path / "p.st"
+    cli.main(gen_args(problem))
+    code = cli.main(["run", "--in", str(problem), "--algo", "pc",
+                     "--delta0", value, "--max-sweeps", "5", "--tol", "1e-8",
+                     "--csv", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert "error: delta0 must be finite" in capsys.readouterr().err
+
+
 def test_run_unknown_algo_is_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--in", "x", "--algo", "newton", "--max-sweeps", "5",

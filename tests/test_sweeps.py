@@ -92,6 +92,15 @@ def test_config_validation():
         run(noisy_problem(2, n=6), cfg)      # 0.5 > 2/n
 
 
+@pytest.mark.parametrize("attr", ["eps", "delta0", "thresh",
+                                  "stationarity_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_knobs(attr, value):
+    # NaN passes a plain `v < 0` test; inf would reach angles.py or never stop
+    with pytest.raises(ValueError, match=f"{attr} must be finite"):
+        RunConfig(**{attr: value})
+
+
 @pytest.mark.parametrize("scale", [1e-170, 1e160])
 def test_run_refuses_under_and_overflowing_norm(scale):
     # ||T||^2 underflows to 0 at 1e-170 and overflows to inf at 1e160
