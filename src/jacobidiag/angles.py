@@ -12,14 +12,16 @@ gamma(theta) = 2 sin^2 cos^2 theta, over theta in [-pi/4, pi/4].
 Under x = tan(theta) the stationarity condition is a polynomial omega(x) of
 degree 2d; the substitution xi = x - 1/x (valid because h~ is pi/2-periodic)
 halves it to Omega(xi), a quadratic for d in {2, 3} and a quartic for d = 4,
-whose coefficients are closed forms in the restricted entries.  Real xi
-roots map back through x^2 - xi x - 1 = 0; arctangents of the |x| <= 1
-roots, together with {0, +-pi/4}, form a complete candidate set.
+whose coefficients A0, A1, ... are closed forms in the restricted entries.
 
-Omega is the only form of the subproblem the solver builds: since
-dh~/dtheta = x^k Omega(x - 1/x) / (1+x^2)^k with k = deg Omega, its
-coefficients also give each candidate's gain h~(theta) - h~(0) in closed
-form (``_gain_numerator``).
+For d in {2, 3}, h~ is a trig polynomial of degree 1 in phi = 4 theta,
+
+    h~(theta) - h~(0) = [4 A0 sin(phi) + A1 (cos(phi) - 1)] / 16,
+
+so its maximizer is theta = atan2(4 A0, A1) / 4.  For d = 4 the real xi
+roots map back through x^2 - xi x - 1 = 0; arctangents of the |x| <= 1
+roots, together with {0, +-pi/4}, form a complete candidate set, scored by
+the closed-form gain ``_gain_numerator`` builds from Omega's coefficients.
 """
 
 from __future__ import annotations
@@ -51,10 +53,8 @@ _BINOM = {2: (1.0, 2.0, 1.0), 3: (1.0, 3.0, 3.0, 1.0),
 _J_AXES = {d: np.add.outer(np.arange(d), np.arange(d + 1)) >= d
            for d in _BINOM}
 
-# imaginary-part cutoff for accepting a polynomial root as real, and
-# leading-coefficient cutoff for degree reduction
+# imaginary-part cutoff for accepting a polynomial root as real
 REAL_ROOT_IMAG_TOL = 1e-10
-LEADING_COEFF_TOL = 1e-13
 
 
 class ConstantObjectiveError(Exception):
@@ -206,40 +206,17 @@ def solve_xi_roots(coeffs):
     """All real roots of Omega (coefficients highest degree first),
     multiplicities collapsed.
 
-    Quadratics go through the stable discriminant formula, higher degrees
-    through companion-matrix eigenvalues of the monicized polynomial.
+    Companion-matrix eigenvalues (``np.roots``, which strips exact leading
+    zeros only): a tiny leading coefficient keeps its huge root, which
+    ``xi_to_x_candidates`` maps to the small tangent x ~ -1/xi.
     Raises ConstantObjectiveError when Omega vanishes identically.
     """
     c = np.asarray(coeffs, dtype=np.float64)
     if not np.all(np.isfinite(c)):
         raise ValueError("polynomial coefficients must be finite")
-    scale = float(np.max(np.abs(c))) if c.size else 0.0
-    if scale == 0.0:
+    if not np.any(c):
         raise ConstantObjectiveError("Omega is identically zero")
-    k = 0
-    while k < len(c) - 1 and abs(c[k]) <= LEADING_COEFF_TOL * scale:
-        k += 1
-    c = c[k:]
-    if len(c) == 1:
-        return []
-    if len(c) == 2:
-        return [float(-c[1] / c[0])]
-    if len(c) == 3:
-        a, b, cc = (float(v) for v in c)
-        disc = b * b - 4.0 * a * cc
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            q = -0.5 * (b + math.copysign(sq, b))
-            if q == 0.0:
-                return [0.0]
-            return _collapse([q / a, cc / q])
-        re = -b / (2.0 * a)
-        im = math.sqrt(-disc) / (2.0 * abs(a))
-        if im <= REAL_ROOT_IMAG_TOL * (1.0 + abs(re)):
-            return [re]
-        return []
-    roots = np.roots(c)
-    real = [float(r.real) for r in roots
+    real = [float(r.real) for r in np.roots(c)
             if abs(r.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + abs(r.real))]
     return _collapse(real)
 
@@ -266,39 +243,45 @@ class AngleResult:
 
 
 def _gain_numerator(omega):
-    """Coefficients (highest degree first, like Omega's A0, A1, ...) of the
-    polynomial q with  h~(arctan x) - h~(0) = q(x) / (1 + x^2)^k,  where
-    k = deg Omega:
+    """Coefficients (highest degree first) of the polynomial q with
+    h~(arctan x) - h~(0) = q(x) / (1 + x^2)^4, from the quartic Omega's
+    coefficients A0, ..., A4 (d = 4):
 
-        k = 2:  q = A0 (x - x^3) - (A1/2) x^2
-        k = 4:  q = A0 (x - x^7) + (A0 + A2/3)(x^3 - x^5)
-                    - (A1/2)(x^2 + x^6) - (A3/4) x^4
+        q = A0 (x - x^7) + (A0 + A2/3)(x^3 - x^5)
+            - (A1/2)(x^2 + x^6) - (A3/4) x^4
 
-    With x = tan(theta), dh~/dtheta = x^k Omega(x - 1/x) / (1 + x^2)^k, so
-    Omega fixes q through (1 + x^2) q' - 2 k x q = x^k Omega(x - 1/x) and
-    q(0) = 0; the forms above solve that given the linear relation that
-    Omega's coefficients obey (A2 = -4 A0 for k = 2; 3 A4 = -48 A0 - 4 A2
-    for k = 4).  q has no constant term, so it keeps full relative accuracy
-    for tiny x, where forming h~(theta) - h~(0) by subtraction would lose
-    everything to cancellation.
+    With x = tan(theta), dh~/dtheta = x^4 Omega(x - 1/x) / (1 + x^2)^4, so
+    Omega fixes q through (1 + x^2) q' - 8 x q = x^4 Omega(x - 1/x) and
+    q(0) = 0; the form above solves that given 3 A4 = -48 A0 - 4 A2.  q has
+    no constant term, so it keeps full relative accuracy for tiny x, where
+    forming h~(theta) - h~(0) by subtraction would lose everything to
+    cancellation.
     """
     a0, c2 = omega[0], -0.5 * omega[1]
-    if len(omega) == 3:
-        return np.array([-a0, c2, a0, 0.0])
     c3 = a0 + omega[2] / 3.0
     return np.array([-a0, c2, -c3, -0.25 * omega[3], c3, c2, a0, 0.0])
 
 
 def best_angle(view):
-    """Maximize h~ over [-pi/4, pi/4] via the Omega(xi) reduction.
+    """Maximize h~ over [-pi/4, pi/4]; return theta and h~(theta) - h~(0).
 
-    Omega alone fixes both the maximizer and its gain: candidate tangents
-    are {0, +-1} plus the mapped real xi roots, and the winner maximizes
-    the cancellation-free gain h~(theta) - h~(0) (``_gain_numerator``), so
-    the solver stays exact down to gains far below floating-point
-    resolution of h~ itself.  Ties go to smaller |theta|, then to + sign.
+    d in {2, 3}: theta = atan2(4 A0, A1) / 4 with the cancellation-free gain
+    A0^2 / (r + A1) if A1 > 0, else (r - A1) / 16, r = hypot(4 A0, A1); the
+    tie at A0 = 0 > A1 goes to +pi/4, and a constant h~ gives (0, 0).
+    d = 4: the candidate tangents {0, +-1} plus the mapped real xi roots,
+    scored by ``_gain_numerator``; ties go to smaller |theta|, then to +.
+    Both gains stay exact down to far below the resolution of h~ itself.
     """
     omega = omega_xi_coeffs(view)
+    if len(omega) == 3:
+        a0, a1 = float(omega[0]), float(omega[1])
+        if a0 == 0.0 and a1 == 0.0:
+            return AngleResult(0.0, 0.0)
+        r = math.hypot(4.0 * a0, a1)
+        gain = a0 * (a0 / (r + a1)) if a1 > 0.0 else (r - a1) / 16.0
+        # + 0.0 turns A0 = -0.0 into +0.0, so the A0 = 0 > A1 tie gets
+        # atan2 = +pi (theta = +pi/4), not -pi
+        return AngleResult(0.25 * math.atan2(4.0 * a0 + 0.0, a1), gain)
     try:
         xis = solve_xi_roots(omega)
     except ConstantObjectiveError:
@@ -307,8 +290,7 @@ def best_angle(view):
     for xi in xis:
         xs.extend(xi_to_x_candidates(xi))
     xs = np.array(xs)
-    gains = np.polyval(_gain_numerator(omega), xs) \
-        / (1.0 + xs * xs) ** (len(omega) - 1)
+    gains = np.polyval(_gain_numerator(omega), xs) / (1.0 + xs * xs) ** 4
     gmax = gains.max()
     tie_tol = 1e-12 * abs(gmax)
     best = min(np.flatnonzero(gains >= gmax - tie_tol),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobidiag import angles
 from jacobidiag.angles import (ConstantObjectiveError, SubproblemView,
                                _gain_numerator, best_angle,
                                h_derivatives_at_zero,
@@ -221,10 +222,10 @@ def test_solve_xi_roots_planted_quartic():
         assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_solve_xi_roots_degree_reduction():
-    # leading coefficient far below the cutoff: treated as the linear poly
+def test_solve_xi_roots_keeps_tiny_leading_coefficient():
+    # a leading coefficient far below the others still has its (huge) root
     roots = solve_xi_roots([1e-16, 2.0, -3.0])
-    assert roots == [pytest.approx(1.5)]
+    assert roots == [pytest.approx(-2e16, rel=1e-12), pytest.approx(1.5)]
 
 
 def test_xi_to_x_examples():
@@ -254,11 +255,17 @@ def test_best_angle_diagonal_view_stays_put():
         assert np.max(grid) <= view.h_tilde(0.0) + 1e-12
 
 
-def test_best_angle_swap_matrix_tie_breaks_positive():
+def test_best_angle_swap_matrix_tie_breaks_positive(monkeypatch):
+    # h~ peaks at both +-pi/4; the view's Omega has A0 = h'(0) = +0.0, and
+    # the same Omega with A0 = -0.0 must pick the same end
     view = SubproblemView([[0.0, 1.0, 0.0]])
-    res = best_angle(view)
-    assert res.theta == pytest.approx(QP)
-    assert res.gain == pytest.approx(2.0)
+    omega = omega_xi_coeffs(view)
+    for a0 in (0.0, -0.0):
+        omega[0] = a0
+        monkeypatch.setattr(angles, "omega_xi_coeffs", lambda v: omega)
+        res = best_angle(view)
+        assert res.theta == pytest.approx(QP)
+        assert res.gain == pytest.approx(2.0)
 
 
 def test_best_angle_constant_objective():
@@ -335,9 +342,7 @@ def test_gain_is_h_tilde_difference(order, m, delta0):
 @pytest.mark.parametrize("m", [1, 3, 14])
 @pytest.mark.parametrize("delta0", [0.0, 0.3])
 def test_gain_is_exact_on_near_diagonal_views(order, m, delta0):
-    # gains down to ~1e-24, which a tolerance relative to h~(0) cannot see;
-    # at 1e-12 some views get theta = 0 because solve_xi_roots drops a
-    # leading coefficient below 1e-13 of the largest (ROADMAP item 4)
+    # gains down to ~1e-24, which a tolerance relative to h~(0) cannot see
     rng = np.random.default_rng(5000 + 10 * order + m)
     for scale in (1e-4, 1e-8, 1e-12):
         for _ in range(4):
@@ -345,20 +350,41 @@ def test_gain_is_exact_on_near_diagonal_views(order, m, delta0):
             nu[:, 1:-1] *= scale
             view = SubproblemView(nu, delta0)
             res = best_angle(view)
+            if h_prime_at_zero(view) != 0.0:
+                assert res.theta != 0.0
             exact = exact_gain(view, math.tan(res.theta))
             assert abs(float(Fraction(res.gain) - exact)) \
                 <= 1e-10 * float(exact)
 
 
+@pytest.mark.parametrize("nu", [[0.2004, 6.09e-15, -0.0780],
+                                [0.2004, 3e-15, 1e-15, -2e-15, -0.0780]])
+def test_best_angle_moves_when_h_prime_is_tiny(nu):
+    # h'(0) is ~1e-14 of Omega's largest coefficient; the step is tiny but
+    # exact, not theta = 0
+    view = SubproblemView([nu])
+    res = best_angle(view)
+    assert res.theta != 0.0
+    assert res.gain > 0.0
+    exact = exact_gain(view, math.tan(res.theta))
+    assert abs(float(Fraction(res.gain) - exact)) <= 1e-10 * float(exact)
+
+
 @pytest.mark.parametrize("order", [2, 3, 4])
 @pytest.mark.parametrize("delta0", [0.0, 0.3])
 def test_gain_numerator_on_grid(order, delta0):
+    # d <= 3: h~ - h~(0) = [4 A0 sin(phi) + A1 (cos(phi) - 1)] / 16 with
+    # phi = 4 theta; d = 4: q(x) / (1 + x^2)^4 from _gain_numerator
     xs = np.linspace(-1.0, 1.0, 101)
     for seed in range(10):
         view = random_view(order, 6000 + seed, m=3, delta0=delta0)
         omega = omega_xi_coeffs(view)
-        got = np.polyval(_gain_numerator(omega), xs) \
-            / (1.0 + xs * xs) ** (len(omega) - 1)
+        if order == 4:
+            got = np.polyval(_gain_numerator(omega), xs) / (1.0 + xs * xs)**4
+        else:
+            phi = 4.0 * np.arctan(xs)
+            got = (4.0 * omega[0] * np.sin(phi)
+                   + omega[1] * (np.cos(phi) - 1.0)) / 16.0
         v0 = view.h_tilde(0.0)
         want = view.h_tilde(np.arctan(xs)) - v0
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + abs(v0))

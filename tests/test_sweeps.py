@@ -262,6 +262,16 @@ def test_gradient_single_point_convergence_trend():
     assert tail_move <= 1e-2
 
 
+def test_gradient_run_at_scaled_input_reaches_stationarity():
+    # x 2^7 the last pairs have |Lambda[i, j]| ~ 1e-13 of Omega's largest
+    # coefficient; every such step must still move, or g never stops
+    spec = ExperimentSpec(n=5, order=3, sigma=1e-2, seed_rot=5, seed_noise=3)
+    tensors, _ = make_test_problem(spec)
+    res = run(TensorSet(2.0**7 * tensors.stack[0]),
+              RunConfig(method="g", max_sweeps=20))
+    assert res.converged and res.stop_reason == "stationary"
+
+
 def test_converged_runs_are_stationary():
     for method in ("c", "gmax", "pc"):
         ts = noisy_problem(3, sigma=1e-3, seed=11)

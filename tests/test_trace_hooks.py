@@ -16,12 +16,15 @@ import spans  # noqa: E402
 
 
 def test_every_trace_hook_sees_calls():
-    tensors, _ = make_test_problem(ExperimentSpec(n=5, order=3, sigma=1e-2))
+    # order 3 takes the closed-form angle; only order 4 solves for xi roots
+    third, _ = make_test_problem(ExperimentSpec(n=5, order=3, sigma=1e-2))
+    fourth, _ = make_test_problem(ExperimentSpec(n=5, order=4, sigma=1e-2))
     tracer = spans.Tracer()
     tracer.install()
     try:
         for method in ("c", "gmax"):
-            run(tensors, RunConfig(method=method, max_sweeps=2))
+            run(third, RunConfig(method=method, max_sweeps=2))
+        run(fourth, RunConfig(method="c", max_sweeps=2))
     finally:
         tracer.uninstall()
     assert tracer.missing == []
