@@ -11,9 +11,8 @@ from .geometry import (GivensRotation, givens_matrix, givens_generator,
                        random_rotation, lambda_of, RotationState,
                        save_orthomat, load_orthomat)
 from .angles import (ConstantObjectiveError, SubproblemView, AngleResult,
-                     proximal_gamma, h_prime_at_zero, h_derivatives_at_zero,
-                     omega_xi_coeffs, solve_xi_roots, xi_to_x_candidates,
-                     best_angle)
+                     proximal_gamma, omega_xi_coeffs, solve_xi_roots,
+                     xi_to_x_candidates, best_angle)
 from .sweeps import (METHODS, RunConfig, IterationRecord, RunResult,
                      upper_pairs, select_pair_gradient, select_pair_max, run,
                      write_trajectory_csv)

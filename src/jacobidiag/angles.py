@@ -12,16 +12,18 @@ gamma(theta) = 2 sin^2 cos^2 theta, over theta in [-pi/4, pi/4].
 Under x = tan(theta) the stationarity condition is a polynomial omega(x) of
 degree 2d; the substitution xi = x - 1/x (valid because h~ is pi/2-periodic)
 halves it to Omega(xi), a quadratic for d in {2, 3} and a quartic for d = 4,
-whose coefficients A0, A1, ... are closed forms in the restricted entries.
+whose coefficients A0, A1, ... are quadratic forms in the restricted
+entries, read off one Gram product (``omega_xi_coeffs``).
 
 For d in {2, 3}, h~ is a trig polynomial of degree 1 in phi = 4 theta,
 
     h~(theta) - h~(0) = [4 A0 sin(phi) + A1 (cos(phi) - 1)] / 16,
 
 so its maximizer is theta = atan2(4 A0, A1) / 4.  For d = 4 the real xi
-roots map back through x^2 - xi x - 1 = 0; arctangents of the |x| <= 1
-roots, together with {0, +-pi/4}, form a complete candidate set, scored by
-the closed-form gain ``_gain_numerator`` builds from Omega's coefficients.
+roots (companion-matrix eigenvalues) map back through x^2 - xi x - 1 = 0;
+arctangents of the |x| <= 1 roots, together with {0, +-pi/4}, form a
+complete candidate set, scored by the closed-form gain ``_gain_numerator``
+builds from Omega's coefficients.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ __all__ = [
     "SubproblemView",
     "AngleResult",
     "proximal_gamma",
-    "h_prime_at_zero",
-    "h_derivatives_at_zero",
     "omega_xi_coeffs",
     "solve_xi_roots",
     "xi_to_x_candidates",
@@ -135,60 +135,66 @@ class SubproblemView:
         return self.h_tilde(np.arctan(x))
 
 
-def h_prime_at_zero(view):
-    """h'(0) = 2 d sum_l (nu0 nu1 - nu_{d-1} nu_d); equals -2 Lambda[i, j]."""
-    d = view.order
-    nu = view.nu
-    return 2.0 * d * float(np.sum(nu[:, 0] * nu[:, 1] - nu[:, d - 1] * nu[:, d]))
+def _omega_matrix(d):
+    """Exact integer matrix M_d with Omega's coefficients (delta0 = 0,
+    highest degree first) = M_d @ vec(nu^T nu).
 
+    Under x = tan(theta), h = rho(x) / (1 + x^2)^d where entry (w, v) of
+    G = nu^T nu enters rho = P1^2 + P2^2 as b_w b_v (x^s + (-1)^s x^(2d-s)),
+    s = w + v, b the binomials.  Then dh/dtheta = omega(x) / (1 + x^2)^d
+    with omega = (1 + x^2) rho' - 2 d x rho, and Omega is defined by
 
-def h_derivatives_at_zero(view):
-    """(h'(0), h''(0)) of the unpenalized objective, d in {2, 3} only.
+        omega(x) = (1 + x^2)^(d-k) sum_j A_j x^j (x^2 - 1)^(k-j),  k = deg Omega;
 
-    For d = 4 the curvature information comes out of the Omega coefficients
-    instead (h''(0) is minus the xi^3 coefficient at delta0 = 0).
+    the basis polynomial of A_j has degree 2d - j and leading coefficient 1,
+    so the A_j peel off one by one.  Polynomials are coefficient arrays,
+    highest degree first; integers far below 2^53 keep every step exact.
     """
-    d = view.order
-    nu = view.nu
-    if d == 2:
-        h2 = -4.0 * np.sum(nu[:, 0]**2 + nu[:, 2]**2
-                           - 2 * nu[:, 0] * nu[:, 2] - 4 * nu[:, 1]**2)
-    elif d == 3:
-        h2 = -6.0 * np.sum(nu[:, 0]**2 + nu[:, 3]**2 - 3 * nu[:, 1]**2
-                           - 3 * nu[:, 2]**2 - 2 * nu[:, 0] * nu[:, 2]
-                           - 2 * nu[:, 1] * nu[:, 3])
-    else:
-        raise ValueError(f"closed-form derivatives only for d in (2, 3), "
-                         f"got d={d}")
-    return h_prime_at_zero(view), float(h2)
+    k = 4 if d == 4 else 2
+    x2p1, x2m1 = [1.0, 0.0, 1.0], [1.0, 0.0, -1.0]
+    basis = []
+    for j in range(k + 1):
+        b = np.ones(1)
+        for f in [[1.0, 0.0]] * j + [x2m1] * (k - j) + [x2p1] * (d - k):
+            b = np.convolve(b, f)
+        basis.append(b)
+    table = np.zeros((k + 1, 2 * d + 1))
+    for s in range(2 * d + 1):
+        rho = np.zeros(2 * d + 1)
+        rho[2 * d - s] += 1.0
+        rho[s] += (-1.0) ** s
+        drho = rho[:-1] * np.arange(2 * d, 0, -1)
+        # the x^(2d+1) terms cancel: drop them
+        omega = (np.convolve(x2p1, drho) - 2 * d * np.append(rho, 0.0))[1:]
+        for j in range(k + 1):
+            table[j, s] = omega[j]
+            omega[j:] -= table[j, s] * basis[j]
+        assert not omega.any()
+    binom = np.array(_BINOM[d])
+    w = np.arange(d + 1)
+    return (np.outer(binom, binom) * table[:, w[:, None] + w]).reshape(k + 1, -1)
+
+
+_OMEGA_MATRIX = {d: _omega_matrix(d) for d in _BINOM}
+_OMEGA_DELTA0 = {2: np.array([0.0, 4.0, 0.0]), 3: np.array([0.0, 4.0, 0.0]),
+                 4: np.array([0.0, 4.0, 0.0, 16.0, 0.0])}
 
 
 def omega_xi_coeffs(view):
     """Coefficients of Omega(xi) for the view, proximal term included,
     highest degree first: a quadratic for d in {2, 3}, a quartic for d = 4.
 
-    Per-tensor coefficients are summed (the subproblem objectives share the
-    denominator (1+x^2)^d, so they add), and 4*delta0 enters once: in the
-    xi coefficient for d in {2, 3}, in the xi^3 and xi coefficients for
-    d = 4.
+    Each coefficient is a quadratic form in nu, so Omega is one Gram product
+    G = nu^T nu (the m members add through it) and one product with the
+    fixed integer matrix M_d (``_omega_matrix``).  The proximal term adds
+    4 delta0 to A1, and for d = 4 also 16 delta0 to A3.
+    ``oracle.omega_xi_coeffs_expanded`` keeps the hand-expanded forms as
+    the reference.
     """
-    d = view.order
     nu = view.nu
-    d0 = view.delta0
-    if d in (2, 3):
-        h1, h2 = h_derivatives_at_zero(view)
-        return np.array([h1, -h2 + 4.0 * d0, -4.0 * h1])
-    v0, v1, v2, v3, v4 = (nu[:, w] for w in range(5))
-    a = h_prime_at_zero(view)
-    b = 8.0 * np.sum(v0**2 - 3 * v2 * v0 - 4 * v1**2 - 4 * v3**2
-                     + v4**2 - 3 * v2 * v4) + 4.0 * d0
-    c = 8.0 * np.sum(18 * v1 * v2 - 7 * v0 * v1 + 3 * v0 * v3
-                     - 18 * v2 * v3 - 3 * v1 * v4 + 7 * v3 * v4)
-    dd = 8.0 * np.sum(9 * v0 * v2 - 32 * v1 * v3 - 2 * v0 * v4
-                      + 9 * v2 * v4 + 12 * v1**2 - 36 * v2**2
-                      + 12 * v3**2) + 4.0 * d0
-    e = 80.0 * np.sum(6 * v2 * v3 - v0 * v3 - 6 * v1 * v2 + v1 * v4)
-    return np.array([a, b, 4 * a + c, 3 * b + dd, 2 * a + 2 * c + e])
+    d = view.order
+    return (_OMEGA_MATRIX[d] @ (nu.T @ nu).ravel()
+            + view.delta0 * _OMEGA_DELTA0[d])
 
 
 def _collapse(roots):
@@ -206,17 +212,24 @@ def solve_xi_roots(coeffs):
     """All real roots of Omega (coefficients highest degree first),
     multiplicities collapsed.
 
-    Companion-matrix eigenvalues (``np.roots``, which strips exact leading
-    zeros only): a tiny leading coefficient keeps its huge root, which
-    ``xi_to_x_candidates`` maps to the small tangent x ~ -1/xi.
-    Raises ConstantObjectiveError when Omega vanishes identically.
+    Eigenvalues of the companion matrix, built as ``np.roots`` builds it
+    after stripping exact leading zeros only: a tiny leading coefficient
+    keeps its huge root, which ``xi_to_x_candidates`` maps to the small
+    tangent x ~ -1/xi.  Raises ConstantObjectiveError when Omega vanishes
+    identically.
     """
-    c = np.asarray(coeffs, dtype=np.float64)
-    if not np.all(np.isfinite(c)):
+    c = [float(v) for v in coeffs]
+    if not all(map(math.isfinite, c)):
         raise ValueError("polynomial coefficients must be finite")
-    if not np.any(c):
+    lead = next((k for k, v in enumerate(c) if v != 0.0), None)
+    if lead is None:
         raise ConstantObjectiveError("Omega is identically zero")
-    real = [float(r.real) for r in np.roots(c)
+    c = c[lead:]
+    if len(c) < 2:
+        return []
+    companion = np.eye(len(c) - 1, k=-1)
+    companion[0] = [-v / c[0] for v in c[1:]]
+    real = [r.real for r in np.linalg.eigvals(companion).tolist()
             if abs(r.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + abs(r.real))]
     return _collapse(real)
 
@@ -257,9 +270,9 @@ def _gain_numerator(omega):
     forming h~(theta) - h~(0) by subtraction would lose everything to
     cancellation.
     """
-    a0, c2 = omega[0], -0.5 * omega[1]
-    c3 = a0 + omega[2] / 3.0
-    return np.array([-a0, c2, -c3, -0.25 * omega[3], c3, c2, a0, 0.0])
+    a0, a1, a2, a3 = (float(v) for v in omega[:4])
+    c2, c3 = -0.5 * a1, a0 + a2 / 3.0
+    return [-a0, c2, -c3, -0.25 * a3, c3, c2, a0, 0.0]
 
 
 def best_angle(view):
@@ -268,8 +281,10 @@ def best_angle(view):
     d in {2, 3}: theta = atan2(4 A0, A1) / 4 with the cancellation-free gain
     A0^2 / (r + A1) if A1 > 0, else (r - A1) / 16, r = hypot(4 A0, A1); the
     tie at A0 = 0 > A1 goes to +pi/4, and a constant h~ gives (0, 0).
-    d = 4: the candidate tangents {0, +-1} plus the mapped real xi roots,
-    scored by ``_gain_numerator``; ties go to smaller |theta|, then to +.
+    d = 4: the candidate tangents {0, +-1} plus the mapped real xi roots
+    (at most 7), each scored by Horner's rule on ``_gain_numerator`` in
+    plain floats; gains within 1e-12 relative of the best tie, and ties go
+    to smaller |theta|, then to +.
     Both gains stay exact down to far below the resolution of h~ itself.
     """
     omega = omega_xi_coeffs(view)
@@ -289,10 +304,15 @@ def best_angle(view):
     xs = [0.0, 1.0, -1.0]
     for xi in xis:
         xs.extend(xi_to_x_candidates(xi))
-    xs = np.array(xs)
-    gains = np.polyval(_gain_numerator(omega), xs) / (1.0 + xs * xs) ** 4
-    gmax = gains.max()
-    tie_tol = 1e-12 * abs(gmax)
-    best = min(np.flatnonzero(gains >= gmax - tie_tol),
-               key=lambda t: (abs(xs[t]), xs[t] < 0))
-    return AngleResult(math.atan(xs[best]), float(gains[best]))
+    q = _gain_numerator(omega)
+    scored = []
+    for x in xs:
+        y = 0.0
+        for coef in q:
+            y = y * x + coef
+        scored.append((y / (1.0 + x * x) ** 4, x))
+    floor = max(scored)[0]
+    floor -= 1e-12 * abs(floor)
+    gain, x = min((p for p in scored if p[0] >= floor),
+                  key=lambda p: (abs(p[1]), p[1] < 0))
+    return AngleResult(math.atan(x), gain)

@@ -25,6 +25,7 @@ __all__ = [
     "givens_generator",
     "random_rotation",
     "lambda_of",
+    "safe_norm",
     "RotationState",
     "save_orthomat",
     "load_orthomat",
@@ -111,14 +112,37 @@ def lambda_of(tensors):
     return d * (s - s.T)
 
 
+def safe_norm(a):
+    """Frobenius norm of an array whose sum of squares may overflow.
+
+    ``np.linalg.norm(a)`` when that is finite, so the result is bitwise
+    unchanged on every finite input; otherwise amax * ||a / amax||, with
+    amax = max |a|.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if math.isfinite(norm):
+        return norm
+    amax = float(np.max(np.abs(a)))
+    return amax * float(np.linalg.norm(a / amax))
+
+
 class RotationState:
-    """Iterate of a Jacobi sweep: accumulated Q, rotated tensors, cached f.
+    """Iterate of a Jacobi sweep: accumulated Q, rotated tensors, cached f,
+    and ``row_offdiag``, the (m, n) squared off-diagonal mass of each row
+    of axis 1 (``TensorSet.row_offdiag_sq``).
+
+    ``apply`` re-sums rows i and j only.  Every other row keeps its mass
+    exactly in exact arithmetic, since the rotation only mixes its
+    off-diagonal entries within orthogonal 2x...x2 blocks, so only
+    rounding separates a kept mass from a fresh sum; ``recount_offdiag``
+    re-reads every row.
 
     Keeps a reference to the unrotated source set so Q can be
     re-orthonormalized and the working tensors rebuilt if floating-point
     drift ever exceeds ORTH_TOL.  ``apply`` does not check the drift (the
-    check is O(n^3)); ``sweeps.run`` checks it once per sweep and calls
-    ``reorthonormalize`` when needed.
+    check is O(n^3)); ``sweeps.run`` checks it once per sweep and then
+    calls ``reorthonormalize`` or ``recount_offdiag``.
     """
 
     def __init__(self, source, q0=None):
@@ -146,6 +170,7 @@ class RotationState:
             self.tensors = source.rotated_by(q)
         self.q = q
         self.f_current = self.tensors.diag_sq_norm()
+        self.recount_offdiag()
         self.rotation_count = 0
         self.reorth_count = 0
 
@@ -158,18 +183,24 @@ class RotationState:
         return self.source.order
 
     def offdiag_sq(self):
-        return self.tensors.offdiag_sq_norm()
+        """Squared off-diagonal mass: the sum of the kept row masses."""
+        return float(self.row_offdiag.sum())
+
+    def recount_offdiag(self):
+        """Re-read the squared off-diagonal mass of every row."""
+        self.row_offdiag = self.tensors.row_offdiag_sq(range(self.dim))
 
     def lambda_norm(self):
         """||Lambda(Q)||, which equals the projected-gradient norm."""
-        return float(np.linalg.norm(lambda_of(self.tensors)))
+        return safe_norm(lambda_of(self.tensors))
 
     def orthogonality_error(self):
         n = self.dim
         return float(np.linalg.norm(self.q.T @ self.q - np.eye(n)))
 
     def apply(self, rot):
-        """Apply a GivensRotation: Q <- Q G, rotate all tensors, refresh f.
+        """Apply a GivensRotation: Q <- Q G, rotate all tensors, refresh f
+        and the off-diagonal masses of rows i and j.
 
         Orthogonality of Q is not checked here; callers applying many
         rotations check ``orthogonality_error`` against ORTH_TOL now and
@@ -183,11 +214,13 @@ class RotationState:
         self.q[:, j] = c * qj - s * qi
         self.tensors.rotate_plane(i, j, rot.theta)
         self.f_current = self.tensors.diag_sq_norm()
+        self.row_offdiag[:, [i, j]] = self.tensors.row_offdiag_sq((i, j))
         self.rotation_count += 1
         return self
 
     def reorthonormalize(self):
-        """QR-polish Q (det +1 preserved) and rebuild tensors from source."""
+        """QR-polish Q (det +1 preserved), rebuild tensors from source and
+        re-read every row's off-diagonal mass."""
         q, r = np.linalg.qr(self.q)
         q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
         if np.linalg.det(q) < 0:
@@ -195,6 +228,7 @@ class RotationState:
         self.q = q
         self.tensors = self.source.rotated_by(q)
         self.f_current = self.tensors.diag_sq_norm()
+        self.recount_offdiag()
         self.reorth_count += 1
 
 

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .angles import SubproblemView, best_angle, h_prime_at_zero
+from .angles import SubproblemView, best_angle
 from .geometry import RotationState, lambda_of, random_rotation
 from .oracle import (brute_force_angle, finite_difference_h_prime,
-                     tau_identity_check)
+                     h_prime_at_zero, tau_identity_check)
 from .sweeps import RunConfig, run, write_trajectory_csv
 from .symtensor import TensorSet, multi_mode_product, symmetrize
 
@@ -123,9 +123,10 @@ def make_test_problem(spec):
 class AlgorithmReport:
     """End-of-run summary for one configuration.
 
-    final_f and offdiag_sq equal the trailing trajectory row; lambda_norm
-    is the gradient norm of the *final* state (the trajectory rows carry
-    pre-rotation norms).
+    final_f and offdiag_sq equal the trailing trajectory row (offdiag_sq is
+    read from it: the final state's fresh sum may differ from the row's kept
+    sum by rounding); lambda_norm is the gradient norm of the *final* state
+    (the trajectory rows carry pre-rotation norms).
     """
 
     label: str
@@ -173,7 +174,8 @@ def run_benchmark(tensors, configs, outdir=None, q0=None):
             continue
         results[label] = res
         entry.final_f = res.f_final
-        entry.offdiag_sq = res.state.offdiag_sq()
+        entry.offdiag_sq = (res.records[-1].offdiag_sq if res.records
+                            else res.state.offdiag_sq())
         entry.lambda_norm = res.state.lambda_norm()
         entry.sweeps = res.sweeps_used
         entry.rotations = res.state.rotation_count

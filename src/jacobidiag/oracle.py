@@ -3,7 +3,7 @@
 of the closed forms it checks: grid search for the angle, explicit 2x...x2
 block rotations for the rational identities, rotated copies of the whole
 tensor set for the gradient, a whole-stack symmetry gather for the plane
-rotation kernel."""
+rotation kernel, hand-expanded per-term sums for Omega's Gram product."""
 
 from __future__ import annotations
 
@@ -11,11 +11,13 @@ import math
 
 import numpy as np
 
-from .angles import (QUARTER_PI, _BINOM, AngleResult, SubproblemView,
-                     h_derivatives_at_zero, h_prime_at_zero)
+from .angles import QUARTER_PI, _BINOM, AngleResult, SubproblemView
 from .symtensor import _canonicalize_stack, multi_mode_product
 
 __all__ = [
+    "h_prime_at_zero",
+    "h_derivatives_at_zero",
+    "omega_xi_coeffs_expanded",
     "rotate_planes_reference",
     "rotated_view",
     "local_maxima",
@@ -23,6 +25,62 @@ __all__ = [
     "tau_identity_check",
     "finite_difference_h_prime",
 ]
+
+
+def h_prime_at_zero(view):
+    """h'(0) = 2 d sum_l (nu0 nu1 - nu_{d-1} nu_d); equals -2 Lambda[i, j]."""
+    d = view.order
+    nu = view.nu
+    return 2.0 * d * float(np.sum(nu[:, 0] * nu[:, 1] - nu[:, d - 1] * nu[:, d]))
+
+
+def h_derivatives_at_zero(view):
+    """(h'(0), h''(0)) of the unpenalized objective, d in {2, 3} only.
+
+    For d = 4 the curvature information comes out of the Omega coefficients
+    instead (h''(0) is minus the xi^3 coefficient at delta0 = 0).
+    """
+    d = view.order
+    nu = view.nu
+    if d == 2:
+        h2 = -4.0 * np.sum(nu[:, 0]**2 + nu[:, 2]**2
+                           - 2 * nu[:, 0] * nu[:, 2] - 4 * nu[:, 1]**2)
+    elif d == 3:
+        h2 = -6.0 * np.sum(nu[:, 0]**2 + nu[:, 3]**2 - 3 * nu[:, 1]**2
+                           - 3 * nu[:, 2]**2 - 2 * nu[:, 0] * nu[:, 2]
+                           - 2 * nu[:, 1] * nu[:, 3])
+    else:
+        raise ValueError(f"closed-form derivatives only for d in (2, 3), "
+                         f"got d={d}")
+    return h_prime_at_zero(view), float(h2)
+
+
+def omega_xi_coeffs_expanded(view):
+    """Omega's coefficients (highest degree first) from hand-expanded
+    per-term sums, the reference for ``angles.omega_xi_coeffs``'s Gram
+    product.
+
+    Per-tensor coefficients are summed (the subproblem objectives share the
+    denominator (1+x^2)^d, so they add); delta0 adds 4 delta0 to A1, and
+    for d = 4 also 16 delta0 to A3.
+    """
+    d = view.order
+    nu = view.nu
+    d0 = view.delta0
+    if d in (2, 3):
+        h1, h2 = h_derivatives_at_zero(view)
+        return np.array([h1, -h2 + 4.0 * d0, -4.0 * h1])
+    v0, v1, v2, v3, v4 = (nu[:, w] for w in range(5))
+    a = h_prime_at_zero(view)
+    b = 8.0 * np.sum(v0**2 - 3 * v2 * v0 - 4 * v1**2 - 4 * v3**2
+                     + v4**2 - 3 * v2 * v4) + 4.0 * d0
+    c = 8.0 * np.sum(18 * v1 * v2 - 7 * v0 * v1 + 3 * v0 * v3
+                     - 18 * v2 * v3 - 3 * v1 * v4 + 7 * v3 * v4)
+    dd = 8.0 * np.sum(9 * v0 * v2 - 32 * v1 * v3 - 2 * v0 * v4
+                      + 9 * v2 * v4 + 12 * v1**2 - 36 * v2**2
+                      + 12 * v3**2) + 4.0 * d0
+    e = 80.0 * np.sum(6 * v2 * v3 - v0 * v3 - 6 * v1 * v2 + v1 * v4)
+    return np.array([a, b, 4 * a + c, 3 * b + dd, 2 * a + 2 * c + e])
 
 
 def rotate_planes_reference(stack, i, j, c, s):

@@ -14,7 +14,9 @@ Every variant stops at max_sweeps or when ||Lambda|| falls to the
 stationarity tolerance; cthresh additionally stops on a progress-free sweep.
 A run is strictly sequential; records carry the pre-rotation ||Lambda|| and
 the post-rotation objective.  After every sweep, a stationary stop included,
-Q is re-orthonormalized if its drift ||Q^T Q - I|| exceeds ORTH_TOL.
+Q is re-orthonormalized if its drift ||Q^T Q - I|| exceeds ORTH_TOL, and the
+off-diagonal mass of every row is re-read either way, so the final state's
+``offdiag_sq()`` is a fresh full sum.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import SubproblemView, best_angle
-from .geometry import ORTH_TOL, GivensRotation, RotationState, lambda_of
+from .geometry import (ORTH_TOL, GivensRotation, RotationState, lambda_of,
+                       safe_norm)
 from .symtensor import TensorSet
 
 __all__ = [
@@ -73,7 +76,7 @@ def select_pair_gradient(lam, eps):
     2 |Lambda[i,j]| >= (2/n) ||Lambda||); the argmax pair is the roundoff
     fallback.  Returns None when Lambda vanishes.
     """
-    norm = float(np.linalg.norm(lam))
+    norm = safe_norm(lam)
     if norm == 0.0:
         return None
     bound = eps * norm
@@ -132,7 +135,10 @@ class IterationRecord:
     """Telemetry for one rotation (or one skipped threshold visit).
 
     f and offdiag_sq are post-rotation; lambda_norm is the pre-rotation
-    gradient norm (the one the pair selection saw)."""
+    gradient norm (the one the pair selection saw).  offdiag_sq is the sum
+    of the state's kept row masses (``RotationState.row_offdiag``): equal
+    to a fresh sum up to rounding relative to offdiag_sq itself, however
+    small it gets."""
 
     k: int
     sweep: int
@@ -200,7 +206,7 @@ def run(tensors, config=None, q0=None):
         progress = False
         for pos in range(len(pairs)):
             lam = lambda_of(state.tensors)
-            lam_norm = float(np.linalg.norm(lam))
+            lam_norm = safe_norm(lam)
             if lam_norm <= tol:
                 converged = True
                 reason = "stationary"
@@ -231,6 +237,8 @@ def run(tensors, config=None, q0=None):
                 wall_ms=(time.perf_counter() - t0) * 1e3))
         if state.orthogonality_error() > ORTH_TOL:
             state.reorthonormalize()
+        else:
+            state.recount_offdiag()
         if converged:
             break
         if cfg.method == "cthresh" and not progress:

@@ -48,11 +48,13 @@ def _canonical_map(order, dim):
 
 
 def _canonicalize_stack(stack):
-    """Rewrite each entry with the value at its sorted multi-index (in place)."""
+    """Rewrite each entry with the value at its sorted multi-index (in place,
+    in any memory layout: the reshape is a copy unless C-contiguous)."""
     order = stack.ndim - 1
     dim = stack.shape[-1]
     flat = stack.reshape(stack.shape[0], -1)
-    flat[:] = np.take(flat, _canonical_map(order, dim), axis=1)
+    stack[...] = np.take(flat, _canonical_map(order, dim),
+                         axis=1).reshape(stack.shape)
 
 
 def _bitwise_symmetric(arr):
@@ -215,11 +217,12 @@ class TensorSet:
     __slots__ = ("stack",)
 
     def __init__(self, arrays):
+        # C order, so rows and members are views of the stack, not copies
         if isinstance(arrays, (list, tuple)):
             # np.stack raises ValueError for an empty list or unequal shapes
-            stack = np.stack(arrays, dtype=np.float64)
+            stack = np.ascontiguousarray(np.stack(arrays, dtype=np.float64))
         else:
-            stack = np.array(arrays, dtype=np.float64)[None]
+            stack = np.array(arrays, dtype=np.float64, order="C")[None]
         _check_members(stack)
         _canonicalize_stack(stack)
         self.stack = stack
@@ -291,6 +294,25 @@ class TensorSet:
         off = self.stack.reshape(len(self), -1)[:, 1:].reshape(
             len(self), n - 1, step)[:, :, :-1]
         return float(np.einsum("abc,abc->", off, off))
+
+    def row_offdiag_sq(self, rows):
+        """(m, len(rows)) squared off-diagonal mass of the given rows of
+        axis 1, row r holding the entries W[r, ...].
+
+        Each row is summed directly over its entries except its diagonal
+        entry W[r, ..., r], which sits at flat position
+        ``r * (n^(d-1) - 1) / (n - 1)`` of the row; the sum skips it rather
+        than subtracting it.  Over all n rows the masses add up to
+        ``offdiag_sq_norm``.  O(m n^(d-1)) work per row, no copy."""
+        n = self.dim
+        step = (n ** (self.order - 1) - 1) // (n - 1)
+        flat = self.stack.reshape(len(self), n, -1)
+        out = np.empty((len(self), len(rows)))
+        for k, r in enumerate(rows):
+            head = flat[:, r, :r * step]
+            tail = flat[:, r, r * step + 1:]
+            out[:, k] = np.vecdot(head, head) + np.vecdot(tail, tail)
+        return out
 
     def near_diag(self):
         """(m, n, n) array N with N[l, k, p] = W^(l)[k, p, p, ..., p]."""

@@ -10,12 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from jacobidiag.angles import (SubproblemView, best_angle, h_prime_at_zero,
-                               proximal_gamma)
+from jacobidiag.angles import SubproblemView, best_angle, proximal_gamma
 from jacobidiag.geometry import RotationState, lambda_of, random_rotation
 from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.oracle import (brute_force_angle, finite_difference_h_prime,
-                               tau_identity_check)
+                               h_prime_at_zero, tau_identity_check)
 from jacobidiag.sweeps import RunConfig, run
 from jacobidiag.symtensor import TensorSet, symmetrize
 

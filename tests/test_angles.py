@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from jacobidiag import angles
 from jacobidiag.angles import (ConstantObjectiveError, SubproblemView,
-                               _gain_numerator, best_angle,
-                               h_derivatives_at_zero,
-                               h_prime_at_zero, omega_xi_coeffs,
+                               _gain_numerator, best_angle, omega_xi_coeffs,
                                proximal_gamma, solve_xi_roots,
                                xi_to_x_candidates)
 from jacobidiag.geometry import RotationState, lambda_of, random_rotation
-from jacobidiag.oracle import (brute_force_angle, local_maxima,
-                               tau_identity_check)
+from jacobidiag.oracle import (brute_force_angle, h_derivatives_at_zero,
+                               h_prime_at_zero, local_maxima,
+                               omega_xi_coeffs_expanded, tau_identity_check)
 from jacobidiag.symtensor import TensorSet, symmetrize
 
 QP = math.pi / 4
@@ -164,6 +163,26 @@ def test_omega_multi_tensor_additivity():
     expect = (omega_xi_coeffs(va) + omega_xi_coeffs(vb)
               + np.array([0.0, 0.5, 0.0]))
     assert np.allclose(omega_xi_coeffs(both), expect, rtol=1e-14)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 3, 14])
+@pytest.mark.parametrize("delta0", [0.0, 0.3])
+def test_omega_gram_product_matches_expanded_forms(order, m, delta0):
+    # one Gram product against the hand-expanded per-term sums, on plain
+    # views and on views scaled by 10^U(-3, 3)
+    rng = np.random.default_rng(7000 + 10 * order + m)
+    for scaled in (False, True):
+        for _ in range(10):
+            nu = rng.standard_normal((m, order + 1))
+            if scaled:
+                nu *= 10.0 ** rng.uniform(-3.0, 3.0)
+            view = SubproblemView(nu, delta0)
+            want = omega_xi_coeffs_expanded(view)
+            got = omega_xi_coeffs(view)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) \
+                <= 1e-14 * np.max(np.abs(want))
 
 
 def _numeric_omega_coeffs(view):

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from jacobidiag.angles import SubproblemView, best_angle
 from jacobidiag.geometry import (GivensRotation, RotationState,
                                  givens_generator, givens_matrix, lambda_of,
                                  load_orthomat, random_rotation,
                                  save_orthomat)
+from jacobidiag.harness import ExperimentSpec, make_test_problem
+from jacobidiag.sweeps import RunConfig, run, upper_pairs
 from jacobidiag.oracle import finite_difference_h_prime
 from jacobidiag.symtensor import TensorSet, symmetrize
 
@@ -170,6 +173,38 @@ def test_apply_refreshes_f_cache():
             state.tensors.diag_sq_norm(), rel=1e-10)
         assert state.offdiag_sq() + state.f_current == pytest.approx(
             state.total_sq_norm, rel=1e-9)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 3])
+def test_kept_row_masses_match_a_fresh_sum_after_each_apply(order, m):
+    # apply re-sums rows i and j only; every other row must keep its mass
+    ts = random_set(order, 5, 57 + order, m=m)
+    state = RotationState(ts, random_rotation(5, order))
+    rng = np.random.default_rng(10 * order + m)
+    for _ in range(40):
+        i, j = sorted(rng.choice(5, size=2, replace=False))
+        state.apply(GivensRotation(int(i), int(j),
+                                   float(rng.uniform(-0.78, 0.78))))
+        fresh = state.tensors.offdiag_sq_norm()
+        assert abs(state.offdiag_sq() - fresh) <= 1e-13 * fresh
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_kept_row_masses_stay_relative_to_a_tiny_offdiag(order):
+    # on a solved sigma = 0 problem the off-diagonal mass is 1e-20 of the
+    # total or less; one more sweep of Jacobi steps keeps the kept sum to
+    # rounding of itself
+    spec = ExperimentSpec(n=6, order=order, m=2 if order == 2 else 1,
+                          sigma=0.0, seed_rot=4)
+    ts, _ = make_test_problem(spec)
+    state = run(ts, RunConfig(method="c")).state
+    assert state.offdiag_sq() <= 1e-20 * state.total_sq_norm
+    for i, j in upper_pairs(state.dim):
+        view = SubproblemView.from_tensors(state.tensors, i, j)
+        state.apply(GivensRotation(i, j, best_angle(view).theta))
+        fresh = state.tensors.offdiag_sq_norm()
+        assert abs(state.offdiag_sq() - fresh) <= 1e-13 * fresh
 
 
 def test_orthogonality_drift_stays_tiny():

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,30 @@ def test_stationarity_norm_matches_lambda():
         float(np.linalg.norm(lambda_of(state.tensors))), rel=1e-14)
     diag = TensorSet.from_diagonal([1.0, 2.0, 3.0], 3)
     assert RotationState(diag).lambda_norm() == 0.0
+
+
+def overflowing_square_problem():
+    # x 2^300: ||T||^2 ~ 4e180 is finite, ||Lambda||^2 ~ 2^1200 is not
+    spec = ExperimentSpec(n=5, order=3, sigma=1e-2, seed_rot=5, seed_noise=3)
+    tensors, _ = make_test_problem(spec)
+    return tensors, TensorSet(2.0**300 * tensors.stack[0])
+
+
+def test_lambda_norm_survives_an_overflowing_square():
+    tensors, big = overflowing_square_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norm = RotationState(big).lambda_norm()
+    want = 2.0**600 * RotationState(tensors).lambda_norm()
+    assert abs(norm - want) <= 1e-14 * want
+
+
+def test_run_records_a_finite_lambda_norm_when_its_square_overflows():
+    _, big = overflowing_square_problem()
+    res = run(big, RunConfig(method="c", max_sweeps=1))
+    assert res.records
+    assert all(math.isfinite(r.lambda_norm) and r.lambda_norm > 0.0
+               for r in res.records)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +203,35 @@ def test_forced_reorthonormalization_keeps_ascent(monkeypatch):
     n = state.dim
     assert np.linalg.norm(state.q.T @ state.q - np.eye(n)) <= 1e-12
     assert np.linalg.det(state.q) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("method", sweeps.METHODS)
+@pytest.mark.parametrize("order,sigma", [(2, 0.0), (3, 0.0), (3, 1e-2)])
+def test_final_offdiag_is_a_fresh_sum(method, order, sigma):
+    # the per-sweep recount leaves offdiag_sq() equal to a direct sum over
+    # the off-diagonal entries, also at ~1e-31 of the total (order 2,
+    # sigma = 0) and ~1e-21..1e-25 (order 3, sigma = 0)
+    spec = ExperimentSpec(n=6, order=order, m=2, sigma=sigma, seed_rot=6,
+                          seed_noise=7)
+    ts, _ = make_test_problem(spec)
+    state = run(ts, RunConfig(method=method)).state
+    assert np.array_equal(state.row_offdiag,
+                          state.tensors.row_offdiag_sq(range(state.dim)))
+    fresh = state.tensors.offdiag_sq_norm()
+    assert abs(state.offdiag_sq() - fresh) <= 1e-13 * fresh
+    if sigma == 0.0:
+        assert fresh <= (1e-30 if order == 2 else 1e-20) \
+            * state.total_sq_norm
+
+
+def test_reorthonormalization_recounts_offdiag(monkeypatch):
+    monkeypatch.setattr(sweeps, "ORTH_TOL", 0.0)     # rebuild every sweep
+    state = run(noisy_problem(4), RunConfig(method="c", max_sweeps=5)).state
+    assert state.reorth_count > 0
+    assert np.array_equal(state.row_offdiag,
+                          state.tensors.row_offdiag_sq(range(state.dim)))
+    fresh = state.tensors.offdiag_sq_norm()
+    assert abs(state.offdiag_sq() - fresh) <= 1e-13 * fresh
 
 
 def test_threshold_skips_and_stops_without_progress():
