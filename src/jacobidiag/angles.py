@@ -28,6 +28,7 @@ builds from Omega's coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,21 +38,14 @@ __all__ = [
     "ConstantObjectiveError",
     "SubproblemView",
     "AngleResult",
-    "proximal_gamma",
     "omega_xi_coeffs",
     "solve_xi_roots",
     "xi_to_x_candidates",
     "best_angle",
 ]
 
-QUARTER_PI = math.pi / 4
-
 _BINOM = {2: (1.0, 2.0, 1.0), 3: (1.0, 3.0, 3.0, 1.0),
           4: (1.0, 4.0, 6.0, 4.0, 1.0)}
-
-# _J_AXES[d][a, w]: axis a of view column w takes index j (else i): a >= d - w
-_J_AXES = {d: np.add.outer(np.arange(d), np.arange(d + 1)) >= d
-           for d in _BINOM}
 
 # imaginary-part cutoff for accepting a polynomial root as real
 REAL_ROOT_IMAG_TOL = 1e-10
@@ -61,11 +55,14 @@ class ConstantObjectiveError(Exception):
     """The restricted objective is constant in theta (Omega vanishes)."""
 
 
-def proximal_gamma(theta):
-    """Proximal penalty gamma(theta) = 2 sin^2(theta) cos^2(theta)."""
-    s = np.sin(theta)
-    c = np.cos(theta)
-    return 2.0 * s * s * c * c
+@functools.lru_cache(maxsize=16)
+def _nu_offsets(order, dim):
+    """Flat-index offsets (A, B) of the view entries in one member tensor:
+    nu[l, w] of pair (i, j) is entry i * A[w] + j * B[w] of member l,
+    whose first order - w axes take index i and whose last w take j."""
+    strides = dim ** np.arange(order - 1, -1, -1)
+    at_j = np.add.outer(np.arange(order + 1), np.arange(order)) >= order
+    return (strides * ~at_j).sum(axis=1), (strides * at_j).sum(axis=1)
 
 
 class SubproblemView:
@@ -74,7 +71,7 @@ class SubproblemView:
     ``nu`` has shape (m, d+1); nu[l, w] is the entry of tensor l whose index
     contains the pair's first index (d - w) times and its second index w
     times (well defined by symmetry).  Only these entries enter h up to a
-    theta-independent constant.
+    theta-independent constant; ``oracle`` evaluates h and its relatives.
     """
 
     __slots__ = ("nu", "delta0")
@@ -92,47 +89,21 @@ class SubproblemView:
 
     @classmethod
     def from_tensors(cls, tensors, i, j, delta0=0.0):
-        idx = np.where(_J_AXES[tensors.order], j, i)
-        return cls(tensors.stack[(slice(None), *idx)], delta0)
+        """View of pair (i, j) of a TensorSet, one gather from the stack.
+
+        Not re-checked: the set's entries were checked finite when it was
+        built, and a rotation of a set with finite ||T||^2 stays finite.
+        """
+        a, b = _nu_offsets(tensors.order, tensors.dim)
+        stack = tensors.stack
+        view = cls.__new__(cls)
+        view.nu = stack.reshape(stack.shape[0], -1)[:, i * a + j * b]
+        view.delta0 = float(delta0)
+        return view
 
     @property
     def order(self):
         return self.nu.shape[1] - 1
-
-    @property
-    def size(self):
-        return self.nu.shape[0]
-
-    def _t12(self, theta):
-        """Rotated diagonal entries T1, T2, each of shape (m,) + theta.shape."""
-        theta = np.asarray(theta, dtype=np.float64)
-        c, s = np.cos(theta), np.sin(theta)
-        d = self.order
-        binom = _BINOM[d]
-        t1 = np.zeros((self.size,) + theta.shape)
-        t2 = np.zeros_like(t1)
-        for w in range(d + 1):
-            col = (binom[w] * self.nu[:, w]).reshape((-1,) + (1,) * theta.ndim)
-            t1 = t1 + col * c ** (d - w) * s ** w
-            t2 = t2 + col * (-s) ** (d - w) * c ** w
-        return t1, t2
-
-    def h(self, theta):
-        """Unpenalized restricted objective (sum over the set)."""
-        t1, t2 = self._t12(theta)
-        out = (t1 * t1 + t2 * t2).sum(axis=0)
-        return float(out) if out.ndim == 0 else out
-
-    def h_tilde(self, theta):
-        """Penalized objective h(theta) - delta0 * gamma(theta)."""
-        return self.h(theta) - self.delta0 * proximal_gamma(theta)
-
-    def tau(self, x):
-        """h after the tangent substitution x = tan(theta)."""
-        return self.h(np.arctan(x))
-
-    def tau_tilde(self, x):
-        return self.h_tilde(np.arctan(x))
 
 
 def _omega_matrix(d):

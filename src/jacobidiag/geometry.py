@@ -13,26 +13,22 @@ stationarity measurements use ||Lambda|| directly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symtensor import TensorSet
-
 __all__ = [
     "GivensRotation",
-    "givens_matrix",
-    "givens_generator",
     "random_rotation",
     "lambda_of",
     "safe_norm",
     "RotationState",
-    "save_orthomat",
-    "load_orthomat",
 ]
 
 QUARTER_PI = math.pi / 4
 ORTH_TOL = 1e-8            # re-orthonormalization threshold on ||Q^T Q - I||
+_SQRT_TINY = math.sqrt(sys.float_info.min)    # 2^-511; see safe_norm
 
 
 @dataclass
@@ -52,51 +48,29 @@ class GivensRotation:
     def __post_init__(self):
         if not 0 <= self.i < self.j:
             raise ValueError(f"need 0 <= i < j, got ({self.i}, {self.j})")
-        if abs(self.theta) > QUARTER_PI * (1 + 1e-12):
+        # "not <=" also refuses NaN, which every comparison fails
+        if not abs(self.theta) <= QUARTER_PI * (1 + 1e-12):
             raise ValueError(f"angle {self.theta} outside [-pi/4, pi/4]")
         self.c = math.cos(self.theta)
         self.s = math.sin(self.theta)
 
 
-def givens_matrix(n, i, j, theta):
-    """n x n Givens rotation: identity with the (i, j) plane rotated by theta."""
-    if not (0 <= i < j < n):
-        raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
-    g = np.eye(n)
-    c, s = math.cos(theta), math.sin(theta)
-    g[i, i] = c
-    g[j, j] = c
-    g[i, j] = -s
-    g[j, i] = s
-    return g
-
-
-def givens_generator(n, i, j):
-    """d/dtheta of the Givens matrix at theta = 0 (skew generator)."""
-    if not (0 <= i < j < n):
-        raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
-    g = np.zeros((n, n))
-    g[i, j] = -1.0
-    g[j, i] = 1.0
-    return g
-
-
-def random_rotation(n, seed):
-    """Haar-distributed special-orthogonal matrix, deterministic per seed.
-
-    QR of an i.i.d. standard-normal matrix (PCG64 generator) with the R
-    diagonal sign-fixed so the factorization is unique; the last column is
-    flipped if det is -1.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
+def _special_orthogonal_factor(a):
+    """Q of the QR factorization of a, made unique by a positive R diagonal,
+    with its last column flipped if det Q is -1."""
     q, r = np.linalg.qr(a)
     q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
     if np.linalg.det(q) < 0:
         q[:, -1] *= -1.0
     return q
+
+
+def random_rotation(n, seed):
+    """Haar-distributed special-orthogonal matrix, deterministic per seed:
+    the sign-fixed QR factor of an i.i.d. standard-normal matrix drawn
+    from the PCG64 generator."""
+    rng = np.random.default_rng(seed)
+    return _special_orthogonal_factor(rng.standard_normal((n, n)))
 
 
 def lambda_of(tensors):
@@ -113,17 +87,24 @@ def lambda_of(tensors):
 
 
 def safe_norm(a):
-    """Frobenius norm of an array whose sum of squares may overflow.
+    """Frobenius norm of an array whose sum of squares may over- or
+    underflow.
 
-    ``np.linalg.norm(a)`` when that is finite, so the result is bitwise
-    unchanged on every finite input; otherwise amax * ||a / amax||, with
-    amax = max |a|.
+    ``np.linalg.norm(a)`` when that is finite and at least 2^-511, the
+    square root of the smallest normal float, so the result is bitwise
+    the plain norm there.  A smaller norm means a subnormal or zero sum of
+    squares, which has lost part or all of its precision (squares below
+    about 1e-324 vanish), and an infinite one an overflowed sum; both fall
+    back to amax * ||a / amax||, amax = max |a|, whose squares lie in
+    (0, 1].  A zero array has norm 0.
     """
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a))
-    if math.isfinite(norm):
+    if _SQRT_TINY <= norm < math.inf:
         return norm
     amax = float(np.max(np.abs(a)))
+    if amax == 0.0:
+        return 0.0
     return amax * float(np.linalg.norm(a / amax))
 
 
@@ -138,7 +119,8 @@ class RotationState:
     rounding separates a kept mass from a fresh sum; ``recount_offdiag``
     re-reads every row.
 
-    Keeps a reference to the unrotated source set so Q can be
+    ``source`` is a TensorSet, already checked when it was built.  Keeps
+    a reference to it, the unrotated set, so Q can be
     re-orthonormalized and the working tensors rebuilt if floating-point
     drift ever exceeds ORTH_TOL.  ``apply`` does not check the drift (the
     check is O(n^3)); ``sweeps.run`` checks it once per sweep and then
@@ -146,8 +128,6 @@ class RotationState:
     """
 
     def __init__(self, source, q0=None):
-        if not isinstance(source, TensorSet):
-            source = TensorSet(source)
         self.source = source
         self.total_sq_norm = source.frob_sq()
         if not 0.0 < self.total_sq_norm < math.inf:
@@ -161,11 +141,12 @@ class RotationState:
             q = np.array(q0, dtype=np.float64)
             if q.shape != (n, n):
                 raise ValueError(f"Q0 shape {q.shape} does not match n={n}")
+            # "not <=" also refuses the NaN a non-finite entry leaves
             err = float(np.linalg.norm(q.T @ q - np.eye(n)))
-            if err > ORTH_TOL:
+            if not err <= ORTH_TOL:
                 raise ValueError(
                     f"Q0 is not orthogonal: ||Q^T Q - I|| = {err:.3e}")
-            if abs(np.linalg.det(q) - 1.0) > 1e-8:
+            if not abs(np.linalg.det(q) - 1.0) <= 1e-8:
                 raise ValueError("Q0 must have determinant +1")
             self.tensors = source.rotated_by(q)
         self.q = q
@@ -177,10 +158,6 @@ class RotationState:
     @property
     def dim(self):
         return self.source.dim
-
-    @property
-    def order(self):
-        return self.source.order
 
     def offdiag_sq(self):
         """Squared off-diagonal mass: the sum of the kept row masses."""
@@ -204,15 +181,14 @@ class RotationState:
 
         Orthogonality of Q is not checked here; callers applying many
         rotations check ``orthogonality_error`` against ORTH_TOL now and
-        then, as ``sweeps.run`` does after every sweep."""
+        then, as ``sweeps.run`` does after every sweep.  ``rotate_plane``
+        refuses a pair out of range before anything changes."""
         i, j, c, s = rot.i, rot.j, rot.c, rot.s
-        if j >= self.dim:
-            raise ValueError(f"pair ({i}, {j}) out of range for n={self.dim}")
+        self.tensors.rotate_plane(i, j, rot.theta)
         qi = self.q[:, i].copy()
         qj = self.q[:, j]
         self.q[:, i] = c * qi + s * qj
         self.q[:, j] = c * qj - s * qi
-        self.tensors.rotate_plane(i, j, rot.theta)
         self.f_current = self.tensors.diag_sq_norm()
         self.row_offdiag[:, [i, j]] = self.tensors.row_offdiag_sq((i, j))
         self.rotation_count += 1
@@ -221,44 +197,8 @@ class RotationState:
     def reorthonormalize(self):
         """QR-polish Q (det +1 preserved), rebuild tensors from source and
         re-read every row's off-diagonal mass."""
-        q, r = np.linalg.qr(self.q)
-        q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
-        if np.linalg.det(q) < 0:
-            q[:, -1] *= -1.0
-        self.q = q
-        self.tensors = self.source.rotated_by(q)
+        self.q = _special_orthogonal_factor(self.q)
+        self.tensors = self.source.rotated_by(self.q)
         self.f_current = self.tensors.diag_sq_norm()
         self.recount_offdiag()
         self.reorth_count += 1
-
-
-# ---------------------------------------------------------------------------
-# text file format:
-#   orthomat v1 n=<n>
-#   <n rows of n floats>
-
-def save_orthomat(path, q):
-    q = np.asarray(q, dtype=np.float64)
-    n = q.shape[0]
-    if q.shape != (n, n):
-        raise ValueError(f"matrix must be square, got {q.shape}")
-    with open(path, "w") as fh:
-        fh.write(f"orthomat v1 n={n}\n")
-        for row in q:
-            fh.write(" ".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
-
-
-def load_orthomat(path):
-    with open(path) as fh:
-        header = fh.readline().split()
-        body = fh.read().split()
-    if len(header) != 3 or header[:2] != ["orthomat", "v1"]:
-        raise ValueError(f"bad orthomat header in {path}")
-    try:
-        n = int(header[2].split("=")[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"bad orthomat header in {path}") from exc
-    if len(body) != n * n:
-        raise ValueError(f"expected {n * n} values in {path}, found {len(body)}")
-    return np.array(body, dtype=np.float64).reshape(n, n)

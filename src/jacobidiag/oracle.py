@@ -1,9 +1,11 @@
 """Reference computations the solver is checked against, used by
 ``harness.verify_invariants`` and the tests.  Each takes a route independent
-of the closed forms it checks: grid search for the angle, explicit 2x...x2
-block rotations for the rational identities, rotated copies of the whole
-tensor set for the gradient, a whole-stack symmetry gather for the plane
-rotation kernel, hand-expanded per-term sums for Omega's Gram product."""
+of the closed forms it checks: direct evaluation of the restricted objective
+h and grid search for the angle, explicit 2x...x2 block rotations for the
+rational identities, rotated copies of the whole tensor set for the
+gradient, a whole-stack symmetry gather for the plane rotation kernel,
+hand-expanded per-term sums for Omega's Gram product, explicit Givens
+matrices, and a whole-set sum of the off-diagonal mass."""
 
 from __future__ import annotations
 
@@ -11,10 +13,19 @@ import math
 
 import numpy as np
 
-from .angles import QUARTER_PI, _BINOM, AngleResult, SubproblemView
+from .angles import _BINOM, AngleResult, SubproblemView
+from .geometry import QUARTER_PI
 from .symtensor import _canonicalize_stack, multi_mode_product
 
 __all__ = [
+    "proximal_gamma",
+    "h",
+    "h_tilde",
+    "tau",
+    "tau_tilde",
+    "givens_matrix",
+    "givens_generator",
+    "offdiag_sq_norm",
     "h_prime_at_zero",
     "h_derivatives_at_zero",
     "omega_xi_coeffs_expanded",
@@ -25,6 +36,90 @@ __all__ = [
     "tau_identity_check",
     "finite_difference_h_prime",
 ]
+
+
+def proximal_gamma(theta):
+    """Proximal penalty gamma(theta) = 2 sin^2(theta) cos^2(theta)."""
+    s = np.sin(theta)
+    c = np.cos(theta)
+    return 2.0 * s * s * c * c
+
+
+def _t12(view, theta):
+    """Rotated diagonal entries T1, T2, each of shape (m,) + theta.shape."""
+    theta = np.asarray(theta, dtype=np.float64)
+    c, s = np.cos(theta), np.sin(theta)
+    d = view.order
+    binom = _BINOM[d]
+    t1 = np.zeros((view.nu.shape[0],) + theta.shape)
+    t2 = np.zeros_like(t1)
+    for w in range(d + 1):
+        col = (binom[w] * view.nu[:, w]).reshape((-1,) + (1,) * theta.ndim)
+        t1 = t1 + col * c ** (d - w) * s ** w
+        t2 = t2 + col * (-s) ** (d - w) * c ** w
+    return t1, t2
+
+
+def h(view, theta):
+    """Unpenalized restricted objective (sum over the set)."""
+    t1, t2 = _t12(view, theta)
+    out = (t1 * t1 + t2 * t2).sum(axis=0)
+    return float(out) if out.ndim == 0 else out
+
+
+def h_tilde(view, theta):
+    """Penalized objective h(theta) - delta0 * gamma(theta)."""
+    return h(view, theta) - view.delta0 * proximal_gamma(theta)
+
+
+def tau(view, x):
+    """h after the tangent substitution x = tan(theta)."""
+    return h(view, np.arctan(x))
+
+
+def tau_tilde(view, x):
+    return h_tilde(view, np.arctan(x))
+
+
+def givens_matrix(n, i, j, theta):
+    """n x n Givens rotation: identity with the (i, j) plane rotated by theta."""
+    if not (0 <= i < j < n):
+        raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
+    g = np.eye(n)
+    c, s = math.cos(theta), math.sin(theta)
+    g[i, i] = c
+    g[j, j] = c
+    g[i, j] = -s
+    g[j, i] = s
+    return g
+
+
+def givens_generator(n, i, j):
+    """d/dtheta of the Givens matrix at theta = 0 (skew generator)."""
+    if not (0 <= i < j < n):
+        raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
+    g = np.zeros((n, n))
+    g[i, j] = -1.0
+    g[j, i] = 1.0
+    return g
+
+
+def offdiag_sq_norm(tensors):
+    """Total squared off-diagonal mass of a TensorSet, equal to ||T||^2
+    minus the squared diagonal norm, summed afresh over the whole set: the
+    reference for the kept row masses of ``geometry.RotationState``.
+
+    Summed directly over the off-diagonal entries: the subtraction form
+    carries an eps*||T||^2 noise floor that would mask convergence far
+    below it.  In a flattened member the diagonal entries sit every
+    ``step = (n^d - 1) / (n - 1)`` places from 0, so the entries after
+    position 0, cut into rows of ``step``, hold the diagonal in their last
+    column; the sum reads the other columns as a strided view, with no copy
+    of the stack."""
+    n, m = tensors.dim, len(tensors)
+    step = (n ** tensors.order - 1) // (n - 1)
+    off = tensors.stack.reshape(m, -1)[:, 1:].reshape(m, n - 1, step)[:, :, :-1]
+    return float(np.einsum("abc,abc->", off, off))
 
 
 def h_prime_at_zero(view):
@@ -108,7 +203,7 @@ def rotated_view(view, theta):
     g = np.array([[c, -s], [s, c]])
     d = view.order
     out = np.empty_like(view.nu)
-    for ell in range(view.size):
+    for ell in range(view.nu.shape[0]):
         block = np.empty((2,) * d)
         for idx in np.ndindex(*block.shape):
             block[idx] = view.nu[ell, sum(idx)]
@@ -123,7 +218,7 @@ def _scalar_fn(view):
     d = view.order
     binom = _BINOM[d]
     rows = [[binom[w] * float(view.nu[ell, w]) for w in range(d + 1)]
-            for ell in range(view.size)]
+            for ell in range(view.nu.shape[0])]
     delta0 = view.delta0
 
     def fn(theta):
@@ -192,8 +287,8 @@ def local_maxima(view, grid_points=2049):
     if grid_points % 2 == 0:
         grid_points += 1                 # keep theta = 0 on the grid
     thetas = np.linspace(-QUARTER_PI, QUARTER_PI, grid_points)
-    values = view.h_tilde(thetas)
-    v0 = float(view.h_tilde(0.0))
+    values = h_tilde(view, thetas)
+    v0 = float(h_tilde(view, 0.0))
     if float(np.max(values) - np.min(values)) <= 1e-15 * (1.0 + abs(v0)):
         return []
     fn = _scalar_fn(view)
@@ -219,7 +314,7 @@ def brute_force_angle(view, grid_points=2049):
     theta = min((t for t, v in cands if v >= vmax - tie_tol),
                 key=lambda t: (abs(t), t < 0))
     value = dict(cands)[theta]
-    return AngleResult(float(theta), float(value - float(view.h_tilde(0.0))))
+    return AngleResult(float(theta), float(value - float(h_tilde(view, 0.0))))
 
 
 def tau_identity_check(view, x):
@@ -236,7 +331,7 @@ def tau_identity_check(view, x):
     h1, h2 = h_derivatives_at_zero(view)
     x = float(x)
     one = 1.0 + x * x
-    lhs1 = view.tau(x) - view.tau(0.0)
+    lhs1 = tau(view, x) - tau(view, 0.0)
     rhs1 = (h1 * (x - x**3) + 0.5 * h2 * x * x) / one**2
     hp = h_prime_at_zero(rotated_view(view, math.atan(x)))
     lhs2 = hp / one

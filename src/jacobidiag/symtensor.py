@@ -258,11 +258,6 @@ class TensorSet:
     def __len__(self):
         return self.stack.shape[0]
 
-    def __getitem__(self, ell):
-        """One-member view into the stack; copy() before mutating it alone."""
-        ell = range(len(self))[ell]          # IndexError when out of range
-        return TensorSet._wrap(self.stack[ell:ell + 1])
-
     def copy(self):
         return TensorSet._wrap(self.stack.copy())
 
@@ -278,23 +273,6 @@ class TensorSet:
         d = self.diags()
         return float(np.vdot(d, d))
 
-    def offdiag_sq_norm(self):
-        """Total squared off-diagonal mass, equal to ||T||^2 minus the
-        squared diagonal norm.
-
-        Summed directly over the off-diagonal entries: the subtraction form
-        carries an eps*||T||^2 noise floor that would mask convergence far
-        below it.  In a flattened member the diagonal entries sit every
-        ``step = (n^d - 1) / (n - 1)`` places from 0, so the entries after
-        position 0, cut into rows of ``step``, hold the diagonal in their
-        last column; the sum reads the other columns as a strided view,
-        with no copy of the stack."""
-        n = self.dim
-        step = (n ** self.order - 1) // (n - 1)
-        off = self.stack.reshape(len(self), -1)[:, 1:].reshape(
-            len(self), n - 1, step)[:, :, :-1]
-        return float(np.einsum("abc,abc->", off, off))
-
     def row_offdiag_sq(self, rows):
         """(m, len(rows)) squared off-diagonal mass of the given rows of
         axis 1, row r holding the entries W[r, ...].
@@ -302,8 +280,9 @@ class TensorSet:
         Each row is summed directly over its entries except its diagonal
         entry W[r, ..., r], which sits at flat position
         ``r * (n^(d-1) - 1) / (n - 1)`` of the row; the sum skips it rather
-        than subtracting it.  Over all n rows the masses add up to
-        ``offdiag_sq_norm``.  O(m n^(d-1)) work per row, no copy."""
+        than subtracting it.  Over all n rows the masses add up to the whole
+        off-diagonal mass (``oracle.offdiag_sq_norm``).  O(m n^(d-1)) work
+        per row, no copy."""
         n = self.dim
         step = (n ** (self.order - 1) - 1) // (n - 1)
         flat = self.stack.reshape(len(self), n, -1)
@@ -340,10 +319,6 @@ class TensorSet:
             raise ValueError(
                 f"matrix shape {q.shape} does not match dim {self.dim}")
         return TensorSet._wrap(_apply_orthogonal_stack(self.stack, q))
-
-    def __repr__(self):
-        return (f"TensorSet(m={len(self)}, order={self.order}, "
-                f"dim={self.dim})")
 
 
 # ---------------------------------------------------------------------------

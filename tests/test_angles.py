@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from jacobidiag import angles
 from jacobidiag.angles import (ConstantObjectiveError, SubproblemView,
                                _gain_numerator, best_angle, omega_xi_coeffs,
-                               proximal_gamma, solve_xi_roots,
-                               xi_to_x_candidates)
+                               solve_xi_roots, xi_to_x_candidates)
 from jacobidiag.geometry import RotationState, lambda_of, random_rotation
-from jacobidiag.oracle import (brute_force_angle, h_derivatives_at_zero,
-                               h_prime_at_zero, local_maxima,
-                               omega_xi_coeffs_expanded, tau_identity_check)
+from jacobidiag.oracle import (brute_force_angle, h, h_derivatives_at_zero,
+                               h_prime_at_zero, h_tilde, local_maxima,
+                               omega_xi_coeffs_expanded, proximal_gamma, tau,
+                               tau_identity_check, tau_tilde)
 from jacobidiag.symtensor import TensorSet, symmetrize
 
 QP = math.pi / 4
@@ -46,8 +46,8 @@ def exact_gain(view, x):
 
 
 def fd_derivatives(view, step=1e-5):
-    hp = (view.h(step) - view.h(-step)) / (2 * step)
-    hpp = (view.h(step) - 2 * view.h(0.0) + view.h(-step)) / step**2
+    hp = (h(view, step) - h(view, -step)) / (2 * step)
+    hpp = (h(view, step) - 2 * h(view, 0.0) + h(view, -step)) / step**2
     return hp, hpp
 
 
@@ -109,7 +109,7 @@ def test_view_differs_from_ambient_f_by_constant():
     consts = []
     for theta in (-0.6, -0.2, 0.0, 0.3, 0.7):
         rotated = state.tensors.copy().rotate_plane(i, j, theta)
-        consts.append(rotated.diag_sq_norm() - view.h(theta))
+        consts.append(rotated.diag_sq_norm() - h(view, theta))
     scale = state.total_sq_norm
     assert max(consts) - min(consts) <= 1e-10 * scale
 
@@ -190,7 +190,7 @@ def _numeric_omega_coeffs(view):
     d = view.order
     deg = 2 * d
     xs = np.cos(np.linspace(0.1, math.pi - 0.1, deg + 1))   # distinct nodes
-    rho = view.tau_tilde(xs) * (1.0 + xs**2) ** d
+    rho = tau_tilde(view, xs) * (1.0 + xs**2) ** d
     rho_c = np.linalg.solve(np.vander(xs, deg + 1, increasing=True), rho)
     drho = np.polynomial.polynomial.polyder(rho_c)
     one = np.array([1.0, 0.0, 1.0])
@@ -268,10 +268,10 @@ def test_best_angle_diagonal_view_stays_put():
         res = best_angle(view)
         assert res.theta == 0.0
         assert res.gain == 0.0
-        assert view.h(0.0) == pytest.approx(1.0)
-        assert view.h(QP) == pytest.approx(0.25)
-        grid = view.h_tilde(np.linspace(-QP, QP, 2001))
-        assert np.max(grid) <= view.h_tilde(0.0) + 1e-12
+        assert h(view, 0.0) == pytest.approx(1.0)
+        assert h(view, QP) == pytest.approx(0.25)
+        grid = h_tilde(view, np.linspace(-QP, QP, 2001))
+        assert np.max(grid) <= h_tilde(view, 0.0) + 1e-12
 
 
 def test_best_angle_swap_matrix_tie_breaks_positive(monkeypatch):
@@ -300,8 +300,8 @@ def test_best_angle_agrees_with_oracle(order, delta0):
         view = random_view(order, 1000 + seed, m=1 + seed % 2, delta0=delta0)
         alg = best_angle(view)
         orc = brute_force_angle(view, 1024)
-        va = view.h_tilde(alg.theta)
-        vo = view.h_tilde(orc.theta)
+        va = h_tilde(view, alg.theta)
+        vo = h_tilde(view, orc.theta)
         assert abs(va - vo) <= 1e-10 * (1 + abs(vo))
         assert alg.gain >= -1e-12
         assert abs(alg.theta) <= QP + 1e-12
@@ -324,7 +324,7 @@ def test_proximal_gain_bound():
         delta0 = (1e-3, 1e-1)[seed % 2]
         view = random_view(3, 2000 + seed, delta0=delta0)
         res = best_angle(view)
-        lhs = view.h(res.theta) - view.h(0.0)
+        lhs = h(view, res.theta) - h(view, 0.0)
         assert lhs >= delta0 * proximal_gamma(res.theta) - 1e-10
 
 
@@ -352,8 +352,8 @@ def test_gain_is_h_tilde_difference(order, m, delta0):
     for seed in range(10):
         view = random_view(order, 4000 + seed, m=m, delta0=delta0)
         res = best_angle(view)
-        v0 = view.h_tilde(0.0)
-        assert abs(res.gain - (view.h_tilde(res.theta) - v0)) \
+        v0 = h_tilde(view, 0.0)
+        assert abs(res.gain - (h_tilde(view, res.theta) - v0)) \
             <= 1e-10 * (1.0 + abs(v0))
 
 
@@ -404,8 +404,8 @@ def test_gain_numerator_on_grid(order, delta0):
             phi = 4.0 * np.arctan(xs)
             got = (4.0 * omega[0] * np.sin(phi)
                    + omega[1] * (np.cos(phi) - 1.0)) / 16.0
-        v0 = view.h_tilde(0.0)
-        want = view.h_tilde(np.arctan(xs)) - v0
+        v0 = h_tilde(view, 0.0)
+        want = h_tilde(view, np.arctan(xs)) - v0
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + abs(v0))
 
 
@@ -433,7 +433,7 @@ def test_brute_force_basics():
     assert abs(res.theta) <= 1e-9          # oracle resolution around theta=0
     view2 = random_view(3, 9)
     res2 = brute_force_angle(view2)
-    assert view2.h_tilde(res2.theta) >= view2.h_tilde(0.0) - 1e-12
+    assert h_tilde(view2, res2.theta) >= h_tilde(view2, 0.0) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +452,7 @@ def test_tau_identities_random(order):
         view = random_view(order, 4000 + seed, m=1 + seed % 2)
         x = float(rng.uniform(-1, 1))
         r1, r2 = tau_identity_check(view, x)
-        scale = 1.0 + abs(view.tau(x))
+        scale = 1.0 + abs(tau(view, x))
         assert r1 <= 1e-10 * scale
         assert r2 <= 1e-10 * scale
 
@@ -463,8 +463,8 @@ def test_tau_inversion_symmetry(order):
     for seed in range(30):
         view = random_view(order, 5000 + seed)
         x = float(rng.uniform(0.05, 1.0)) * (1 if seed % 2 else -1)
-        tv = view.tau(x)
-        assert view.tau(-1.0 / x) == pytest.approx(tv, rel=1e-10, abs=1e-12)
+        tv = tau(view, x)
+        assert tau(view, -1.0 / x) == pytest.approx(tv, rel=1e-10, abs=1e-12)
 
 
 def test_tau_identity_preconditions():

@@ -8,7 +8,7 @@ import pytest
 from jacobidiag import sweeps
 from jacobidiag.geometry import GivensRotation, RotationState, lambda_of
 from jacobidiag.harness import ExperimentSpec, make_test_problem
-from jacobidiag.oracle import rotate_planes_reference
+from jacobidiag.oracle import offdiag_sq_norm, rotate_planes_reference
 from jacobidiag.sweeps import (RunConfig, run, select_pair_gradient,
                                select_pair_max, upper_pairs,
                                write_trajectory_csv)
@@ -89,6 +89,19 @@ def test_lambda_norm_survives_an_overflowing_square():
         warnings.simplefilter("error", RuntimeWarning)
         norm = RotationState(big).lambda_norm()
     want = 2.0**600 * RotationState(tensors).lambda_norm()
+    assert abs(norm - want) <= 1e-14 * want
+
+
+def test_lambda_norm_survives_an_underflowing_square():
+    # x 2^-280: every entry of Lambda ~ 1e-170 squares to 0
+    spec = ExperimentSpec(n=5, order=3, sigma=1e-2, seed_rot=5, seed_noise=3)
+    tensors, _ = make_test_problem(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norm = RotationState(TensorSet(2.0**-280 * tensors.stack[0])
+                             ).lambda_norm()
+    want = 2.0**-560 * RotationState(tensors).lambda_norm()
+    assert want > 0.0
     assert abs(norm - want) <= 1e-14 * want
 
 
@@ -217,7 +230,7 @@ def test_final_offdiag_is_a_fresh_sum(method, order, sigma):
     state = run(ts, RunConfig(method=method)).state
     assert np.array_equal(state.row_offdiag,
                           state.tensors.row_offdiag_sq(range(state.dim)))
-    fresh = state.tensors.offdiag_sq_norm()
+    fresh = offdiag_sq_norm(state.tensors)
     assert abs(state.offdiag_sq() - fresh) <= 1e-13 * fresh
     if sigma == 0.0:
         assert fresh <= (1e-30 if order == 2 else 1e-20) \
@@ -230,7 +243,7 @@ def test_reorthonormalization_recounts_offdiag(monkeypatch):
     assert state.reorth_count > 0
     assert np.array_equal(state.row_offdiag,
                           state.tensors.row_offdiag_sq(range(state.dim)))
-    fresh = state.tensors.offdiag_sq_norm()
+    fresh = offdiag_sq_norm(state.tensors)
     assert abs(state.offdiag_sq() - fresh) <= 1e-13 * fresh
 
 
