@@ -57,7 +57,7 @@ class ConstantObjectiveError(Exception):
 
 @functools.lru_cache(maxsize=16)
 def _nu_offsets(order, dim):
-    """Flat-index offsets (A, B) of the view entries in one member tensor:
+    """Flat-index offsets (A, B) of the view entries in one dense member:
     nu[l, w] of pair (i, j) is entry i * A[w] + j * B[w] of member l,
     whose first order - w axes take index i and whose last w take j."""
     strides = dim ** np.arange(order - 1, -1, -1)
@@ -89,15 +89,15 @@ class SubproblemView:
 
     @classmethod
     def from_tensors(cls, tensors, i, j, delta0=0.0):
-        """View of pair (i, j) of a TensorSet, one gather from the stack.
+        """View of pair (i, j) of a TensorSet, one gather from its packed
+        entries.
 
         Not re-checked: the set's entries were checked finite when it was
         built, and a rotation of a set with finite ||T||^2 stays finite.
         """
         a, b = _nu_offsets(tensors.order, tensors.dim)
-        stack = tensors.stack
         view = cls.__new__(cls)
-        view.nu = stack.reshape(stack.shape[0], -1)[:, i * a + j * b]
+        view.nu = tensors.entries(i * a + j * b)
         view.delta0 = float(delta0)
         return view
 

@@ -126,7 +126,7 @@ def main(argv=None):
                "bench": _cmd_bench, "verify": _cmd_verify}[args.command]
     try:
         return handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -80,8 +80,8 @@ def lambda_of(tensors):
     (O(m n^2) work).
     """
     d = tensors.order
-    diags = tensors.diags()                     # (m, n)
     near = tensors.near_diag()                  # (m, n, n)
+    diags = near.diagonal(axis1=1, axis2=2)     # (m, n): W[k, ..., k]
     s = np.einsum("akl,al->kl", near, diags)
     return d * (s - s.T)
 
@@ -109,22 +109,16 @@ def safe_norm(a):
 
 
 class RotationState:
-    """Iterate of a Jacobi sweep: accumulated Q, rotated tensors, cached f,
-    and ``row_offdiag``, the (m, n) squared off-diagonal mass of each row
-    of axis 1 (``TensorSet.row_offdiag_sq``).
-
-    ``apply`` re-sums rows i and j only.  Every other row keeps its mass
-    exactly in exact arithmetic, since the rotation only mixes its
-    off-diagonal entries within orthogonal 2x...x2 blocks, so only
-    rounding separates a kept mass from a fresh sum; ``recount_offdiag``
-    re-reads every row.
+    """Iterate of a Jacobi sweep: accumulated Q, rotated tensors and cached
+    f.  ``offdiag_sq`` sums the rotated set's off-diagonal mass afresh on
+    every call (``TensorSet.offdiag_sq``, O(m N) for N packed entries).
 
     ``source`` is a TensorSet, already checked when it was built.  Keeps
     a reference to it, the unrotated set, so Q can be
     re-orthonormalized and the working tensors rebuilt if floating-point
     drift ever exceeds ORTH_TOL.  ``apply`` does not check the drift (the
     check is O(n^3)); ``sweeps.run`` checks it once per sweep and then
-    calls ``reorthonormalize`` or ``recount_offdiag``.
+    calls ``reorthonormalize``.
     """
 
     def __init__(self, source, q0=None):
@@ -151,7 +145,6 @@ class RotationState:
             self.tensors = source.rotated_by(q)
         self.q = q
         self.f_current = self.tensors.diag_sq_norm()
-        self.recount_offdiag()
         self.rotation_count = 0
         self.reorth_count = 0
 
@@ -160,12 +153,8 @@ class RotationState:
         return self.source.dim
 
     def offdiag_sq(self):
-        """Squared off-diagonal mass: the sum of the kept row masses."""
-        return float(self.row_offdiag.sum())
-
-    def recount_offdiag(self):
-        """Re-read the squared off-diagonal mass of every row."""
-        self.row_offdiag = self.tensors.row_offdiag_sq(range(self.dim))
+        """Squared off-diagonal mass of the rotated set, a fresh sum."""
+        return self.tensors.offdiag_sq()
 
     def lambda_norm(self):
         """||Lambda(Q)||, which equals the projected-gradient norm."""
@@ -176,8 +165,7 @@ class RotationState:
         return float(np.linalg.norm(self.q.T @ self.q - np.eye(n)))
 
     def apply(self, rot):
-        """Apply a GivensRotation: Q <- Q G, rotate all tensors, refresh f
-        and the off-diagonal masses of rows i and j.
+        """Apply a GivensRotation: Q <- Q G, rotate all tensors, refresh f.
 
         Orthogonality of Q is not checked here; callers applying many
         rotations check ``orthogonality_error`` against ORTH_TOL now and
@@ -190,15 +178,12 @@ class RotationState:
         self.q[:, i] = c * qi + s * qj
         self.q[:, j] = c * qj - s * qi
         self.f_current = self.tensors.diag_sq_norm()
-        self.row_offdiag[:, [i, j]] = self.tensors.row_offdiag_sq((i, j))
         self.rotation_count += 1
         return self
 
     def reorthonormalize(self):
-        """QR-polish Q (det +1 preserved), rebuild tensors from source and
-        re-read every row's off-diagonal mass."""
+        """QR-polish Q (det +1 preserved) and rebuild tensors from source."""
         self.q = _special_orthogonal_factor(self.q)
         self.tensors = self.source.rotated_by(self.q)
         self.f_current = self.tensors.diag_sq_norm()
-        self.recount_offdiag()
         self.reorth_count += 1

@@ -119,9 +119,11 @@ class AlgorithmReport:
     """End-of-run summary for one configuration.
 
     final_f and offdiag_sq equal the trailing trajectory row (offdiag_sq is
-    read from it: the final state's fresh sum may differ from the row's kept
-    sum by rounding); lambda_norm is the gradient norm of the *final* state
-    (the trajectory rows carry pre-rotation norms).
+    read from it, a fresh sum over the tensors right after the last
+    rotation; a re-orthonormalization at the end of the last sweep rebuilds
+    the tensors and can move the final state's sum by rounding);
+    lambda_norm is the gradient norm of the *final* state (the trajectory
+    rows carry pre-rotation norms).
     """
 
     label: str

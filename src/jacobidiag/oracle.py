@@ -3,9 +3,10 @@
 of the closed forms it checks: direct evaluation of the restricted objective
 h and grid search for the angle, explicit 2x...x2 block rotations for the
 rational identities, rotated copies of the whole tensor set for the
-gradient, a whole-stack symmetry gather for the plane rotation kernel,
-hand-expanded per-term sums for Omega's Gram product, explicit Givens
-matrices, and a whole-set sum of the off-diagonal mass."""
+gradient, a dense whole-stack rotation and symmetry gather for the packed
+plane rotation kernel, hand-expanded per-term sums for Omega's Gram
+product, explicit Givens matrices, and a dense sum of the off-diagonal
+mass."""
 
 from __future__ import annotations
 
@@ -106,16 +107,17 @@ def givens_generator(n, i, j):
 
 def offdiag_sq_norm(tensors):
     """Total squared off-diagonal mass of a TensorSet, equal to ||T||^2
-    minus the squared diagonal norm, summed afresh over the whole set: the
-    reference for the kept row masses of ``geometry.RotationState``.
+    minus the squared diagonal norm, summed over its dense expansion
+    (``TensorSet.stack``): the reference for ``TensorSet.offdiag_sq``, which
+    sums the packed entries weighted by their multiplicities.
 
     Summed directly over the off-diagonal entries: the subtraction form
     carries an eps*||T||^2 noise floor that would mask convergence far
     below it.  In a flattened member the diagonal entries sit every
     ``step = (n^d - 1) / (n - 1)`` places from 0, so the entries after
     position 0, cut into rows of ``step``, hold the diagonal in their last
-    column; the sum reads the other columns as a strided view, with no copy
-    of the stack."""
+    column; the sum reads the other columns as a strided view of the dense
+    expansion."""
     n, m = tensors.dim, len(tensors)
     step = (n ** tensors.order - 1) // (n - 1)
     off = tensors.stack.reshape(m, -1)[:, 1:].reshape(m, n - 1, step)[:, :, :-1]
@@ -179,10 +181,12 @@ def omega_xi_coeffs_expanded(view):
 
 
 def rotate_planes_reference(stack, i, j, c, s):
-    """Apply G(i,j,theta)^T on every mode of every tensor in the stack, in
-    place, by updating the i/j slices of each mode over the whole stack and
-    then re-reading every entry from its sorted multi-index (O(m n^d)).
-    ``symtensor._rotate_planes_stack`` must match it bitwise."""
+    """Apply G(i,j,theta)^T on every mode of every tensor in a dense,
+    bitwise-symmetric stack, in place, by updating the i/j slices of each
+    mode over the whole stack and then re-reading every entry from its
+    sorted multi-index (O(m n^d)).  ``TensorSet.rotate_plane``, which
+    updates only the packed entries with an index in {i, j}, must match it
+    bitwise."""
     order = stack.ndim - 1
     for axis in range(1, order + 1):
         sl = [slice(None)] * (order + 1)

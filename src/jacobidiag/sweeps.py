@@ -14,9 +14,7 @@ Every variant stops at max_sweeps or when ||Lambda|| falls to the
 stationarity tolerance; cthresh additionally stops on a progress-free sweep.
 A run is strictly sequential; records carry the pre-rotation ||Lambda|| and
 the post-rotation objective.  After every sweep, a stationary stop included,
-Q is re-orthonormalized if its drift ||Q^T Q - I|| exceeds ORTH_TOL, and the
-off-diagonal mass of every row is re-read either way, so the final state's
-``offdiag_sq()`` is a fresh full sum.
+Q is re-orthonormalized if its drift ||Q^T Q - I|| exceeds ORTH_TOL.
 """
 
 from __future__ import annotations
@@ -135,10 +133,9 @@ class IterationRecord:
     """Telemetry for one rotation (or one skipped threshold visit).
 
     f and offdiag_sq are post-rotation; lambda_norm is the pre-rotation
-    gradient norm (the one the pair selection saw).  offdiag_sq is the sum
-    of the state's kept row masses (``RotationState.row_offdiag``): equal
-    to a fresh sum up to rounding relative to offdiag_sq itself, however
-    small it gets."""
+    gradient norm (the one the pair selection saw).  offdiag_sq is a fresh
+    sum over the off-diagonal entries (``TensorSet.offdiag_sq``), accurate
+    relative to itself however small it gets."""
 
     k: int
     sweep: int
@@ -237,8 +234,6 @@ def run(tensors, config=None, q0=None):
                 wall_ms=(time.perf_counter() - t0) * 1e3))
         if state.orthogonality_error() > ORTH_TOL:
             state.reorthonormalize()
-        else:
-            state.recount_offdiag()
         if converged:
             break
         if cfg.method == "cthresh" and not progress:

@@ -1,15 +1,20 @@
-"""Sets of dense symmetric tensors of order 2-4 and the Givens plane kernel.
+"""Sets of symmetric tensors of order 2-4, stored packed, and the Givens
+plane kernel.
 
 There is one container, :class:`TensorSet`: m >= 1 symmetric tensors of a
-common order d and dimension n, stored as one ``(m,) + (n,)*d`` float64
-array so the rotation and gradient kernels vectorize over the set.  A
-single matrix or tensor is the m = 1 case.
+common order d and dimension n.  A single matrix or tensor is the m = 1
+case.  A symmetric tensor has one distinct entry per sorted multi-index
+(a_1 <= ... <= a_d), N = C(n+d-1, d) of them, so the set stores exactly
+those: an entry-major ``packed`` array of shape (N, m), the sorted
+multi-indices in lex order.  Symmetry is a property of the storage, not of
+the values: there are no duplicate entries that could drift apart.  The
+dense ``(m,) + (n,)*d`` array is built on demand (``stack``) for I/O and
+for the reference computations.
 
-Symmetry is an invariant of the values, not of the storage: the validating
-constructor and the whole-set contraction re-read each entry from its sorted
-(canonical) multi-index, and the plane rotation builds the two rows it
-changes once and writes them to every mode, so tensors stay *bitwise*
-symmetric under any sequence of rotations.
+A plane rotation changes only the K entries with an index in {i, j}
+(K = 4,900 of N = 17,550 at d = 4, n = 24).  ``rotate_plane`` gathers
+them, updates them with the elementwise ``c*x +- s*y`` steps of the dense
+mode-by-mode rotation, and scatters them back (see ``_rotation_plan``).
 
 Index convention: all indices and modes are 0-based.
 """
@@ -35,10 +40,6 @@ __all__ = [
 _SUPPORTED_ORDERS = (2, 3, 4)
 SYMMETRY_TOL = 1e-9        # accepted deviation from symmetry, relative to ||T||
 
-# einsum specs keyed by order, for a stack with one leading set axis
-_STACK_DIAG = {2: "aii->ai", 3: "aiii->ai", 4: "aiiii->ai"}
-_STACK_NEAR = {3: "akll->akl", 4: "aklll->akl"}
-
 
 @functools.lru_cache(maxsize=16)
 def _canonical_map(order, dim):
@@ -62,61 +63,126 @@ def _bitwise_symmetric(arr):
     return np.array_equal(flat, flat[_canonical_map(arr.ndim, arr.shape[0])])
 
 
-def _axis_slice(axis, k):
-    """Index selecting entry k of the given axis of a stack or row block."""
-    return (slice(None),) * axis + (k,)
+@functools.lru_cache(maxsize=16)
+def _packing(order, dim):
+    """(reps, pos) of the packed layout: reps[e] is the dense flat index of
+    the e-th sorted multi-index (lex order is ascending flat index), and
+    pos[k] the packed position of dense entry k."""
+    return np.unique(_canonical_map(order, dim), return_inverse=True)
 
 
-def _rotate_planes_stack(stack, i, j, c, s):
-    """Apply G(i,j,theta)^T on every mode of every tensor in the stack, in
-    place, in O(d m n^(d-1)) work.
+@functools.lru_cache(maxsize=16)
+def _diag_positions(order, dim):
+    """Packed positions of the diagonal entries W[k, ..., k], shape (n,)."""
+    return _packing(order, dim)[1][
+        np.arange(dim) * ((dim ** order - 1) // (dim - 1))]
 
-    Only entries with an index in {i, j} change, and by symmetry each one
-    equals an entry of row i or row j of axis 1.  The kernel copies those
-    two rows into a ``(m, 2, n, ..., n)`` block, rotates it on axes 1..d,
-    makes each row symmetric with the order-(d-1) canonical map, copies
-    row i's j-slices into row j's i-slices, and writes both rows into the
-    i and j slices of every axis.
 
-    The result is bitwise what rotating all of the stack mode by mode and
-    then re-reading every entry from its sorted multi-index gives
-    (``oracle.rotate_planes_reference``).  A rotated entry is built by the
-    same elementwise ``c*x +- s*y`` steps in axis order from entries of a
-    bitwise-symmetric input, so its value depends only on the sequence of
-    i/j labels on its hit axes and on the multiset of its other indices.
-    The sorted multi-index puts every i before every j, and so does the
-    block's representative (row i, rest sorted; row j only when no index
-    is i).
+@functools.lru_cache(maxsize=16)
+def _near_positions(order, dim):
+    """Packed positions of W[k, p, ..., p], shape (n, n)."""
+    tail = dim ** (order - 1)
+    k, p = np.ogrid[:dim, :dim]
+    return _packing(order, dim)[1][k * tail + p * ((tail - 1) // (dim - 1))]
+
+
+@functools.lru_cache(maxsize=16)
+def _offdiag_weights(order, dim):
+    """(N, 1) number of dense entries each packed entry stands for, 0 on
+    the diagonal."""
+    weights = np.bincount(_packing(order, dim)[1]).astype(np.float64)
+    weights[_diag_positions(order, dim)] = 0.0
+    return weights[:, None]
+
+
+@functools.lru_cache(maxsize=16)
+def _rotation_plan(order, dim):
+    """Index tables (row_i, row_j, levels) of the packed plane rotation,
+    built once per (d, n).
+
+    A touched entry has t >= 1 indices in {i, j} (its hit axes) and a rest
+    multiset R of d - t indices outside {i, j}; the t + 1 entries of one
+    (t, R) form a block.  The dense rotation
+    (``oracle.rotate_planes_reference``) updates the hit axes in axis
+    order, so after p of them an entry's value depends only on the labels
+    already processed and on the number q of i's among the t - p
+    unprocessed hit indices.  For a sorted representative the processed
+    labels are i^a j^(p-a).  Level p of a block holds its (p+1)(t-p+1)
+    states (a, q), each one step ``c * S[A] +- s * S[B]`` from level
+    p - 1:
+
+        last label i (a = p):  A = (a-1, q+1),  B = (a-1, q),    sign +
+        last label j (a < p):  A = (a, q),      B = (a, q+1),    sign -
+
+    which is bitwise the reference's ``c*ti + s*tj`` and ``c*tj - s*ti``.
+    Level 0 is the touched entries, ordered by (t, number of i's, block);
+    at level t the blocks with t hits are done, in that same order.
+
+    A level's states run block-minor: the sign - states first, then the
+    sign + ones, with the finished blocks between them, so a level is one
+    gather of its A rows and B rows, two scalar products, one difference,
+    one sum, and one scatter of the slice [lo, hi) that is done; ``minus``
+    counts the sign - rows.
+
+    The touched entries' dense indices split as ``row_i[i] + row_j[j]``:
+    rest labels u in [0, n-2) map to u + [u >= i] + [u >= j - 1], which
+    skips i and j; the first part depends on i alone, the second on j
+    alone.  So no table is keyed by the pair: the two (n, K) row tables,
+    K = O(n^(d-1)), are O(n^d) like the position table.
     """
-    order = stack.ndim - 1
-    rows = stack[:, [i, j]]          # a copy; rows i and j at 0 and 1
-    for axis in range(1, order + 1):
-        a, b = (0, 1) if axis == 1 else (i, j)
-        idx_i, idx_j = _axis_slice(axis, a), _axis_slice(axis, b)
-        ti = rows[idx_i].copy()
-        tj = rows[idx_j]
-        rows[idx_i] = c * ti + s * tj
-        rows[idx_j] = c * tj - s * ti
-    rows = np.take(rows.reshape(2 * stack.shape[0], -1),
-                   _canonical_map(order - 1, stack.shape[-1]),
-                   axis=1).reshape(rows.shape)
-    row_i, row_j = rows[:, 0], rows[:, 1]
-    for axis in range(1, order):
-        row_j[_axis_slice(axis, i)] = row_i[_axis_slice(axis, j)]
-    for axis in range(1, order + 1):
-        stack[_axis_slice(axis, i)] = row_i
-        stack[_axis_slice(axis, j)] = row_j
+    strides = dim ** np.arange(order - 1, -1, -1)
+    ij = np.arange(dim)[:, None, None]              # i, or j, per table row
+    blocks, start, row_i, row_j, k = {}, {}, [], [], 0
+    for t in range(1, order + 1):
+        r = order - t
+        combos = list(itertools.combinations_with_replacement(
+            range(dim - 2), r))
+        rest = np.array(combos, dtype=np.intp).reshape(len(combos), r)
+        blocks[t] = len(combos)
+        part_i = ((rest + (rest >= ij)) * strides[:r]).sum(axis=-1)
+        part_j = ((rest >= ij - 1) * strides[:r]).sum(axis=-1)
+        for x in range(t + 1):          # x hit axes take i, the rest j
+            start[0, t, 0, x] = k
+            k += blocks[t]
+            row_i.append(part_i + ij[:, :, 0] * strides[r:r + x].sum())
+            row_j.append(part_j + ij[:, :, 0] * strides[r + x:].sum())
+
+    def rows(p, t, a, q):
+        return np.arange(start[p, t, a, q], start[p, t, a, q] + blocks[t])
+
+    levels = []
+    for p in range(1, order + 1):
+        later = range(p + 1, order + 1)
+        minus = [(t, a, q) for t in later for a in range(p)
+                 for q in range(t - p + 1)] + [(p, a, 0) for a in range(p)]
+        plus = [(p, p, 0)] + [(t, p, q) for t in later
+                              for q in range(t - p + 1)]
+        a_rows, b_rows, row = [], [], 0
+        for t, a, q in minus + plus:
+            start[p, t, a, q] = row
+            row += blocks[t]
+            if a == p:
+                a_rows.append(rows(p - 1, t, a - 1, q + 1))
+                b_rows.append(rows(p - 1, t, a - 1, q))
+            else:
+                a_rows.append(rows(p - 1, t, a, q))
+                b_rows.append(rows(p - 1, t, a, q + 1))
+        levels.append((np.concatenate(a_rows + b_rows),
+                       sum(blocks[t] for t, _, _ in minus),
+                       start[p, p, 0, 0], start[p, p, p, 0] + blocks[p]))
+    return np.hstack(row_i), np.hstack(row_j), tuple(levels)
 
 
 def _apply_orthogonal_stack(stack, q):
-    """Return the stack with every tensor contracted with q^T on all modes."""
+    """Return the stack with every tensor contracted with q^T on all modes.
+
+    The result is dense and symmetric only up to rounding; packing it keeps
+    the entry at each sorted multi-index."""
     order = stack.ndim - 1
     qt = np.ascontiguousarray(q.T)
     out = stack
     for axis in range(1, order + 1):
         out = np.moveaxis(np.tensordot(qt, out, axes=([1], [axis])), 0, axis)
-    out = np.ascontiguousarray(out)
-    _canonicalize_stack(out)
     return out
 
 
@@ -206,32 +272,45 @@ def multi_mode_product(tensor, matrix):
 
 class TensorSet:
     """m >= 1 symmetric tensors of common order d in {2, 3, 4} and dimension
-    n >= 2, stored as one stacked ``(m,) + (n,)*d`` array.
+    n >= 2, stored as ``packed``: their entries at the N = C(n+d-1, d)
+    sorted multi-indices, in lex order, as an (N, m) array.
 
     ``TensorSet(arrays)`` takes one ``(n,)*d`` array (m = 1) or a list or
     tuple of them.  It copies, checks that every entry is finite and every
-    member symmetric within ``SYMMETRY_TOL * ||T||``, and canonicalizes, so
-    ``stack`` is bitwise symmetric afterwards.
+    member symmetric within ``SYMMETRY_TOL * ||T||``, and keeps the entry
+    at each sorted multi-index.  ``stack`` builds the dense
+    ``(m,) + (n,)*d`` array afresh on every read; nothing ``sweeps.run``
+    does per rotation reads it.
     """
 
-    __slots__ = ("stack",)
+    __slots__ = ("packed", "order", "dim")
 
     def __init__(self, arrays):
-        # C order, so rows and members are views of the stack, not copies
         if isinstance(arrays, (list, tuple)):
             # np.stack raises ValueError for an empty list or unequal shapes
-            stack = np.ascontiguousarray(np.stack(arrays, dtype=np.float64))
+            stack = np.stack(arrays, dtype=np.float64)
         else:
-            stack = np.array(arrays, dtype=np.float64, order="C")[None]
+            stack = np.asarray(arrays, dtype=np.float64)[None]
         _check_members(stack)
-        _canonicalize_stack(stack)
-        self.stack = stack
+        self._pack(stack)
+
+    def _pack(self, stack):
+        self.order, self.dim = stack.ndim - 1, stack.shape[-1]
+        reps = _packing(self.order, self.dim)[0]
+        self.packed = stack.reshape(stack.shape[0], -1).T[reps]
 
     @classmethod
     def _wrap(cls, stack):
-        """Trusted constructor: no copy, no checks (internal use)."""
+        """Trusted constructor from a dense stack: keeps the entry at each
+        sorted multi-index, no checks (internal use)."""
         obj = cls.__new__(cls)
-        obj.stack = stack
+        obj._pack(stack)
+        return obj
+
+    @classmethod
+    def _from_packed(cls, packed, order, dim):
+        obj = cls.__new__(cls)
+        obj.packed, obj.order, obj.dim = packed, order, dim
         return obj
 
     @classmethod
@@ -243,73 +322,88 @@ class TensorSet:
         n = values.size
         if n < 2 or not np.all(np.isfinite(values)):
             raise ValueError("a diagonal needs n >= 2 finite entries")
-        stack = np.zeros((1,) + (n,) * order)
-        stack[(0,) + (np.arange(n),) * order] = values
-        return cls._wrap(stack)
+        packed = np.zeros((math.comb(n + order - 1, order), 1))
+        packed[_diag_positions(order, n), 0] = values
+        return cls._from_packed(packed, order, n)
 
     @property
-    def order(self):
-        return self.stack.ndim - 1
-
-    @property
-    def dim(self):
-        return self.stack.shape[-1]
+    def stack(self):
+        """Dense ``(m,) + (n,)*d`` copy of the set, built on every read."""
+        dense = np.take(self.packed, _packing(self.order, self.dim)[1], axis=0)
+        return np.ascontiguousarray(dense.T).reshape(
+            (len(self),) + (self.dim,) * self.order)
 
     def __len__(self):
-        return self.stack.shape[0]
+        return self.packed.shape[1]
 
     def copy(self):
-        return TensorSet._wrap(self.stack.copy())
+        return TensorSet._from_packed(self.packed.copy(), self.order, self.dim)
+
+    def _gather(self, positions):
+        """(m,) + positions.shape C-contiguous array of packed entries."""
+        out = np.take(self.packed, positions, axis=0)
+        return np.ascontiguousarray(
+            out.transpose((out.ndim - 1,) + tuple(range(out.ndim - 1))))
+
+    def entries(self, flat):
+        """(m,) + flat.shape array of the entries at the given flat indices
+        of a dense member."""
+        return self._gather(_packing(self.order, self.dim)[1][flat])
 
     def frob_sq(self):
-        return float(np.vdot(self.stack, self.stack))
+        """||T||^2, summed over the dense expansion (O(m n^d))."""
+        stack = self.stack
+        return float(np.vdot(stack, stack))
 
     def diags(self):
         """(m, n) array of diagonal vectors (W[j, j, ..., j])_j."""
-        return np.einsum(_STACK_DIAG[self.order], self.stack)
+        return self._gather(_diag_positions(self.order, self.dim))
 
     def diag_sq_norm(self):
         """Sum of squared diagonal entries over the set (the objective f)."""
         d = self.diags()
         return float(np.vdot(d, d))
 
-    def row_offdiag_sq(self, rows):
-        """(m, len(rows)) squared off-diagonal mass of the given rows of
-        axis 1, row r holding the entries W[r, ...].
-
-        Each row is summed directly over its entries except its diagonal
-        entry W[r, ..., r], which sits at flat position
-        ``r * (n^(d-1) - 1) / (n - 1)`` of the row; the sum skips it rather
-        than subtracting it.  Over all n rows the masses add up to the whole
-        off-diagonal mass (``oracle.offdiag_sq_norm``).  O(m n^(d-1)) work
-        per row, no copy."""
-        n = self.dim
-        step = (n ** (self.order - 1) - 1) // (n - 1)
-        flat = self.stack.reshape(len(self), n, -1)
-        out = np.empty((len(self), len(rows)))
-        for k, r in enumerate(rows):
-            head = flat[:, r, :r * step]
-            tail = flat[:, r, r * step + 1:]
-            out[:, k] = np.vecdot(head, head) + np.vecdot(tail, tail)
-        return out
+    def offdiag_sq(self):
+        """Squared off-diagonal mass, summed afresh: every off-diagonal
+        packed entry squared, times the number of dense entries it stands
+        for.  O(m N) work, no subtraction."""
+        weights = _offdiag_weights(self.order, self.dim)
+        return float(np.vdot(self.packed, weights * self.packed))
 
     def near_diag(self):
         """(m, n, n) array N with N[l, k, p] = W^(l)[k, p, p, ..., p]."""
-        if self.order == 2:
-            return self.stack.copy()
-        return np.einsum(_STACK_NEAR[self.order], self.stack)
+        return self._gather(_near_positions(self.order, self.dim))
 
     def rotate_plane(self, i, j, theta):
         """In-place Givens rotation of all modes of every member tensor.
 
-        Rotates rows i and j once and writes them to the i/j slices of
-        every mode: O(d m n^(d-1)) work, bitwise symmetric afterwards (see
-        ``_rotate_planes_stack``).
+        Gathers the O(m n^(d-1)) packed entries with an index in {i, j},
+        takes the plan's d steps, each one gather, two scalar products, a
+        difference and a sum, and scatters each level's finished entries
+        back: bitwise what the dense rotation
+        (``oracle.rotate_planes_reference``) gives; see ``_rotation_plan``.
         """
         if not (0 <= i < j < self.dim):
             raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, "
                              f"n={self.dim}")
-        _rotate_planes_stack(self.stack, i, j, math.cos(theta), math.sin(theta))
+        c, s = math.cos(theta), math.sin(theta)
+        row_i, row_j, levels = _rotation_plan(self.order, self.dim)
+        touched = _packing(self.order, self.dim)[1].take(row_i[i] + row_j[j])
+        level = np.take(self.packed, touched, axis=0)
+        done = 0
+        for rows, minus, lo, hi in levels:
+            prod = np.take(level, rows, axis=0)
+            half = rows.size // 2
+            prod[:half] *= c
+            prod[half:] *= s
+            level = prod[:half]
+            np.subtract(level[:minus], prod[half:half + minus],
+                        out=level[:minus])
+            np.add(level[minus:], prod[half + minus:], out=level[minus:])
+            # the blocks finished at this level, back to their entries
+            self.packed[touched[done:done + hi - lo]] = level[lo:hi]
+            done += hi - lo
         return self
 
     def rotated_by(self, q):
@@ -329,11 +423,11 @@ class TensorSet:
 def save_tensorset(path, tensors):
     ts = tensors if isinstance(tensors, TensorSet) else TensorSet(tensors)
     d, n, m = ts.order, ts.dim, len(ts)
+    stack = ts.stack
     with open(path, "w") as fh:
         fh.write(f"symtensor v1 d={d} n={n} m={m}\n")
-        for ell in range(m):
-            rows = ts.stack[ell].reshape(-1, n)
-            for row in rows:
+        for member in stack:
+            for row in member.reshape(-1, n):
                 fh.write(" ".join(f"{v:.17g}" for v in row))
                 fh.write("\n")
 

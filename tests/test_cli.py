@@ -45,6 +45,14 @@ def test_gen_invalid_order_exits_2(tmp_path):
     assert cli.main(gen_args(out, **{"--d": "5"})) == 2
 
 
+def test_gen_unallocatable_size_exits_2(tmp_path, capsys):
+    # the n x n rotation alone would take 728 TiB: numpy refuses it at once
+    out = tmp_path / "x.st"
+    assert cli.main(gen_args(out, **{"--n": "10000000", "--d": "4"})) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_writes_csv(tmp_path, capsys):
     problem = tmp_path / "p.st"
     cli.main(gen_args(problem))

@@ -185,8 +185,9 @@ def test_trajectories_match_reference_kernel_bitwise(monkeypatch):
     ts, _ = make_test_problem(spec)
 
     def reference_rotate_plane(self, i, j, theta):
-        rotate_planes_reference(self.stack, i, j, math.cos(theta),
-                                math.sin(theta))
+        stack = self.stack
+        rotate_planes_reference(stack, i, j, math.cos(theta), math.sin(theta))
+        self.packed = TensorSet._wrap(stack).packed
         return self
 
     def trajectory(method):
@@ -221,15 +222,13 @@ def test_forced_reorthonormalization_keeps_ascent(monkeypatch):
 @pytest.mark.parametrize("method", sweeps.METHODS)
 @pytest.mark.parametrize("order,sigma", [(2, 0.0), (3, 0.0), (3, 1e-2)])
 def test_final_offdiag_is_a_fresh_sum(method, order, sigma):
-    # the per-sweep recount leaves offdiag_sq() equal to a direct sum over
-    # the off-diagonal entries, also at ~1e-31 of the total (order 2,
-    # sigma = 0) and ~1e-21..1e-25 (order 3, sigma = 0)
+    # offdiag_sq(), a weighted sum over the packed entries, equals a direct
+    # sum over the dense off-diagonal entries, also at ~1e-31 of the total
+    # (order 2, sigma = 0) and ~1e-21..1e-25 (order 3, sigma = 0)
     spec = ExperimentSpec(n=6, order=order, m=2, sigma=sigma, seed_rot=6,
                           seed_noise=7)
     ts, _ = make_test_problem(spec)
     state = run(ts, RunConfig(method=method)).state
-    assert np.array_equal(state.row_offdiag,
-                          state.tensors.row_offdiag_sq(range(state.dim)))
     fresh = offdiag_sq_norm(state.tensors)
     assert abs(state.offdiag_sq() - fresh) <= 1e-13 * fresh
     if sigma == 0.0:
@@ -241,8 +240,6 @@ def test_reorthonormalization_recounts_offdiag(monkeypatch):
     monkeypatch.setattr(sweeps, "ORTH_TOL", 0.0)     # rebuild every sweep
     state = run(noisy_problem(4), RunConfig(method="c", max_sweeps=5)).state
     assert state.reorth_count > 0
-    assert np.array_equal(state.row_offdiag,
-                          state.tensors.row_offdiag_sq(range(state.dim)))
     fresh = offdiag_sq_norm(state.tensors)
     assert abs(state.offdiag_sq() - fresh) <= 1e-13 * fresh
 

@@ -130,7 +130,7 @@ def test_rotate_bad_pair_rejected():
             t.rotate_plane(i, j, 0.1)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
 @pytest.mark.parametrize("m", [1, 3])
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_row_kernel_matches_reference_bitwise(order, m, n):
@@ -150,6 +150,18 @@ def test_row_kernel_matches_reference_bitwise(order, m, n):
         assert np.array_equal(ts.stack, ref), (i, j, theta)
         for member in ts.stack:
             assert symmetry_error(member) == 0.0
+        fresh = offdiag_sq_norm(ts)
+        assert abs(ts.offdiag_sq() - fresh) <= 1e-13 * fresh
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_packed_storage_holds_one_entry_per_sorted_index(order, m):
+    rng = np.random.default_rng(90 + 10 * order + m)
+    n = 5
+    ts = TensorSet([symmetrize(rng.standard_normal((n,) * order))
+                    for _ in range(m)])
+    assert ts.packed.shape == (math.comb(n + order - 1, order), m)
 
 
 # ---------------------------------------------------------------------------
