@@ -57,8 +57,8 @@ class ExperimentSpec:
             raise ValueError("order must be 2, 3 or 4")
         if self.m < 1:
             raise ValueError("need m >= 1")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and nonnegative")
         if self.slice_mode and self.order != 4:
             raise ValueError("slice mode cuts a 4th-order tensor")
 
@@ -255,9 +255,11 @@ def verify_invariants(tensors, seed=0, samples=40):
     Covers: analytic gradient vs central finite differences, the rational
     identities of the restricted objective (orders 2 and 3), algebraic vs
     brute-force angle maximization, and the f + offdiag = total partition.
-    Residuals are relative to ||T||^2; a set whose squared norm is 0 or
-    non-finite is refused with ValueError by RotationState.
+    Residuals are relative to ||T||^2.  ValueError: samples < 1 (nothing
+    checked), or a squared norm that is 0 or non-finite (RotationState).
     """
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     # imported here, so that importing the solver does not load the oracle
     from .oracle import (brute_force_angle, finite_difference_h_prime,
                          h_prime_at_zero, h_tilde, tau, tau_identity_check)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .angles import _BINOM, AngleResult, SubproblemView
 from .geometry import QUARTER_PI
-from .symtensor import _canonicalize_stack, multi_mode_product
+from .symtensor import multi_mode_product
 
 __all__ = [
     "proximal_gamma",
@@ -180,6 +180,12 @@ def omega_xi_coeffs_expanded(view):
     return np.array([a, b, 4 * a + c, 3 * b + dd, 2 * a + 2 * c + e])
 
 
+def _canonical_map(order, dim):
+    """Dense flat index of every entry's sorted multi-index, by sorting."""
+    idx = np.indices((dim,) * order).reshape(order, -1)
+    return np.ravel_multi_index(tuple(np.sort(idx, axis=0)), (dim,) * order)
+
+
 def rotate_planes_reference(stack, i, j, c, s):
     """Apply G(i,j,theta)^T on every mode of every tensor in a dense,
     bitwise-symmetric stack, in place, by updating the i/j slices of each
@@ -198,7 +204,8 @@ def rotate_planes_reference(stack, i, j, c, s):
         tj = stack[idx_j]
         stack[idx_i] = c * ti + s * tj
         stack[idx_j] = c * tj - s * ti
-    _canonicalize_stack(stack)
+    canon = _canonical_map(order, stack.shape[-1])
+    stack[...] = stack.reshape(len(stack), -1)[:, canon].reshape(stack.shape)
 
 
 def rotated_view(view, theta):

@@ -11,6 +11,10 @@ the values: there are no duplicate entries that could drift apart.  The
 dense ``(m,) + (n,)*d`` array is built on demand (``stack``) for I/O and
 for the reference computations.
 
+Dense input is checked for symmetry once, by one gather per axis
+permutation at the sorted multi-indices (``_orbit``); the constructor keeps
+the sorted entries, the loader and ``symmetrize`` average uneven members.
+
 A plane rotation changes only the K entries with an index in {i, j}
 (K = 4,900 of N = 17,550 at d = 4, n = 24).  ``rotate_plane`` gathers
 them, updates them with the elementwise ``c*x +- s*y`` steps of the dense
@@ -41,34 +45,27 @@ _SUPPORTED_ORDERS = (2, 3, 4)
 SYMMETRY_TOL = 1e-9        # accepted deviation from symmetry, relative to ||T||
 
 
-@functools.lru_cache(maxsize=16)
-def _canonical_map(order, dim):
-    """Flat-index gather map sending every entry to its sorted multi-index."""
-    idx = np.indices((dim,) * order).reshape(order, -1)
-    return np.ravel_multi_index(tuple(np.sort(idx, axis=0)), (dim,) * order)
-
-
-def _canonicalize_stack(stack):
-    """Rewrite each entry with the value at its sorted multi-index (in place,
-    in any memory layout: the reshape is a copy unless C-contiguous)."""
-    order = stack.ndim - 1
-    dim = stack.shape[-1]
-    flat = stack.reshape(stack.shape[0], -1)
-    stack[...] = np.take(flat, _canonical_map(order, dim),
-                         axis=1).reshape(stack.shape)
-
-
-def _bitwise_symmetric(arr):
-    flat = arr.reshape(-1)
-    return np.array_equal(flat, flat[_canonical_map(arr.ndim, arr.shape[0])])
+def _orbit_index(order, dim, reps):
+    """(d!, N) flat indices: row r reads ``T.transpose(p)`` at the sorted
+    multi-indices ``reps``, p the r-th of ``itertools.permutations``.
+    ``T.transpose(p)[a]`` is ``T[c]`` with ``c[p[k]] = a[k]``, whose flat
+    index is the sum over k of ``a[k] * stride[p[k]]``."""
+    perms = np.array(list(itertools.permutations(range(order))))
+    strides = dim ** np.arange(order - 1, -1, -1)
+    return strides[perms] @ np.array(np.unravel_index(reps, (dim,) * order))
 
 
 @functools.lru_cache(maxsize=16)
 def _packing(order, dim):
     """(reps, pos) of the packed layout: reps[e] is the dense flat index of
     the e-th sorted multi-index (lex order is ascending flat index), and
-    pos[k] the packed position of dense entry k."""
-    return np.unique(_canonical_map(order, dim), return_inverse=True)
+    pos[k] the packed position of dense entry k, scattered from every axis
+    permutation of the sorted multi-indices."""
+    combos = itertools.combinations_with_replacement(range(dim), order)
+    reps = np.ravel_multi_index(np.array(list(combos)).T, (dim,) * order)
+    pos = np.empty(dim ** order, dtype=np.intp)
+    pos[_orbit_index(order, dim, reps)] = np.arange(reps.size)
+    return reps, pos
 
 
 @functools.lru_cache(maxsize=16)
@@ -173,17 +170,33 @@ def _rotation_plan(order, dim):
     return np.hstack(row_i), np.hstack(row_j), tuple(levels)
 
 
-def _apply_orthogonal_stack(stack, q):
-    """Return the stack with every tensor contracted with q^T on all modes.
+def _orbit(stack):
+    """(d!, N, m) orbit values of a dense stack (row 0: the sorted entries)
+    and their (N, m) spread, max - min over the rows: bitwise the largest
+    |T - T.transpose(p)| within the orbit, since rounding is monotone; 0
+    everywhere iff a member is bitwise symmetric, NaN at a NaN."""
+    order, dim = stack.ndim - 1, stack.shape[-1]
+    flat = _orbit_index(order, dim, _packing(order, dim)[0])
+    orbit = np.take(stack.reshape(len(stack), -1).T, flat, axis=0)
+    return orbit, orbit.max(axis=0) - orbit.min(axis=0)
 
-    The result is dense and symmetric only up to rounding; packing it keeps
-    the entry at each sorted multi-index."""
-    order = stack.ndim - 1
-    qt = np.ascontiguousarray(q.T)
-    out = stack
-    for axis in range(1, order + 1):
-        out = np.moveaxis(np.tensordot(qt, out, axes=([1], [axis])), 0, axis)
-    return out
+
+def _symmetrized(orbit, spread):
+    """(N, m) packed entries: a member's sorted entries where its spread is 0
+    everywhere, else its orbit sum (``itertools.permutations`` order) over
+    d!, which is bitwise the sum of its d! transposes over d!."""
+    packed = orbit[0].copy()
+    uneven = np.any(spread != 0, axis=0)
+    packed[:, uneven] = orbit[:, :, uneven].sum(axis=0) / len(orbit)
+    return packed
+
+
+def _cubical(tensor):
+    """One cubical array of a supported order, as a (1,) + (n,)*d stack."""
+    arr = np.asarray(tensor, dtype=np.float64)
+    if arr.ndim not in _SUPPORTED_ORDERS or len(set(arr.shape)) != 1:
+        raise ValueError(f"bad tensor shape {arr.shape}")
+    return arr[None]
 
 
 def symmetrize(tensor):
@@ -192,36 +205,24 @@ def symmetrize(tensor):
     The result is bitwise symmetric; already bitwise-symmetric input is
     returned as an exact copy.
     """
-    arr = np.array(tensor, dtype=np.float64)
-    if arr.ndim not in _SUPPORTED_ORDERS:
-        raise ValueError(f"unsupported tensor order {arr.ndim}")
-    if len(set(arr.shape)) != 1:
-        raise ValueError(f"tensor is not cubical: shape {arr.shape}")
-    if _bitwise_symmetric(arr):
-        return arr
-    acc = np.zeros_like(arr)
-    for perm in itertools.permutations(range(arr.ndim)):
-        acc += arr.transpose(perm)
-    acc /= math.factorial(arr.ndim)
-    _canonicalize_stack(acc[None])
-    return acc
+    stack = _cubical(tensor)
+    return TensorSet._from_packed(_symmetrized(*_orbit(stack)),
+                                  stack.ndim - 1, stack.shape[-1]).stack[0]
 
 
 def symmetry_error(tensor):
-    """Max absolute deviation from full symmetry over all index permutations."""
-    arr = np.asarray(tensor, dtype=np.float64)
-    err = 0.0
-    for perm in itertools.permutations(range(arr.ndim)):
-        err = max(err, float(np.max(np.abs(arr - arr.transpose(perm)))))
-    return err
+    """Max absolute deviation from full symmetry over all index permutations:
+    the largest orbit spread (NaN if the tensor holds a NaN)."""
+    return float(np.max(_orbit(_cubical(tensor))[1]))
 
 
 def _check_members(stack):
     """Raise ValueError unless the stack holds finite cubical tensors of a
-    supported order and n >= 2, each symmetric within SYMMETRY_TOL * ||T||.
+    supported order and n >= 2, each with its largest orbit spread within
+    SYMMETRY_TOL * ||T||; return ``_orbit(stack)``.
 
-    Finiteness is checked first: the symmetry deviation of a symmetric pair
-    of infinities is NaN, which no threshold comparison rejects.
+    Finiteness is checked first: the spread of a pair of equal infinities
+    is NaN, which no threshold comparison rejects.
     """
     order = stack.ndim - 1
     if order not in _SUPPORTED_ORDERS:
@@ -230,8 +231,8 @@ def _check_members(stack):
         raise ValueError(f"bad tensor shape {stack.shape[1:]}")
     if not np.all(np.isfinite(stack)):
         raise ValueError("tensor entries must be finite")
-    for ell, arr in enumerate(stack):
-        err = symmetry_error(arr)
+    orbit, spread = _orbit(stack)
+    for ell, (arr, err) in enumerate(zip(stack, spread.max(axis=0))):
         # ||T|| = amax * ||T / amax||: compared in units of amax, neither
         # side overflows or underflows at extreme scales
         amax = float(np.max(np.abs(arr)))
@@ -240,6 +241,7 @@ def _check_members(stack):
             raise ValueError(
                 f"tensor {ell} is not symmetric: deviation {err:.3e} exceeds "
                 f"{SYMMETRY_TOL:g} * ||T||")
+    return orbit, spread
 
 
 def mode_product(tensor, matrix, mode):
@@ -291,21 +293,18 @@ class TensorSet:
             stack = np.stack(arrays, dtype=np.float64)
         else:
             stack = np.asarray(arrays, dtype=np.float64)[None]
-        _check_members(stack)
-        self._pack(stack)
-
-    def _pack(self, stack):
+        orbit, _ = _check_members(stack)
+        self.packed = orbit[0].copy()
         self.order, self.dim = stack.ndim - 1, stack.shape[-1]
-        reps = _packing(self.order, self.dim)[0]
-        self.packed = stack.reshape(stack.shape[0], -1).T[reps]
 
     @classmethod
     def _wrap(cls, stack):
         """Trusted constructor from a dense stack: keeps the entry at each
         sorted multi-index, no checks (internal use)."""
-        obj = cls.__new__(cls)
-        obj._pack(stack)
-        return obj
+        order, dim = stack.ndim - 1, stack.shape[-1]
+        reps = _packing(order, dim)[0]
+        return cls._from_packed(stack.reshape(stack.shape[0], -1).T[reps],
+                                order, dim)
 
     @classmethod
     def _from_packed(cls, packed, order, dim):
@@ -407,12 +406,18 @@ class TensorSet:
         return self
 
     def rotated_by(self, q):
-        """New TensorSet with every tensor contracted with q^T on all modes."""
+        """New TensorSet with every tensor contracted with q^T on all modes,
+        packed at the sorted entries (the product is symmetric only up to
+        rounding)."""
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dim, self.dim):
             raise ValueError(
                 f"matrix shape {q.shape} does not match dim {self.dim}")
-        return TensorSet._wrap(_apply_orthogonal_stack(self.stack, q))
+        qt = np.ascontiguousarray(q.T)
+        out = self.stack
+        for axis in range(1, self.order + 1):
+            out = mode_product(out, qt, axis)
+        return TensorSet._wrap(out)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +440,10 @@ def save_tensorset(path, tensors):
 def load_tensorset(path):
     """Read a tensor set.
 
-    Each member is checked once (finite entries, symmetric within
-    SYMMETRY_TOL * ||T||); members that are not bitwise symmetric are
-    replaced by their permutation average.
+    Each member is checked once, from one gather of its orbit values
+    (finite entries, largest orbit spread within SYMMETRY_TOL * ||T||).  A
+    member whose spread is 0 everywhere keeps its sorted entries; any other
+    member is replaced by its permutation average.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -455,11 +461,9 @@ def load_tensorset(path):
         raise ValueError(
             f"expected {m * n**d} values in {path}, found {len(body)}")
     stack = np.array(body, dtype=np.float64).reshape((m,) + (n,) * d)
+    del body    # m n^d strings: freed before the check allocates
     try:
-        _check_members(stack)
+        orbit, spread = _check_members(stack)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    for arr in stack:
-        if not _bitwise_symmetric(arr):
-            arr[...] = symmetrize(arr)
-    return TensorSet._wrap(stack)
+    return TensorSet._from_packed(_symmetrized(orbit, spread), d, n)

@@ -178,3 +178,23 @@ def test_verify_failure_exits_3(tmp_path, monkeypatch, capsys):
     code = cli.main(["verify", "--in", str(problem)])
     assert code == 3
     assert "FAIL doom" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_gen_non_finite_sigma_exits_2(tmp_path, capsys, sigma):
+    out = tmp_path / "p.st"
+    assert cli.main(gen_args(out, **{"--sigma": sigma})) == 2
+    assert "sigma must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_without_samples_exits_2(tmp_path, capsys, samples):
+    problem = tmp_path / "p.st"
+    cli.main(gen_args(problem))
+    capsys.readouterr()
+    code = cli.main(["verify", "--in", str(problem), "--samples", samples])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "samples >= 1" in captured.err
+    assert "PASS" not in captured.out

@@ -1,13 +1,15 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from jacobidiag.oracle import offdiag_sq_norm, rotate_planes_reference
-from jacobidiag.symtensor import (TensorSet, load_tensorset, mode_product,
-                                  multi_mode_product, save_tensorset,
-                                  symmetrize, symmetry_error)
+from jacobidiag.oracle import (_canonical_map, offdiag_sq_norm,
+                               rotate_planes_reference)
+from jacobidiag.symtensor import (TensorSet, _packing, load_tensorset,
+                                  mode_product, multi_mode_product,
+                                  save_tensorset, symmetrize, symmetry_error)
 
 
 def random_symtensor(order, dim, seed, scale=1.0):
@@ -354,3 +356,74 @@ def test_load_rejects_non_finite_entries(tmp_path, body):
     p.write_text("symtensor v1 d=2 n=2 m=1\n" + body)
     with pytest.raises(ValueError, match="finite"):
         load_tensorset(p)
+
+
+# ---------------------------------------------------------------------------
+# symmetry from the packed layout, against dense references
+
+def dense_symmetrize(arr):
+    """The d!-transpose sum divided by d!, then every entry read at its
+    sorted multi-index through the oracle's sort-based map."""
+    acc = np.zeros_like(arr)
+    for perm in itertools.permutations(range(arr.ndim)):
+        acc += arr.transpose(perm)
+    acc /= math.factorial(arr.ndim)
+    return acc.reshape(-1)[_canonical_map(arr.ndim, arr.shape[0])].reshape(
+        arr.shape)
+
+
+def dense_symmetry_error(arr):
+    """Largest |T - T.transpose(p)| over all entries and permutations."""
+    return max(float(np.max(np.abs(arr - arr.transpose(perm))))
+               for perm in itertools.permutations(range(arr.ndim)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_packing_matches_sort_based_canonical_map(order, n):
+    reps, pos = _packing(order, n)
+    assert reps.size == math.comb(n + order - 1, order)
+    assert np.all(np.diff(reps) > 0)
+    assert np.array_equal(reps[pos], _canonical_map(order, n))
+    assert np.array_equal(pos[reps], np.arange(reps.size))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_symmetrize_matches_dense_reference_bitwise(order):
+    rng = np.random.default_rng(400 + order)
+    for n in (2, 3, 5):
+        for _ in range(3):
+            raw = rng.standard_normal((n,) * order)
+            out = symmetrize(raw)
+            assert out.tobytes() == dense_symmetrize(raw).tobytes()
+            assert symmetrize(out).tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_load_averages_like_dense_reference_bitwise(order, tmp_path):
+    # member 0 is bitwise symmetric and kept, member 1 is averaged
+    rng = np.random.default_rng(410 + order)
+    n = 4
+    base = symmetrize(rng.standard_normal((n,) * order))
+    tiny = base + 1e-12 * rng.standard_normal(base.shape)
+    path = tmp_path / "pair.st"
+    rows = [" ".join(f"{v:.17g}" for v in row)
+            for row in np.stack([base, tiny]).reshape(-1, n)]
+    path.write_text(f"symtensor v1 d={order} n={n} m=2\n"
+                    + "\n".join(rows) + "\n")
+    expected = np.stack([base, dense_symmetrize(tiny)])
+    assert load_tensorset(path).stack.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_symmetry_error_matches_dense_pairwise_max(order):
+    rng = np.random.default_rng(420 + order)
+    for n in (2, 3, 5):
+        raw = rng.standard_normal((n,) * order)
+        near = symmetrize(raw) + 1e-12 * raw
+        for arr in (raw, near, symmetrize(raw)):
+            assert symmetry_error(arr) == dense_symmetry_error(arr)
+
+
+def test_symmetry_error_is_nan_on_nan():
+    assert math.isnan(symmetry_error([[1.0, np.nan], [np.nan, 2.0]]))
