@@ -16,9 +16,12 @@ permutation at the sorted multi-indices (``_orbit``); the constructor keeps
 the sorted entries, the loader and ``symmetrize`` average uneven members.
 
 A plane rotation changes only the K entries with an index in {i, j}
-(K = 4,900 of N = 17,550 at d = 4, n = 24).  ``rotate_plane`` gathers
-them, updates them with the elementwise ``c*x +- s*y`` steps of the dense
-mode-by-mode rotation, and scatters them back (see ``_rotation_plan``).
+(K = 4,900 of N = 17,550 at d = 4, n = 24).  They fall into blocks of the
+t + 1 entries i^a j^(t-a) R with t indices in {i, j}, and the rotation
+maps each block by S_t, the t-th symmetric power of the 2 x 2 Givens
+matrix.  ``rotate_plane`` gathers them, applies one matrix product per t
+and scatters them back (see ``_rotation_plan``); it agrees with the dense
+mode-by-mode rotation to rounding, not bitwise.
 
 Index convention: all indices and modes are 0-based.
 """
@@ -94,32 +97,16 @@ def _offdiag_weights(order, dim):
 
 @functools.lru_cache(maxsize=16)
 def _rotation_plan(order, dim):
-    """Index tables (row_i, row_j, levels) of the packed plane rotation,
+    """Index tables (row_i, row_j, bounds) of the packed plane rotation,
     built once per (d, n).
 
-    A touched entry has t >= 1 indices in {i, j} (its hit axes) and a rest
-    multiset R of d - t indices outside {i, j}; the t + 1 entries of one
-    (t, R) form a block.  The dense rotation
-    (``oracle.rotate_planes_reference``) updates the hit axes in axis
-    order, so after p of them an entry's value depends only on the labels
-    already processed and on the number q of i's among the t - p
-    unprocessed hit indices.  For a sorted representative the processed
-    labels are i^a j^(p-a).  Level p of a block holds its (p+1)(t-p+1)
-    states (a, q), each one step ``c * S[A] +- s * S[B]`` from level
-    p - 1:
-
-        last label i (a = p):  A = (a-1, q+1),  B = (a-1, q),    sign +
-        last label j (a < p):  A = (a, q),      B = (a, q+1),    sign -
-
-    which is bitwise the reference's ``c*ti + s*tj`` and ``c*tj - s*ti``.
-    Level 0 is the touched entries, ordered by (t, number of i's, block);
-    at level t the blocks with t hits are done, in that same order.
-
-    A level's states run block-minor: the sign - states first, then the
-    sign + ones, with the finished blocks between them, so a level is one
-    gather of its A rows and B rows, two scalar products, one difference,
-    one sum, and one scatter of the slice [lo, hi) that is done; ``minus``
-    counts the sign - rows.
+    A touched entry has t >= 1 indices in {i, j} and a rest multiset R of
+    d - t indices outside {i, j}; the t + 1 entries i^a j^(t-a) R of one
+    (t, R) form a block, which the rotation maps by S_t
+    (``_symmetric_power_table``).  The touched entries are ordered by
+    (t, a, block): rows [lo, hi) = bounds[t - 1] hold the blocks with t
+    hits as t + 1 runs of equal length, one per a, so they read as a
+    (t + 1, blocks * m) array.
 
     The touched entries' dense indices split as ``row_i[i] + row_j[j]``:
     rest labels u in [0, n-2) map to u + [u >= i] + [u >= j - 1], which
@@ -129,45 +116,55 @@ def _rotation_plan(order, dim):
     """
     strides = dim ** np.arange(order - 1, -1, -1)
     ij = np.arange(dim)[:, None, None]              # i, or j, per table row
-    blocks, start, row_i, row_j, k = {}, {}, [], [], 0
+    row_i, row_j, bounds, k = [], [], [], 0
     for t in range(1, order + 1):
         r = order - t
         combos = list(itertools.combinations_with_replacement(
             range(dim - 2), r))
         rest = np.array(combos, dtype=np.intp).reshape(len(combos), r)
-        blocks[t] = len(combos)
         part_i = ((rest + (rest >= ij)) * strides[:r]).sum(axis=-1)
         part_j = ((rest >= ij - 1) * strides[:r]).sum(axis=-1)
-        for x in range(t + 1):          # x hit axes take i, the rest j
-            start[0, t, 0, x] = k
-            k += blocks[t]
-            row_i.append(part_i + ij[:, :, 0] * strides[r:r + x].sum())
-            row_j.append(part_j + ij[:, :, 0] * strides[r + x:].sum())
+        for a in range(t + 1):          # a hit axes take i, the rest j
+            row_i.append(part_i + ij[:, :, 0] * strides[r:r + a].sum())
+            row_j.append(part_j + ij[:, :, 0] * strides[r + a:].sum())
+        bounds.append((k, k + (t + 1) * len(combos)))
+        k = bounds[-1][1]
+    return np.hstack(row_i), np.hstack(row_j), tuple(bounds)
 
-    def rows(p, t, a, q):
-        return np.arange(start[p, t, a, q], start[p, t, a, q] + blocks[t])
 
-    levels = []
-    for p in range(1, order + 1):
-        later = range(p + 1, order + 1)
-        minus = [(t, a, q) for t in later for a in range(p)
-                 for q in range(t - p + 1)] + [(p, a, 0) for a in range(p)]
-        plus = [(p, p, 0)] + [(t, p, q) for t in later
-                              for q in range(t - p + 1)]
-        a_rows, b_rows, row = [], [], 0
-        for t, a, q in minus + plus:
-            start[p, t, a, q] = row
-            row += blocks[t]
-            if a == p:
-                a_rows.append(rows(p - 1, t, a - 1, q + 1))
-                b_rows.append(rows(p - 1, t, a - 1, q))
-            else:
-                a_rows.append(rows(p - 1, t, a, q))
-                b_rows.append(rows(p - 1, t, a, q + 1))
-        levels.append((np.concatenate(a_rows + b_rows),
-                       sum(blocks[t] for t, _, _ in minus),
-                       start[p, p, 0, 0], start[p, p, p, 0] + blocks[p]))
-    return np.hstack(row_i), np.hstack(row_j), tuple(levels)
+def _symmetric_power_table(order):
+    """Exact integer table whose product with the monomials c^p s^q
+    (p, q in 0..d, p-major) is the (d, d+1, d+1) array of S_1, ..., S_d,
+    S_t at [t - 1, :t + 1, :t + 1] and zeros elsewhere.
+
+    The rotation takes index i to c i + s j and index j to c j - s i on
+    every axis, so S_t, the t-th symmetric power of G = [[c, s], [-s, c]],
+    maps the old block entries i^b j^(t-b) R to the new i^a j^(t-a) R: of
+    the a axes at i, k stay at i (c^k s^(a-k)); of the t - a at j, b - k
+    move to i ((-s)^(b-k) c^(t-a-b+k)).  Hence
+
+        S_t[a, b] = sum_k C(a, k) C(t-a, b-k) (-1)^(b-k)
+                          c^(t-a-b+2k) s^(a+b-2k).
+    """
+    table = np.zeros((order,) + (order + 1,) * 4)     # t - 1, a, b, p, q
+    for t in range(1, order + 1):
+        for a, b in itertools.product(range(t + 1), repeat=2):
+            for k in range(max(0, a + b - t), min(a, b) + 1):
+                table[t - 1, a, b, t - a - b + 2 * k, a + b - 2 * k] += (
+                    math.comb(a, k) * math.comb(t - a, b - k) * (-1) ** (b - k))
+    return table.reshape(order * (order + 1) ** 2, (order + 1) ** 2)
+
+
+_POWER_TABLE = {d: _symmetric_power_table(d) for d in _SUPPORTED_ORDERS}
+
+
+def _symmetric_powers(order, c, s):
+    """S_1, ..., S_d at (c, s) as laid out by ``_symmetric_power_table``,
+    from one product of that table with the monomials."""
+    e = np.arange(order + 1.0)
+    monomials = np.multiply.outer(c ** e, s ** e).ravel()
+    return _POWER_TABLE[order].dot(monomials).reshape(
+        order, order + 1, order + 1)
 
 
 def _orbit(stack):
@@ -378,31 +375,26 @@ class TensorSet:
         """In-place Givens rotation of all modes of every member tensor.
 
         Gathers the O(m n^(d-1)) packed entries with an index in {i, j},
-        takes the plan's d steps, each one gather, two scalar products, a
-        difference and a sum, and scatters each level's finished entries
-        back: bitwise what the dense rotation
-        (``oracle.rotate_planes_reference``) gives; see ``_rotation_plan``.
+        maps the blocks with t hits by the symmetric power S_t in one
+        matrix product per t, and scatters them back; see
+        ``_rotation_plan``.  It agrees with the dense rotation
+        (``oracle.rotate_planes_reference``) to rounding, not bitwise: the
+        product sums in another order.
         """
         if not (0 <= i < j < self.dim):
             raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, "
                              f"n={self.dim}")
-        c, s = math.cos(theta), math.sin(theta)
-        row_i, row_j, levels = _rotation_plan(self.order, self.dim)
+        row_i, row_j, bounds = _rotation_plan(self.order, self.dim)
         touched = _packing(self.order, self.dim)[1].take(row_i[i] + row_j[j])
-        level = np.take(self.packed, touched, axis=0)
-        done = 0
-        for rows, minus, lo, hi in levels:
-            prod = np.take(level, rows, axis=0)
-            half = rows.size // 2
-            prod[:half] *= c
-            prod[half:] *= s
-            level = prod[:half]
-            np.subtract(level[:minus], prod[half:half + minus],
-                        out=level[:minus])
-            np.add(level[minus:], prod[half + minus:], out=level[minus:])
-            # the blocks finished at this level, back to their entries
-            self.packed[touched[done:done + hi - lo]] = level[lo:hi]
-            done += hi - lo
+        old = np.take(self.packed, touched, axis=0)
+        new = np.empty_like(old)
+        powers = _symmetric_powers(self.order, math.cos(theta),
+                                   math.sin(theta))
+        for t, (lo, hi) in enumerate(bounds, start=1):
+            np.dot(powers[t - 1, :t + 1, :t + 1],
+                   old[lo:hi].reshape(t + 1, -1),
+                   out=new[lo:hi].reshape(t + 1, -1))
+        self.packed[touched] = new
         return self
 
     def rotated_by(self, q):
@@ -460,10 +452,10 @@ def load_tensorset(path):
     if len(body) != m * n**d:
         raise ValueError(
             f"expected {m * n**d} values in {path}, found {len(body)}")
-    stack = np.array(body, dtype=np.float64).reshape((m,) + (n,) * d)
-    del body    # m n^d strings: freed before the check allocates
     try:
+        stack = np.array(body, dtype=np.float64).reshape((m,) + (n,) * d)
+        del body    # m n^d strings: freed before the check allocates
         orbit, spread = _check_members(stack)
-    except ValueError as exc:
+    except ValueError as exc:     # a non-numeric token, or a bad member
         raise ValueError(f"{path}: {exc}") from None
     return TensorSet._from_packed(_symmetrized(orbit, spread), d, n)

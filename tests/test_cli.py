@@ -198,3 +198,23 @@ def test_verify_without_samples_exits_2(tmp_path, capsys, samples):
     captured = capsys.readouterr()
     assert "samples >= 1" in captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("text,message", [
+    # the count is checked before anything of size n^d is allocated
+    ("symtensor v1 d=3 n=1000000 m=1\n1 2 3 4 5 6 7 8\n",
+     "expected 1000000000000000000 values in {}, found 8"),
+    ("symtensor v1 d=2 n=3 m=1\n1 2 3\n2 4 5\n3 5\n",
+     "expected 9 values in {}, found 8"),
+    ("symtensor v1 d=2 n=2 m=1\n1 x\nx 3\n",
+     "{}: could not convert string to float: 'x'"),
+], ids=["huge-n", "truncated", "non-numeric"])
+def test_run_malformed_body_exits_2(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.st"
+    bad.write_text(text)
+    code = cli.main(["run", "--in", str(bad), "--algo", "c",
+                     "--max-sweeps", "5", "--tol", "1e-8",
+                     "--csv", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert f"error: {message.format(bad)}" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()

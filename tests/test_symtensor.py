@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from jacobidiag.angles import SubproblemView
 from jacobidiag.oracle import (_canonical_map, offdiag_sq_norm,
-                               rotate_planes_reference)
-from jacobidiag.symtensor import (TensorSet, _packing, load_tensorset,
-                                  mode_product, multi_mode_product,
-                                  save_tensorset, symmetrize, symmetry_error)
+                               rotate_planes_reference, rotated_view)
+from jacobidiag.symtensor import (TensorSet, _packing, _symmetric_powers,
+                                  load_tensorset, mode_product,
+                                  multi_mode_product, save_tensorset,
+                                  symmetrize, symmetry_error)
 
 
 def random_symtensor(order, dim, seed, scale=1.0):
@@ -132,28 +134,91 @@ def test_rotate_bad_pair_rejected():
             t.rotate_plane(i, j, 0.1)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than float64")
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 @pytest.mark.parametrize("m", [1, 3])
 @pytest.mark.parametrize("order", [2, 3, 4])
-def test_row_kernel_matches_reference_bitwise(order, m, n):
+def test_row_kernel_error_within_twice_dense_reference(order, m, n):
+    # the same rotations (the same float64 c, s) on a long-double dense
+    # stack give the accurate result; the packed kernel may be off from it
+    # by at most twice what the float64 dense reference is
     rng = np.random.default_rng(100 * order + 10 * m + n)
     ts = TensorSet([symmetrize(rng.standard_normal((n,) * order))
                     for _ in range(m)])
     ref = ts.stack.copy()
+    exact = ref.astype(np.longdouble)
     fixed = [(0, 1, math.pi / 4), (0, n - 1, -math.pi / 4),
              (n - 2, n - 1, math.pi / 4), (0, 1, -math.pi / 4)]
     randoms = []
     for _ in range(40):
         i, j = sorted(rng.choice(n, size=2, replace=False))
         randoms.append((int(i), int(j), float(rng.uniform(-0.8, 0.8))))
+    kernel_err = ref_err = 0.0
     for i, j, theta in fixed + randoms:
+        c, s = math.cos(theta), math.sin(theta)
         ts.rotate_plane(i, j, theta)
-        rotate_planes_reference(ref, i, j, math.cos(theta), math.sin(theta))
-        assert np.array_equal(ts.stack, ref), (i, j, theta)
+        rotate_planes_reference(ref, i, j, c, s)
+        rotate_planes_reference(exact, i, j, c, s)
+        scale = np.max(np.abs(exact))
+        kernel_err = max(kernel_err, float(np.max(np.abs(ts.stack - exact))
+                                           / scale))
+        ref_err = max(ref_err, float(np.max(np.abs(ref - exact)) / scale))
         for member in ts.stack:
             assert symmetry_error(member) == 0.0
         fresh = offdiag_sq_norm(ts)
         assert abs(ts.offdiag_sq() - fresh) <= 1e-13 * fresh
+    assert 0.0 < ref_err < 1e-14
+    assert kernel_err <= 2.0 * ref_err, (kernel_err, ref_err)
+
+
+def powers_at(order, theta):
+    powers = _symmetric_powers(order, math.cos(theta), math.sin(theta))
+    return [powers[t - 1, :t + 1, :t + 1] for t in range(1, order + 1)]
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_symmetric_powers_at_zero_are_identity(order):
+    for t, power in enumerate(powers_at(order, 0.0), start=1):
+        assert np.array_equal(power, np.eye(t + 1))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_symmetric_powers_compose(order):
+    rng = np.random.default_rng(60 + order)
+    for _ in range(20):
+        a, b = rng.uniform(-math.pi, math.pi, size=2)
+        for sa, sb, sab in zip(powers_at(order, a), powers_at(order, b),
+                               powers_at(order, a + b)):
+            assert np.max(np.abs(sa @ sb - sab)) <= 1e-14
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_symmetric_powers_keep_the_weighted_norm(order):
+    # an entry with a indices i stands for C(t, a) dense entries of the
+    # block, so S_t^T diag(C(t, a)) S_t = diag(C(t, a)): the block form of
+    # f + offdiag = total
+    rng = np.random.default_rng(70 + order)
+    for theta in rng.uniform(-math.pi, math.pi, size=20):
+        for t, power in enumerate(powers_at(order, theta), start=1):
+            weights = np.diag([math.comb(t, a) for a in range(t + 1)])
+            assert np.max(np.abs(power.T @ weights @ power - weights)) \
+                <= 1e-14 * weights.max()
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_rotated_full_block_is_the_rotated_view(order, m):
+    # the t = d block (empty rest) holds the pair's view nu
+    rng = np.random.default_rng(80 + 10 * order + m)
+    ts = TensorSet([symmetrize(rng.standard_normal((6,) * order))
+                    for _ in range(m)])
+    for i, j, theta in [(0, 1, 0.3), (2, 5, -0.7), (1, 4, math.pi / 4)]:
+        view = SubproblemView.from_tensors(ts, i, j)
+        ts.rotate_plane(i, j, theta)
+        nu = SubproblemView.from_tensors(ts, i, j).nu
+        expect = rotated_view(view, theta).nu
+        assert np.max(np.abs(nu - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 @pytest.mark.parametrize("m", [1, 3])
