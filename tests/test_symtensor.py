@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -5,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from jacobidiag import symtensor
 from jacobidiag.angles import SubproblemView
 from jacobidiag.oracle import (_canonical_map, offdiag_sq_norm,
                                rotate_planes_reference, rotated_view)
@@ -132,6 +134,50 @@ def test_rotate_bad_pair_rejected():
     for i, j in [(2, 2), (3, 1), (0, 4), (-1, 2)]:
         with pytest.raises(ValueError):
             t.rotate_plane(i, j, 0.1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_row_kernel_matches_reference_bitwise(order, m, n, monkeypatch):
+    # where no product rounds, the summation order cannot matter: with c, s
+    # read as their signs (quarter turns become signed permutations, the
+    # pi/4 turns sqrt(2) G with c = s = 1) on small-integer tensors, every
+    # entry stays an integer below 2^53, so the packed kernel must equal the
+    # dense reference bit for bit; a slip in the plan's rows, its block
+    # order or the S_t table shows
+    def exact(v):
+        return float(np.sign(round(v, 12)))
+
+    powers = symtensor._symmetric_powers
+    monkeypatch.setattr(symtensor, "_symmetric_powers",
+                        lambda d, c, s: powers(d, exact(c), exact(s)))
+    rng = np.random.default_rng(100 * order + 10 * m + n)
+
+    def integer_symtensor():
+        return sum(float(w) * functools.reduce(np.multiply.outer, [a] * order)
+                   for w, a in zip(rng.integers(-3, 4, size=n),
+                                   rng.integers(-3, 4, size=(n, n)) * 1.0))
+
+    ts = TensorSet([integer_symtensor() for _ in range(m)])
+    ref = ts.stack.copy()
+    fixed = [(0, 1, math.pi / 4), (0, n - 1, -math.pi / 4),
+             (n - 2, n - 1, math.pi / 4), (0, 1, -math.pi / 4)]
+    randoms = []
+    for _ in range(40):
+        i, j = sorted(rng.choice(n, size=2, replace=False))
+        theta = float(rng.choice([math.pi / 2, -math.pi / 2, math.pi]))
+        randoms.append((int(i), int(j), theta))
+    for i, j, theta in fixed + randoms:
+        ts.rotate_plane(i, j, theta)
+        rotate_planes_reference(ref, i, j, exact(math.cos(theta)),
+                                exact(math.sin(theta)))
+        assert np.array_equal(ts.stack, ref), (i, j, theta)
+        for member in ts.stack:
+            assert symmetry_error(member) == 0.0
+        fresh = offdiag_sq_norm(ts)
+        assert abs(ts.offdiag_sq() - fresh) <= 1e-13 * fresh
+    assert np.all(ref == np.round(ref)) and np.max(np.abs(ref)) < 2.0 ** 53
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
