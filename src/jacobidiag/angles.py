@@ -9,60 +9,47 @@ of each tensor to indices {i, j}.  With the proximal penalty the solver
 maximizes  h~(theta) = h(theta) - delta0 * gamma(theta),
 gamma(theta) = 2 sin^2 cos^2 theta, over theta in [-pi/4, pi/4].
 
-Under x = tan(theta) the stationarity condition is a polynomial omega(x) of
-degree 2d; the substitution xi = x - 1/x (valid because h~ is pi/2-periodic)
-halves it to Omega(xi), a quadratic for d in {2, 3} and a quartic for d = 4,
-whose coefficients A0, A1, ... are quadratic forms in the restricted
-entries, read off one Gram product (``omega_xi_coeffs``).
+h~ is pi/2-periodic and of degree 2d in (cos theta, sin theta), so in
+phi = 4 theta in [-pi, pi] it is a trig polynomial of degree 2 at most:
 
-For d in {2, 3}, h~ is a trig polynomial of degree 1 in phi = 4 theta,
+    g(phi) = h~(phi/4) - h~(0)
+           = a1 sin(phi) + b1 (cos(phi) - 1)
+             + a2 sin(2 phi) + b2 (cos(2 phi) - 1),
 
-    h~(theta) - h~(0) = [4 A0 sin(phi) + A1 (cos(phi) - 1)] / 16,
+with a2 = b2 = 0 for d in {2, 3}.  The coefficients are an exact linear map
+(``_trig_form``) of the coefficients A0, A1, ... of Omega, the stationarity
+polynomial in xi = x - 1/x, x = tan(theta), from whose real roots the
+d = 4 angle was once found (``oracle.best_angle_xi``).  They are quadratic
+forms in the restricted entries, read off one Gram product
+(``omega_xi_coeffs``).
 
-so its maximizer is theta = atan2(4 A0, A1) / 4.  For d = 4 the real xi
-roots (companion-matrix eigenvalues) map back through x^2 - xi x - 1 = 0;
-arctangents of the |x| <= 1 roots, together with {0, +-pi/4}, form a
-complete candidate set, scored by the closed-form gain ``_gain_numerator``
-builds from Omega's coefficients.
+For d in {2, 3} the maximizer is theta = atan2(4 A0, A1) / 4.  For d = 4
+the critical points are the real roots of a quartic in tan(phi/2), solved
+in closed form and polished by Newton's method on g' (``solve_xi_roots``);
+together with phi in {0, pi} they are scored by a form of g without
+cancellation near phi = 0.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import QUARTER_PI
+from .symtensor import _pair_positions
+
 __all__ = [
-    "ConstantObjectiveError",
     "SubproblemView",
     "AngleResult",
     "omega_xi_coeffs",
     "solve_xi_roots",
-    "xi_to_x_candidates",
     "best_angle",
 ]
 
 _BINOM = {2: (1.0, 2.0, 1.0), 3: (1.0, 3.0, 3.0, 1.0),
           4: (1.0, 4.0, 6.0, 4.0, 1.0)}
-
-# imaginary-part cutoff for accepting a polynomial root as real
-REAL_ROOT_IMAG_TOL = 1e-10
-
-
-class ConstantObjectiveError(Exception):
-    """The restricted objective is constant in theta (Omega vanishes)."""
-
-
-@functools.lru_cache(maxsize=16)
-def _nu_offsets(order, dim):
-    """Flat-index offsets (A, B) of the view entries in one dense member:
-    nu[l, w] of pair (i, j) is entry i * A[w] + j * B[w] of member l,
-    whose first order - w axes take index i and whose last w take j."""
-    strides = dim ** np.arange(order - 1, -1, -1)
-    at_j = np.add.outer(np.arange(order + 1), np.arange(order)) >= order
-    return (strides * ~at_j).sum(axis=1), (strides * at_j).sum(axis=1)
 
 
 class SubproblemView:
@@ -82,22 +69,23 @@ class SubproblemView:
             raise ValueError(f"bad view shape {nu.shape}")
         if not np.all(np.isfinite(nu)):
             raise ValueError("view entries must be finite")
-        if delta0 < 0:
-            raise ValueError("delta0 must be nonnegative")
+        # written so that NaN fails it too
+        if not 0.0 <= delta0 < math.inf:
+            raise ValueError("delta0 must be finite and nonnegative")
         self.nu = nu
         self.delta0 = float(delta0)
 
     @classmethod
     def from_tensors(cls, tensors, i, j, delta0=0.0):
-        """View of pair (i, j) of a TensorSet, one gather from its packed
-        entries.
+        """View of pair (i, j) of a TensorSet: one take of its packed
+        entries at the pair's row of ``_pair_positions``.
 
         Not re-checked: the set's entries were checked finite when it was
         built, and a rotation of a set with finite ||T||^2 stays finite.
         """
-        a, b = _nu_offsets(tensors.order, tensors.dim)
         view = cls.__new__(cls)
-        view.nu = tensors.entries(i * a + j * b)
+        view.nu = tensors.packed.T.take(
+            _pair_positions(tensors.order, tensors.dim)[i, j], axis=1)
         view.delta0 = float(delta0)
         return view
 
@@ -168,54 +156,184 @@ def omega_xi_coeffs(view):
             + view.delta0 * _OMEGA_DELTA0[d])
 
 
-def _collapse(roots):
-    if not roots:
-        return roots
-    roots = sorted(roots)
-    out = [roots[0]]
-    for r in roots[1:]:
-        if abs(r - out[-1]) > 1e-12 * (1.0 + abs(r)):
-            out.append(r)
-    return out
+def _trig_form(omega):
+    """(e0, f0, a1, b1, a2, b2) of g(phi) = h~(phi/4) - h~(0) from Omega's
+    coefficients A0, A1, ... (highest degree first):
 
+        g = a1 sin(phi) + b1 (cos(phi) - 1)
+            + a2 sin(2 phi) + b2 (cos(2 phi) - 1)
 
-def solve_xi_roots(coeffs):
-    """All real roots of Omega (coefficients highest degree first),
-    multiplicities collapsed.
+    for d = 4: a1 = (16 A0 - A4)/128, b1 = (4 A1 + A3)/128,
+    a2 = (16 A0 - 4 A2 + A4)/1024, b2 = (4 A1 - A3)/512.  Under
+    3 A4 = -48 A0 - 4 A2 they read a1 = A0/4 + A2/96 and a2 = -A2/192, so
+    A4 is not needed.  The proximal term enters b1 only, as delta0/4.
+    (For d in {2, 3}, a1 = A0/4, b1 = A1/16 and a2 = b2 = 0.)
 
-    Eigenvalues of the companion matrix, built as ``np.roots`` builds it
-    after stripping exact leading zeros only: a tiny leading coefficient
-    keeps its huge root, which ``xi_to_x_candidates`` maps to the small
-    tangent x ~ -1/xi.  Raises ConstantObjectiveError when Omega vanishes
-    identically.
+    e0 = a1 + 2 a2 = g'(0) = A0/4 and f0 = b1 + 4 b2 = -g''(0) = A1/16 are
+    kept as such: near-diagonal pairs have A0 tiny, and forming e0 from a1
+    and a2 would leave only their rounding.
     """
-    c = [float(v) for v in coeffs]
-    if not all(map(math.isfinite, c)):
-        raise ValueError("polynomial coefficients must be finite")
-    lead = next((k for k, v in enumerate(c) if v != 0.0), None)
-    if lead is None:
-        raise ConstantObjectiveError("Omega is identically zero")
-    c = c[lead:]
-    if len(c) < 2:
+    a0, a1, a2, a3, _ = omega.tolist()
+    if not all(map(math.isfinite, (a0, a1, a2, a3))):
+        raise ValueError("Omega's coefficients must be finite")
+    e0 = 0.25 * a0
+    # b1 and b2 scaled before the sum, which then cannot overflow
+    return (e0, 0.0625 * a1, e0 + a2 / 96.0, a1 / 32.0 + a3 / 128.0,
+            -a2 / 192.0, a1 / 128.0 - a3 / 512.0)
+
+
+def _slopes(phi, e0, f0, a1, b1, a2, b2):
+    """(g'(phi), g''(phi)).  g' is written in h = sin(phi/2) and
+    s = sin(phi) around the exact g'(0) = e0 and g''(0) = -f0,
+
+        g' = e0 - 2 a1 h^2 - 4 a2 s^2 - s (f0 - 8 b2 h^2),
+
+    so it keeps full relative accuracy at tiny phi."""
+    h = math.sin(0.5 * phi)
+    hh = h * h
+    s = 2.0 * h * math.cos(0.5 * phi)
+    ss = s * s
+    c = 1.0 - 2.0 * hh
+    return (e0 - 2.0 * a1 * hh - 4.0 * a2 * ss - s * (f0 - 8.0 * b2 * hh),
+            -s * (a1 + 8.0 * a2 * c) - b1 * c - 4.0 * b2 * (1.0 - 2.0 * ss))
+
+
+def _quadratic_roots(b, c):
+    """Real roots of y^2 + b y + c.  A discriminant below zero by no more
+    than rounding counts as zero, so a double root is kept."""
+    disc = b * b - 4.0 * c
+    if disc < 0.0:
+        if disc < -1e-10 * (b * b + 4.0 * abs(c)):
+            return []
+        disc = 0.0
+    big = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [big, c / big] if big != 0.0 else [0.0]
+
+
+def _largest_cubic_root(b, c, d):
+    """Largest real root of m^3 + b m^2 + c m + d, by Cardano's formula or,
+    with three real roots, the trigonometric one; then one Newton step."""
+    third = b / 3.0
+    p3 = (c - b * third) / 3.0
+    half = 0.5 * d + third * (third * third - 0.5 * c)
+    disc = half * half + p3 * p3 * p3
+    if disc > 0.0:
+        u = -math.copysign((abs(half) + math.sqrt(disc)) ** (1.0 / 3.0),
+                           half)
+        z = u - p3 / u
+    elif p3 < 0.0:
+        rho = math.sqrt(-p3)
+        # -half / rho^3, without forming rho^3, which can underflow
+        cos3 = max(-1.0, min(1.0, half / p3 / rho))
+        z = 2.0 * rho * math.cos(math.acos(cos3) / 3.0)
+    else:
+        z = 0.0
+    m = z - third
+    slope = (3.0 * m + 2.0 * b) * m + c
+    if slope != 0.0:
+        m -= (((m + b) * m + c) * m + d) / slope
+    return m
+
+
+def _quartic_roots(a, b, c, d):
+    """Real roots of t^4 + a t^3 + b t^2 + c t + d by Ferrari's method.
+
+    With t = y - a/4 the quartic is y^4 + p y^2 + q y + r.  For the largest
+    root m > 0 of the resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8 it is
+    (y^2 + p/2 + m)^2 - (w y - q/(2w))^2, w = sqrt(2 m), a product of two
+    quadratics; for q = 0 it is biquadratic.  Roots come with absolute, not
+    relative, accuracy: the caller polishes them.
+    """
+    aa = a * a
+    p = b - 0.375 * aa
+    q = c + a * (0.125 * aa - 0.5 * b)
+    r = d + a * (0.0625 * a * b - 0.25 * c) - 0.01171875 * aa * aa
+    m = _largest_cubic_root(p, 0.25 * p * p - r, -0.125 * q * q) \
+        if q != 0.0 else 0.0
+    if m > 0.0:
+        w = math.sqrt(2.0 * m)
+        v = q / (2.0 * w)
+        ys = (_quadratic_roots(-w, 0.5 * p + m + v)
+              + _quadratic_roots(w, 0.5 * p + m - v))
+    else:
+        ys = []
+        for y2 in _quadratic_roots(p, r):
+            if y2 >= 0.0:
+                y = math.sqrt(y2)
+                ys += [y, -y]
+    return [y - 0.25 * a for y in ys]
+
+
+_R = math.sqrt(0.5)
+# (phi0, cos(phi0), sin(phi0), cos(2 phi0), sin(2 phi0)) at the eight
+# multiples of pi/4, exact up to the rounding of sqrt(1/2)
+_FRAMES = ((0.0, 1.0, 0.0, 1.0, 0.0), (QUARTER_PI, _R, _R, 0.0, 1.0),
+           (2 * QUARTER_PI, 0.0, 1.0, -1.0, 0.0),
+           (3 * QUARTER_PI, -_R, _R, 0.0, -1.0),
+           (math.pi, -1.0, 0.0, 1.0, 0.0),
+           (-3 * QUARTER_PI, -_R, -_R, 0.0, 1.0),
+           (-2 * QUARTER_PI, 0.0, -1.0, -1.0, 0.0),
+           (-QUARTER_PI, _R, -_R, 0.0, -1.0))
+# -pi and pi are one critical point; a root this close above -pi is that
+# point, rounded, and is reported as pi (theta = +pi/4)
+_MINUS_PI_SNAP = -math.pi + 1e-14
+
+
+def solve_xi_roots(trig):
+    """Critical points of g (from ``_trig_form``) in (-pi, pi], each
+    polished by Newton's method on g'.  The name is the one the xi route
+    had, which the benchmark's tracer hooks; the rename waits for ROADMAP
+    item 1.
+
+    In a frame phi = phi0 + psi, g'(phi0 + psi) = p cos(psi) - q sin(psi)
+    + 2 r cos(2 psi) - 2 s sin(2 psi), with p = a1 cos(phi0) - b1 sin(phi0),
+    q = a1 sin(phi0) + b1 cos(phi0), r = a2 cos(2 phi0) - b2 sin(2 phi0) and
+    s = a2 sin(2 phi0) + b2 cos(2 phi0); (1 + t^2)^2 g' with t = tan(psi/2)
+    is the quartic
+
+        (2r - p) t^4 + (8s - 2q) t^3 - 12 r t^2 - (2q + 8s) t + (p + 2r).
+
+    It is solved (``_quartic_roots``) in the frame phi0, a multiple of
+    pi/4, whose leading coefficient g'(phi0 + pi) is largest in magnitude.
+    g' is a trig polynomial of degree 2, so |g''| <= 2 max |g'| and
+    |g'''| <= 4 max |g'| (Bernstein); its peak lies within pi/8 of one of
+    the eight samples, which is then at least 0.69 max |g'|, and no root
+    lies within 0.34 of psi = pi: every |t| < 6, and Ferrari's method
+    gives each root to an absolute accuracy near rounding.  Quarter turns
+    alone would not do: g' = -2 b2 sin(2 phi) has roots at t = 0 and
+    t = infinity in each of them.  Newton's method on ``_slopes`` then
+    makes the roots near phi = 0, where near-diagonal pairs have theirs,
+    accurate relative to themselves; it works on the unrotated
+    coefficients, so the rounding of a frame's (p, q, r, s) does not reach
+    the result.  If all eight leading coefficients vanish, so does g'.
+    """
+    e0, f0, a1, b1, a2, b2 = trig
+    phi0, c1, s1, c2, s2 = max(_FRAMES, key=lambda f: abs(
+        2.0 * (a2 * f[3] - b2 * f[4]) - (a1 * f[1] - b1 * f[2])))
+    p, q = a1 * c1 - b1 * s1, a1 * s1 + b1 * c1
+    r, s = a2 * c2 - b2 * s2, a2 * s2 + b2 * c2
+    lead = 2.0 * r - p
+    if lead == 0.0:
         return []
-    companion = np.eye(len(c) - 1, k=-1)
-    companion[0] = [-v / c[0] for v in c[1:]]
-    real = [r.real for r in np.linalg.eigvals(companion).tolist()
-            if abs(r.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + abs(r.real))]
-    return _collapse(real)
-
-
-def xi_to_x_candidates(xi):
-    """Tangents in [-1, 1] that a xi root of Omega maps back to.
-
-    The two roots of x^2 - xi x - 1 multiply to -1; the in-range one is
-    returned (both, for xi = 0).
-    """
-    if xi == 0.0:
-        return [-1.0, 1.0]
-    sq = math.hypot(xi, 2.0)
-    big = 0.5 * (xi + sq) if xi > 0 else 0.5 * (xi - sq)
-    return [-1.0 / big]
+    phis = []
+    for t in _quartic_roots((8.0 * s - 2.0 * q) / lead, -12.0 * r / lead,
+                            -(2.0 * q + 8.0 * s) / lead, (p + 2.0 * r) / lead):
+        phi = phi0 + 2.0 * math.atan(t)
+        gp, gpp = _slopes(phi, *trig)
+        for _ in range(4):
+            if gpp == 0.0:
+                break
+            nxt = phi - gp / gpp
+            ngp, ngpp = _slopes(nxt, *trig)
+            if not abs(ngp) < abs(gp):
+                break
+            phi, gp, gpp = nxt, ngp, ngpp
+        if phi > math.pi:
+            phi -= 2.0 * math.pi
+        elif phi < -math.pi:
+            phi += 2.0 * math.pi
+        phis.append(math.pi if phi < _MINUS_PI_SNAP else phi)
+    return phis
 
 
 @dataclass
@@ -226,36 +344,20 @@ class AngleResult:
     gain: float
 
 
-def _gain_numerator(omega):
-    """Coefficients (highest degree first) of the polynomial q with
-    h~(arctan x) - h~(0) = q(x) / (1 + x^2)^4, from the quartic Omega's
-    coefficients A0, ..., A4 (d = 4):
-
-        q = A0 (x - x^7) + (A0 + A2/3)(x^3 - x^5)
-            - (A1/2)(x^2 + x^6) - (A3/4) x^4
-
-    With x = tan(theta), dh~/dtheta = x^4 Omega(x - 1/x) / (1 + x^2)^4, so
-    Omega fixes q through (1 + x^2) q' - 8 x q = x^4 Omega(x - 1/x) and
-    q(0) = 0; the form above solves that given 3 A4 = -48 A0 - 4 A2.  q has
-    no constant term, so it keeps full relative accuracy for tiny x, where
-    forming h~(theta) - h~(0) by subtraction would lose everything to
-    cancellation.
-    """
-    a0, a1, a2, a3 = (float(v) for v in omega[:4])
-    c2, c3 = -0.5 * a1, a0 + a2 / 3.0
-    return [-a0, c2, -c3, -0.25 * a3, c3, c2, a0, 0.0]
-
-
 def best_angle(view):
     """Maximize h~ over [-pi/4, pi/4]; return theta and h~(theta) - h~(0).
 
     d in {2, 3}: theta = atan2(4 A0, A1) / 4 with the cancellation-free gain
     A0^2 / (r + A1) if A1 > 0, else (r - A1) / 16, r = hypot(4 A0, A1); the
     tie at A0 = 0 > A1 goes to +pi/4, and a constant h~ gives (0, 0).
-    d = 4: the candidate tangents {0, +-1} plus the mapped real xi roots
-    (at most 7), each scored by Horner's rule on ``_gain_numerator`` in
-    plain floats; gains within 1e-12 relative of the best tie, and ties go
-    to smaller |theta|, then to +.
+    d = 4: the critical points phi of g (``solve_xi_roots``) and phi in
+    {0, pi}, each scored by
+
+        g(phi) = s (e0 - 4 a2 h^2) - 2 h^2 (f0 - 4 b2 h^2),
+
+    h = sin(phi/2), s = sin(phi), which has no cancellation at tiny phi;
+    gains within 1e-12 relative of the best tie, and ties go to smaller
+    |theta|, then to +, so a constant h~ gives (0, 0).
     Both gains stay exact down to far below the resolution of h~ itself.
     """
     omega = omega_xi_coeffs(view)
@@ -268,22 +370,15 @@ def best_angle(view):
         # + 0.0 turns A0 = -0.0 into +0.0, so the A0 = 0 > A1 tie gets
         # atan2 = +pi (theta = +pi/4), not -pi
         return AngleResult(0.25 * math.atan2(4.0 * a0 + 0.0, a1), gain)
-    try:
-        xis = solve_xi_roots(omega)
-    except ConstantObjectiveError:
-        return AngleResult(0.0, 0.0)
-    xs = [0.0, 1.0, -1.0]
-    for xi in xis:
-        xs.extend(xi_to_x_candidates(xi))
-    q = _gain_numerator(omega)
-    scored = []
-    for x in xs:
-        y = 0.0
-        for coef in q:
-            y = y * x + coef
-        scored.append((y / (1.0 + x * x) ** 4, x))
+    trig = _trig_form(omega)
+    e0, f0, _, b1, a2, b2 = trig
+    scored = [(0.0, 0.0), (-2.0 * b1, QUARTER_PI)]
+    for phi in solve_xi_roots(trig):
+        hh = math.sin(0.5 * phi) ** 2
+        scored.append((math.sin(phi) * (e0 - 4.0 * a2 * hh)
+                       - 2.0 * hh * (f0 - 4.0 * b2 * hh), 0.25 * phi))
     floor = max(scored)[0]
     floor -= 1e-12 * abs(floor)
-    gain, x = min((p for p in scored if p[0] >= floor),
-                  key=lambda p: (abs(p[1]), p[1] < 0))
-    return AngleResult(math.atan(x), gain)
+    gain, theta = min((p for p in scored if p[0] >= floor),
+                      key=lambda p: (abs(p[1]), p[1] < 0))
+    return AngleResult(theta, gain)

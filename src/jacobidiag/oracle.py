@@ -5,8 +5,9 @@ h and grid search for the angle, explicit 2x...x2 block rotations for the
 rational identities, rotated copies of the whole tensor set for the
 gradient, a dense whole-stack rotation and symmetry gather for the packed
 plane rotation kernel, hand-expanded per-term sums for Omega's Gram
-product, explicit Givens matrices, and a dense sum of the off-diagonal
-mass."""
+product, the xi route (companion-matrix roots of Omega mapped back to
+tangents) for the d = 4 angle, explicit Givens matrices, and a dense sum of
+the off-diagonal mass."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import math
 
 import numpy as np
 
-from .angles import _BINOM, AngleResult, SubproblemView
+from .angles import (_BINOM, AngleResult, SubproblemView, best_angle,
+                     omega_xi_coeffs)
 from .geometry import QUARTER_PI
 from .symtensor import multi_mode_product
 
@@ -30,6 +32,10 @@ __all__ = [
     "h_prime_at_zero",
     "h_derivatives_at_zero",
     "omega_xi_coeffs_expanded",
+    "xi_roots",
+    "xi_to_x_candidates",
+    "xi_gain_numerator",
+    "best_angle_xi",
     "rotate_planes_reference",
     "rotated_view",
     "local_maxima",
@@ -178,6 +184,97 @@ def omega_xi_coeffs_expanded(view):
                       + 12 * v3**2) + 4.0 * d0
     e = 80.0 * np.sum(6 * v2 * v3 - v0 * v3 - 6 * v1 * v2 + v1 * v4)
     return np.array([a, b, 4 * a + c, 3 * b + dd, 2 * a + 2 * c + e])
+
+
+def xi_roots(coeffs):
+    """All real roots of Omega (coefficients highest degree first),
+    multiplicities collapsed; None when Omega vanishes identically.
+
+    Eigenvalues of the companion matrix, built as ``np.roots`` builds it
+    after stripping exact leading zeros only: a tiny leading coefficient
+    keeps its huge root, which ``xi_to_x_candidates`` maps to the small
+    tangent x ~ -1/xi.  A root counts as real if its imaginary part is at
+    most 1e-10 (1 + |real part|).
+    """
+    c = [float(v) for v in coeffs]
+    lead = next((k for k, v in enumerate(c) if v != 0.0), None)
+    if lead is None:
+        return None
+    c = c[lead:]
+    if len(c) < 2:
+        return []
+    companion = np.eye(len(c) - 1, k=-1)
+    companion[0] = [-v / c[0] for v in c[1:]]
+    roots = sorted(r.real for r in np.linalg.eigvals(companion).tolist()
+                   if abs(r.imag) <= 1e-10 * (1.0 + abs(r.real)))
+    out = roots[:1]
+    for r in roots[1:]:
+        if abs(r - out[-1]) > 1e-12 * (1.0 + abs(r)):
+            out.append(r)
+    return out
+
+
+def xi_to_x_candidates(xi):
+    """Tangents in [-1, 1] that a xi root of Omega maps back to.
+
+    The two roots of x^2 - xi x - 1 multiply to -1; the in-range one is
+    returned (both, for xi = 0).
+    """
+    if xi == 0.0:
+        return [-1.0, 1.0]
+    sq = math.hypot(xi, 2.0)
+    big = 0.5 * (xi + sq) if xi > 0 else 0.5 * (xi - sq)
+    return [-1.0 / big]
+
+
+def xi_gain_numerator(omega):
+    """Coefficients (highest degree first) of the polynomial q with
+    h~(arctan x) - h~(0) = q(x) / (1 + x^2)^4, from the quartic Omega's
+    coefficients A0, ..., A4 (d = 4):
+
+        q = A0 (x - x^7) + (A0 + A2/3)(x^3 - x^5)
+            - (A1/2)(x^2 + x^6) - (A3/4) x^4
+
+    With x = tan(theta), dh~/dtheta = x^4 Omega(x - 1/x) / (1 + x^2)^4, so
+    Omega fixes q through (1 + x^2) q' - 8 x q = x^4 Omega(x - 1/x) and
+    q(0) = 0; the form above solves that given 3 A4 = -48 A0 - 4 A2.  q has
+    no constant term, so it keeps full relative accuracy for tiny x.
+    """
+    a0, a1, a2, a3 = (float(v) for v in omega[:4])
+    c2, c3 = -0.5 * a1, a0 + a2 / 3.0
+    return [-a0, c2, -c3, -0.25 * a3, c3, c2, a0, 0.0]
+
+
+def best_angle_xi(view):
+    """The d = 4 angle by the xi route, the reference for
+    ``angles.best_angle``'s trig form (d <= 3 is passed through to it).
+
+    Candidate tangents {0, +-1} plus the mapped real xi roots, each scored
+    by Horner's rule on ``xi_gain_numerator`` in plain floats, with
+    ``best_angle``'s tie rules: gains within 1e-12 relative of the best
+    tie, and ties go to smaller |theta|, then to +.
+    """
+    if view.order < 4:
+        return best_angle(view)
+    omega = omega_xi_coeffs(view)
+    xis = xi_roots(omega)
+    if xis is None:
+        return AngleResult(0.0, 0.0)
+    xs = [0.0, 1.0, -1.0]
+    for xi in xis:
+        xs.extend(xi_to_x_candidates(xi))
+    q = xi_gain_numerator(omega)
+    scored = []
+    for x in xs:
+        y = 0.0
+        for coef in q:
+            y = y * x + coef
+        scored.append((y / (1.0 + x * x) ** 4, x))
+    floor = max(scored)[0]
+    floor -= 1e-12 * abs(floor)
+    gain, x = min((p for p in scored if p[0] >= floor),
+                  key=lambda p: (abs(p[1]), p[1] < 0))
+    return AngleResult(math.atan(x), gain)
 
 
 def _canonical_map(order, dim):

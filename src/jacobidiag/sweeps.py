@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,12 +151,20 @@ class IterationRecord:
 
 @dataclass
 class RunResult:
+    """Outcome of ``run``.  stationarity_tol, thresh, delta0 and eps are the
+    values the run used: the config's where given, else the defaults it
+    resolved (see ``RunConfig``)."""
+
     state: RotationState
     records: list
     config: RunConfig
     f_initial: float
     converged: bool
     stop_reason: str
+    stationarity_tol: float
+    thresh: float
+    delta0: float
+    eps: float
 
     @property
     def sweeps_used(self):
@@ -243,7 +251,8 @@ def run(tensors, config=None, q0=None):
 
     return RunResult(state=state, records=records, config=cfg,
                      f_initial=f_initial, converged=converged,
-                     stop_reason=reason)
+                     stop_reason=reason, stationarity_tol=tol, thresh=thresh,
+                     delta0=delta0, eps=eps)
 
 
 def _fmt(x):

@@ -87,6 +87,17 @@ def _near_positions(order, dim):
 
 
 @functools.lru_cache(maxsize=16)
+def _pair_positions(order, dim):
+    """(n, n, d+1) packed positions of the pair views: entry [i, j, w] is
+    W[i, ..., i, j, ..., j] with d - w indices i and w indices j."""
+    strides = dim ** np.arange(order - 1, -1, -1)
+    at_j = np.add.outer(np.arange(order + 1), np.arange(order)) >= order
+    k = np.arange(dim)[:, None, None]
+    return _packing(order, dim)[1][(strides * ~at_j).sum(axis=1) * k
+                                   + (strides * at_j).sum(axis=1) * k[:, 0]]
+
+
+@functools.lru_cache(maxsize=16)
 def _offdiag_weights(order, dim):
     """(N, 1) number of dense entries each packed entry stands for, 0 on
     the diagonal."""
@@ -340,11 +351,6 @@ class TensorSet:
         out = np.take(self.packed, positions, axis=0)
         return np.ascontiguousarray(
             out.transpose((out.ndim - 1,) + tuple(range(out.ndim - 1))))
-
-    def entries(self, flat):
-        """(m,) + flat.shape array of the entries at the given flat indices
-        of a dense member."""
-        return self._gather(_packing(self.order, self.dim)[1][flat])
 
     def frob_sq(self):
         """||T||^2, summed over the dense expansion (O(m n^d))."""

@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobidiag import angles
-from jacobidiag.angles import (ConstantObjectiveError, SubproblemView,
-                               _gain_numerator, best_angle, omega_xi_coeffs,
-                               solve_xi_roots, xi_to_x_candidates)
+from jacobidiag.angles import (SubproblemView, _quartic_roots, _trig_form,
+                               best_angle, omega_xi_coeffs, solve_xi_roots)
 from jacobidiag.geometry import RotationState, lambda_of, random_rotation
-from jacobidiag.oracle import (brute_force_angle, h, h_derivatives_at_zero,
-                               h_prime_at_zero, h_tilde, local_maxima,
+from jacobidiag.oracle import (best_angle_xi, brute_force_angle, h,
+                               h_derivatives_at_zero, h_prime_at_zero,
+                               h_tilde, local_maxima,
                                omega_xi_coeffs_expanded, proximal_gamma, tau,
-                               tau_identity_check, tau_tilde)
+                               tau_identity_check, tau_tilde, xi_roots,
+                               xi_to_x_candidates)
 from jacobidiag.symtensor import TensorSet, symmetrize
 
 QP = math.pi / 4
@@ -43,6 +44,34 @@ def exact_gain(view, x):
         t2 = sum(pw * (-x)**(d - w) for w, pw in enumerate(p))
         total += (t1 * t1 + t2 * t2) / one**d - p[0]**2 - p[d]**2
     return total
+
+
+def trig_form(omega):
+    """_trig_form for every order: for d <= 3, g = [4 A0 sin(phi)
+    + A1 (cos(phi) - 1)] / 16, the form best_angle's atan2 maximizes."""
+    if len(omega) == 3:
+        e0, f0 = 0.25 * omega[0], 0.0625 * omega[1]
+        return e0, f0, e0, f0, 0.0, 0.0
+    return _trig_form(omega)
+
+
+def critical_phis(view):
+    return solve_xi_roots(trig_form(omega_xi_coeffs(view)))
+
+
+def trig_with_critical_tangents(roots, scale=1.0):
+    """_trig_form-style tuple whose g' has its critical points at
+    phi = 2 atan(t), t the given roots: the quartic scale * prod(t - root)
+    read back through its frame-0 coefficients.  g' quartics have
+    c2 = -3 (c0 + c4), so the roots must satisfy e2 = -3 (1 + e4)."""
+    c = np.array([1.0])
+    for root in roots:
+        c = np.convolve(c, [1.0, -root])
+    c4, c3, c2, c1, c0 = scale * c
+    assert abs(c2 + 3.0 * (c0 + c4)) <= 1e-12 * np.max(np.abs(scale * c))
+    a1, b1 = 0.5 * (c0 - c4), -0.25 * (c3 + c1)
+    a2, b2 = (c0 + c4) / 4.0, (c3 - c1) / 16.0
+    return c0, -0.5 * c1, a1, b1, a2, b2
 
 
 def fd_derivatives(view, step=1e-5):
@@ -121,9 +150,9 @@ def test_omega_third_order_diagonal_example():
     view = SubproblemView([[1.0, 0.0, 0.0, 0.0]])
     poly = omega_xi_coeffs(view)
     assert np.allclose(poly, [0.0, 6.0, 0.0], atol=0)
-    roots = solve_xi_roots(poly)
-    assert roots == [0.0]
-    assert xi_to_x_candidates(0.0) == [-1.0, 1.0]
+    # g = (3/8) (cos(phi) - 1): critical at phi = 0 and pi
+    assert sorted(critical_phis(view)) == [0.0, math.pi]
+    assert best_angle(view) == best_angle_xi(view)
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -206,10 +235,8 @@ def test_candidates_are_roots_of_reconstructed_omega(order, delta0):
         view = random_view(order, 100 + seed, delta0=delta0)
         omega = _numeric_omega_coeffs(view)
         scale = np.max(np.abs(omega))
-        xs = []
-        for xi in solve_xi_roots(omega_xi_coeffs(view)):
-            xs.extend(xi_to_x_candidates(xi))
-        # every mapped candidate solves omega(x) = 0
+        xs = [math.tan(0.25 * phi) for phi in critical_phis(view)]
+        # every critical point solves omega(x) = 0
         for x in xs:
             val = np.polynomial.polynomial.polyval(x, omega)
             assert abs(val) <= 1e-7 * scale
@@ -221,30 +248,114 @@ def test_candidates_are_roots_of_reconstructed_omega(order, delta0):
 
 
 # ---------------------------------------------------------------------------
-# root solving and the xi -> x map
+# the critical points of g, and the xi route kept in oracle
 
 def test_solve_xi_roots_basic():
-    assert solve_xi_roots([6.0, 0.0]) == [0.0]
-    assert solve_xi_roots([1.0, 0.0, -1.0]) == [-1.0, 1.0]
-    with pytest.raises(ConstantObjectiveError):
-        solve_xi_roots([0.0, 0.0, 0.0])
+    # g = b1 (cos(phi) - 1): critical at 0 and pi
+    assert sorted(solve_xi_roots((0.0, 1.5, 0.0, 1.5, 0.0, 0.0))) \
+        == [0.0, math.pi]
+    # g = a1 sin(phi): critical at +-pi/2
+    got = sorted(solve_xi_roots((2.0, 0.0, 2.0, 0.0, 0.0, 0.0)))
+    assert got == pytest.approx([-math.pi / 2, math.pi / 2], abs=1e-15)
+    # g = b2 (cos(2 phi) - 1): g' vanishes at all four quarter points,
+    # which is why the frames include the eighth turns
+    got = sorted(solve_xi_roots((0.0, 4.0, 0.0, 0.0, 0.0, 1.0)))
+    assert got == pytest.approx([-math.pi / 2, 0.0, math.pi / 2, math.pi],
+                                abs=1e-15)
+    assert solve_xi_roots((0.0,) * 6) == []
 
 
 def test_solve_xi_roots_planted_quartic():
-    target = [-2.0, 0.5, 1.0, 3.0]
-    coeffs = np.array([1.0])
-    for r in target:
-        coeffs = np.convolve(coeffs, [1.0, -r])
-    roots = solve_xi_roots(coeffs)
-    assert len(roots) == 4
-    for got, want in zip(roots, sorted(target)):
-        assert got == pytest.approx(want, abs=1e-10)
+    # roots 1e-12 and 1e12 in one quartic: phi = 2e-12 keeps its relative
+    # accuracy, phi = pi - 2e-12 its absolute one
+    planted = [1e-12, 1e12, 1.0, -1.0]
+    for scale in (1.0, -3.0, 2.0**-40):
+        got = sorted(solve_xi_roots(trig_with_critical_tangents(planted,
+                                                                scale)))
+        want = sorted(2.0 * math.atan(t) for t in planted)
+        assert len(got) == 4
+        assert got[1] == pytest.approx(want[1], rel=1e-10, abs=0.0)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, abs=1e-10)
 
 
-def test_solve_xi_roots_keeps_tiny_leading_coefficient():
-    # a leading coefficient far below the others still has its (huge) root
-    roots = solve_xi_roots([1e-16, 2.0, -3.0])
-    assert roots == [pytest.approx(-2e16, rel=1e-12), pytest.approx(1.5)]
+def test_solve_xi_roots_leading_zero_is_a_critical_point_at_pi():
+    # g'(pi) = 2 a2 - a1 = 0, the frame-0 quartic's leading coefficient;
+    # another frame is solved and phi = pi comes out as a plain root
+    for a2 in (0.5, -0.25):
+        for b1, b2 in ((0.3, 0.7), (-1.0, 0.1)):
+            a1 = 2.0 * a2
+            trig = (a1 + 2.0 * a2, b1 + 4.0 * b2, a1, b1, a2, b2)
+            assert min(abs(phi - math.pi) for phi in solve_xi_roots(trig)) \
+                <= 1e-14
+
+
+def _g_prime(trig, phi):
+    _, _, a1, b1, a2, b2 = trig
+    return (a1 * np.cos(phi) - b1 * np.sin(phi) + 2 * a2 * np.cos(2 * phi)
+            - 2 * b2 * np.sin(2 * phi))
+
+
+@pytest.mark.parametrize("frame", range(8))
+def test_solve_xi_roots_in_each_frame(frame):
+    # frame phi0 = k pi/4 solves where |g'(phi0 + pi)| is largest of the
+    # eight; every sign change of g' on a dense grid has a root within the
+    # grid step, and every root is a zero of g'
+    rng = np.random.default_rng(90 + frame)
+    grid = np.linspace(-math.pi, math.pi, 200_001)
+    leads = np.array([f[0] for f in angles._FRAMES]) + math.pi
+    done = 0
+    while done < 10:
+        a1, b1, a2, b2 = rng.standard_normal(4)
+        trig = (a1 + 2 * a2, b1 + 4 * b2, a1, b1, a2, b2)
+        samples = np.abs(_g_prime(trig, leads))
+        if np.argmax(samples) != frame:
+            continue
+        done += 1
+        roots = solve_xi_roots(trig)
+        scale = np.max(samples)
+        for phi in roots:
+            assert -math.pi < phi <= math.pi
+            assert abs(_g_prime(trig, phi)) <= 1e-13 * scale
+        vals = _g_prime(trig, grid)
+        for k in np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:])):
+            assert min(abs(math.remainder(grid[k] - phi, 2 * math.pi))
+                       for phi in roots) <= 1e-4
+
+
+def test_solve_xi_roots_keeps_a_tiny_root():
+    # g'(0) = e0 far below the other coefficients (a near-diagonal pair):
+    # the root near phi = e0 / f0 keeps full relative accuracy
+    for e0 in (1e-16, -3e-20, 2e-200):
+        f0, a2, b2 = 2.0, 0.3, -0.4
+        trig = (e0, f0, e0 - 2 * a2, f0 - 4 * b2, a2, b2)
+        tiny = min(solve_xi_roots(trig), key=abs)
+        assert tiny == pytest.approx(e0 / f0, rel=1e-12, abs=0.0)
+
+
+def test_quartic_roots_planted():
+    def monic(roots):
+        c = np.array([1.0])
+        for root in roots:
+            c = np.convolve(c, [1.0, -root])
+        return _quartic_roots(*c[1:])
+
+    got = sorted(monic([-2.0, 0.5, 1.0, 3.0]))
+    assert got == pytest.approx([-2.0, 0.5, 1.0, 3.0], abs=1e-10)
+    # biquadratic: the depressed quartic has no odd terms
+    assert sorted(_quartic_roots(0.0, -5.0, 0.0, 4.0)) == pytest.approx(
+        [-2.0, -1.0, 1.0, 2.0], abs=1e-14)
+    assert _quartic_roots(0.0, 5.0, 0.0, 4.0) == []
+    # a double root is kept, to the accuracy a double root allows
+    got = sorted(monic([0.5, 0.5, -2.0, 3.0]))
+    assert len(got) == 4
+    assert got[0] == pytest.approx(-2.0, abs=1e-10)
+    assert got[1:3] == pytest.approx([0.5, 0.5], abs=1e-7)
+    assert got[3] == pytest.approx(3.0, abs=1e-10)
+    # two real roots and a complex pair
+    c = np.convolve(np.convolve([1.0, -1.0], [1.0, 2.0]), [1.0, 0.0, 1.0])
+    assert sorted(_quartic_roots(*c[1:])) == pytest.approx([-2.0, 1.0],
+                                                           abs=1e-12)
 
 
 def test_xi_to_x_examples():
@@ -257,6 +368,15 @@ def test_xi_to_x_examples():
             assert abs(x) <= 1.0
             assert x * x - xi * x - 1.0 == pytest.approx(
                 0.0, abs=1e-12 * (1 + xi * xi))
+
+
+def test_xi_roots_reference():
+    assert xi_roots([6.0, 0.0]) == [0.0]
+    assert xi_roots([1.0, 0.0, -1.0]) == [-1.0, 1.0]
+    assert xi_roots([0.0, 0.0, 0.0]) is None
+    # a leading coefficient far below the others still has its huge root
+    assert xi_roots([1e-16, 2.0, -3.0]) == [pytest.approx(-2e16, rel=1e-12),
+                                           pytest.approx(1.5)]
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +407,23 @@ def test_best_angle_swap_matrix_tie_breaks_positive(monkeypatch):
         assert res.gain == pytest.approx(2.0)
 
 
-def test_best_angle_constant_objective():
-    view = SubproblemView([[0.0, 0.0, 0.0]])
+def test_best_angle_fourth_order_quarter_tie_breaks_positive():
+    # T[i,i,i,j] = T[i,j,j,j] = 1: h~ peaks at both +-pi/4, and g'(pi) = 0
+    # is the frame-0 quartic's leading coefficient
+    view = SubproblemView([[0.0, 1.0, 0.0, 1.0, 0.0]])
     res = best_angle(view)
-    assert res.theta == 0.0 and res.gain == 0.0
+    assert res.theta == QP
+    assert res.gain == 8.0
+    assert h_tilde(view, QP) - h_tilde(view, 0.0) == pytest.approx(8.0)
+
+
+def test_best_angle_constant_objective():
+    # nu = 0: h is constant, and with delta0 > 0, h~ = -delta0 gamma peaks
+    # at theta = 0
+    for order in (2, 3, 4):
+        for delta0 in (0.0, 0.5):
+            res = best_angle(SubproblemView(np.zeros((2, order + 1)), delta0))
+            assert res.theta == 0.0 and res.gain == 0.0
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -337,10 +470,7 @@ def test_oracle_finds_local_maxima_near_candidates():
     for seed in range(30):
         order = 2 + seed % 3
         view = random_view(order, 3000 + seed)
-        xs = [0.0, 1.0, -1.0]
-        for xi in solve_xi_roots(omega_xi_coeffs(view)):
-            xs.extend(xi_to_x_candidates(xi))
-        cand = [math.atan(x) for x in xs]
+        cand = [0.0, QP, -QP] + [0.25 * phi for phi in critical_phis(view)]
         for t_oracle, _ in local_maxima(view, 2048):
             assert min(abs(t_oracle - t) for t in cand) <= 1e-8
 
@@ -392,21 +522,23 @@ def test_best_angle_moves_when_h_prime_is_tiny(nu):
 @pytest.mark.parametrize("order", [2, 3, 4])
 @pytest.mark.parametrize("delta0", [0.0, 0.3])
 def test_gain_numerator_on_grid(order, delta0):
-    # d <= 3: h~ - h~(0) = [4 A0 sin(phi) + A1 (cos(phi) - 1)] / 16 with
-    # phi = 4 theta; d = 4: q(x) / (1 + x^2)^4 from _gain_numerator
+    # h~ - h~(0) = a1 sin(phi) + b1 (cos(phi) - 1) + a2 sin(2 phi)
+    # + b2 (cos(2 phi) - 1) with phi = 4 theta: _trig_form for d = 4, and
+    # [4 A0 sin(phi) + A1 (cos(phi) - 1)] / 16 for d <= 3; the exact
+    # g'(0) = e0 and -g''(0) = f0 are a1 + 2 a2 and b1 + 4 b2
     xs = np.linspace(-1.0, 1.0, 101)
+    phi = 4.0 * np.arctan(xs)
     for seed in range(10):
         view = random_view(order, 6000 + seed, m=3, delta0=delta0)
         omega = omega_xi_coeffs(view)
-        if order == 4:
-            got = np.polyval(_gain_numerator(omega), xs) / (1.0 + xs * xs)**4
-        else:
-            phi = 4.0 * np.arctan(xs)
-            got = (4.0 * omega[0] * np.sin(phi)
-                   + omega[1] * (np.cos(phi) - 1.0)) / 16.0
+        e0, f0, a1, b1, a2, b2 = trig_form(omega)
+        got = (a1 * np.sin(phi) + b1 * (np.cos(phi) - 1.0)
+               + a2 * np.sin(2 * phi) + b2 * (np.cos(2 * phi) - 1.0))
         v0 = h_tilde(view, 0.0)
         want = h_tilde(view, np.arctan(xs)) - v0
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + abs(v0))
+        assert e0 == pytest.approx(a1 + 2 * a2, rel=1e-12, abs=1e-15)
+        assert f0 == pytest.approx(b1 + 4 * b2, rel=1e-12, abs=1e-15)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -420,6 +552,23 @@ def test_best_angle_is_exactly_scale_covariant(order, m, delta0, seed, k):
     a, b = best_angle(base), best_angle(scaled)
     assert b.theta == a.theta
     assert b.gain == 4.0**k * a.gain
+
+
+def test_best_angle_is_scale_covariant_up_to_overflow():
+    # x 2^509: Omega is finite but 4 A1 + A3 is not, so b1 and b2 must be
+    # scaled before they are summed; x 2^511: Omega itself overflows
+    base = SubproblemView([[1.0, 0.02, 0.0, 0.01, 1.0]])
+    a = best_angle(base)
+    assert a.theta != 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = SubproblemView(2.0**509 * base.nu)
+        omega = omega_xi_coeffs(big)
+        assert np.all(np.isfinite(omega))
+        assert math.isinf(4.0 * omega[1] + omega[3])
+        b = best_angle(big)
+        assert b.theta == a.theta and b.gain == 4.0**509 * a.gain
+        with pytest.raises(ValueError, match="must be finite"):
+            best_angle(SubproblemView(2.0**511 * base.nu))
 
 
 def test_brute_force_requires_dense_grid():
@@ -481,3 +630,11 @@ def test_view_validation():
         SubproblemView([[np.inf, 0.0, 0.0]])
     with pytest.raises(ValueError):
         SubproblemView([[0.0, 1.0, 0.0]], delta0=-1.0)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("delta0", [math.nan, math.inf, -math.inf])
+def test_view_rejects_a_non_finite_delta0(order, delta0):
+    # NaN passes a plain `delta0 < 0` test, and +inf is not negative
+    with pytest.raises(ValueError, match="delta0 must be finite"):
+        SubproblemView(random_view(order, 1).nu, delta0)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from jacobidiag import sweeps
+from jacobidiag.angles import SubproblemView
 from jacobidiag.geometry import GivensRotation, RotationState, lambda_of
 from jacobidiag.harness import ExperimentSpec, make_test_problem
-from jacobidiag.oracle import offdiag_sq_norm, rotate_planes_reference
+from jacobidiag.oracle import (best_angle_xi, offdiag_sq_norm,
+                               rotate_planes_reference)
 from jacobidiag.sweeps import (RunConfig, run, select_pair_gradient,
                                select_pair_max, upper_pairs,
                                write_trajectory_csv)
@@ -200,7 +202,10 @@ def test_trajectories_match_reference_kernel(monkeypatch):
 
     fast = trajectories()
     monkeypatch.setattr(TensorSet, "rotate_plane", reference_rotate_plane)
-    reference = trajectories()
+    _assert_same_path(fast, trajectories())
+
+
+def _assert_same_path(fast, reference):
     for a, b in zip(fast, reference):
         assert (a.stop_reason, a.state.rotation_count) == \
             (b.stop_reason, b.state.rotation_count)
@@ -209,6 +214,49 @@ def test_trajectories_match_reference_kernel(monkeypatch):
         for ra, rb in zip(a.records, b.records):
             assert abs(ra.theta - rb.theta) <= 1e-11
             assert abs(ra.f - rb.f) <= 1e-12 * abs(rb.f)
+
+
+def test_fourth_order_trajectories_match_the_xi_route(monkeypatch):
+    # the d = 4 angle from the trig form's quartic against the companion
+    # matrix route it replaced, kept in oracle
+    problems = [make_test_problem(ExperimentSpec(
+        n=5, order=4, m=m, sigma=1e-2, seed_rot=7, seed_noise=8,
+        profile="linear"))[0] for m in (1, 2)]
+
+    def trajectories():
+        results = [run(ts, RunConfig(method=method, max_sweeps=10))
+                   for ts in problems for method in sweeps.METHODS]
+        assert all(res.state.rotation_count > 0 for res in results)
+        return results
+
+    fast = trajectories()
+    monkeypatch.setattr(sweeps, "best_angle", best_angle_xi)
+    _assert_same_path(fast, trajectories())
+
+
+def test_view_gather_keeps_angles_bitwise(monkeypatch):
+    # the pair view is one take from a table of packed positions; the same
+    # entries read one by one from the dense stack give the same angles,
+    # bit for bit
+    problems = [make_test_problem(ExperimentSpec(
+        n=5, order=order, m=m, sigma=1e-2, seed_rot=7, seed_noise=8,
+        profile="linear"))[0] for order in (2, 3) for m in (1, 3)]
+
+    def dense_view(cls, tensors, i, j, delta0=0.0):
+        stack = tensors.stack
+        d = tensors.order
+        return cls([[member[(i,) * (d - w) + (j,) * w] for w in range(d + 1)]
+                    for member in stack], delta0)
+
+    def thetas():
+        return [[r.theta for r in run(ts, RunConfig(method=method,
+                                                    max_sweeps=10)).records]
+                for ts in problems for method in sweeps.METHODS]
+
+    fast = thetas()
+    monkeypatch.setattr(SubproblemView, "from_tensors",
+                        classmethod(dense_view))
+    assert thetas() == fast
 
 
 def test_forced_reorthonormalization_keeps_ascent(monkeypatch):
@@ -343,6 +391,31 @@ def test_gradient_run_at_scaled_input_reaches_stationarity():
     res = run(TensorSet(2.0**7 * tensors.stack[0]),
               RunConfig(method="g", max_sweeps=20))
     assert res.converged and res.stop_reason == "stationary"
+
+
+@pytest.mark.parametrize("k", [7, -7])
+def test_fourth_order_gradient_run_at_scaled_input_reaches_stationarity(k):
+    # the d = 4 path of the test above, at x 2^7 and x 2^-7
+    spec = ExperimentSpec(n=5, order=4, sigma=1e-2, seed_rot=5, seed_noise=3)
+    tensors, _ = make_test_problem(spec)
+    res = run(TensorSet(2.0**k * tensors.stack[0]),
+              RunConfig(method="g", max_sweeps=20))
+    assert res.converged and res.stop_reason == "stationary"
+
+
+def test_run_result_reports_the_resolved_settings():
+    ts = noisy_problem(3)
+    total = ts.frob_sq()
+    res = run(ts, RunConfig(method="pc", max_sweeps=1))
+    assert res.stationarity_tol == res.thresh == 1e-10 * math.sqrt(total)
+    assert res.delta0 == 1e-3 * total
+    assert res.eps == 0.1 * (2.0 / 6)
+    assert run(ts, RunConfig(method="c", max_sweeps=1)).delta0 == 0.0
+    given = RunConfig(method="g", eps=0.25, delta0=0.5, thresh=1e-3,
+                      stationarity_tol=1e-4, max_sweeps=1)
+    res = run(ts, given)
+    assert (res.stationarity_tol, res.thresh, res.delta0, res.eps) == \
+        (1e-4, 1e-3, 0.5, 0.25)
 
 
 def test_converged_runs_are_stationary():
