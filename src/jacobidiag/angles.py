@@ -41,6 +41,7 @@ from .geometry import QUARTER_PI
 from .symtensor import _pair_positions
 
 __all__ = [
+    "MAX_SQ_NORM",
     "SubproblemView",
     "AngleResult",
     "omega_xi_coeffs",
@@ -137,6 +138,13 @@ def _omega_matrix(d):
 _OMEGA_MATRIX = {d: _omega_matrix(d) for d in _BINOM}
 _OMEGA_DELTA0 = {2: np.array([0.0, 4.0, 0.0]), 3: np.array([0.0, 4.0, 0.0]),
                  4: np.array([0.0, 4.0, 0.0, 16.0, 0.0])}
+# Largest ||T||^2 at which no coefficient of Omega (delta0 = 0) can overflow:
+# a member holds nu[l, w] at C(d, w) dense places, so |G_wv| <= ||T||^2 /
+# sqrt(C(d, w) C(d, v)) (Cauchy-Schwarz), and |A_j| <= c_d ||T||^2, c_d the
+# largest row sum of |M_d| weighted so (206 at d = 4, 38 at d = 3, 24 at d = 2)
+MAX_SQ_NORM = {d: float(np.finfo(np.float64).max / np.max(
+    np.abs(_OMEGA_MATRIX[d]) @ (1.0 / np.sqrt(np.outer(b, b))).ravel()))
+    for d, b in _BINOM.items()}
 
 
 def omega_xi_coeffs(view):

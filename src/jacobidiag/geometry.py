@@ -118,7 +118,8 @@ class RotationState:
     re-orthonormalized and the working tensors rebuilt if floating-point
     drift ever exceeds ORTH_TOL.  ``apply`` does not check the drift (the
     check is O(n^3)); ``sweeps.run`` checks it once per sweep and then
-    calls ``reorthonormalize``.
+    calls ``reorthonormalize``.  ``q`` is column-major: ``apply`` updates
+    two contiguous columns.
     """
 
     def __init__(self, source, q0=None):
@@ -129,10 +130,10 @@ class RotationState:
                              f"{self.total_sq_norm:g}; need 0 < ||T||^2 < inf")
         n = source.dim
         if q0 is None:
-            q = np.eye(n)
+            q = np.eye(n, order="F")
             self.tensors = source.copy()
         else:
-            q = np.array(q0, dtype=np.float64)
+            q = np.array(q0, dtype=np.float64, order="F")
             if q.shape != (n, n):
                 raise ValueError(f"Q0 shape {q.shape} does not match n={n}")
             # "not <=" also refuses the NaN a non-finite entry leaves
@@ -183,7 +184,7 @@ class RotationState:
 
     def reorthonormalize(self):
         """QR-polish Q (det +1 preserved) and rebuild tensors from source."""
-        self.q = _special_orthogonal_factor(self.q)
+        self.q = np.asfortranarray(_special_orthogonal_factor(self.q))
         self.tensors = self.source.rotated_by(self.q)
         self.f_current = self.tensors.diag_sq_norm()
         self.reorth_count += 1

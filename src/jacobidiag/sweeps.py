@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import SubproblemView, best_angle
+from .angles import MAX_SQ_NORM, SubproblemView, best_angle
 from .geometry import (ORTH_TOL, GivensRotation, RotationState, lambda_of,
                        safe_norm)
 from .symtensor import TensorSet
@@ -176,13 +176,17 @@ class RunResult:
 
 
 def run(tensors, config=None, q0=None):
-    """Run one Jacobi variant on a tensor set from Q0 (default identity)."""
+    """Run one Jacobi variant on a tensor set from Q0 (default identity);
+    refuse one whose ||T||^2 exceeds ``angles.MAX_SQ_NORM`` for its order."""
     cfg = config or RunConfig()
     if not isinstance(tensors, TensorSet):
         tensors = TensorSet(tensors)
     state = RotationState(tensors, q0)
     n = state.dim
     total = state.total_sq_norm
+    if total > (bound := MAX_SQ_NORM[tensors.order]):
+        raise ValueError(f"||T||^2 = {total:.3e} exceeds {bound:.3e}, where "
+                         f"the angle step can overflow; rescale the input")
     scale = math.sqrt(total)
 
     eps = cfg.eps if cfg.eps is not None else 0.1 * (2.0 / n)

@@ -19,9 +19,9 @@ A plane rotation changes only the K entries with an index in {i, j}
 (K = 4,900 of N = 17,550 at d = 4, n = 24).  They fall into blocks of the
 t + 1 entries i^a j^(t-a) R with t indices in {i, j}, and the rotation
 maps each block by S_t, the t-th symmetric power of the 2 x 2 Givens
-matrix.  ``rotate_plane`` gathers them, applies one matrix product per t
-and scatters them back (see ``_rotation_plan``); it agrees with the dense
-mode-by-mode rotation to rounding, not bitwise.
+matrix.  ``rotate_plane`` gathers them into buffers the set plans once,
+maps them by one matrix product per t and scatters them back (see
+``_rotation_work``); it agrees with the dense rotation to rounding only.
 
 Index convention: all indices and modes are 0-based.
 """
@@ -143,6 +143,22 @@ def _rotation_plan(order, dim):
     return np.hstack(row_i), np.hstack(row_j), tuple(bounds)
 
 
+def _rotation_work(order, dim, m):
+    """One set's ``rotate_plane`` buffers: the (K,) dense and packed
+    positions, the (K, m) entries before and after, S_1, ..., S_d, and per
+    t the views (S_t, old block, new block) of the product for t hits."""
+    row_i, row_j, bounds = _rotation_plan(order, dim)
+    flat, touched = np.empty((2, row_i.shape[1]), dtype=np.intp)
+    old, new = np.empty((2, row_i.shape[1], m))
+    powers = np.empty((order, order + 1, order + 1))
+    steps = tuple((powers[t - 1, :t + 1, :t + 1],
+                   old[lo:hi].reshape(t + 1, -1),
+                   new[lo:hi].reshape(t + 1, -1))
+                  for t, (lo, hi) in enumerate(bounds, start=1))
+    return (row_i, row_j, _packing(order, dim)[1], flat, touched, old, new,
+            powers, steps)
+
+
 def _symmetric_power_table(order):
     """Exact integer table whose product with the monomials c^p s^q
     (p, q in 0..d, p-major) is the (d, d+1, d+1) array of S_1, ..., S_d,
@@ -170,11 +186,14 @@ _POWER_TABLE = {d: _symmetric_power_table(d) for d in _SUPPORTED_ORDERS}
 
 
 def _symmetric_powers(order, c, s):
-    """S_1, ..., S_d at (c, s) as laid out by ``_symmetric_power_table``,
-    from one product of that table with the monomials."""
-    e = np.arange(order + 1.0)
-    monomials = np.multiply.outer(c ** e, s ** e).ravel()
-    return _POWER_TABLE[order].dot(monomials).reshape(
+    """S_1, ..., S_d at (c, s) as laid out by ``_symmetric_power_table``:
+    the monomials c^p s^q by repeated multiplication of Python floats, then
+    one product with that table."""
+    cp, sp = [1.0], [1.0]
+    for _ in range(order):
+        cp.append(cp[-1] * c)
+        sp.append(sp[-1] * s)
+    return _POWER_TABLE[order].dot([a * b for a in cp for b in sp]).reshape(
         order, order + 1, order + 1)
 
 
@@ -293,7 +312,7 @@ class TensorSet:
     does per rotation reads it.
     """
 
-    __slots__ = ("packed", "order", "dim")
+    __slots__ = ("packed", "order", "dim", "_work")
 
     def __init__(self, arrays):
         if isinstance(arrays, (list, tuple)):
@@ -304,6 +323,7 @@ class TensorSet:
         orbit, _ = _check_members(stack)
         self.packed = orbit[0].copy()
         self.order, self.dim = stack.ndim - 1, stack.shape[-1]
+        self._work = None
 
     @classmethod
     def _wrap(cls, stack):
@@ -318,6 +338,7 @@ class TensorSet:
     def _from_packed(cls, packed, order, dim):
         obj = cls.__new__(cls)
         obj.packed, obj.order, obj.dim = packed, order, dim
+        obj._work = None
         return obj
 
     @classmethod
@@ -345,6 +366,10 @@ class TensorSet:
 
     def copy(self):
         return TensorSet._from_packed(self.packed.copy(), self.order, self.dim)
+
+    def __reduce__(self):
+        # pickle and copy would split the work area's views from its buffers
+        return TensorSet._from_packed, (self.packed, self.order, self.dim)
 
     def _gather(self, positions):
         """(m,) + positions.shape C-contiguous array of packed entries."""
@@ -383,23 +408,25 @@ class TensorSet:
         Gathers the O(m n^(d-1)) packed entries with an index in {i, j},
         maps the blocks with t hits by the symmetric power S_t in one
         matrix product per t, and scatters them back; see
-        ``_rotation_plan``.  It agrees with the dense rotation
+        ``_rotation_plan`` and, for the buffers built on the first call,
+        ``_rotation_work``.  It agrees with the dense rotation
         (``oracle.rotate_planes_reference``) to rounding, not bitwise: the
         product sums in another order.
         """
         if not (0 <= i < j < self.dim):
             raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, "
                              f"n={self.dim}")
-        row_i, row_j, bounds = _rotation_plan(self.order, self.dim)
-        touched = _packing(self.order, self.dim)[1].take(row_i[i] + row_j[j])
-        old = np.take(self.packed, touched, axis=0)
-        new = np.empty_like(old)
-        powers = _symmetric_powers(self.order, math.cos(theta),
-                                   math.sin(theta))
-        for t, (lo, hi) in enumerate(bounds, start=1):
-            np.dot(powers[t - 1, :t + 1, :t + 1],
-                   old[lo:hi].reshape(t + 1, -1),
-                   out=new[lo:hi].reshape(t + 1, -1))
+        if self._work is None:
+            self._work = _rotation_work(self.order, self.dim, len(self))
+        row_i, row_j, pos, flat, touched, old, new, powers, steps = self._work
+        np.add(row_i[i], row_j[j], out=flat)
+        # mode="clip" (no index is out of range) lets take skip a buffer
+        pos.take(flat, out=touched, mode="clip")
+        self.packed.take(touched, axis=0, out=old, mode="clip")
+        powers[...] = _symmetric_powers(self.order, math.cos(theta),
+                                        math.sin(theta))
+        for power, old_t, new_t in steps:
+            np.dot(power, old_t, out=new_t)
         self.packed[touched] = new
         return self
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobidiag import angles
-from jacobidiag.angles import (SubproblemView, _quartic_roots, _trig_form,
-                               best_angle, omega_xi_coeffs, solve_xi_roots)
+from jacobidiag.angles import (MAX_SQ_NORM, SubproblemView, _quartic_roots,
+                               _trig_form, best_angle, omega_xi_coeffs,
+                               solve_xi_roots)
 from jacobidiag.geometry import RotationState, lambda_of, random_rotation
 from jacobidiag.oracle import (best_angle_xi, brute_force_angle, h,
                                h_derivatives_at_zero, h_prime_at_zero,
@@ -638,3 +640,22 @@ def test_view_rejects_a_non_finite_delta0(order, delta0):
     # NaN passes a plain `delta0 < 0` test, and +inf is not negative
     with pytest.raises(ValueError, match="delta0 must be finite"):
         SubproblemView(random_view(order, 1).nu, delta0)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_omega_stays_within_the_squared_norm_bound(order):
+    # |A_j| <= c_d ||T||^2, c_d = DBL_MAX / MAX_SQ_NORM; a view's own
+    # entries weigh sum_w C(d, w) nu_w^2 in ||T||^2, a lower bound for it
+    rng = np.random.default_rng(40 + order)
+    c_d = sys.float_info.max / MAX_SQ_NORM[order]
+    weights = np.array([math.comb(order, w) for w in range(order + 1)])
+    worst = 0.0
+    for _ in range(2000):
+        nu = rng.standard_normal((int(rng.integers(1, 4)), order + 1))
+        nu *= rng.uniform(0.0, 1.0, size=order + 1) ** 3
+        omega = omega_xi_coeffs(SubproblemView(nu))
+        worst = max(worst, float(np.max(np.abs(omega)))
+                    / (c_d * float(np.sum(weights * nu * nu))))
+    assert 0.1 < worst <= 1.0
+    assert MAX_SQ_NORM[4] == pytest.approx(8.710e305, rel=1e-3)
+    assert MAX_SQ_NORM[3] == pytest.approx(4.749e306, rel=1e-3)

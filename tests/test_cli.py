@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,22 @@ def test_run_under_and_overflowing_norm_exits_2(tmp_path, capsys, scale,
                      "--csv", str(tmp_path / "o.csv")])
     assert code == 2
     assert f"squared norm is {norm};" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [511, 510])
+def test_run_set_whose_omega_can_overflow_exits_2(tmp_path, capsys, k):
+    problem, scaled = tmp_path / "p.st", tmp_path / "scaled.st"
+    cli.main(gen_args(problem, **{"--n": "5", "--d": "4", "--sigma": "1e-2",
+                                  "--seed-rot": "5"}))
+    save_tensorset(scaled, TensorSet(2.0**k * load_tensorset(problem).stack[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", "--in", str(scaled), "--algo", "c",
+                         "--max-sweeps", "3", "--tol", "0",
+                         "--csv", str(tmp_path / "o.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "exceeds 8.710e+305" in err and "rescale the input" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -246,3 +246,15 @@ def test_reorthonormalize_rebuilds_from_source():
     # next apply() keeps the state consistent again
     state.apply(GivensRotation(0, 1, 0.2))
     assert state.f_current == pytest.approx(state.tensors.diag_sq_norm())
+
+
+def test_q_stays_column_major():
+    # apply updates two columns of Q; held column-major, both are contiguous
+    ts = random_set(3, 5, 57)
+    for q0 in (None, random_rotation(5, 10)):
+        state = RotationState(ts, q0)
+        assert state.q.flags.f_contiguous
+        state.apply(GivensRotation(1, 3, 0.3))
+        assert state.q.flags.f_contiguous
+        state.reorthonormalize()
+        assert state.q.flags.f_contiguous

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jacobidiag import sweeps
-from jacobidiag.angles import SubproblemView
+from jacobidiag.angles import MAX_SQ_NORM, SubproblemView
 from jacobidiag.geometry import GivensRotation, RotationState, lambda_of
 from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.oracle import (best_angle_xi, offdiag_sq_norm,
@@ -147,6 +147,42 @@ def test_run_refuses_under_and_overflowing_norm(scale):
     ts = noisy_problem(3, sigma=1e-3)
     with pytest.raises(ValueError, match="squared norm is"):
         run(TensorSet(scale * ts.stack[0]), RunConfig())
+
+
+@pytest.mark.parametrize("k", [511, 510])
+def test_run_refuses_a_set_whose_omega_can_overflow(k):
+    # ||T||^2 = 4.6e307 and 1.1e307, both above the d = 4 bound 8.7e305:
+    # refused before the first rotation, with no overflow warning
+    spec = ExperimentSpec(n=5, order=4, sigma=1e-2, seed_rot=5, seed_noise=3)
+    big = TensorSet(2.0**k * make_test_problem(spec)[0].stack[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\|\|T\|\|\^2 = .* exceeds "
+                           r"8\.710e\+305, .*; rescale the input"):
+            run(big, RunConfig(method="c", max_sweeps=3))
+
+
+@pytest.mark.parametrize("method", sweeps.METHODS)
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_run_just_under_the_squared_norm_bound(order, method):
+    # a set scaled to just under MAX_SQ_NORM runs without a warning, and
+    # its first sweep takes the unscaled run's pairs and angles (later
+    # ones may part: the default tolerance scales as ||T||, Lambda as
+    # ||T||^2)
+    ts = noisy_problem(order, n=5, sigma=1e-1)
+    scale = math.sqrt(0.999 * MAX_SQ_NORM[order] / ts.frob_sq())
+    big = TensorSet(scale * ts.stack[0])
+    assert 0.99 * MAX_SQ_NORM[order] < big.frob_sq() <= MAX_SQ_NORM[order]
+    cfg = RunConfig(method=method, max_sweeps=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(big, cfg)
+    ref = run(ts, cfg)
+    first = len(upper_pairs(5))
+    assert len(res.records) >= first and len(ref.records) >= first
+    for r, s in zip(res.records[:first], ref.records[:first]):
+        assert (r.i, r.j, r.skipped) == (s.i, s.j, s.skipped)
+        assert abs(r.theta - s.theta) <= 1e-9
 
 
 def test_run_rejects_bad_q0():

@@ -1,6 +1,9 @@
+import copy
 import functools
 import itertools
 import math
+import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -250,6 +253,68 @@ def test_symmetric_powers_keep_the_weighted_norm(order):
             weights = np.diag([math.comb(t, a) for a in range(t + 1)])
             assert np.max(np.abs(power.T @ weights @ power - weights)) \
                 <= 1e-14 * weights.max()
+
+
+@pytest.mark.parametrize("order,n,m,limit", [(4, 24, 1, 39_200),
+                                              (3, 14, 14, 21_952)])
+def test_rotate_plane_allocates_no_touched_array(order, n, m, limit):
+    # limit: one (K, m) float64 array, K = 4,900 and 196 touched entries;
+    # after the first call builds the work area, a call allocates less
+    rng = np.random.default_rng(90 + order)
+    ts = TensorSet([symmetrize(rng.standard_normal((n,) * order))
+                    for _ in range(m)])
+    pairs = [sorted(rng.choice(n, size=2, replace=False).tolist())
+             for _ in range(50)]
+    ts.rotate_plane(0, 1, 0.3)
+    tracemalloc.start()
+    try:
+        for i, j in pairs:
+            ts.rotate_plane(i, j, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, peak
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_rotation_work_areas_are_private(order):
+    # two sets of one (d, n, m) rotated in alternation end bitwise where
+    # each ends rotated alone, and a rotated copy leaves its original as is
+    rng = np.random.default_rng(95 + order)
+    a, b = (TensorSet([symmetrize(rng.standard_normal((6,) * order))
+                       for _ in range(2)]) for _ in range(2))
+    alone_a, alone_b = a.copy(), b.copy()
+
+    def steps():
+        return [(*sorted(rng.choice(6, size=2, replace=False).tolist()),
+                 float(rng.uniform(-0.8, 0.8))) for _ in range(30)]
+
+    steps_a, steps_b = steps(), steps()
+    for (i, j, theta), (k, p, phi) in zip(steps_a, steps_b):
+        a.rotate_plane(i, j, theta)
+        b.rotate_plane(k, p, phi)
+    for i, j, theta in steps_a:
+        alone_a.rotate_plane(i, j, theta)
+    for k, p, phi in steps_b:
+        alone_b.rotate_plane(k, p, phi)
+    assert np.array_equal(a.packed, alone_a.packed)
+    assert np.array_equal(b.packed, alone_b.packed)
+    before = a.packed.copy()
+    twin = a.copy()
+    assert twin._work is None
+    twin.rotate_plane(0, 1, 0.4)
+    assert np.array_equal(a.packed, before)
+    assert not np.array_equal(twin.packed, before)
+    buffers = [np.asarray(x) for ts in (a, b, twin) for x in ts._work[3:8]]
+    assert not any(np.shares_memory(x, y)
+                   for x, y in itertools.combinations(buffers, 2))
+    # pickled and deep-copied sets rotate like copy(): a work area's views
+    # would not survive either
+    for clone in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert clone._work is None
+        clone.rotate_plane(0, 1, 0.4)
+        assert np.array_equal(clone.packed, twin.packed)
+    assert np.array_equal(a.packed, before)
 
 
 @pytest.mark.parametrize("m", [1, 3])
