@@ -42,6 +42,7 @@ from .symtensor import _pair_positions
 
 __all__ = [
     "MAX_SQ_NORM",
+    "check_sq_norm",
     "SubproblemView",
     "AngleResult",
     "omega_xi_coeffs",
@@ -145,6 +146,16 @@ _OMEGA_DELTA0 = {2: np.array([0.0, 4.0, 0.0]), 3: np.array([0.0, 4.0, 0.0]),
 MAX_SQ_NORM = {d: float(np.finfo(np.float64).max / np.max(
     np.abs(_OMEGA_MATRIX[d]) @ (1.0 / np.sqrt(np.outer(b, b))).ravel()))
     for d, b in _BINOM.items()}
+
+
+def check_sq_norm(sq_norm, order):
+    """Refuse a set whose ||T||^2 exceeds ``MAX_SQ_NORM[order]``: its angle
+    step can overflow.  ``sweeps.run`` and ``harness.verify_invariants``
+    call it before any rotation."""
+    if sq_norm > (bound := MAX_SQ_NORM[order]):
+        raise ValueError(f"||T||^2 = {sq_norm:.3e} exceeds {bound:.3e}, "
+                         f"where the angle step can overflow; rescale the "
+                         f"input")
 
 
 def omega_xi_coeffs(view):

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .symtensor import _near_positions
+
 __all__ = [
     "GivensRotation",
     "random_rotation",
@@ -76,30 +78,34 @@ def random_rotation(n, seed):
 def lambda_of(tensors):
     """Skew-symmetric gradient matrix Lambda of a (rotated) TensorSet.
 
-    Reads only the diagonal and near-diagonal entries of each tensor
-    (O(m n^2) work).
+    Reads only the near-diagonal entries W[k, p, ..., p] of each tensor,
+    the diagonal among them, by one take at the cached (n, n) position
+    table (O(m n^2) work, no layout copy).
     """
-    d = tensors.order
-    near = tensors.near_diag()                  # (m, n, n)
-    diags = near.diagonal(axis1=1, axis2=2)     # (m, n): W[k, ..., k]
-    s = np.einsum("akl,al->kl", near, diags)
-    return d * (s - s.T)
+    near = tensors.packed.take(_near_positions(tensors.order, tensors.dim),
+                               axis=0)                  # (n, n, m)
+    s = np.einsum("kla,al->kl", near, near.diagonal())  # (m, n): W[l, ..., l]
+    lam = s - s.T
+    lam *= tensors.order
+    return lam
 
 
 def safe_norm(a):
     """Frobenius norm of an array whose sum of squares may over- or
     underflow.
 
-    ``np.linalg.norm(a)`` when that is finite and at least 2^-511, the
-    square root of the smallest normal float, so the result is bitwise
-    the plain norm there.  A smaller norm means a subnormal or zero sum of
-    squares, which has lost part or all of its precision (squares below
-    about 1e-324 vanish), and an infinite one an overflowed sum; both fall
-    back to amax * ||a / amax||, amax = max |a|, whose squares lie in
-    (0, 1].  A zero array has norm 0.
+    The square root of the dot product of the raveled array with itself,
+    as ``np.linalg.norm(a)`` computes it for real input, and so bitwise
+    equal to it, when that is finite and at least 2^-511, the square root
+    of the smallest normal float.  ``np.vdot``, unlike ``dot``, raises no
+    floating-point warning on overflow.  A smaller norm means a subnormal
+    or zero sum of squares, which has lost part or all of its precision
+    (squares below about 1e-324 vanish), and an infinite one an overflowed
+    sum; both fall back to amax * ||a / amax||, amax = max |a|, whose
+    squares lie in (0, 1].  A zero array has norm 0.
     """
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
+    flat = np.ravel(a, order="K")
+    norm = math.sqrt(np.vdot(flat, flat))
     if _SQRT_TINY <= norm < math.inf:
         return norm
     amax = float(np.max(np.abs(a)))

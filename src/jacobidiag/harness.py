@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .angles import SubproblemView, best_angle
+from .angles import SubproblemView, best_angle, check_sq_norm
 from .geometry import RotationState, lambda_of, random_rotation
 from .sweeps import RunConfig, run, write_trajectory_csv
 from .symtensor import TensorSet, multi_mode_product, symmetrize
@@ -255,8 +255,10 @@ def verify_invariants(tensors, seed=0, samples=40):
     Covers: analytic gradient vs central finite differences, the rational
     identities of the restricted objective (orders 2 and 3), algebraic vs
     brute-force angle maximization, and the f + offdiag = total partition.
-    Residuals are relative to ||T||^2.  ValueError: samples < 1 (nothing
-    checked), or a squared norm that is 0 or non-finite (RotationState).
+    Residuals are relative to ||T||^2.  ValueError, before any check:
+    samples < 1 (nothing checked), a squared norm above
+    ``angles.MAX_SQ_NORM``, inf included (``check_sq_norm``, as in
+    ``sweeps.run``), or one that is 0 (RotationState).
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
@@ -268,6 +270,7 @@ def verify_invariants(tensors, seed=0, samples=40):
         tensors = TensorSet(tensors)
     d, n = tensors.order, tensors.dim
     total = tensors.frob_sq()
+    check_sq_norm(total, d)
     rng = np.random.default_rng(seed)
     checks = []
 

@@ -6,8 +6,8 @@ rational identities, rotated copies of the whole tensor set for the
 gradient, a dense whole-stack rotation and symmetry gather for the packed
 plane rotation kernel, hand-expanded per-term sums for Omega's Gram
 product, the xi route (companion-matrix roots of Omega mapped back to
-tangents) for the d = 4 angle, explicit Givens matrices, and a dense sum of
-the off-diagonal mass."""
+tangents) for the d = 4 angle, explicit Givens matrices, a dense sum of
+the off-diagonal mass, and Lambda from dense near-diagonal entries."""
 
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ __all__ = [
     "givens_matrix",
     "givens_generator",
     "offdiag_sq_norm",
+    "lambda_reference",
     "h_prime_at_zero",
     "h_derivatives_at_zero",
     "omega_xi_coeffs_expanded",
@@ -456,3 +457,18 @@ def finite_difference_h_prime(state, i, j, step=1e-5):
     plus = state.tensors.copy().rotate_plane(i, j, step)
     minus = state.tensors.copy().rotate_plane(i, j, -step)
     return (plus.diag_sq_norm() - minus.diag_sq_norm()) / (2 * step)
+
+
+def lambda_reference(tensors):
+    """Lambda of a TensorSet from its dense expansion: the (m, n, n)
+    near-diagonal entries W[k, p, ..., p] gathered member-major as one
+    contiguous array, then the member sum of W[k, p, ..., p] W[p, ..., p]
+    and d (S - S^T); the reference for ``geometry.lambda_of``, which takes
+    the packed entries entry-major and sums the members in another
+    order."""
+    d, n = tensors.order, tensors.dim
+    k, p = np.ogrid[:n, :n]
+    near = np.ascontiguousarray(
+        tensors.stack[(slice(None), k) + (p,) * (d - 1)])   # (m, n, n)
+    s = np.einsum("akl,al->kl", near, near.diagonal(axis1=1, axis2=2))
+    return d * (s - s.T)

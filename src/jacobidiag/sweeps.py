@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import MAX_SQ_NORM, SubproblemView, best_angle
+from .angles import SubproblemView, best_angle, check_sq_norm
 from .geometry import (ORTH_TOL, GivensRotation, RotationState, lambda_of,
                        safe_norm)
 from .symtensor import TensorSet
@@ -54,27 +54,38 @@ def upper_pairs(n):
     return tuple((i, j) for i in range(n - 1) for j in range(i + 1, n))
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_flat(n):
+    """Flat indices i * n + j of ``upper_pairs(n)`` in an n x n matrix
+    (read-only: the cache hands the same array to every caller)."""
+    i, j = np.triu_indices(n, 1)
+    flat = i * n + j
+    flat.flags.writeable = False
+    return flat
+
+
 def select_pair_max(lam):
     """Pair maximizing |Lambda[i,j]| (ties: smallest i, then j).
 
     Returns None when Lambda vanishes (stationary point)."""
     n = lam.shape[0]
-    iu = np.triu_indices(n, 1)
-    vals = np.abs(lam[iu])
-    k = int(np.argmax(vals))
+    vals = np.abs(lam.take(_upper_flat(n)))
+    k = int(vals.argmax())
     if vals[k] == 0.0:
         return None
-    return int(iu[0][k]), int(iu[1][k])
+    return upper_pairs(n)[k]
 
 
-def select_pair_gradient(lam, eps):
+def select_pair_gradient(lam, eps, norm=None):
     """First pair in cyclic order with 2 |Lambda[i,j]| >= eps ||Lambda||.
 
     Guaranteed to exist for 0 < eps <= 2/n (the maximal entry satisfies
     2 |Lambda[i,j]| >= (2/n) ||Lambda||); the argmax pair is the roundoff
-    fallback.  Returns None when Lambda vanishes.
+    fallback.  Returns None when Lambda vanishes.  ``norm`` is
+    ``safe_norm(lam)`` if the caller has it already.
     """
-    norm = safe_norm(lam)
+    if norm is None:
+        norm = safe_norm(lam)
     if norm == 0.0:
         return None
     bound = eps * norm
@@ -177,16 +188,15 @@ class RunResult:
 
 def run(tensors, config=None, q0=None):
     """Run one Jacobi variant on a tensor set from Q0 (default identity);
-    refuse one whose ||T||^2 exceeds ``angles.MAX_SQ_NORM`` for its order."""
+    refuse one whose ||T||^2 exceeds ``angles.MAX_SQ_NORM`` for its order
+    (``angles.check_sq_norm``)."""
     cfg = config or RunConfig()
     if not isinstance(tensors, TensorSet):
         tensors = TensorSet(tensors)
     state = RotationState(tensors, q0)
     n = state.dim
     total = state.total_sq_norm
-    if total > (bound := MAX_SQ_NORM[tensors.order]):
-        raise ValueError(f"||T||^2 = {total:.3e} exceeds {bound:.3e}, where "
-                         f"the angle step can overflow; rescale the input")
+    check_sq_norm(total, tensors.order)
     scale = math.sqrt(total)
 
     eps = cfg.eps if cfg.eps is not None else 0.1 * (2.0 / n)
@@ -222,7 +232,7 @@ def run(tensors, config=None, q0=None):
                 break
             # Lambda != 0 here, so neither selector returns None
             if cfg.method == "g":
-                i, j = select_pair_gradient(lam, eps)
+                i, j = select_pair_gradient(lam, eps, lam_norm)
             elif cfg.method == "gmax":
                 i, j = select_pair_max(lam)
             else:

@@ -371,12 +371,6 @@ class TensorSet:
         # pickle and copy would split the work area's views from its buffers
         return TensorSet._from_packed, (self.packed, self.order, self.dim)
 
-    def _gather(self, positions):
-        """(m,) + positions.shape C-contiguous array of packed entries."""
-        out = np.take(self.packed, positions, axis=0)
-        return np.ascontiguousarray(
-            out.transpose((out.ndim - 1,) + tuple(range(out.ndim - 1))))
-
     def frob_sq(self):
         """||T||^2, summed over the dense expansion (O(m n^d))."""
         stack = self.stack
@@ -384,11 +378,13 @@ class TensorSet:
 
     def diags(self):
         """(m, n) array of diagonal vectors (W[j, j, ..., j])_j."""
-        return self._gather(_diag_positions(self.order, self.dim))
+        return self.packed.take(_diag_positions(self.order, self.dim),
+                                axis=0).T
 
     def diag_sq_norm(self):
-        """Sum of squared diagonal entries over the set (the objective f)."""
-        d = self.diags()
+        """Sum of squared diagonal entries over the set (the objective f):
+        one take of the (n, m) diagonal entries and their dot product."""
+        d = self.packed.take(_diag_positions(self.order, self.dim), axis=0)
         return float(np.vdot(d, d))
 
     def offdiag_sq(self):
@@ -397,10 +393,6 @@ class TensorSet:
         for.  O(m N) work, no subtraction."""
         weights = _offdiag_weights(self.order, self.dim)
         return float(np.vdot(self.packed, weights * self.packed))
-
-    def near_diag(self):
-        """(m, n, n) array N with N[l, k, p] = W^(l)[k, p, p, ..., p]."""
-        return self._gather(_near_positions(self.order, self.dim))
 
     def rotate_plane(self, i, j, theta):
         """In-place Givens rotation of all modes of every member tensor.

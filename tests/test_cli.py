@@ -187,6 +187,20 @@ def test_verify_zero_norm_exits_2(tmp_path, capsys, value):
     assert "squared norm is 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [511, 510])
+def test_verify_set_whose_omega_can_overflow_exits_2(tmp_path, capsys, k):
+    problem, scaled = tmp_path / "p.st", tmp_path / "scaled.st"
+    cli.main(gen_args(problem, **{"--n": "5", "--d": "4", "--sigma": "1e-2",
+                                  "--seed-rot": "5"}))
+    save_tensorset(scaled, TensorSet(2.0**k * load_tensorset(problem).stack[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["verify", "--in", str(scaled), "--samples", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "exceeds 8.710e+305" in err and "rescale the input" in err
+
+
 def test_verify_failure_exits_3(tmp_path, monkeypatch, capsys):
     problem = tmp_path / "p.st"
     cli.main(gen_args(problem))

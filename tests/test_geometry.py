@@ -5,11 +5,12 @@ import pytest
 
 from jacobidiag.angles import SubproblemView, best_angle
 from jacobidiag.geometry import (GivensRotation, RotationState, lambda_of,
-                                 random_rotation)
+                                 random_rotation, safe_norm)
 from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.sweeps import RunConfig, run, upper_pairs
 from jacobidiag.oracle import (finite_difference_h_prime, givens_generator,
-                               givens_matrix, offdiag_sq_norm)
+                               givens_matrix, lambda_reference,
+                               offdiag_sq_norm)
 from jacobidiag.symtensor import TensorSet, symmetrize
 
 SQ2 = math.sqrt(2.0) / 2.0
@@ -107,6 +108,32 @@ def test_lambda_matches_explicit_3x3_form():
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 10])
+def test_lambda_matches_the_dense_gather_formula(order, m):
+    # one member: one product per entry, so bitwise; more: the members
+    # are summed in another order
+    for seed in range(10):
+        ts = random_set(order, 2 + seed % 7, 300 + seed, m=m)
+        lam, ref = lambda_of(ts), lambda_reference(ts)
+        if m == 1:
+            assert np.array_equal(lam, ref)
+        else:
+            assert np.linalg.norm(lam - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+def test_safe_norm_is_bitwise_numpy_norm_in_normal_range():
+    rng = np.random.default_rng(77)
+    for k in range(200):
+        shape = tuple(rng.integers(1, 12, size=1 + k % 3))
+        a = 10.0 ** rng.uniform(-100, 100) * rng.standard_normal(shape)
+        if k % 4 == 1:
+            a = a.T                     # not C-contiguous
+        elif k % 4 == 2:
+            a = a[..., ::2]             # strided
+        assert safe_norm(a) == float(np.linalg.norm(a))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
 def test_gradient_against_finite_differences(order):
     ts = random_set(order, 5, 40 + order, m=2)
     state = RotationState(ts, random_rotation(5, 11))
@@ -191,8 +218,8 @@ def test_apply_refreshes_f_cache():
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 @pytest.mark.parametrize("m", [1, 3])
-def test_kept_row_masses_match_a_fresh_sum_after_each_apply(order, m):
-    # apply re-sums rows i and j only; every other row must keep its mass
+def test_offdiag_sq_matches_a_fresh_oracle_sum_after_each_apply(order, m):
+    # after every rotation offdiag_sq equals the dense oracle sum
     ts = random_set(order, 5, 57 + order, m=m)
     state = RotationState(ts, random_rotation(5, order))
     rng = np.random.default_rng(10 * order + m)
@@ -205,10 +232,10 @@ def test_kept_row_masses_match_a_fresh_sum_after_each_apply(order, m):
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
-def test_kept_row_masses_stay_relative_to_a_tiny_offdiag(order):
+def test_offdiag_sq_matches_a_fresh_oracle_sum_when_tiny(order):
     # on a solved sigma = 0 problem the off-diagonal mass is 1e-20 of the
-    # total or less; one more sweep of Jacobi steps keeps the kept sum to
-    # rounding of itself
+    # total or less; through one more sweep of Jacobi steps offdiag_sq
+    # stays within rounding of the dense oracle sum
     spec = ExperimentSpec(n=6, order=order, m=2 if order == 2 else 1,
                           sigma=0.0, seed_rot=4)
     ts, _ = make_test_problem(spec)

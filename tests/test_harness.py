@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,3 +168,16 @@ def test_verify_invariants_order4_skips_identities():
     checks = verify_invariants(tensors, samples=6)
     assert all(c.passed for c in checks)
     assert "tau-identities" not in {c.name for c in checks}
+
+
+@pytest.mark.parametrize("k", [511, 510])
+def test_verify_invariants_refuses_a_set_whose_omega_can_overflow(k):
+    # ||T||^2 = 4.6e307 and 1.1e307, above the d = 4 bound 8.7e305: refused
+    # before the first sample, as run refuses it, with no overflow warning
+    spec = ExperimentSpec(n=5, order=4, sigma=1e-2, seed_rot=5, seed_noise=3)
+    big = TensorSet(2.0**k * make_test_problem(spec)[0].stack[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\|\|T\|\|\^2 = .* exceeds "
+                           r"8\.710e\+305, .*; rescale the input"):
+            verify_invariants(big, samples=3)

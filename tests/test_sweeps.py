@@ -69,6 +69,51 @@ def test_select_pair_gradient_cases():
         assert 2 * abs(lam[i, j]) >= eps * np.linalg.norm(lam) * (1 - 1e-12)
 
 
+def skew_with_ties(n, seed):
+    # integer entries, so many magnitudes repeat; the largest is also
+    # planted, with random signs, in a few random places across rows
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.integers(-3, 4, size=(n, n)).astype(np.float64), 1)
+    iu = np.transpose(np.triu_indices(n, 1))
+    for i, j in iu[rng.choice(len(iu), size=min(3, len(iu)), replace=False)]:
+        a[i, j] = rng.choice([-5.0, 5.0])
+    return a - a.T
+
+
+def row_major_max(lam):
+    best, arg = 0.0, None
+    for i in range(len(lam) - 1):
+        for j in range(i + 1, len(lam)):
+            if abs(lam[i, j]) > best:
+                best, arg = abs(lam[i, j]), (i, j)
+    return arg
+
+
+def row_major_gradient(lam, eps):
+    norm = float(np.linalg.norm(lam))
+    for i in range(len(lam) - 1):
+        for j in range(i + 1, len(lam)):
+            if 2.0 * abs(lam[i, j]) >= eps * norm:
+                return i, j
+    return row_major_max(lam)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_pair_selection_matches_a_row_major_scan(n):
+    for seed in range(40):
+        lam = skew(n, seed) if seed % 4 == 0 else skew_with_ties(n, seed)
+        want = row_major_max(lam)
+        assert select_pair_max(lam) == want
+        if want is None:
+            assert select_pair_gradient(lam, 0.1) is None
+            continue
+        for eps in (2.0 / n, 0.5 / n, 1e-3):
+            want = row_major_gradient(lam, eps)
+            assert select_pair_gradient(lam, eps) == want
+            norm = float(np.linalg.norm(lam))
+            assert select_pair_gradient(lam, eps, norm) == want
+
+
 def test_stationarity_norm_matches_lambda():
     ts = noisy_problem(3)
     state = RotationState(ts)
