@@ -154,22 +154,29 @@ def run_benchmark(tensors, configs, outdir=None, q0=None):
 
     Per-run failures are captured in the report instead of aborting the
     remaining configurations.  With outdir set, one trajectory CSV is
-    written per run.
+    written per run.  ValueError before any run if two CSV names clash.
     """
+    by_file = {}
+    for cfg in configs:
+        fname = "".join(ch if ch.isalnum() or ch in "-_." else "_"
+                        for ch in cfg.label) + ".csv"
+        if fname in by_file:
+            raise ValueError(f"configs {by_file[fname].label!r} and "
+                             f"{cfg.label!r} share the file name {fname!r}")
+        by_file[fname] = cfg
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
     report = BenchmarkReport()
     results = {}
-    for cfg in configs:
-        label = cfg.label
-        entry = AlgorithmReport(label=label, method=cfg.method)
+    for fname, cfg in by_file.items():
+        entry = AlgorithmReport(label=cfg.label, method=cfg.method)
         try:
             res = run(tensors, cfg, q0=q0)
         except Exception as exc:  # keep the other configs running
             entry.error = f"{type(exc).__name__}: {exc}"
             report.runs.append(entry)
             continue
-        results[label] = res
+        results[cfg.label] = res
         entry.final_f = res.f_final
         entry.offdiag_sq = (res.records[-1].offdiag_sq if res.records
                             else res.state.offdiag_sq())
@@ -180,8 +187,6 @@ def run_benchmark(tensors, configs, outdir=None, q0=None):
         entry.converged = res.converged
         entry.stop_reason = res.stop_reason
         if outdir is not None:
-            fname = "".join(ch if ch.isalnum() or ch in "-_." else "_"
-                            for ch in label) + ".csv"
             path = os.path.join(outdir, fname)
             write_trajectory_csv(path, res)
             entry.csv_path = path
@@ -216,18 +221,20 @@ def parse_suite_file(path):
             if not line or line.startswith("#"):
                 continue
             kwargs = {}
-            for token in line.split():
-                if "=" not in token:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected key=value, got {token!r}")
-                key, value = token.split("=", 1)
-                if key not in _SUITE_KEYS:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                attr, cast = _SUITE_KEYS[key]
-                kwargs[attr] = cast(value)
-            if "method" not in kwargs:
-                raise ValueError(f"{path}:{lineno}: missing algo=")
-            configs.append(RunConfig(**kwargs))
+            try:      # any error on this line names the file and line
+                for token in line.split():
+                    if "=" not in token:
+                        raise ValueError(f"expected key=value, got {token!r}")
+                    key, value = token.split("=", 1)
+                    if key not in _SUITE_KEYS:
+                        raise ValueError(f"unknown key {key!r}")
+                    attr, cast = _SUITE_KEYS[key]
+                    kwargs[attr] = cast(value)
+                if "method" not in kwargs:
+                    raise ValueError("missing algo=")
+                configs.append(RunConfig(**kwargs))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not configs:
         raise ValueError(f"suite file {path} defines no configurations")
     return configs

@@ -5,11 +5,11 @@ There is one container, :class:`TensorSet`: m >= 1 symmetric tensors of a
 common order d and dimension n.  A single matrix or tensor is the m = 1
 case.  A symmetric tensor has one distinct entry per sorted multi-index
 (a_1 <= ... <= a_d), N = C(n+d-1, d) of them, so the set stores exactly
-those: an entry-major ``packed`` array of shape (N, m), the sorted
-multi-indices in lex order.  Symmetry is a property of the storage, not of
-the values: there are no duplicate entries that could drift apart.  The
-dense ``(m,) + (n,)*d`` array is built on demand (``stack``) for I/O and
-for the reference computations.
+those: an entry-major ``packed`` array of shape (N, m), rows grouped by how
+many dense entries each stands for (``_packing``).  Symmetry is a property
+of the storage, not of the values: there are no duplicate entries that
+could drift apart.  The dense ``(m,) + (n,)*d`` array is built on demand
+(``stack``) for I/O and for the reference computations.
 
 Dense input is checked for symmetry once, by one gather per axis
 permutation at the sorted multi-indices (``_orbit``); the constructor keeps
@@ -61,21 +61,31 @@ def _orbit_index(order, dim, reps):
 @functools.lru_cache(maxsize=16)
 def _packing(order, dim):
     """(reps, pos) of the packed layout: reps[e] is the dense flat index of
-    the e-th sorted multi-index (lex order is ascending flat index), and
-    pos[k] the packed position of dense entry k, scattered from every axis
-    permutation of the sorted multi-indices."""
-    combos = itertools.combinations_with_replacement(range(dim), order)
-    reps = np.ravel_multi_index(np.array(list(combos)).T, (dim,) * order)
+    the e-th packed sorted multi-index, and pos[k] the packed position of
+    dense entry k, scattered from every axis permutation of the sorted
+    multi-indices.  Rows go in ascending number of copies d! / prod(r!), r
+    the runs of equal indices, lex within each: the diagonal in rows [0, n),
+    then 2 copies at d = 2; 3, 6 at d = 3; 4, 6, 12, 24 at d = 4."""
+    combos = np.array(list(itertools.combinations_with_replacement(
+        range(dim), order))).T
+    run = prod = np.ones(combos.shape[1], dtype=np.intp)   # prod: prod(r!)
+    for equal in combos[1:] == combos[:-1]:
+        run = run * equal + 1
+        prod = prod * run
+    reps = np.ravel_multi_index(combos, (dim,) * order)[
+        np.argsort(-prod, kind="stable")]
+    del combos, equal, run, prod        # freed before the orbit index
     pos = np.empty(dim ** order, dtype=np.intp)
     pos[_orbit_index(order, dim, reps)] = np.arange(reps.size)
     return reps, pos
 
 
 @functools.lru_cache(maxsize=16)
-def _diag_positions(order, dim):
-    """Packed positions of the diagonal entries W[k, ..., k], shape (n,)."""
-    return _packing(order, dim)[1][
-        np.arange(dim) * ((dim ** order - 1) // (dim - 1))]
+def _classes(order, dim):
+    """(lo, hi, copies) per off-diagonal class of ``_packing``'s rows."""
+    c = np.bincount(_packing(order, dim)[1])      # copies per packed row
+    edges = (np.flatnonzero(np.diff(c[dim - 1:], append=0)) + dim).tolist()
+    return tuple((lo, hi, int(c[lo])) for lo, hi in zip(edges, edges[1:]))
 
 
 @functools.lru_cache(maxsize=16)
@@ -95,15 +105,6 @@ def _pair_positions(order, dim):
     k = np.arange(dim)[:, None, None]
     return _packing(order, dim)[1][(strides * ~at_j).sum(axis=1) * k
                                    + (strides * at_j).sum(axis=1) * k[:, 0]]
-
-
-@functools.lru_cache(maxsize=16)
-def _offdiag_weights(order, dim):
-    """(N, 1) number of dense entries each packed entry stands for, 0 on
-    the diagonal."""
-    weights = np.bincount(_packing(order, dim)[1]).astype(np.float64)
-    weights[_diag_positions(order, dim)] = 0.0
-    return weights[:, None]
 
 
 @functools.lru_cache(maxsize=16)
@@ -302,7 +303,7 @@ def multi_mode_product(tensor, matrix):
 class TensorSet:
     """m >= 1 symmetric tensors of common order d in {2, 3, 4} and dimension
     n >= 2, stored as ``packed``: their entries at the N = C(n+d-1, d)
-    sorted multi-indices, in lex order, as an (N, m) array.
+    sorted multi-indices, diagonal first (``_packing``), as an (N, m) array.
 
     ``TensorSet(arrays)`` takes one ``(n,)*d`` array (m = 1) or a list or
     tuple of them.  It copies, checks that every entry is finite and every
@@ -312,7 +313,7 @@ class TensorSet:
     does per rotation reads it.
     """
 
-    __slots__ = ("packed", "order", "dim", "_work")
+    __slots__ = ("packed", "order", "dim", "_work", "_rows")
 
     def __init__(self, arrays):
         if isinstance(arrays, (list, tuple)):
@@ -323,7 +324,7 @@ class TensorSet:
         orbit, _ = _check_members(stack)
         self.packed = orbit[0].copy()
         self.order, self.dim = stack.ndim - 1, stack.shape[-1]
-        self._work = None
+        self._work = self._rows = None
 
     @classmethod
     def _wrap(cls, stack):
@@ -338,7 +339,7 @@ class TensorSet:
     def _from_packed(cls, packed, order, dim):
         obj = cls.__new__(cls)
         obj.packed, obj.order, obj.dim = packed, order, dim
-        obj._work = None
+        obj._work = obj._rows = None
         return obj
 
     @classmethod
@@ -351,7 +352,7 @@ class TensorSet:
         if n < 2 or not np.all(np.isfinite(values)):
             raise ValueError("a diagonal needs n >= 2 finite entries")
         packed = np.zeros((math.comb(n + order - 1, order), 1))
-        packed[_diag_positions(order, n), 0] = values
+        packed[:n, 0] = values
         return cls._from_packed(packed, order, n)
 
     @property
@@ -377,22 +378,35 @@ class TensorSet:
         return float(np.vdot(stack, stack))
 
     def diags(self):
-        """(m, n) array of diagonal vectors (W[j, j, ..., j])_j."""
-        return self.packed.take(_diag_positions(self.order, self.dim),
-                                axis=0).T
+        """(m, n) array of diagonal vectors (W[j, j, ..., j])_j (a copy)."""
+        return self.packed[:self.dim].T.copy()
+
+    def _row_views(self):
+        """(packed, diagonal rows, ((copies, rows), ...) per off-diagonal
+        class of ``_classes``): 1-D views of ``packed``, made once per
+        array (rotations write it in place), so it must be C-contiguous."""
+        rows = self._rows
+        if rows is None or rows[0] is not self.packed:
+            self.packed = np.ascontiguousarray(self.packed)
+            flat, m = self.packed.reshape(-1), len(self)
+            rows = self._rows = (self.packed, flat[:self.dim * m], tuple(
+                (c, flat[lo * m:hi * m])
+                for lo, hi, c in _classes(self.order, self.dim)))
+        return rows
 
     def diag_sq_norm(self):
         """Sum of squared diagonal entries over the set (the objective f):
-        one take of the (n, m) diagonal entries and their dot product."""
-        d = self.packed.take(_diag_positions(self.order, self.dim), axis=0)
-        return float(np.vdot(d, d))
+        one dot product of the n diagonal rows."""
+        d = self._row_views()[1]
+        return float(d.dot(d))
 
     def offdiag_sq(self):
-        """Squared off-diagonal mass, summed afresh: every off-diagonal
-        packed entry squared, times the number of dense entries it stands
-        for.  O(m N) work, no subtraction."""
-        weights = _offdiag_weights(self.order, self.dim)
-        return float(np.vdot(self.packed, weights * self.packed))
+        """Squared off-diagonal mass, a fresh O(m N) sum, no subtraction:
+        per class of rows, its copies times its entries' dot product."""
+        total = 0.0
+        for copies, part in self._row_views()[2]:
+            total += copies * float(part.dot(part))
+        return total
 
     def rotate_plane(self, i, j, theta):
         """In-place Givens rotation of all modes of every member tensor.

@@ -162,6 +162,40 @@ def test_bench_runs_suite(tmp_path, capsys):
     assert "cyc" in out and "gm" in out
 
 
+@pytest.mark.parametrize("names", [("", ""), (" name=a/b", " name=a_b")])
+def test_bench_clashing_labels_exits_2(tmp_path, capsys, names):
+    # the second run's trajectory would overwrite the first's CSV
+    problem = tmp_path / "p.st"
+    cli.main(gen_args(problem))
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(f"algo=c max-sweeps=1{names[0]}\n"
+                     f"algo=c max-sweeps=50{names[1]}\n")
+    outdir = tmp_path / "results"
+    code = cli.main(["bench", "--in", str(problem), "--suite", str(suite),
+                     "--outdir", str(outdir)])
+    assert code == 2
+    assert not outdir.exists()
+    assert "share the file name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("algo=c max-sweeps=abc", "invalid literal for int()"),
+    ("algo=zz", "unknown method 'zz'"),
+    ("algo=c eps=nan", "eps must be finite"),
+    ("algo=c record-every=0", "record_every must be >= 1")])
+def test_bench_suite_value_error_exits_2_with_location(tmp_path, capsys,
+                                                       line, message):
+    problem = tmp_path / "p.st"
+    cli.main(gen_args(problem))
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(f"algo=c\n{line}\n")
+    code = cli.main(["bench", "--in", str(problem), "--suite", str(suite),
+                     "--outdir", str(tmp_path / "results")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{suite}:2: " in err and message in err
+
+
 def test_verify_ok(tmp_path, capsys):
     problem = tmp_path / "p.st"
     cli.main(gen_args(problem))

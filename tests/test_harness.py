@@ -1,9 +1,11 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from jacobidiag import harness
 from jacobidiag.harness import (ExperimentSpec, make_diag_tensor,
                                 make_test_problem, parse_suite_file,
                                 run_benchmark, verify_invariants)
@@ -127,6 +129,39 @@ def test_parse_suite_file(tmp_path):
     p.write_text("# nothing\n")
     with pytest.raises(ValueError):
         parse_suite_file(p)
+
+
+SUITE_VALUE_ERRORS = [("algo=c max-sweeps=abc", "invalid literal for int()"),
+                      ("algo=zz", "unknown method 'zz'"),
+                      ("algo=c eps=nan", "eps must be finite"),
+                      ("algo=c record-every=0", "record_every must be >= 1")]
+
+
+@pytest.mark.parametrize("line,message", SUITE_VALUE_ERRORS)
+def test_suite_value_errors_name_file_and_line(tmp_path, line, message):
+    p = tmp_path / "suite.cfg"
+    p.write_text(f"# suite\nalgo=c\n{line}\n")
+    with pytest.raises(ValueError) as exc:
+        parse_suite_file(p)
+    assert str(exc.value).startswith(f"{p}:3: ")
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("names", [(None, None), ("a/b", "a_b")])
+def test_run_benchmark_refuses_clashing_labels_before_any_run(
+        tmp_path, monkeypatch, names):
+    # equal labels, or labels that make one CSV name, would leave one run's
+    # trajectory and results entry in place of the other's
+    tensors, _ = make_test_problem(ExperimentSpec(n=4, order=3, sigma=1e-3))
+    configs = [RunConfig("c", max_sweeps=1, name=names[0]),
+               RunConfig("c", max_sweeps=50, name=names[1])]
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda *args, **kw: calls.append(1))
+    labels = [cfg.label for cfg in configs]
+    with pytest.raises(ValueError, match=re.escape(f"{labels[0]!r} and "
+                                                   f"{labels[1]!r}")):
+        run_benchmark(tensors, configs, outdir=tmp_path / "out")
+    assert calls == [] and not (tmp_path / "out").exists()
 
 
 def test_run_benchmark_reports_and_csv(tmp_path):

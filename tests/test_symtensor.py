@@ -13,10 +13,10 @@ from jacobidiag import symtensor
 from jacobidiag.angles import SubproblemView
 from jacobidiag.oracle import (_canonical_map, offdiag_sq_norm,
                                rotate_planes_reference, rotated_view)
-from jacobidiag.symtensor import (TensorSet, _packing, _symmetric_powers,
-                                  load_tensorset, mode_product,
-                                  multi_mode_product, save_tensorset,
-                                  symmetrize, symmetry_error)
+from jacobidiag.symtensor import (TensorSet, _classes, _packing,
+                                  _symmetric_powers, load_tensorset,
+                                  mode_product, multi_mode_product,
+                                  save_tensorset, symmetrize, symmetry_error)
 
 
 def random_symtensor(order, dim, seed, scale=1.0):
@@ -276,6 +276,25 @@ def test_rotate_plane_allocates_no_touched_array(order, n, m, limit):
     assert peak < limit, peak
 
 
+@pytest.mark.parametrize("order,n,m", [(4, 24, 1), (3, 14, 14)])
+def test_offdiag_sq_allocates_no_packed_sized_array(order, n, m):
+    # the sum reads each class of rows in place: a call allocates less
+    # than one (N, m) float64 array
+    rng = np.random.default_rng(93 + order)
+    ts = TensorSet([symmetrize(rng.standard_normal((n,) * order))
+                    for _ in range(m)])
+    limit = math.comb(n + order - 1, order) * m * 8
+    ts.offdiag_sq()          # builds the class table and the row views
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            ts.offdiag_sq()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, peak
+
+
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_rotation_work_areas_are_private(order):
     # two sets of one (d, n, m) rotated in alternation end bitwise where
@@ -450,6 +469,34 @@ def test_from_diagonal_layout():
     assert offdiag_sq_norm(t) == 0.0
 
 
+def test_sums_read_the_current_packed_array():
+    # the sums read views made once per packed array: they follow in-place
+    # rotations and a rebound array alike
+    ts = random_symtensor(3, 4, 34)
+    f, off = ts.diag_sq_norm(), ts.offdiag_sq()
+    ts.rotate_plane(0, 2, 0.4)
+    assert ts.diag_sq_norm() != f and ts.offdiag_sq() != off
+    assert ts.offdiag_sq() == pytest.approx(offdiag_sq_norm(ts), rel=1e-13)
+    ts.packed = np.zeros_like(ts.packed)
+    assert ts.diag_sq_norm() == 0.0 and ts.offdiag_sq() == 0.0
+    pair = TensorSet([np.diag([1.0, 2.0, 3.0])] * 2)
+    pair.packed = np.asfortranarray(pair.packed)
+    f = pair.diag_sq_norm()
+    pair.rotate_plane(0, 1, 0.3)
+    assert pair.diag_sq_norm() != f
+
+
+def test_writing_into_diags_leaves_the_set_unchanged():
+    rng = np.random.default_rng(33)
+    ts = TensorSet([symmetrize(rng.standard_normal((4, 4, 4)))
+                    for _ in range(2)])
+    before = ts.packed.copy()
+    diags = ts.diags()
+    diags[:] = 7.0
+    assert np.array_equal(ts.packed, before)
+    assert np.array_equal(ts.diags(), np.einsum("kiii->ki", ts.stack))
+
+
 @pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0]])
 def test_from_diagonal_rejects_bad_input(values):
     with pytest.raises(ValueError):
@@ -559,9 +606,24 @@ def dense_symmetry_error(arr):
 def test_packing_matches_sort_based_canonical_map(order, n):
     reps, pos = _packing(order, n)
     assert reps.size == math.comb(n + order - 1, order)
-    assert np.all(np.diff(reps) > 0)
     assert np.array_equal(reps[pos], _canonical_map(order, n))
     assert np.array_equal(pos[reps], np.arange(reps.size))
+    # rows [0, n): the diagonal in index order; then the off-diagonal
+    # classes, contiguous, in ascending number of copies, lex within each
+    diagonal = np.arange(n) * ((n ** order - 1) // (n - 1))
+    assert np.array_equal(reps[:n], diagonal)
+    classes = _classes(order, n)
+    edges = [lo for lo, _, _ in classes] + [reps.size]
+    assert edges[0] == n
+    assert [hi for _, hi, _ in classes] == edges[1:]
+    copies = [c for _, _, c in classes]
+    assert copies == sorted(set(copies)) and copies[0] > 1
+    row_copies = np.ones(reps.size, dtype=np.intp)
+    for lo, hi, c in classes:
+        assert np.all(np.diff(reps[lo:hi]) > 0)
+        row_copies[lo:hi] = c
+    assert np.all(np.diff(reps[:n]) > 0)
+    assert np.array_equal(row_copies, np.bincount(pos))
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
