@@ -80,14 +80,15 @@ class SubproblemView:
     @classmethod
     def from_tensors(cls, tensors, i, j, delta0=0.0):
         """View of pair (i, j) of a TensorSet: one take of its packed
-        entries at the pair's row of ``_pair_positions``.
+        rows at the pair's row of ``_pair_positions``, read transposed
+        (a row take costs far less than a column take of ``packed.T``).
 
         Not re-checked: the set's entries were checked finite when it was
         built, and a rotation of a set with finite ||T||^2 stays finite.
         """
         view = cls.__new__(cls)
-        view.nu = tensors.packed.T.take(
-            _pair_positions(tensors.order, tensors.dim)[i, j], axis=1)
+        view.nu = tensors.packed.take(
+            _pair_positions(tensors.order, tensors.dim)[i, j], axis=0).T
         view.delta0 = float(delta0)
         return view
 
@@ -165,14 +166,16 @@ def omega_xi_coeffs(view):
     Each coefficient is a quadratic form in nu, so Omega is one Gram product
     G = nu^T nu (the m members add through it) and one product with the
     fixed integer matrix M_d (``_omega_matrix``).  The proximal term adds
-    4 delta0 to A1, and for d = 4 also 16 delta0 to A3.
-    ``oracle.omega_xi_coeffs_expanded`` keeps the hand-expanded forms as
-    the reference.
+    4 delta0 to A1, and for d = 4 also 16 delta0 to A3; at delta0 = 0 it
+    is skipped.  ``oracle.omega_xi_coeffs_expanded`` keeps the
+    hand-expanded forms as the reference.
     """
     nu = view.nu
     d = view.order
-    return (_OMEGA_MATRIX[d] @ (nu.T @ nu).ravel()
-            + view.delta0 * _OMEGA_DELTA0[d])
+    omega = _OMEGA_MATRIX[d] @ (nu.T @ nu).ravel()
+    if view.delta0:
+        omega += view.delta0 * _OMEGA_DELTA0[d]
+    return omega
 
 
 def _trig_form(omega):
@@ -355,7 +358,7 @@ def solve_xi_roots(trig):
     return phis
 
 
-@dataclass
+@dataclass(slots=True)
 class AngleResult:
     """Chosen angle and its penalized objective gain over theta = 0."""
 

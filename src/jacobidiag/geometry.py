@@ -6,8 +6,11 @@ gradient is Q * Lambda(Q) where Lambda is the skew-symmetric matrix with
 
     Lambda[k, l] = d * (W[k,l..l] W[l..l] - W[k..k] W[k..kl]),   k < l,
 
-summed over the tensor set.  Since ||Q Lambda|| = ||Lambda||, all
-stationarity measurements use ||Lambda|| directly.
+summed over the tensor set.  ``lambda_of`` returns its upper triangle, the
+P = n(n-1)/2 entries above, as a vector in the row-major pair order of
+``sweeps.upper_pairs``; the matrix itself is never built.  Since
+||Q Lambda|| = ||Lambda|| = sqrt(2) ||upper triangle||, all stationarity
+measurements use ``lambda_norm`` of that vector.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symtensor import _near_positions
+from .symtensor import _lambda_positions
 
 __all__ = [
     "GivensRotation",
     "random_rotation",
     "lambda_of",
+    "lambda_norm",
     "safe_norm",
     "RotationState",
 ]
@@ -31,6 +35,7 @@ __all__ = [
 QUARTER_PI = math.pi / 4
 ORTH_TOL = 1e-8            # re-orthonormalization threshold on ||Q^T Q - I||
 _SQRT_TINY = math.sqrt(sys.float_info.min)    # 2^-511; see safe_norm
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass
@@ -76,18 +81,27 @@ def random_rotation(n, seed):
 
 
 def lambda_of(tensors):
-    """Skew-symmetric gradient matrix Lambda of a (rotated) TensorSet.
+    """Upper triangle of the gradient matrix Lambda of a (rotated)
+    TensorSet: the (P,) vector of Lambda[i, j], i < j, in the row-major
+    order of ``sweeps.upper_pairs``.
 
-    Reads only the near-diagonal entries W[k, p, ..., p] of each tensor,
-    the diagonal among them, by one take at the cached (n, n) position
-    table (O(m n^2) work, no layout copy).
+    One take at the cached (4, P) table of packed positions of W[i, j..j],
+    W[j, i..i], W[j..j] and W[i..i] (``symtensor._lambda_positions``), one
+    contraction over the m members, then d * (S_ij - S_ji): O(m n^2) work.
     """
-    near = tensors.packed.take(_near_positions(tensors.order, tensors.dim),
-                               axis=0)                  # (n, n, m)
-    s = np.einsum("kla,al->kl", near, near.diagonal())  # (m, n): W[l, ..., l]
-    lam = s - s.T
+    near = tensors.packed.take(_lambda_positions(tensors.order, tensors.dim),
+                               axis=0)                  # (4, P, m)
+    s = np.vecdot(near[:2], near[2:])                   # (2, P)
+    lam = s[0] - s[1]
     lam *= tensors.order
     return lam
+
+
+def lambda_norm(lam):
+    """||Lambda||_F from its upper triangle ``lam`` (``lambda_of``):
+    sqrt(2) * ``safe_norm(lam)``.  ``sweeps.run``'s stop test and
+    ``RotationState.lambda_norm`` both read it, so they see one number."""
+    return _SQRT2 * safe_norm(lam)
 
 
 def safe_norm(a):
@@ -165,7 +179,7 @@ class RotationState:
 
     def lambda_norm(self):
         """||Lambda(Q)||, which equals the projected-gradient norm."""
-        return safe_norm(lambda_of(self.tensors))
+        return lambda_norm(lambda_of(self.tensors))
 
     def orthogonality_error(self):
         n = self.dim

@@ -22,7 +22,7 @@ import numpy as np
 
 from .angles import SubproblemView, best_angle, check_sq_norm
 from .geometry import RotationState, lambda_of, random_rotation
-from .sweeps import RunConfig, run, write_trajectory_csv
+from .sweeps import RunConfig, run, upper_pairs, write_trajectory_csv
 from .symtensor import TensorSet, multi_mode_product, symmetrize
 
 __all__ = [
@@ -290,8 +290,9 @@ def verify_invariants(tensors, seed=0, samples=40):
         j = int(rng.integers(i + 1, n))
         view = SubproblemView.from_tensors(state.tensors, i, j)
         analytic = h_prime_at_zero(view)
+        lam_ij = lam[upper_pairs(n).index((i, j))]
         worst_match = max(worst_match,
-                          abs(analytic + 2.0 * lam[i, j]) / (1.0 + abs(analytic)))
+                          abs(analytic + 2.0 * lam_ij) / (1.0 + abs(analytic)))
         fd = finite_difference_h_prime(state, i, j)
         worst_fd = max(worst_fd, abs(fd - analytic) / (1.0 + abs(analytic)))
     checks.append(CheckResult(

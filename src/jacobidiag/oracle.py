@@ -463,9 +463,9 @@ def lambda_reference(tensors):
     """Lambda of a TensorSet from its dense expansion: the (m, n, n)
     near-diagonal entries W[k, p, ..., p] gathered member-major as one
     contiguous array, then the member sum of W[k, p, ..., p] W[p, ..., p]
-    and d (S - S^T); the reference for ``geometry.lambda_of``, which takes
-    the packed entries entry-major and sums the members in another
-    order."""
+    and d (S - S^T); the reference for ``geometry.lambda_of``, which
+    returns its upper triangle from the packed entries and sums the
+    members in another order."""
     d, n = tensors.order, tensors.dim
     k, p = np.ogrid[:n, :n]
     near = np.ascontiguousarray(

@@ -10,8 +10,11 @@ Variants (method codes used throughout the package and the CLI):
              stopping when a full sweep makes no progress
     pc       cyclic order with proximal penalty delta0 * gamma(theta)
 
-Every variant stops at max_sweeps or when ||Lambda|| falls to the
-stationarity tolerance; cthresh additionally stops on a progress-free sweep.
+Lambda is read as its upper triangle (``geometry.lambda_of``), a vector in
+the cyclic order ``upper_pairs``: the selectors and cthresh's skip test
+index it by pair position.  Every variant stops at max_sweeps or when
+||Lambda|| (``geometry.lambda_norm``) falls to the stationarity tolerance;
+cthresh additionally stops on a progress-free sweep.
 A run is strictly sequential; records carry the pre-rotation ||Lambda|| and
 the post-rotation objective.  After every sweep, a stationary stop included,
 Q is re-orthonormalized if its drift ||Q^T Q - I|| exceeds ORTH_TOL.
@@ -27,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import SubproblemView, best_angle, check_sq_norm
-from .geometry import (ORTH_TOL, GivensRotation, RotationState, lambda_of,
-                       safe_norm)
+from .geometry import (ORTH_TOL, GivensRotation, RotationState, lambda_norm,
+                       lambda_of)
 from .symtensor import TensorSet
 
 __all__ = [
@@ -54,44 +57,40 @@ def upper_pairs(n):
     return tuple((i, j) for i in range(n - 1) for j in range(i + 1, n))
 
 
-@functools.lru_cache(maxsize=64)
-def _upper_flat(n):
-    """Flat indices i * n + j of ``upper_pairs(n)`` in an n x n matrix
-    (read-only: the cache hands the same array to every caller)."""
-    i, j = np.triu_indices(n, 1)
-    flat = i * n + j
-    flat.flags.writeable = False
-    return flat
+def _pairs_of(lam):
+    """``upper_pairs(n)`` for an upper triangle of P = n(n-1)/2 entries."""
+    return upper_pairs((1 + math.isqrt(1 + 8 * len(lam))) // 2)
 
 
 def select_pair_max(lam):
-    """Pair maximizing |Lambda[i,j]| (ties: smallest i, then j).
+    """Pair maximizing |Lambda[i,j]| (ties: the first in row-major order),
+    from the upper triangle ``lam`` (``geometry.lambda_of``).
 
     Returns None when Lambda vanishes (stationary point)."""
-    n = lam.shape[0]
-    vals = np.abs(lam.take(_upper_flat(n)))
+    vals = np.abs(lam)
     k = int(vals.argmax())
     if vals[k] == 0.0:
         return None
-    return upper_pairs(n)[k]
+    return _pairs_of(lam)[k]
 
 
 def select_pair_gradient(lam, eps, norm=None):
-    """First pair in cyclic order with 2 |Lambda[i,j]| >= eps ||Lambda||.
+    """First pair in cyclic order with 2 |Lambda[i,j]| >= eps ||Lambda||,
+    from the upper triangle ``lam`` (``geometry.lambda_of``).
 
     Guaranteed to exist for 0 < eps <= 2/n (the maximal entry satisfies
     2 |Lambda[i,j]| >= (2/n) ||Lambda||); the argmax pair is the roundoff
     fallback.  Returns None when Lambda vanishes.  ``norm`` is
-    ``safe_norm(lam)`` if the caller has it already.
+    ``geometry.lambda_norm(lam)`` if the caller has it already.
     """
     if norm is None:
-        norm = safe_norm(lam)
+        norm = lambda_norm(lam)
     if norm == 0.0:
         return None
     bound = eps * norm
-    for i, j in upper_pairs(lam.shape[0]):
-        if 2.0 * abs(lam[i, j]) >= bound:
-            return i, j
+    for k, x in enumerate(lam.tolist()):
+        if 2.0 * abs(x) >= bound:
+            return _pairs_of(lam)[k]
     return select_pair_max(lam)
 
 
@@ -139,7 +138,7 @@ class RunConfig:
         return "-".join(parts)
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """Telemetry for one rotation (or one skipped threshold visit).
 
@@ -225,7 +224,7 @@ def run(tensors, config=None, q0=None):
         progress = False
         for pos in range(len(pairs)):
             lam = lambda_of(state.tensors)
-            lam_norm = safe_norm(lam)
+            lam_norm = lambda_norm(lam)
             if lam_norm <= tol:
                 converged = True
                 reason = "stationary"
@@ -237,23 +236,20 @@ def run(tensors, config=None, q0=None):
                 i, j = select_pair_max(lam)
             else:
                 i, j = pairs[pos]
-                if cfg.method == "cthresh" and abs(lam[i, j]) <= thresh / n:
+                if cfg.method == "cthresh" and abs(lam[pos]) <= thresh / n:
                     records.append(IterationRecord(
-                        k=k, sweep=sweep, i=i, j=j, theta=0.0,
-                        f=state.f_current, offdiag_sq=state.offdiag_sq(),
-                        lambda_norm=lam_norm, skipped=True,
-                        wall_ms=(time.perf_counter() - t0) * 1e3))
+                        k, sweep, i, j, 0.0, state.f_current,
+                        state.offdiag_sq(), lam_norm, True,
+                        (time.perf_counter() - t0) * 1e3))
                     continue
             view = SubproblemView.from_tensors(state.tensors, i, j, delta0)
-            result = best_angle(view)
-            state.apply(GivensRotation(i, j, result.theta))
+            theta = best_angle(view).theta
+            state.apply(GivensRotation(i, j, theta))
             k += 1
             progress = True
             records.append(IterationRecord(
-                k=k, sweep=sweep, i=i, j=j, theta=result.theta,
-                f=state.f_current, offdiag_sq=state.offdiag_sq(),
-                lambda_norm=lam_norm, skipped=False,
-                wall_ms=(time.perf_counter() - t0) * 1e3))
+                k, sweep, i, j, theta, state.f_current, state.offdiag_sq(),
+                lam_norm, False, (time.perf_counter() - t0) * 1e3))
         if state.orthogonality_error() > ORTH_TOL:
             state.reorthonormalize()
         if converged:

@@ -21,7 +21,8 @@ t + 1 entries i^a j^(t-a) R with t indices in {i, j}, and the rotation
 maps each block by S_t, the t-th symmetric power of the 2 x 2 Givens
 matrix.  ``rotate_plane`` gathers them into buffers the set plans once,
 maps them by one matrix product per t and scatters them back (see
-``_rotation_work``); it agrees with the dense rotation to rounding only.
+``_rotation_work``), through a 1-D view of ``packed`` at m = 1; it agrees
+with the dense rotation to rounding only.
 
 Index convention: all indices and modes are 0-based.
 """
@@ -89,11 +90,15 @@ def _classes(order, dim):
 
 
 @functools.lru_cache(maxsize=16)
-def _near_positions(order, dim):
-    """Packed positions of W[k, p, ..., p], shape (n, n)."""
+def _lambda_positions(order, dim):
+    """(4, P) packed positions, per pair i < j in row-major order, of
+    W[i, j, ..., j], W[j, i, ..., i], W[j, ..., j] and W[i, ..., i]."""
     tail = dim ** (order - 1)
-    k, p = np.ogrid[:dim, :dim]
-    return _packing(order, dim)[1][k * tail + p * ((tail - 1) // (dim - 1))]
+    ones = (tail - 1) // (dim - 1)      # flat index of (1, ..., 1), d - 1 axes
+    i, j = np.triu_indices(dim, 1)
+    return _packing(order, dim)[1][np.stack(
+        [i * tail + j * ones, j * tail + i * ones, j * (tail + ones),
+         i * (tail + ones)])]
 
 
 @functools.lru_cache(maxsize=16)
@@ -144,13 +149,16 @@ def _rotation_plan(order, dim):
     return np.hstack(row_i), np.hstack(row_j), tuple(bounds)
 
 
-def _rotation_work(order, dim, m):
+def _rotation_work(order, dim, row):
     """One set's ``rotate_plane`` buffers: the (K,) dense and packed
-    positions, the (K, m) entries before and after, S_1, ..., S_d, and per
-    t the views (S_t, old block, new block) of the product for t hits."""
+    positions, the (K,) + row entries before and after (row: the shape of
+    one row of the kernel's entries, ``TensorSet._row_views``), S_1, ...,
+    S_d, and per t the views (S_t, old block, new block) of the product
+    for t hits."""
     row_i, row_j, bounds = _rotation_plan(order, dim)
-    flat, touched = np.empty((2, row_i.shape[1]), dtype=np.intp)
-    old, new = np.empty((2, row_i.shape[1], m))
+    k = row_i.shape[1]
+    flat, touched = np.empty((2, k), dtype=np.intp)
+    old, new = np.empty((2, k) + row)
     powers = np.empty((order, order + 1, order + 1))
     steps = tuple((powers[t - 1, :t + 1, :t + 1],
                    old[lo:hi].reshape(t + 1, -1),
@@ -382,29 +390,35 @@ class TensorSet:
         return self.packed[:self.dim].T.copy()
 
     def _row_views(self):
-        """(packed, diagonal rows, ((copies, rows), ...) per off-diagonal
-        class of ``_classes``): 1-D views of ``packed``, made once per
-        array (rotations write it in place), so it must be C-contiguous."""
+        """(packed, entries, diagonal rows, ((copies, rows), ...) per
+        off-diagonal class of ``_classes``): views of ``packed``, made once
+        per array (rotations write it in place), which is first made
+        C-contiguous: ``reshape(-1)`` of any other (N, m > 1) array is a
+        copy.  ``entries``, which ``rotate_plane`` gathers from and scatters to,
+        is ``packed`` itself, or at m = 1 its 1-D view: a 1-D scatter costs
+        about 30% less than a scatter of (K, 1) rows at (d, n) = (4, 24)."""
         rows = self._rows
         if rows is None or rows[0] is not self.packed:
             self.packed = np.ascontiguousarray(self.packed)
             flat, m = self.packed.reshape(-1), len(self)
-            rows = self._rows = (self.packed, flat[:self.dim * m], tuple(
-                (c, flat[lo * m:hi * m])
-                for lo, hi, c in _classes(self.order, self.dim)))
+            rows = self._rows = (
+                self.packed, flat if m == 1 else self.packed,
+                flat[:self.dim * m], tuple(
+                    (c, flat[lo * m:hi * m])
+                    for lo, hi, c in _classes(self.order, self.dim)))
         return rows
 
     def diag_sq_norm(self):
         """Sum of squared diagonal entries over the set (the objective f):
         one dot product of the n diagonal rows."""
-        d = self._row_views()[1]
+        d = self._row_views()[2]
         return float(d.dot(d))
 
     def offdiag_sq(self):
         """Squared off-diagonal mass, a fresh O(m N) sum, no subtraction:
         per class of rows, its copies times its entries' dot product."""
         total = 0.0
-        for copies, part in self._row_views()[2]:
+        for copies, part in self._row_views()[3]:
             total += copies * float(part.dot(part))
         return total
 
@@ -413,27 +427,29 @@ class TensorSet:
 
         Gathers the O(m n^(d-1)) packed entries with an index in {i, j},
         maps the blocks with t hits by the symmetric power S_t in one
-        matrix product per t, and scatters them back; see
-        ``_rotation_plan`` and, for the buffers built on the first call,
-        ``_rotation_work``.  It agrees with the dense rotation
-        (``oracle.rotate_planes_reference``) to rounding, not bitwise: the
-        product sums in another order.
+        matrix product per t, and scatters them back, as rows or, at m = 1,
+        through a 1-D view (``_row_views``); see ``_rotation_plan`` and,
+        for the buffers built on the first call, ``_rotation_work``.  It
+        agrees with the dense rotation (``oracle.rotate_planes_reference``)
+        to rounding, not bitwise: the product sums in another order.
         """
         if not (0 <= i < j < self.dim):
             raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, "
                              f"n={self.dim}")
+        entries = self._row_views()[1]
         if self._work is None:
-            self._work = _rotation_work(self.order, self.dim, len(self))
+            self._work = _rotation_work(self.order, self.dim,
+                                        entries.shape[1:])
         row_i, row_j, pos, flat, touched, old, new, powers, steps = self._work
         np.add(row_i[i], row_j[j], out=flat)
         # mode="clip" (no index is out of range) lets take skip a buffer
         pos.take(flat, out=touched, mode="clip")
-        self.packed.take(touched, axis=0, out=old, mode="clip")
+        entries.take(touched, axis=0, out=old, mode="clip")
         powers[...] = _symmetric_powers(self.order, math.cos(theta),
                                         math.sin(theta))
         for power, old_t, new_t in steps:
             np.dot(power, old_t, out=new_t)
-        self.packed[touched] = new
+        entries[touched] = new
         return self
 
     def rotated_by(self, q):

@@ -7,10 +7,11 @@ import pytest
 
 from jacobidiag import sweeps
 from jacobidiag.angles import MAX_SQ_NORM, SubproblemView
-from jacobidiag.geometry import GivensRotation, RotationState, lambda_of
+from jacobidiag.geometry import (GivensRotation, RotationState,
+                                 random_rotation)
 from jacobidiag.harness import ExperimentSpec, make_test_problem
-from jacobidiag.oracle import (best_angle_xi, offdiag_sq_norm,
-                               rotate_planes_reference)
+from jacobidiag.oracle import (best_angle_xi, lambda_reference,
+                               offdiag_sq_norm, rotate_planes_reference)
 from jacobidiag.sweeps import (RunConfig, run, select_pair_gradient,
                                select_pair_max, upper_pairs,
                                write_trajectory_csv)
@@ -30,6 +31,11 @@ def skew(n, seed):
     return a - a.T
 
 
+def upper(lam):
+    """The selectors' input: Lambda's upper triangle in row-major order."""
+    return lam[np.triu_indices(len(lam), 1)]
+
+
 # ---------------------------------------------------------------------------
 # pair selection
 
@@ -37,18 +43,22 @@ def test_select_pair_max_cases():
     lam = np.zeros((6, 6))
     lam[2, 5] = -3.0
     lam[5, 2] = 3.0
-    assert select_pair_max(lam) == (2, 5)
-    assert select_pair_max(np.zeros((4, 4))) is None
+    assert select_pair_max(upper(lam)) == (2, 5)
+    assert select_pair_max(np.zeros(4 * 3 // 2)) is None
     tie = np.zeros((4, 4))
     tie[0, 1] = tie[1, 2] = 2.0
     tie -= tie.T
-    assert select_pair_max(tie) == (0, 1)
+    assert select_pair_max(upper(tie)) == (0, 1)
+    # the first maximum in row-major order, not in column-major order
+    tie = np.zeros((4, 4))
+    tie[0, 3] = tie[1, 2] = -2.0
+    assert select_pair_max(upper(tie - tie.T)) == (0, 3)
 
 
 def test_select_pair_max_satisfies_two_over_n_bound():
     for seed in range(20):
         lam = skew(7, seed)
-        i, j = select_pair_max(lam)
+        i, j = select_pair_max(upper(lam))
         assert 2 * abs(lam[i, j]) >= (2.0 / 7) * np.linalg.norm(lam) * (1 - 1e-12)
 
 
@@ -57,15 +67,15 @@ def test_select_pair_gradient_cases():
     lam[2, 5] = 1.0
     lam[5, 2] = -1.0
     for eps in (2.0 / 6, 0.01):
-        assert select_pair_gradient(lam, eps) == (2, 5)
-    assert select_pair_gradient(np.zeros((5, 5)), 0.1) is None
+        assert select_pair_gradient(upper(lam), eps) == (2, 5)
+    assert select_pair_gradient(np.zeros(5 * 4 // 2), 0.1) is None
     # the cyclic order scanned above, one sweep long
     assert upper_pairs(3) == ((0, 1), (0, 2), (1, 2))
     assert len(upper_pairs(5)) == 5 * 4 // 2
     for seed in range(20):
         lam = skew(8, 100 + seed)
         eps = 2.0 / 8
-        i, j = select_pair_gradient(lam, eps)
+        i, j = select_pair_gradient(upper(lam), eps)
         assert 2 * abs(lam[i, j]) >= eps * np.linalg.norm(lam) * (1 - 1e-12)
 
 
@@ -103,24 +113,46 @@ def test_pair_selection_matches_a_row_major_scan(n):
     for seed in range(40):
         lam = skew(n, seed) if seed % 4 == 0 else skew_with_ties(n, seed)
         want = row_major_max(lam)
-        assert select_pair_max(lam) == want
+        assert select_pair_max(upper(lam)) == want
         if want is None:
-            assert select_pair_gradient(lam, 0.1) is None
+            assert select_pair_gradient(upper(lam), 0.1) is None
             continue
         for eps in (2.0 / n, 0.5 / n, 1e-3):
             want = row_major_gradient(lam, eps)
-            assert select_pair_gradient(lam, eps) == want
+            assert select_pair_gradient(upper(lam), eps) == want
             norm = float(np.linalg.norm(lam))
-            assert select_pair_gradient(lam, eps, norm) == want
+            assert select_pair_gradient(upper(lam), eps, norm) == want
 
 
 def test_stationarity_norm_matches_lambda():
-    ts = noisy_problem(3)
-    state = RotationState(ts)
-    assert state.lambda_norm() == pytest.approx(
-        float(np.linalg.norm(lambda_of(state.tensors))), rel=1e-14)
-    diag = TensorSet.from_diagonal([1.0, 2.0, 3.0], 3)
-    assert RotationState(diag).lambda_norm() == 0.0
+    # lambda_norm is sqrt(2) times the upper triangle's norm: within a few
+    # ulps of the full matrix's Frobenius norm at m = 1, where the entries
+    # are bitwise the reference's
+    for order in (2, 3, 4):
+        ts = noisy_problem(order)
+        for seed in range(5):
+            state = RotationState(ts, random_rotation(ts.dim, seed))
+            ref = float(np.linalg.norm(lambda_reference(state.tensors)))
+            assert abs(state.lambda_norm() - ref) <= 4 * math.ulp(ref)
+        diag = TensorSet.from_diagonal([1.0, 2.0, 3.0], order)
+        assert RotationState(diag).lambda_norm() == 0.0
+
+
+@pytest.mark.parametrize("method", ["c", "g", "pc"])
+def test_stationary_stop_reports_the_norm_run_compared(monkeypatch, method):
+    # the stop test and RotationState.lambda_norm read one function, so
+    # the norm a check reads after a stationary stop is the one run saw
+    seen = []
+    real = sweeps.lambda_norm
+
+    def spy(lam):
+        seen.append(real(lam))
+        return seen[-1]
+
+    monkeypatch.setattr(sweeps, "lambda_norm", spy)
+    res = run(noisy_problem(3), RunConfig(method=method, max_sweeps=50))
+    assert res.stop_reason == "stationary"
+    assert res.state.lambda_norm() == seen[-1] <= res.stationarity_tol
 
 
 def overflowing_square_problem():

@@ -298,42 +298,68 @@ def test_offdiag_sq_allocates_no_packed_sized_array(order, n, m):
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_rotation_work_areas_are_private(order):
     # two sets of one (d, n, m) rotated in alternation end bitwise where
-    # each ends rotated alone, and a rotated copy leaves its original as is
+    # each ends rotated alone, and a rotated copy leaves its original as
+    # is; at m = 1 the kernel writes through a 1-D view of packed
     rng = np.random.default_rng(95 + order)
-    a, b = (TensorSet([symmetrize(rng.standard_normal((6,) * order))
-                       for _ in range(2)]) for _ in range(2))
-    alone_a, alone_b = a.copy(), b.copy()
+    for m in (1, 2):
+        a, b = (TensorSet([symmetrize(rng.standard_normal((6,) * order))
+                           for _ in range(m)]) for _ in range(2))
+        alone_a, alone_b = a.copy(), b.copy()
 
-    def steps():
-        return [(*sorted(rng.choice(6, size=2, replace=False).tolist()),
-                 float(rng.uniform(-0.8, 0.8))) for _ in range(30)]
+        def steps():
+            return [(*sorted(rng.choice(6, size=2, replace=False).tolist()),
+                     float(rng.uniform(-0.8, 0.8))) for _ in range(30)]
 
-    steps_a, steps_b = steps(), steps()
-    for (i, j, theta), (k, p, phi) in zip(steps_a, steps_b):
-        a.rotate_plane(i, j, theta)
-        b.rotate_plane(k, p, phi)
-    for i, j, theta in steps_a:
-        alone_a.rotate_plane(i, j, theta)
-    for k, p, phi in steps_b:
-        alone_b.rotate_plane(k, p, phi)
-    assert np.array_equal(a.packed, alone_a.packed)
-    assert np.array_equal(b.packed, alone_b.packed)
-    before = a.packed.copy()
-    twin = a.copy()
-    assert twin._work is None
-    twin.rotate_plane(0, 1, 0.4)
-    assert np.array_equal(a.packed, before)
-    assert not np.array_equal(twin.packed, before)
-    buffers = [np.asarray(x) for ts in (a, b, twin) for x in ts._work[3:8]]
-    assert not any(np.shares_memory(x, y)
-                   for x, y in itertools.combinations(buffers, 2))
-    # pickled and deep-copied sets rotate like copy(): a work area's views
-    # would not survive either
-    for clone in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
-        assert clone._work is None
-        clone.rotate_plane(0, 1, 0.4)
-        assert np.array_equal(clone.packed, twin.packed)
-    assert np.array_equal(a.packed, before)
+        steps_a, steps_b = steps(), steps()
+        for (i, j, theta), (k, p, phi) in zip(steps_a, steps_b):
+            a.rotate_plane(i, j, theta)
+            b.rotate_plane(k, p, phi)
+        for i, j, theta in steps_a:
+            alone_a.rotate_plane(i, j, theta)
+        for k, p, phi in steps_b:
+            alone_b.rotate_plane(k, p, phi)
+        assert np.array_equal(a.packed, alone_a.packed)
+        assert np.array_equal(b.packed, alone_b.packed)
+        before = a.packed.copy()
+        twin = a.copy()
+        assert twin._work is None
+        twin.rotate_plane(0, 1, 0.4)
+        assert np.array_equal(a.packed, before)
+        assert not np.array_equal(twin.packed, before)
+        buffers = [np.asarray(x) for ts in (a, b, twin)
+                   for x in ts._work[3:8]]
+        assert not any(np.shares_memory(x, y)
+                       for x, y in itertools.combinations(buffers, 2))
+        # pickled and deep-copied sets rotate like copy(): a work area's
+        # views would not survive either
+        for clone in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert clone._work is None
+            clone.rotate_plane(0, 1, 0.4)
+            assert np.array_equal(clone.packed, twin.packed)
+        assert np.array_equal(a.packed, before)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("touch_first", [False, True])
+def test_flat_kernel_writes_the_live_array(order, touch_first):
+    # at m = 1 the kernel gathers and scatters through a 1-D view of
+    # packed; a 1-D copy instead (made C-contiguous without rebinding
+    # packed to it, say) would take the scatter without an error and lose
+    # it.  Start from a column of a wider array; diag_sq_norm first rebinds
+    # packed to a C-ordered copy, rotate_plane must do the same on its own
+    ref = random_symtensor(order, 5, 61 + order)
+    wide = np.zeros((len(ref.packed), 2))
+    wide[:, 0] = ref.packed[:, 0]
+    loose = TensorSet._from_packed(wide[:, :1], order, 5)
+    assert not loose.packed.flags.c_contiguous
+    if touch_first:
+        assert loose.diag_sq_norm() == ref.diag_sq_norm()
+    for i, j, theta in ((0, 1, 0.3), (2, 4, -0.7), (1, 3, 0.5), (0, 4, 0.2)):
+        loose.rotate_plane(i, j, theta)
+        ref.rotate_plane(i, j, theta)
+        assert np.array_equal(loose.packed, ref.packed)
+    assert loose.diag_sq_norm() == ref.diag_sq_norm()
+    assert loose.offdiag_sq() == ref.offdiag_sq()
 
 
 @pytest.mark.parametrize("m", [1, 3])
