@@ -384,7 +384,7 @@ def best_angle(view):
     """
     omega = omega_xi_coeffs(view)
     if len(omega) == 3:
-        a0, a1 = float(omega[0]), float(omega[1])
+        a0, a1, _ = omega.tolist()
         if a0 == 0.0 and a1 == 0.0:
             return AngleResult(0.0, 0.0)
         r = math.hypot(4.0 * a0, a1)

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .symtensor import _lambda_positions
 
 __all__ = [
-    "GivensRotation",
     "random_rotation",
     "lambda_of",
     "lambda_norm",
@@ -36,30 +34,6 @@ QUARTER_PI = math.pi / 4
 ORTH_TOL = 1e-8            # re-orthonormalization threshold on ||Q^T Q - I||
 _SQRT_TINY = math.sqrt(sys.float_info.min)    # 2^-511; see safe_norm
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass
-class GivensRotation:
-    """Plane rotation by theta in the (i, j) coordinate plane, i < j.
-
-    Angles are restricted to [-pi/4, pi/4]: the sweep objective is
-    pi/2-periodic, so the optimizer never needs more.
-    """
-
-    i: int
-    j: int
-    theta: float
-    c: float = field(init=False)
-    s: float = field(init=False)
-
-    def __post_init__(self):
-        if not 0 <= self.i < self.j:
-            raise ValueError(f"need 0 <= i < j, got ({self.i}, {self.j})")
-        # "not <=" also refuses NaN, which every comparison fails
-        if not abs(self.theta) <= QUARTER_PI * (1 + 1e-12):
-            raise ValueError(f"angle {self.theta} outside [-pi/4, pi/4]")
-        self.c = math.cos(self.theta)
-        self.s = math.sin(self.theta)
 
 
 def _special_orthogonal_factor(a):
@@ -88,10 +62,15 @@ def lambda_of(tensors):
     One take at the cached (4, P) table of packed positions of W[i, j..j],
     W[j, i..i], W[j..j] and W[i..i] (``symtensor._lambda_positions``), one
     contraction over the m members, then d * (S_ij - S_ji): O(m n^2) work.
+    At m = 1 the take reads the kernel's 1-D view of ``packed``
+    (``TensorSet._row_views``) and the contraction is a plain product.
     """
-    near = tensors.packed.take(_lambda_positions(tensors.order, tensors.dim),
-                               axis=0)                  # (4, P, m)
-    s = np.vecdot(near[:2], near[2:])                   # (2, P)
+    near = tensors._row_views()[1].take(
+        _lambda_positions(tensors.order, tensors.dim), axis=0)  # (4, P[, m])
+    if near.ndim == 2:
+        s = near[:2] * near[2:]                         # (2, P)
+    else:
+        s = np.vecdot(near[:2], near[2:])
     lam = s[0] - s[1]
     lam *= tensors.order
     return lam
@@ -108,7 +87,7 @@ def safe_norm(a):
     """Frobenius norm of an array whose sum of squares may over- or
     underflow.
 
-    The square root of the dot product of the raveled array with itself,
+    The square root of the dot product of ``a.ravel("K")`` with itself,
     as ``np.linalg.norm(a)`` computes it for real input, and so bitwise
     equal to it, when that is finite and at least 2^-511, the square root
     of the smallest normal float.  ``np.vdot``, unlike ``dot``, raises no
@@ -118,7 +97,7 @@ def safe_norm(a):
     sum; both fall back to amax * ||a / amax||, amax = max |a|, whose
     squares lie in (0, 1].  A zero array has norm 0.
     """
-    flat = np.ravel(a, order="K")
+    flat = a.ravel("K")
     norm = math.sqrt(np.vdot(flat, flat))
     if _SQRT_TINY <= norm < math.inf:
         return norm
@@ -138,8 +117,10 @@ class RotationState:
     re-orthonormalized and the working tensors rebuilt if floating-point
     drift ever exceeds ORTH_TOL.  ``apply`` does not check the drift (the
     check is O(n^3)); ``sweeps.run`` checks it once per sweep and then
-    calls ``reorthonormalize``.  ``q`` is column-major: ``apply`` updates
-    two contiguous columns.
+    calls ``reorthonormalize``.  ``q`` is column-major, so its columns i
+    and j are rows i and j of the C-ordered ``q.T``: ``apply`` maps them
+    by one 2 x 2 product through a strided view, into buffers the state
+    owns.
     """
 
     def __init__(self, source, q0=None):
@@ -165,6 +146,7 @@ class RotationState:
                 raise ValueError("Q0 must have determinant +1")
             self.tensors = source.rotated_by(q)
         self.q = q
+        self._g, self._q_rows = np.empty((2, 2)), np.empty((2, n))
         self.f_current = self.tensors.diag_sq_norm()
         self.rotation_count = 0
         self.reorth_count = 0
@@ -185,19 +167,30 @@ class RotationState:
         n = self.dim
         return float(np.linalg.norm(self.q.T @ self.q - np.eye(n)))
 
-    def apply(self, rot):
-        """Apply a GivensRotation: Q <- Q G, rotate all tensors, refresh f.
+    def apply(self, i, j, theta):
+        """Rotate by theta in the (i, j) plane, 0 <= i < j < n: Q <- Q G,
+        rotate all tensors, refresh f.  Columns i and j of Q become
+        c q_i + s q_j and c q_j - s q_i, c = cos(theta), s = sin(theta).
 
-        Orthogonality of Q is not checked here; callers applying many
-        rotations check ``orthogonality_error`` against ORTH_TOL now and
-        then, as ``sweeps.run`` does after every sweep.  ``rotate_plane``
-        refuses a pair out of range before anything changes."""
-        i, j, c, s = rot.i, rot.j, rot.c, rot.s
-        self.tensors.rotate_plane(i, j, rot.theta)
-        qi = self.q[:, i].copy()
-        qj = self.q[:, j]
-        self.q[:, i] = c * qi + s * qj
-        self.q[:, j] = c * qj - s * qi
+        Refuses, before anything changes, an angle outside [-pi/4, pi/4]
+        (to a relative 1e-12) or not finite: the sweep objective is
+        pi/2-periodic, so the optimizer never needs more; ``rotate_plane``
+        refuses a pair out of range.  Orthogonality of Q is not checked
+        here; callers applying many rotations check ``orthogonality_error``
+        against ORTH_TOL now and then, as ``sweeps.run`` does after every
+        sweep."""
+        # "not <=" also refuses NaN, which every comparison fails
+        if not abs(theta) <= QUARTER_PI * (1 + 1e-12):
+            raise ValueError(f"angle {theta} outside [-pi/4, pi/4]")
+        self.tensors.rotate_plane(i, j, theta)
+        c, s = math.cos(theta), math.sin(theta)
+        g, out = self._g, self._q_rows
+        g[0, 0] = g[1, 1] = c
+        g[0, 1] = s
+        g[1, 0] = -s
+        rows = self.q.T[i:j + 1:j - i]          # columns i, j of Q, as rows
+        np.dot(g, rows, out=out)
+        rows[...] = out
         self.f_current = self.tensors.diag_sq_norm()
         self.rotation_count += 1
         return self

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import SubproblemView, best_angle, check_sq_norm
-from .geometry import (ORTH_TOL, GivensRotation, RotationState, lambda_norm,
-                       lambda_of)
+from .geometry import ORTH_TOL, RotationState, lambda_norm, lambda_of
 from .symtensor import TensorSet
 
 __all__ = [
@@ -244,7 +243,7 @@ def run(tensors, config=None, q0=None):
                     continue
             view = SubproblemView.from_tensors(state.tensors, i, j, delta0)
             theta = best_angle(view).theta
-            state.apply(GivensRotation(i, j, theta))
+            state.apply(i, j, theta)
             k += 1
             progress = True
             records.append(IterationRecord(

@@ -21,8 +21,9 @@ t + 1 entries i^a j^(t-a) R with t indices in {i, j}, and the rotation
 maps each block by S_t, the t-th symmetric power of the 2 x 2 Givens
 matrix.  ``rotate_plane`` gathers them into buffers the set plans once,
 maps them by one matrix product per t and scatters them back (see
-``_rotation_work``), through a 1-D view of ``packed`` at m = 1; it agrees
-with the dense rotation to rounding only.
+``_rotation_work``), through a 1-D view of ``packed`` at m = 1, which
+``geometry.lambda_of`` reads too; it agrees with the dense rotation to
+rounding only.
 
 Index convention: all indices and modes are 0-based.
 """
@@ -152,9 +153,9 @@ def _rotation_plan(order, dim):
 def _rotation_work(order, dim, row):
     """One set's ``rotate_plane`` buffers: the (K,) dense and packed
     positions, the (K,) + row entries before and after (row: the shape of
-    one row of the kernel's entries, ``TensorSet._row_views``), S_1, ...,
-    S_d, and per t the views (S_t, old block, new block) of the product
-    for t hits."""
+    one row of the kernel's entries, ``TensorSet._row_views``), a flat view
+    of the (d, d+1, d+1) array of S_1, ..., S_d, and per t the views (S_t,
+    old block, new block) of the product for t hits."""
     row_i, row_j, bounds = _rotation_plan(order, dim)
     k = row_i.shape[1]
     flat, touched = np.empty((2, k), dtype=np.intp)
@@ -165,7 +166,7 @@ def _rotation_work(order, dim, row):
                    new[lo:hi].reshape(t + 1, -1))
                   for t, (lo, hi) in enumerate(bounds, start=1))
     return (row_i, row_j, _packing(order, dim)[1], flat, touched, old, new,
-            powers, steps)
+            powers.reshape(-1), steps)
 
 
 def _symmetric_power_table(order):
@@ -194,16 +195,16 @@ def _symmetric_power_table(order):
 _POWER_TABLE = {d: _symmetric_power_table(d) for d in _SUPPORTED_ORDERS}
 
 
-def _symmetric_powers(order, c, s):
-    """S_1, ..., S_d at (c, s) as laid out by ``_symmetric_power_table``:
-    the monomials c^p s^q by repeated multiplication of Python floats, then
-    one product with that table."""
+def _symmetric_powers(order, c, s, out):
+    """Write S_1, ..., S_d at (c, s) into ``out``, the flat view of an array
+    laid out by ``_symmetric_power_table``: the monomials c^p s^q by
+    repeated multiplication of Python floats, then one product with that
+    table."""
     cp, sp = [1.0], [1.0]
     for _ in range(order):
         cp.append(cp[-1] * c)
         sp.append(sp[-1] * s)
-    return _POWER_TABLE[order].dot([a * b for a in cp for b in sp]).reshape(
-        order, order + 1, order + 1)
+    np.dot(_POWER_TABLE[order], [a * b for a in cp for b in sp], out=out)
 
 
 def _orbit(stack):
@@ -445,8 +446,8 @@ class TensorSet:
         # mode="clip" (no index is out of range) lets take skip a buffer
         pos.take(flat, out=touched, mode="clip")
         entries.take(touched, axis=0, out=old, mode="clip")
-        powers[...] = _symmetric_powers(self.order, math.cos(theta),
-                                        math.sin(theta))
+        _symmetric_powers(self.order, math.cos(theta), math.sin(theta),
+                          powers)
         for power, old_t, new_t in steps:
             np.dot(power, old_t, out=new_t)
         entries[touched] = new

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jacobidiag.angles import SubproblemView, best_angle
-from jacobidiag.geometry import (GivensRotation, RotationState, lambda_of,
+from jacobidiag.geometry import (QUARTER_PI, RotationState, lambda_of,
                                  random_rotation, safe_norm)
 from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.sweeps import RunConfig, run, upper_pairs
@@ -48,19 +48,34 @@ def test_givens_generator_is_angle_derivative():
     assert np.allclose(fd, givens_generator(n, i, j), atol=1e-9)
 
 
-def test_givens_rotation_type_invariants():
-    rot = GivensRotation(0, 2, 0.3)
-    assert rot.c**2 + rot.s**2 == pytest.approx(1.0, abs=1e-15)
+def assert_refused_unchanged(i, j, theta):
+    # a refused apply leaves Q, the packed entries and f bitwise as they were
+    state = RotationState(random_set(3, 5, 50), random_rotation(5, 3))
+    state.apply(1, 3, 0.3)
+    q, packed, f = state.q.copy(), state.tensors.packed.copy(), state.f_current
     with pytest.raises(ValueError):
-        GivensRotation(2, 1, 0.1)
-    with pytest.raises(ValueError):
-        GivensRotation(0, 1, 1.0)
+        state.apply(i, j, theta)
+    assert np.array_equal(state.q, q)
+    assert np.array_equal(state.tensors.packed, packed)
+    assert state.f_current == f
+
+
+def test_apply_refuses_a_bad_pair_or_angle():
+    for i, j in [(2, 1), (1, 1), (0, 5), (3, 7), (-1, 2)]:
+        assert_refused_unchanged(i, j, 0.1)
+    for theta in [1.0, -1.0, QUARTER_PI * (1 + 3e-12),
+                  -QUARTER_PI * (1 + 3e-12)]:
+        assert_refused_unchanged(0, 1, theta)
+    # the quarter turn itself, and a hair beyond it, are accepted
+    state = RotationState(random_set(3, 5, 50))
+    state.apply(0, 4, QUARTER_PI)
+    state.apply(0, 4, -QUARTER_PI * (1 + 1e-13))
+    assert state.rotation_count == 2
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
-def test_givens_rotation_rejects_a_non_finite_angle(theta):
-    with pytest.raises(ValueError):
-        GivensRotation(0, 1, theta)
+def test_apply_rejects_a_non_finite_angle(theta):
+    assert_refused_unchanged(0, 1, theta)
 
 
 def test_random_rotation_orthogonal_and_special():
@@ -192,7 +207,7 @@ def test_apply_zero_rotation_is_identity():
     q0 = state.q.copy()
     w0 = state.tensors.stack.copy()
     f0 = state.f_current
-    state.apply(GivensRotation(0, 2, 0.0))
+    state.apply(0, 2, 0.0)
     assert np.array_equal(state.q, q0)
     assert np.array_equal(state.tensors.stack, w0)
     assert state.f_current == f0
@@ -202,10 +217,10 @@ def test_rotation_composition():
     ts = random_set(3, 5, 53)
     a, b = 0.3, 0.4
     one = RotationState(ts)
-    one.apply(GivensRotation(1, 3, a))
-    one.apply(GivensRotation(1, 3, b))
+    one.apply(1, 3, a)
+    one.apply(1, 3, b)
     two = RotationState(ts)
-    two.apply(GivensRotation(1, 3, a + b))
+    two.apply(1, 3, a + b)
     assert np.max(np.abs(one.tensors.stack - two.tensors.stack)) <= 1e-12
     assert np.max(np.abs(one.q - two.q)) <= 1e-14
 
@@ -216,7 +231,7 @@ def test_apply_refreshes_f_cache():
     rng = np.random.default_rng(0)
     for _ in range(20):
         i, j = sorted(rng.choice(4, size=2, replace=False))
-        state.apply(GivensRotation(int(i), int(j), float(rng.uniform(-0.7, 0.7))))
+        state.apply(int(i), int(j), float(rng.uniform(-0.7, 0.7)))
         assert state.f_current == pytest.approx(
             state.tensors.diag_sq_norm(), rel=1e-10)
         assert state.offdiag_sq() + state.f_current == pytest.approx(
@@ -232,8 +247,7 @@ def test_offdiag_sq_matches_a_fresh_oracle_sum_after_each_apply(order, m):
     rng = np.random.default_rng(10 * order + m)
     for _ in range(40):
         i, j = sorted(rng.choice(5, size=2, replace=False))
-        state.apply(GivensRotation(int(i), int(j),
-                                   float(rng.uniform(-0.78, 0.78))))
+        state.apply(int(i), int(j), float(rng.uniform(-0.78, 0.78)))
         fresh = offdiag_sq_norm(state.tensors)
         assert abs(state.offdiag_sq() - fresh) <= 1e-13 * fresh
 
@@ -250,7 +264,7 @@ def test_offdiag_sq_matches_a_fresh_oracle_sum_when_tiny(order):
     assert state.offdiag_sq() <= 1e-20 * state.total_sq_norm
     for i, j in upper_pairs(state.dim):
         view = SubproblemView.from_tensors(state.tensors, i, j)
-        state.apply(GivensRotation(i, j, best_angle(view).theta))
+        state.apply(i, j, best_angle(view).theta)
         fresh = offdiag_sq_norm(state.tensors)
         assert abs(state.offdiag_sq() - fresh) <= 1e-13 * fresh
 
@@ -261,8 +275,7 @@ def test_orthogonality_drift_stays_tiny():
     rng = np.random.default_rng(1)
     for _ in range(10_000):
         i, j = sorted(rng.choice(10, size=2, replace=False))
-        state.apply(GivensRotation(int(i), int(j),
-                                   float(rng.uniform(-0.7, 0.7))))
+        state.apply(int(i), int(j), float(rng.uniform(-0.7, 0.7)))
     assert state.reorth_count == 0          # never needed the rebuild
     assert state.orthogonality_error() <= 1e-8
     assert np.linalg.det(state.q) == pytest.approx(1.0, abs=1e-8)
@@ -278,7 +291,7 @@ def test_reorthonormalize_rebuilds_from_source():
     rebuilt = ts.rotated_by(state.q)
     assert np.array_equal(state.tensors.stack, rebuilt.stack)
     # next apply() keeps the state consistent again
-    state.apply(GivensRotation(0, 1, 0.2))
+    state.apply(0, 1, 0.2)
     assert state.f_current == pytest.approx(state.tensors.diag_sq_norm())
 
 
@@ -288,7 +301,38 @@ def test_q_stays_column_major():
     for q0 in (None, random_rotation(5, 10)):
         state = RotationState(ts, q0)
         assert state.q.flags.f_contiguous
-        state.apply(GivensRotation(1, 3, 0.3))
-        assert state.q.flags.f_contiguous
+        for i, j in [(1, 3), (0, 1), (3, 4), (0, 4)]:
+            state.apply(i, j, 0.3)
+            assert state.q.flags.f_contiguous
         state.reorthonormalize()
         assert state.q.flags.f_contiguous
+        state.apply(0, 4, -0.2)
+        assert state.q.flags.f_contiguous
+
+
+@pytest.mark.parametrize("pairs", ["first", "adjacent", "ends", "any"])
+def test_apply_updates_q_by_the_column_formula(pairs):
+    # the row-pair view of Q^T steps by j - i: pairs next to each other,
+    # at the ends and anywhere all go through it; the reference is the
+    # column update c q_i + s q_j, c q_j - s q_i
+    n = 7
+    state = RotationState(random_set(2, n, 58), random_rotation(n, 11))
+    ref = state.q.copy()
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        if pairs == "first":
+            i, j = 0, 1
+        elif pairs == "adjacent":
+            i = int(rng.integers(n - 1))
+            j = i + 1
+        elif pairs == "ends":
+            i, j = 0, n - 1
+        else:
+            i, j = map(int, sorted(rng.choice(n, size=2, replace=False)))
+        theta = float(rng.uniform(-QUARTER_PI, QUARTER_PI))
+        state.apply(i, j, theta)
+        c, s = math.cos(theta), math.sin(theta)
+        qi, qj = ref[:, i].copy(), ref[:, j].copy()
+        ref[:, i] = c * qi + s * qj
+        ref[:, j] = c * qj - s * qi
+    assert np.max(np.abs(state.q - ref)) <= 1e-14

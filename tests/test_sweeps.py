@@ -7,8 +7,7 @@ import pytest
 
 from jacobidiag import sweeps
 from jacobidiag.angles import MAX_SQ_NORM, SubproblemView
-from jacobidiag.geometry import (GivensRotation, RotationState,
-                                 random_rotation)
+from jacobidiag.geometry import RotationState, random_rotation
 from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.oracle import (best_angle_xi, lambda_reference,
                                offdiag_sq_norm, rotate_planes_reference)
@@ -438,7 +437,7 @@ def test_step_size_identity():
         i, j = sorted(rng.choice(6, size=2, replace=False))
         theta = float(rng.uniform(-math.pi / 4, math.pi / 4))
         q_before = state.q.copy()
-        state.apply(GivensRotation(int(i), int(j), theta))
+        state.apply(int(i), int(j), theta)
         dq = float(np.linalg.norm(state.q - q_before))
         assert dq == pytest.approx(2 * math.sqrt(2) * abs(math.sin(theta / 2)),
                                    abs=1e-12)

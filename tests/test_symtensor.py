@@ -154,7 +154,8 @@ def test_row_kernel_matches_reference_bitwise(order, m, n, monkeypatch):
 
     powers = symtensor._symmetric_powers
     monkeypatch.setattr(symtensor, "_symmetric_powers",
-                        lambda d, c, s: powers(d, exact(c), exact(s)))
+                        lambda d, c, s, out: powers(d, exact(c), exact(s),
+                                                    out))
     rng = np.random.default_rng(100 * order + 10 * m + n)
 
     def integer_symtensor():
@@ -222,8 +223,28 @@ def test_row_kernel_error_within_twice_dense_reference(order, m, n):
 
 
 def powers_at(order, theta):
-    powers = _symmetric_powers(order, math.cos(theta), math.sin(theta))
+    powers = np.empty((order, order + 1, order + 1))
+    _symmetric_powers(order, math.cos(theta), math.sin(theta),
+                      powers.reshape(-1))
     return [powers[t - 1, :t + 1, :t + 1] for t in range(1, order + 1)]
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_symmetric_powers_in_place_match_the_table_product(order):
+    # S_t written in place is bitwise the table's product with the list of
+    # monomials c^p s^q, p-major, each a product of Python floats
+    rng = np.random.default_rng(80 + order)
+    out = np.empty(order * (order + 1) ** 2)
+    for theta in rng.uniform(-math.pi, math.pi, size=50):
+        c, s = math.cos(theta), math.sin(theta)
+        cp, sp = [1.0], [1.0]
+        for _ in range(order):
+            cp.append(cp[-1] * c)
+            sp.append(sp[-1] * s)
+        expected = symtensor._POWER_TABLE[order].dot(
+            [a * b for a in cp for b in sp])
+        _symmetric_powers(order, c, s, out)
+        assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
