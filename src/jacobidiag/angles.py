@@ -149,14 +149,22 @@ MAX_SQ_NORM = {d: float(np.finfo(np.float64).max / np.max(
     for d, b in _BINOM.items()}
 
 
-def check_sq_norm(sq_norm, order):
-    """Refuse a set whose ||T||^2 exceeds ``MAX_SQ_NORM[order]``: its angle
-    step can overflow.  ``sweeps.run`` and ``harness.verify_invariants``
-    call it before any rotation."""
+def check_sq_norm(sq_norm, order, delta0=0.0):
+    """Refuse a set whose ||T||^2 exceeds ``MAX_SQ_NORM[order]``, or a
+    proximal weight delta0 that can overflow Omega's coefficients with it:
+    |A_j| <= DBL_MAX (||T||^2 / MAX_SQ_NORM + delta0 max(_OMEGA_DELTA0) /
+    DBL_MAX), each term divided before the sum, since the product itself
+    can overflow.  ``sweeps.run`` and ``harness.verify_invariants`` call
+    it before any rotation."""
     if sq_norm > (bound := MAX_SQ_NORM[order]):
         raise ValueError(f"||T||^2 = {sq_norm:.3e} exceeds {bound:.3e}, "
                          f"where the angle step can overflow; rescale the "
                          f"input")
+    if sq_norm / bound + delta0 / (
+            np.finfo(np.float64).max / _OMEGA_DELTA0[order].max()) > 1.0:
+        raise ValueError(f"delta0 = {delta0:.3e} with ||T||^2 = "
+                         f"{sq_norm:.3e} can overflow the angle step; "
+                         f"lower delta0")
 
 
 def omega_xi_coeffs(view):

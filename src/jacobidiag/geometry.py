@@ -63,9 +63,9 @@ def lambda_of(tensors):
     W[j, i..i], W[j..j] and W[i..i] (``symtensor._lambda_positions``), one
     contraction over the m members, then d * (S_ij - S_ji): O(m n^2) work.
     At m = 1 the take reads the kernel's 1-D view of ``packed``
-    (``TensorSet._row_views``) and the contraction is a plain product.
+    (``TensorSet._entries``) and the contraction is a plain product.
     """
-    near = tensors._row_views()[1].take(
+    near = tensors._entries.take(
         _lambda_positions(tensors.order, tensors.dim), axis=0)  # (4, P[, m])
     if near.ndim == 2:
         s = near[:2] * near[2:]                         # (2, P)

@@ -264,8 +264,10 @@ def verify_invariants(tensors, seed=0, samples=40):
     brute-force angle maximization, and the f + offdiag = total partition.
     Residuals are relative to ||T||^2.  ValueError, before any check:
     samples < 1 (nothing checked), a squared norm above
-    ``angles.MAX_SQ_NORM``, inf included (``check_sq_norm``, as in
-    ``sweeps.run``), or one that is 0 (RotationState).
+    ``angles.MAX_SQ_NORM``, inf included, or one at which the largest
+    proximal weight sampled, 0.1 ||T||^2, can overflow the angle step
+    (``check_sq_norm``, as in ``sweeps.run``), or one that is 0
+    (RotationState).
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
@@ -277,7 +279,7 @@ def verify_invariants(tensors, seed=0, samples=40):
         tensors = TensorSet(tensors)
     d, n = tensors.order, tensors.dim
     total = tensors.frob_sq()
-    check_sq_norm(total, d)
+    check_sq_norm(total, d, 0.1 * total)
     rng = np.random.default_rng(seed)
     checks = []
 

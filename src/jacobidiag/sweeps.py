@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -114,10 +115,13 @@ class RunConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; "
                              f"expected one of {METHODS}")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        for attr in ("max_sweeps", "record_every"):
+            try:
+                value = operator.index(getattr(self, attr))
+            except TypeError:
+                raise ValueError(f"{attr} must be an integer") from None
+            if value < 1:
+                raise ValueError(f"{attr} must be >= 1")
         for attr in ("eps", "delta0", "thresh", "stationarity_tol"):
             v = getattr(self, attr)
             if v is not None and not (math.isfinite(v) and v >= 0):
@@ -186,25 +190,26 @@ class RunResult:
 
 def run(tensors, config=None, q0=None):
     """Run one Jacobi variant on a tensor set from Q0 (default identity);
-    refuse one whose ||T||^2 exceeds ``angles.MAX_SQ_NORM`` for its order
-    (``angles.check_sq_norm``)."""
+    refuse, before any rotation, one whose ||T||^2 exceeds
+    ``angles.MAX_SQ_NORM`` for its order, or whose delta0 can overflow the
+    angle step with it (``angles.check_sq_norm``)."""
     cfg = config or RunConfig()
     if not isinstance(tensors, TensorSet):
         tensors = TensorSet(tensors)
     state = RotationState(tensors, q0)
     n = state.dim
     total = state.total_sq_norm
-    check_sq_norm(total, tensors.order)
+    if cfg.delta0 is not None:
+        delta0 = cfg.delta0
+    else:
+        delta0 = 1e-3 * total if cfg.method == "pc" else 0.0
+    check_sq_norm(total, tensors.order, delta0)
     scale = math.sqrt(total)
 
     eps = cfg.eps if cfg.eps is not None else 0.1 * (2.0 / n)
     if cfg.method == "g" and not 0.0 < eps <= 2.0 / n:
         raise ValueError(f"eps must lie in (0, 2/n] = (0, {2.0 / n:g}], "
                          f"got {eps:g}")
-    if cfg.delta0 is not None:
-        delta0 = cfg.delta0
-    else:
-        delta0 = 1e-3 * total if cfg.method == "pc" else 0.0
     tol = cfg.stationarity_tol if cfg.stationarity_tol is not None \
         else 1e-10 * scale
     thresh = cfg.thresh if cfg.thresh is not None else 1e-10 * scale

@@ -21,9 +21,9 @@ t + 1 entries i^a j^(t-a) R with t indices in {i, j}, and the rotation
 maps each block by S_t, the t-th symmetric power of the 2 x 2 Givens
 matrix.  ``rotate_plane`` gathers them into buffers the set plans once,
 maps them by one matrix product per t and scatters them back (see
-``_rotation_work``), through a 1-D view of ``packed`` at m = 1, which
-``geometry.lambda_of`` reads too; it agrees with the dense rotation to
-rounding only.
+``_rotation_work``), at m = 1 through a 1-D view of ``packed`` made with
+the set, which ``geometry.lambda_of`` reads too; it agrees with the dense
+rotation to rounding only.
 
 Index convention: all indices and modes are 0-based.
 """
@@ -84,22 +84,10 @@ def _packing(order, dim):
 
 @functools.lru_cache(maxsize=16)
 def _classes(order, dim):
-    """(lo, hi, copies) per off-diagonal class of ``_packing``'s rows."""
+    """(lo, hi, copies) per class of ``_packing``'s rows, diagonal first."""
     c = np.bincount(_packing(order, dim)[1])      # copies per packed row
-    edges = (np.flatnonzero(np.diff(c[dim - 1:], append=0)) + dim).tolist()
+    edges = [0] + (np.flatnonzero(np.diff(c, append=0)) + 1).tolist()
     return tuple((lo, hi, int(c[lo])) for lo, hi in zip(edges, edges[1:]))
-
-
-@functools.lru_cache(maxsize=16)
-def _lambda_positions(order, dim):
-    """(4, P) packed positions, per pair i < j in row-major order, of
-    W[i, j, ..., j], W[j, i, ..., i], W[j, ..., j] and W[i, ..., i]."""
-    tail = dim ** (order - 1)
-    ones = (tail - 1) // (dim - 1)      # flat index of (1, ..., 1), d - 1 axes
-    i, j = np.triu_indices(dim, 1)
-    return _packing(order, dim)[1][np.stack(
-        [i * tail + j * ones, j * tail + i * ones, j * (tail + ones),
-         i * (tail + ones)])]
 
 
 @functools.lru_cache(maxsize=16)
@@ -111,6 +99,16 @@ def _pair_positions(order, dim):
     k = np.arange(dim)[:, None, None]
     return _packing(order, dim)[1][(strides * ~at_j).sum(axis=1) * k
                                    + (strides * at_j).sum(axis=1) * k[:, 0]]
+
+
+@functools.lru_cache(maxsize=16)
+def _lambda_positions(order, dim):
+    """(4, P) packed positions, per pair i < j in row-major order, of
+    W[i, j, ..., j], W[j, i, ..., i], W[j, ..., j] and W[i, ..., i]:
+    columns d - 1, 1, d and 0 of ``_pair_positions`` at [i, j]."""
+    i, j = np.triu_indices(dim, 1)
+    return _pair_positions(order, dim)[
+        i, j, np.array([[order - 1], [1], [order], [0]])]
 
 
 @functools.lru_cache(maxsize=16)
@@ -153,7 +151,7 @@ def _rotation_plan(order, dim):
 def _rotation_work(order, dim, row):
     """One set's ``rotate_plane`` buffers: the (K,) dense and packed
     positions, the (K,) + row entries before and after (row: the shape of
-    one row of the kernel's entries, ``TensorSet._row_views``), a flat view
+    one row of the kernel's entries, ``TensorSet._entries``), a flat view
     of the (d, d+1, d+1) array of S_1, ..., S_d, and per t the views (S_t,
     old block, new block) of the product for t hits."""
     row_i, row_j, bounds = _rotation_plan(order, dim)
@@ -319,10 +317,11 @@ class TensorSet:
     member symmetric within ``SYMMETRY_TOL * ||T||``, and keeps the entry
     at each sorted multi-index.  ``stack`` builds the dense
     ``(m,) + (n,)*d`` array afresh on every read; nothing ``sweeps.run``
-    does per rotation reads it.
+    does per rotation reads it.  ``packed`` cannot be rebound; writes into
+    it in place are seen by every method.
     """
 
-    __slots__ = ("packed", "order", "dim", "_work", "_rows")
+    __slots__ = ("_packed", "order", "dim", "_entries", "_by_class", "_work")
 
     def __init__(self, arrays):
         if isinstance(arrays, (list, tuple)):
@@ -331,9 +330,22 @@ class TensorSet:
         else:
             stack = np.asarray(arrays, dtype=np.float64)[None]
         orbit, _ = _check_members(stack)
-        self.packed = orbit[0].copy()
-        self.order, self.dim = stack.ndim - 1, stack.shape[-1]
-        self._work = self._rows = None
+        self._init(orbit[0].copy(), stack.ndim - 1, stack.shape[-1])
+
+    def _init(self, packed, order, dim):
+        """Fix the set's layout: ``packed``, made C-contiguous (a 1-D view
+        of any other (N, m > 1) array is a copy), and its views that the
+        solver reads.  ``_entries``, which ``rotate_plane`` gathers from and
+        scatters to, is ``packed``, or at m = 1 its 1-D view: a 1-D
+        scatter costs about 30% less than one of (K, 1) rows at (4, 24).
+        ``_by_class``: (copies, 1-D rows) per class of ``_classes``."""
+        self._packed = packed = np.ascontiguousarray(packed)
+        self.order, self.dim = order, dim
+        flat, m = packed.reshape(-1), packed.shape[1]
+        self._entries = flat if m == 1 else packed
+        self._by_class = tuple((c, flat[lo * m:hi * m])
+                               for lo, hi, c in _classes(order, dim))
+        self._work = None
 
     @classmethod
     def _wrap(cls, stack):
@@ -347,8 +359,7 @@ class TensorSet:
     @classmethod
     def _from_packed(cls, packed, order, dim):
         obj = cls.__new__(cls)
-        obj.packed, obj.order, obj.dim = packed, order, dim
-        obj._work = obj._rows = None
+        obj._init(packed, order, dim)
         return obj
 
     @classmethod
@@ -365,6 +376,11 @@ class TensorSet:
         return cls._from_packed(packed, order, n)
 
     @property
+    def packed(self):
+        """The (N, m) packed entries (read-only attribute)."""
+        return self._packed
+
+    @property
     def stack(self):
         """Dense ``(m,) + (n,)*d`` copy of the set, built on every read."""
         dense = np.take(self.packed, _packing(self.order, self.dim)[1], axis=0)
@@ -378,7 +394,7 @@ class TensorSet:
         return TensorSet._from_packed(self.packed.copy(), self.order, self.dim)
 
     def __reduce__(self):
-        # pickle and copy would split the work area's views from its buffers
+        # pickle and copy would split the views from the arrays they view
         return TensorSet._from_packed, (self.packed, self.order, self.dim)
 
     def frob_sq(self):
@@ -390,36 +406,17 @@ class TensorSet:
         """(m, n) array of diagonal vectors (W[j, j, ..., j])_j (a copy)."""
         return self.packed[:self.dim].T.copy()
 
-    def _row_views(self):
-        """(packed, entries, diagonal rows, ((copies, rows), ...) per
-        off-diagonal class of ``_classes``): views of ``packed``, made once
-        per array (rotations write it in place), which is first made
-        C-contiguous: ``reshape(-1)`` of any other (N, m > 1) array is a
-        copy.  ``entries``, which ``rotate_plane`` gathers from and scatters to,
-        is ``packed`` itself, or at m = 1 its 1-D view: a 1-D scatter costs
-        about 30% less than a scatter of (K, 1) rows at (d, n) = (4, 24)."""
-        rows = self._rows
-        if rows is None or rows[0] is not self.packed:
-            self.packed = np.ascontiguousarray(self.packed)
-            flat, m = self.packed.reshape(-1), len(self)
-            rows = self._rows = (
-                self.packed, flat if m == 1 else self.packed,
-                flat[:self.dim * m], tuple(
-                    (c, flat[lo * m:hi * m])
-                    for lo, hi, c in _classes(self.order, self.dim)))
-        return rows
-
     def diag_sq_norm(self):
         """Sum of squared diagonal entries over the set (the objective f):
         one dot product of the n diagonal rows."""
-        d = self._row_views()[2]
+        d = self._by_class[0][1]
         return float(d.dot(d))
 
     def offdiag_sq(self):
         """Squared off-diagonal mass, a fresh O(m N) sum, no subtraction:
-        per class of rows, its copies times its entries' dot product."""
+        per off-diagonal class, its copies times its rows' dot product."""
         total = 0.0
-        for copies, part in self._row_views()[3]:
+        for copies, part in self._by_class[1:]:
             total += copies * float(part.dot(part))
         return total
 
@@ -429,15 +426,15 @@ class TensorSet:
         Gathers the O(m n^(d-1)) packed entries with an index in {i, j},
         maps the blocks with t hits by the symmetric power S_t in one
         matrix product per t, and scatters them back, as rows or, at m = 1,
-        through a 1-D view (``_row_views``); see ``_rotation_plan`` and,
-        for the buffers built on the first call, ``_rotation_work``.  It
+        through a 1-D view (``_init``); see ``_rotation_plan`` and, for the
+        buffers built on the first call, ``_rotation_work``.  It
         agrees with the dense rotation (``oracle.rotate_planes_reference``)
         to rounding, not bitwise: the product sums in another order.
         """
         if not (0 <= i < j < self.dim):
             raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, "
                              f"n={self.dim}")
-        entries = self._row_views()[1]
+        entries = self._entries
         if self._work is None:
             self._work = _rotation_work(self.order, self.dim,
                                         entries.shape[1:])

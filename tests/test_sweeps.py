@@ -203,6 +203,11 @@ def test_config_validation():
         RunConfig(record_every=0)
     with pytest.raises(ValueError):
         RunConfig(eps=-0.1)
+    # a fractional count would fail in range() or thin the CSV by k % 2.5
+    for attr in ("max_sweeps", "record_every"):
+        with pytest.raises(ValueError, match=f"{attr} must be an integer"):
+            RunConfig(**{attr: 2.5})
+        assert getattr(RunConfig(**{attr: np.int64(2)}), attr) == 2
     cfg = RunConfig(method="g", eps=0.5)
     with pytest.raises(ValueError):
         run(noisy_problem(2, n=6), cfg)      # 0.5 > 2/n
@@ -236,6 +241,27 @@ def test_run_refuses_a_set_whose_omega_can_overflow(k):
         with pytest.raises(ValueError, match=r"\|\|T\|\|\^2 = .* exceeds "
                            r"8\.710e\+305, .*; rescale the input"):
             run(big, RunConfig(method="c", max_sweeps=3))
+
+
+@pytest.mark.parametrize("method", ["pc", "c"])
+@pytest.mark.parametrize("order", [3, 4])
+def test_run_refuses_a_delta0_that_can_overflow_omega(order, method,
+                                                       monkeypatch):
+    # delta0 = 1e308 overflows the proximal term of Omega: refused before
+    # the first rotation, with no overflow warning; 1e306 still runs
+    ts = make_test_problem(ExperimentSpec(n=4, order=order, sigma=1e-2))[0]
+    ref = run(ts, RunConfig(method, delta0=1e306, max_sweeps=2))
+    assert ref.state.rotation_count > 0
+
+    def rotate_plane(*args):
+        raise AssertionError("rotated before the refusal")
+
+    monkeypatch.setattr(TensorSet, "rotate_plane", rotate_plane)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"delta0 = 1\.000e\+308 .*; "
+                           r"lower delta0"):
+            run(ts, RunConfig(method, delta0=1e308, max_sweeps=2))
 
 
 @pytest.mark.parametrize("method", sweeps.METHODS)
@@ -303,7 +329,7 @@ def test_trajectories_match_reference_kernel(monkeypatch):
     def reference_rotate_plane(self, i, j, theta):
         stack = self.stack
         rotate_planes_reference(stack, i, j, math.cos(theta), math.sin(theta))
-        self.packed = TensorSet._wrap(stack).packed
+        self.packed[...] = TensorSet._wrap(stack).packed
         return self
 
     def trajectories():

@@ -305,7 +305,7 @@ def test_offdiag_sq_allocates_no_packed_sized_array(order, n, m):
     ts = TensorSet([symmetrize(rng.standard_normal((n,) * order))
                     for _ in range(m)])
     limit = math.comb(n + order - 1, order) * m * 8
-    ts.offdiag_sq()          # builds the class table and the row views
+    ts.offdiag_sq()          # a first call's one-off costs stay untraced
     tracemalloc.start()
     try:
         for _ in range(5):
@@ -364,15 +364,15 @@ def test_rotation_work_areas_are_private(order):
 @pytest.mark.parametrize("touch_first", [False, True])
 def test_flat_kernel_writes_the_live_array(order, touch_first):
     # at m = 1 the kernel gathers and scatters through a 1-D view of
-    # packed; a 1-D copy instead (made C-contiguous without rebinding
-    # packed to it, say) would take the scatter without an error and lose
-    # it.  Start from a column of a wider array; diag_sq_norm first rebinds
-    # packed to a C-ordered copy, rotate_plane must do the same on its own
+    # packed; a 1-D copy instead (of an input that is not C-contiguous,
+    # say) would take the scatter without an error and lose it.  Start
+    # from a column of a wider array, which the set copies once, when made
     ref = random_symtensor(order, 5, 61 + order)
     wide = np.zeros((len(ref.packed), 2))
     wide[:, 0] = ref.packed[:, 0]
     loose = TensorSet._from_packed(wide[:, :1], order, 5)
-    assert not loose.packed.flags.c_contiguous
+    assert loose.packed.flags.c_contiguous
+    assert not np.shares_memory(loose.packed, wide)
     if touch_first:
         assert loose.diag_sq_norm() == ref.diag_sq_norm()
     for i, j, theta in ((0, 1, 0.3), (2, 4, -0.7), (1, 3, 0.5), (0, 4, 0.2)):
@@ -381,6 +381,33 @@ def test_flat_kernel_writes_the_live_array(order, touch_first):
         assert np.array_equal(loose.packed, ref.packed)
     assert loose.diag_sq_norm() == ref.diag_sq_norm()
     assert loose.offdiag_sq() == ref.offdiag_sq()
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_every_constructor_fixes_the_layout(m, tmp_path):
+    # packed is C-contiguous after every constructor, the views the solver
+    # reads are views of it, and it cannot be rebound
+    rng = np.random.default_rng(70 + m)
+    ts = TensorSet([symmetrize(rng.standard_normal((4, 4, 4)))
+                    for _ in range(m)])
+    path = tmp_path / "set.st"
+    save_tensorset(path, ts)
+    strided = np.repeat(ts.packed, 2, axis=1)[:, ::2]
+    assert not strided.flags.c_contiguous
+    made = [ts, TensorSet(list(ts.stack)), TensorSet._wrap(ts.stack),
+            TensorSet._from_packed(strided, 3, 4), ts.copy(),
+            ts.rotated_by(random_orthogonal(4, 72)), load_tensorset(path),
+            pickle.loads(pickle.dumps(ts)), copy.deepcopy(ts), copy.copy(ts)]
+    if m == 1:
+        made.append(TensorSet.from_diagonal([1.0, 2.0, 3.0, 4.0], 3))
+    for t in made:
+        assert t.packed.flags.c_contiguous
+        classes = [rows for _, rows in t._by_class]
+        assert all(np.shares_memory(v, t.packed)
+                   for v in [t._entries] + classes)
+        assert sum(rows.size for rows in classes) == t.packed.size
+        with pytest.raises(AttributeError):
+            t.packed = t.packed.copy()
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -517,20 +544,21 @@ def test_from_diagonal_layout():
 
 
 def test_sums_read_the_current_packed_array():
-    # the sums read views made once per packed array: they follow in-place
-    # rotations and a rebound array alike
+    # the sums read views made when the set is made: they follow in-place
+    # rotations and in-place writes alike
     ts = random_symtensor(3, 4, 34)
     f, off = ts.diag_sq_norm(), ts.offdiag_sq()
     ts.rotate_plane(0, 2, 0.4)
     assert ts.diag_sq_norm() != f and ts.offdiag_sq() != off
     assert ts.offdiag_sq() == pytest.approx(offdiag_sq_norm(ts), rel=1e-13)
-    ts.packed = np.zeros_like(ts.packed)
+    ts.packed[...] = 0.0
     assert ts.diag_sq_norm() == 0.0 and ts.offdiag_sq() == 0.0
     pair = TensorSet([np.diag([1.0, 2.0, 3.0])] * 2)
-    pair.packed = np.asfortranarray(pair.packed)
     f = pair.diag_sq_norm()
     pair.rotate_plane(0, 1, 0.3)
     assert pair.diag_sq_norm() != f
+    pair.packed[:2] = 0.0
+    assert pair.diag_sq_norm() == 2 * 3.0 ** 2
 
 
 def test_writing_into_diags_leaves_the_set_unchanged():
@@ -655,16 +683,17 @@ def test_packing_matches_sort_based_canonical_map(order, n):
     assert reps.size == math.comb(n + order - 1, order)
     assert np.array_equal(reps[pos], _canonical_map(order, n))
     assert np.array_equal(pos[reps], np.arange(reps.size))
-    # rows [0, n): the diagonal in index order; then the off-diagonal
-    # classes, contiguous, in ascending number of copies, lex within each
+    # rows [0, n): the diagonal in index order, the first class; then the
+    # off-diagonal classes, contiguous, in ascending number of copies, lex
+    # within each
     diagonal = np.arange(n) * ((n ** order - 1) // (n - 1))
     assert np.array_equal(reps[:n], diagonal)
     classes = _classes(order, n)
+    assert classes[0] == (0, n, 1)
     edges = [lo for lo, _, _ in classes] + [reps.size]
-    assert edges[0] == n
     assert [hi for _, hi, _ in classes] == edges[1:]
     copies = [c for _, _, c in classes]
-    assert copies == sorted(set(copies)) and copies[0] > 1
+    assert copies == sorted(set(copies))
     row_copies = np.ones(reps.size, dtype=np.intp)
     for lo, hi, c in classes:
         assert np.all(np.diff(reps[lo:hi]) > 0)
