@@ -6,6 +6,8 @@ Exit codes: 0 success, 2 invalid input, 3 invariant failure.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 
 from .harness import (ExperimentSpec, make_test_problem, parse_suite_file,
@@ -62,6 +64,16 @@ def _build_parser():
     return parser
 
 
+def _line(row):
+    """One finished run, a ``RunResult.summary()`` or failed bench row."""
+    if "error" in row:
+        return f"{row['label']}: FAILED: {row['error']}"
+    return (f"{row['label']}: f={row['final_f']:.12g} "
+            f"offdiag_sq={row['offdiag_sq']:.6g} "
+            f"lambda={row['lambda_norm']:.6g} sweeps={row['sweeps']} "
+            f"rotations={row['rotations']} stop={row['stop_reason']}")
+
+
 def _cmd_gen(args):
     spec = ExperimentSpec(n=args.n, order=args.d, m=args.m,
                           profile=args.profile, sigma=args.sigma,
@@ -81,11 +93,7 @@ def _cmd_run(args):
                     stationarity_tol=args.tol)
     result = run(tensors, cfg)
     write_trajectory_csv(args.csv, result)
-    st = result.state
-    print(f"{cfg.label}: f={st.f_current:.12g} "
-          f"offdiag_sq={st.offdiag_sq():.6g} lambda={st.lambda_norm():.6g} "
-          f"sweeps={result.sweeps_used} rotations={st.rotation_count} "
-          f"stop={result.stop_reason}")
+    print(_line(result.summary()))
     print(f"trajectory written to {args.csv}")
     return EXIT_OK
 
@@ -93,17 +101,12 @@ def _cmd_run(args):
 def _cmd_bench(args):
     tensors = load_tensorset(args.infile)
     configs = parse_suite_file(args.suite)
-    report, _ = run_benchmark(tensors, configs, outdir=args.outdir)
-    json_path = f"{args.outdir.rstrip('/')}/report.json"
-    report.to_json(json_path)
-    width = max(len(r.label) for r in report.runs)
-    for r in report.runs:
-        if r.error:
-            print(f"{r.label:<{width}}  FAILED: {r.error}")
-        else:
-            print(f"{r.label:<{width}}  f={r.final_f:.12g} "
-                  f"offdiag_sq={r.offdiag_sq:.6g} lambda={r.lambda_norm:.6g} "
-                  f"sweeps={r.sweeps} stop={r.stop_reason}")
+    rows = run_benchmark(tensors, configs, outdir=args.outdir)
+    json_path = os.path.join(args.outdir, "report.json")
+    with open(json_path, "w") as fh:
+        json.dump(rows, fh, indent=2, allow_nan=False)
+    for row in rows:
+        print(_line(row))
     print(f"report written to {json_path}")
     return EXIT_OK
 

@@ -13,10 +13,9 @@ simultaneously.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +28,6 @@ __all__ = [
     "ExperimentSpec",
     "make_diag_tensor",
     "make_test_problem",
-    "AlgorithmReport",
-    "BenchmarkReport",
     "run_benchmark",
     "parse_suite_file",
     "CheckResult",
@@ -114,47 +111,14 @@ def make_test_problem(spec):
     return TensorSet([member() for _ in range(spec.m)]), q_true
 
 
-@dataclass
-class AlgorithmReport:
-    """End-of-run summary for one configuration.
+def run_benchmark(tensors, configs, outdir=None):
+    """Run each config on the same problem from the identity; return one
+    row per config, in order.
 
-    final_f and offdiag_sq equal the trailing trajectory row (offdiag_sq is
-    read from it, a fresh sum over the tensors right after the last
-    rotation; a re-orthonormalization at the end of the last sweep rebuilds
-    the tensors and can move the final state's sum by rounding);
-    lambda_norm is the gradient norm of the *final* state (the trajectory
-    rows carry pre-rotation norms).
-    """
-
-    label: str
-    method: str
-    final_f: float = math.nan
-    offdiag_sq: float = math.nan
-    lambda_norm: float = math.nan
-    sweeps: int = 0
-    rotations: int = 0
-    wall_ms: float = 0.0
-    converged: bool = False
-    stop_reason: str = ""
-    csv_path: str | None = None
-    error: str | None = None
-
-
-@dataclass
-class BenchmarkReport:
-    runs: list = field(default_factory=list)
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump([asdict(r) for r in self.runs], fh, indent=2)
-
-
-def run_benchmark(tensors, configs, outdir=None, q0=None):
-    """Run each config on the same problem from the same Q0.
-
-    Per-run failures are captured in the report instead of aborting the
-    remaining configurations.  With outdir set, one trajectory CSV is
-    written per run.  ValueError before any run if two CSV names clash.
+    A row is the run's ``RunResult.summary()`` plus ``csv_path``, its
+    trajectory CSV under outdir (None without outdir).  A run that raised
+    gives {"label", "method", "error"}, and the other configs still run.
+    ValueError before any run if two CSV names clash.
     """
     by_file = {}
     for cfg in configs:
@@ -166,32 +130,21 @@ def run_benchmark(tensors, configs, outdir=None, q0=None):
         by_file[fname] = cfg
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
-    report = BenchmarkReport()
-    results = {}
+    rows = []
     for fname, cfg in by_file.items():
-        entry = AlgorithmReport(label=cfg.label, method=cfg.method)
         try:
-            res = run(tensors, cfg, q0=q0)
+            res = run(tensors, cfg)
         except Exception as exc:  # keep the other configs running
-            entry.error = f"{type(exc).__name__}: {exc}"
-            report.runs.append(entry)
+            rows.append({"label": cfg.label, "method": cfg.method,
+                         "error": f"{type(exc).__name__}: {exc}"})
             continue
-        results[cfg.label] = res
-        entry.final_f = res.f_final
-        entry.offdiag_sq = (res.records[-1].offdiag_sq if res.records
-                            else res.state.offdiag_sq())
-        entry.lambda_norm = res.state.lambda_norm()
-        entry.sweeps = res.sweeps_used
-        entry.rotations = res.state.rotation_count
-        entry.wall_ms = res.records[-1].wall_ms if res.records else 0.0
-        entry.converged = res.converged
-        entry.stop_reason = res.stop_reason
+        row = res.summary()
+        row["csv_path"] = None
         if outdir is not None:
-            path = os.path.join(outdir, fname)
-            write_trajectory_csv(path, res)
-            entry.csv_path = path
-        report.runs.append(entry)
-    return report, results
+            row["csv_path"] = os.path.join(outdir, fname)
+            write_trajectory_csv(row["csv_path"], res)
+        rows.append(row)
+    return rows
 
 
 _SUITE_KEYS = {

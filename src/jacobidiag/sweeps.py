@@ -134,7 +134,7 @@ class RunConfig:
         parts = [self.method]
         if self.method == "g" and self.eps is not None:
             parts.append(f"eps={self.eps:g}")
-        if self.method == "pc" and self.delta0 is not None:
+        if self.delta0 is not None:     # every method applies a delta0
             parts.append(f"delta0={self.delta0:g}")
         if self.method == "cthresh" and self.thresh is not None:
             parts.append(f"thresh={self.thresh:g}")
@@ -186,6 +186,19 @@ class RunResult:
     @property
     def f_final(self):
         return self.state.f_current
+
+    def summary(self):
+        """The finished run as a dict: f, offdiag_sq and ||Lambda|| of the
+        final state (after any end-of-sweep re-orthonormalization), and
+        the run's counts, last recorded wall time (0.0 without records)
+        and stop."""
+        st = self.state
+        return {"label": self.config.label, "method": self.config.method,
+                "final_f": st.f_current, "offdiag_sq": st.offdiag_sq(),
+                "lambda_norm": st.lambda_norm(), "sweeps": self.sweeps_used,
+                "rotations": st.rotation_count,
+                "wall_ms": self.records[-1].wall_ms if self.records else 0.0,
+                "converged": self.converged, "stop_reason": self.stop_reason}
 
 
 def run(tensors, config=None, q0=None):

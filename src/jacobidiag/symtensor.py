@@ -393,8 +393,10 @@ class TensorSet:
     def copy(self):
         return TensorSet._from_packed(self.packed.copy(), self.order, self.dim)
 
+    __copy__ = copy     # a shallow copy that shared packed would rotate both
+
     def __reduce__(self):
-        # pickle and copy would split the views from the arrays they view
+        # pickle and deepcopy would split the views from the arrays they view
         return TensorSet._from_packed, (self.packed, self.order, self.dim)
 
     def frob_sq(self):

@@ -1,3 +1,5 @@
+import json
+import os
 import warnings
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from jacobidiag import cli
 from jacobidiag.harness import CheckResult
+from jacobidiag.sweeps import RunConfig, run
 from jacobidiag.symtensor import TensorSet, load_tensorset, save_tensorset
 
 
@@ -160,6 +163,54 @@ def test_bench_runs_suite(tmp_path, capsys):
     assert (outdir / "report.json").exists()
     out = capsys.readouterr().out
     assert "cyc" in out and "gm" in out
+
+
+def test_run_line_reads_the_final_state(tmp_path, capsys):
+    # the line run prints: label, then f, offdiag_sq and ||Lambda|| of the
+    # final state, sweeps, rotations and the stop reason
+    problem = tmp_path / "p.st"
+    cli.main(gen_args(problem))
+    capsys.readouterr()
+    cfg = RunConfig("pc", delta0=1e-3, max_sweeps=50, stationarity_tol=1e-10)
+    assert cli.main(["run", "--in", str(problem), "--algo", "pc",
+                     "--delta0", "1e-3", "--max-sweeps", "50",
+                     "--tol", "1e-10", "--csv", str(tmp_path / "t.csv")]) == 0
+    res = run(load_tensorset(problem), cfg)
+    st = res.state
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"pc-delta0=0.001: f={st.f_current:.12g} "
+        f"offdiag_sq={st.offdiag_sq():.6g} lambda={st.lambda_norm():.6g} "
+        f"sweeps={res.sweeps_used} rotations={st.rotation_count} "
+        f"stop={res.stop_reason}")
+
+
+def test_bench_report_is_strict_json_with_a_failed_config(tmp_path, capsys):
+    # a failed config is a row of label, method and error, not NaNs, and
+    # prints as FAILED; bench lines are run's line, one per config
+    problem = tmp_path / "p.st"
+    cli.main(gen_args(problem))
+    capsys.readouterr()
+    suite = tmp_path / "suite.cfg"
+    suite.write_text("algo=c\nalgo=g eps=1.0\nalgo=c delta0=1e-3\n")
+    outdir = tmp_path / "results"
+    assert cli.main(["bench", "--in", str(problem), "--suite", str(suite),
+                     "--outdir", str(outdir)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    with open(outdir / "report.json") as fh:
+        rows = json.load(fh, parse_constant=refuse)
+    assert [r["label"] for r in rows] == ["c", "g-eps=1", "c-delta0=0.001"]
+    assert rows[1] == {"label": "g-eps=1", "method": "g", "error": (
+        "ValueError: eps must lie in (0, 2/n] = (0, 0.333333], got 1")}
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == f"g-eps=1: FAILED: {rows[1]['error']}"
+    for line, row in zip((out[0], out[2]), (rows[0], rows[2])):
+        assert line.startswith(f"{row['label']}: f={row['final_f']:.12g} ")
+        assert f" rotations={row['rotations']} " in line
+        assert os.path.exists(row["csv_path"])
+    assert out[3] == f"report written to {outdir / 'report.json'}"
 
 
 @pytest.mark.parametrize("names", [("", ""), (" name=a/b", " name=a_b")])

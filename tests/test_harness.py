@@ -10,7 +10,7 @@ from jacobidiag.harness import (ExperimentSpec, make_diag_tensor,
                                 make_test_problem, parse_suite_file,
                                 run_benchmark, verify_invariants)
 from jacobidiag.oracle import offdiag_sq_norm
-from jacobidiag.sweeps import RunConfig
+from jacobidiag.sweeps import RunConfig, run
 from jacobidiag.symtensor import TensorSet, symmetry_error
 
 
@@ -164,26 +164,48 @@ def test_run_benchmark_refuses_clashing_labels_before_any_run(
     assert calls == [] and not (tmp_path / "out").exists()
 
 
-def test_run_benchmark_reports_and_csv(tmp_path):
+def test_run_benchmark_reports_and_csv(tmp_path, monkeypatch):
+    # a row is the run's summary() plus its CSV; a failed run's row holds
+    # only label, method and error, and the later configs still run
     spec = ExperimentSpec(n=5, order=3, sigma=1e-3, seed_rot=8, seed_noise=9)
     tensors, _ = make_test_problem(spec)
     configs = [RunConfig("c", max_sweeps=30, name="plain"),
-               RunConfig("pc", delta0=1e-3, max_sweeps=30, name="prox"),
-               RunConfig("g", eps=1.0, name="broken")]
-    report, results = run_benchmark(tensors, configs, outdir=tmp_path)
-    assert [r.label for r in report.runs] == ["plain", "prox", "broken"]
-    ok = [r for r in report.runs if r.error is None]
-    assert len(ok) == 2
-    for entry in ok:
-        res = results[entry.label]
-        assert entry.final_f == res.records[-1].f
-        assert entry.offdiag_sq == res.records[-1].offdiag_sq
-        assert entry.sweeps == res.sweeps_used
-        assert (tmp_path / f"{entry.label}.csv").exists()
-    broken = report.runs[2]
-    assert broken.error is not None and "eps" in broken.error
-    report.to_json(tmp_path / "report.json")
-    assert (tmp_path / "report.json").exists()
+               RunConfig("g", eps=1.0, name="broken"),
+               RunConfig("pc", delta0=1e-3, max_sweeps=30, name="prox")]
+    results = []
+
+    def kept_run(*args, **kw):
+        results.append(run(*args, **kw))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "run", kept_run)
+    rows = run_benchmark(tensors, configs, outdir=tmp_path)
+    assert [r["label"] for r in rows] == ["plain", "broken", "prox"]
+    assert set(rows[1]) == {"label", "method", "error"}
+    assert rows[1]["method"] == "g" and "eps" in rows[1]["error"]
+    for row, res in zip((rows[0], rows[2]), results):
+        assert row == {**res.summary(), "csv_path": str(
+            tmp_path / f"{row['label']}.csv")}
+        assert row["offdiag_sq"] == res.state.offdiag_sq()
+        assert row["sweeps"] == res.sweeps_used
+        assert (tmp_path / f"{row['label']}.csv").exists()
+    without_dir = run_benchmark(tensors, configs[:1])
+    assert without_dir[0]["csv_path"] is None
+
+
+def test_run_benchmark_labels_show_delta0_for_every_method(tmp_path):
+    # a delta0 penalizes every method, so a c run with one is not plain c
+    # and must not share its label and CSV name
+    tensors, _ = make_test_problem(ExperimentSpec(n=4, order=3, sigma=1e-3))
+    configs = [RunConfig("c", max_sweeps=2),
+               RunConfig("c", delta0=1e-3, max_sweeps=2)]
+    rows = run_benchmark(tensors, configs, outdir=tmp_path)
+    assert [r["label"] for r in rows] == ["c", "c-delta0=0.001"]
+    assert all("error" not in r for r in rows)
+    paths = [r["csv_path"] for r in rows]
+    assert paths == [str(tmp_path / "c.csv"),
+                     str(tmp_path / "c-delta0_0.001.csv")]
+    assert open(paths[0]).read() != open(paths[1]).read()
 
 
 def test_verify_invariants_pass_on_clean_problem():

@@ -351,9 +351,11 @@ def test_rotation_work_areas_are_private(order):
                    for x in ts._work[3:8]]
         assert not any(np.shares_memory(x, y)
                        for x, y in itertools.combinations(buffers, 2))
-        # pickled and deep-copied sets rotate like copy(): a work area's
-        # views would not survive either
-        for clone in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        # pickled, deep- and shallow-copied sets rotate like copy(): a
+        # work area's views would not survive either, and a shallow copy
+        # that shared packed would rotate a with it
+        for clone in (copy.deepcopy(a), pickle.loads(pickle.dumps(a)),
+                      copy.copy(a)):
             assert clone._work is None
             clone.rotate_plane(0, 1, 0.4)
             assert np.array_equal(clone.packed, twin.packed)
