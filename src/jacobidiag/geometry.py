@@ -108,9 +108,9 @@ def safe_norm(a):
 
 
 class RotationState:
-    """Iterate of a Jacobi sweep: accumulated Q, rotated tensors and cached
-    f.  ``offdiag_sq`` sums the rotated set's off-diagonal mass afresh on
-    every call (``TensorSet.offdiag_sq``, O(m N) for N packed entries).
+    """Iterate of a Jacobi sweep: accumulated Q and rotated tensors.  f
+    (``f_current``) and ``offdiag_sq`` are read off the rotated set afresh
+    on every call (``TensorSet.diag_sq_norm`` and ``offdiag_sq``).
 
     ``source`` is a TensorSet, already checked when it was built.  Keeps
     a reference to it, the unrotated set, so Q can be
@@ -147,13 +147,16 @@ class RotationState:
             self.tensors = source.rotated_by(q)
         self.q = q
         self._g, self._q_rows = np.empty((2, 2)), np.empty((2, n))
-        self.f_current = self.tensors.diag_sq_norm()
         self.rotation_count = 0
         self.reorth_count = 0
 
     @property
     def dim(self):
         return self.source.dim
+
+    @property
+    def f_current(self):
+        return self.tensors.diag_sq_norm()
 
     def offdiag_sq(self):
         """Squared off-diagonal mass of the rotated set, a fresh sum."""
@@ -169,7 +172,7 @@ class RotationState:
 
     def apply(self, i, j, theta):
         """Rotate by theta in the (i, j) plane, 0 <= i < j < n: Q <- Q G,
-        rotate all tensors, refresh f.  Columns i and j of Q become
+        rotate all tensors.  Columns i and j of Q become
         c q_i + s q_j and c q_j - s q_i, c = cos(theta), s = sin(theta).
 
         Refuses, before anything changes, an angle outside [-pi/4, pi/4]
@@ -191,7 +194,6 @@ class RotationState:
         rows = self.q.T[i:j + 1:j - i]          # columns i, j of Q, as rows
         np.dot(g, rows, out=out)
         rows[...] = out
-        self.f_current = self.tensors.diag_sq_norm()
         self.rotation_count += 1
         return self
 
@@ -199,5 +201,4 @@ class RotationState:
         """QR-polish Q (det +1 preserved) and rebuild tensors from source."""
         self.q = np.asfortranarray(_special_orthogonal_factor(self.q))
         self.tensors = self.source.rotated_by(self.q)
-        self.f_current = self.tensors.diag_sq_norm()
         self.reorth_count += 1

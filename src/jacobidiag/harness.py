@@ -56,8 +56,9 @@ class ExperimentSpec:
             raise ValueError("need m >= 1")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and nonnegative")
-        if self.slice_mode and self.order != 4:
-            raise ValueError("slice mode cuts a 4th-order tensor")
+        if self.slice_mode and (self.order, self.m) != (4, 1):
+            raise ValueError(f"slice mode needs order 4 and m = 1, got "
+                             f"order {self.order} and m = {self.m}")
 
 
 def make_diag_tensor(spec):

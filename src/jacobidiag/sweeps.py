@@ -14,10 +14,11 @@ Lambda is read as its upper triangle (``geometry.lambda_of``), a vector in
 the cyclic order ``upper_pairs``: the selectors and cthresh's skip test
 index it by pair position.  Every variant stops at max_sweeps or when
 ||Lambda|| (``geometry.lambda_norm``) falls to the stationarity tolerance;
-cthresh additionally stops on a progress-free sweep.
-A run is strictly sequential; records carry the pre-rotation ||Lambda|| and
-the post-rotation objective.  After every sweep, a stationary stop included,
-Q is re-orthonormalized if its drift ||Q^T Q - I|| exceeds ORTH_TOL.
+cthresh additionally stops on a sweep without a rotation.
+A run is strictly sequential, one path per visit: pick the pair, skip it
+(cthresh, theta 0) or solve its angle and rotate, append one record.
+After every sweep, a stationary stop included, Q is re-orthonormalized if
+its drift ||Q^T Q - I|| exceeds ORTH_TOL.
 """
 
 from __future__ import annotations
@@ -145,10 +146,11 @@ class RunConfig:
 class IterationRecord:
     """Telemetry for one rotation (or one skipped threshold visit).
 
-    f and offdiag_sq are post-rotation; lambda_norm is the pre-rotation
-    gradient norm (the one the pair selection saw).  offdiag_sq is a fresh
-    sum over the off-diagonal entries (``TensorSet.offdiag_sq``), accurate
-    relative to itself however small it gets."""
+    k (the rotation count), f and offdiag_sq are post-rotation;
+    lambda_norm is the pre-rotation gradient norm (the one the pair
+    selection saw).  offdiag_sq is a fresh sum over the off-diagonal
+    entries (``TensorSet.offdiag_sq``), accurate relative to itself
+    however small it gets."""
 
     k: int
     sweep: int
@@ -166,13 +168,13 @@ class IterationRecord:
 class RunResult:
     """Outcome of ``run``.  stationarity_tol, thresh, delta0 and eps are the
     values the run used: the config's where given, else the defaults it
-    resolved (see ``RunConfig``)."""
+    resolved (see ``RunConfig``).  stop_reason is the only stop state:
+    ``converged`` is read off it."""
 
     state: RotationState
     records: list
     config: RunConfig
     f_initial: float
-    converged: bool
     stop_reason: str
     stationarity_tol: float
     thresh: float
@@ -184,8 +186,8 @@ class RunResult:
         return self.records[-1].sweep + 1 if self.records else 0
 
     @property
-    def f_final(self):
-        return self.state.f_current
+    def converged(self):
+        return self.stop_reason != "max_sweeps"
 
     def summary(self):
         """The finished run as a dict: f, offdiag_sq and ||Lambda|| of the
@@ -233,17 +235,14 @@ def run(tensors, config=None, q0=None):
     records = []
     f_initial = state.f_current
     t0 = time.perf_counter()
-    k = 0
-    converged = False
     reason = "max_sweeps"
 
     for sweep in range(cfg.max_sweeps):
-        progress = False
+        count_at_start = state.rotation_count
         for pos in range(len(pairs)):
             lam = lambda_of(state.tensors)
             lam_norm = lambda_norm(lam)
             if lam_norm <= tol:
-                converged = True
                 reason = "stationary"
                 break
             # Lambda != 0 here, so neither selector returns None
@@ -253,33 +252,29 @@ def run(tensors, config=None, q0=None):
                 i, j = select_pair_max(lam)
             else:
                 i, j = pairs[pos]
-                if cfg.method == "cthresh" and abs(lam[pos]) <= thresh / n:
-                    records.append(IterationRecord(
-                        k, sweep, i, j, 0.0, state.f_current,
-                        state.offdiag_sq(), lam_norm, True,
-                        (time.perf_counter() - t0) * 1e3))
-                    continue
-            view = SubproblemView.from_tensors(state.tensors, i, j, delta0)
-            theta = best_angle(view).theta
-            state.apply(i, j, theta)
-            k += 1
-            progress = True
+            theta = 0.0
+            skipped = cfg.method == "cthresh" and bool(
+                abs(lam[pos]) <= thresh / n)
+            if not skipped:
+                view = SubproblemView.from_tensors(state.tensors, i, j, delta0)
+                theta = best_angle(view).theta
+                state.apply(i, j, theta)
             records.append(IterationRecord(
-                k, sweep, i, j, theta, state.f_current, state.offdiag_sq(),
-                lam_norm, False, (time.perf_counter() - t0) * 1e3))
+                state.rotation_count, sweep, i, j, theta, state.f_current,
+                state.offdiag_sq(), lam_norm, skipped,
+                (time.perf_counter() - t0) * 1e3))
         if state.orthogonality_error() > ORTH_TOL:
             state.reorthonormalize()
-        if converged:
+        if reason == "stationary":
             break
-        if cfg.method == "cthresh" and not progress:
-            converged = True
+        if cfg.method == "cthresh" and state.rotation_count == count_at_start:
             reason = "no_progress"
             break
 
     return RunResult(state=state, records=records, config=cfg,
-                     f_initial=f_initial, converged=converged,
-                     stop_reason=reason, stationarity_tol=tol, thresh=thresh,
-                     delta0=delta0, eps=eps)
+                     f_initial=f_initial, stop_reason=reason,
+                     stationarity_tol=tol, thresh=thresh, delta0=delta0,
+                     eps=eps)
 
 
 def _fmt(x):

@@ -45,6 +45,15 @@ def test_gen_slice_mode(tmp_path):
     assert ts.order == 3 and len(ts) == 6
 
 
+def test_gen_slice_mode_with_m_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.st"
+    argv = gen_args(out, **{"--n": "4", "--d": "4", "--m": "3"})
+    argv.insert(1, "--slice-mode")
+    assert cli.main(argv) == 2
+    assert "needs order 4 and m = 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_invalid_order_exits_2(tmp_path):
     out = tmp_path / "x.st"
     assert cli.main(gen_args(out, **{"--d": "5"})) == 2

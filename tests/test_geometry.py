@@ -238,6 +238,16 @@ def test_apply_refreshes_f_cache():
             state.total_sq_norm, rel=1e-9)
 
 
+def test_f_current_follows_an_in_place_write_to_the_set():
+    # f is read off the tensors, not kept beside them: a write to the
+    # packed entries (rows [0, n) are the diagonal) shows at once
+    state = RotationState(random_set(3, 4, 58))
+    state.tensors.packed[0] += 1.0
+    assert state.f_current == state.tensors.diag_sq_norm()
+    state.tensors.packed[:4] = 0.0
+    assert state.f_current == 0.0
+
+
 @pytest.mark.parametrize("order", [2, 3, 4])
 @pytest.mark.parametrize("m", [1, 3])
 def test_offdiag_sq_matches_a_fresh_oracle_sum_after_each_apply(order, m):

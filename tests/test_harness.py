@@ -25,6 +25,13 @@ def test_spec_validation():
         ExperimentSpec(n=5, order=3, slice_mode=True)
 
 
+def test_slice_mode_refuses_m_other_than_1():
+    # the n slices are the set: an m would be silently dropped
+    with pytest.raises(ValueError, match="m = 3"):
+        ExperimentSpec(n=4, order=4, m=3, slice_mode=True)
+    assert ExperimentSpec(n=4, order=4, m=1, slice_mode=True).m == 1
+
+
 def test_equal_profile_diagonal():
     spec = ExperimentSpec(n=10, order=3, profile="equal")
     d = make_diag_tensor(spec)

@@ -446,13 +446,41 @@ def test_threshold_skips_and_stops_without_progress():
     skipped = [r for r in res.records if r.skipped]
     rotated = [r for r in res.records if not r.skipped]
     assert skipped, "a loose threshold must skip some pairs"
-    for r in skipped:
-        assert r.theta == 0.0
     # k counts rotations only
     assert [r.k for r in rotated] == list(range(1, len(rotated) + 1))
     if res.stop_reason == "no_progress":
         last_sweep = res.records[-1].sweep
         assert all(r.skipped for r in res.records if r.sweep == last_sweep)
+    # a skip leaves the state as it was: theta 0, and k, f and offdiag_sq
+    # bitwise those of the record before it, or of the initial state (no
+    # re-orthonormalization ran between them); a threshold above every
+    # |Lambda[i, j]| skips the whole first sweep
+    initial = RotationState(ts)
+    for res in (res, run(ts, RunConfig(method="cthresh", thresh=1e3))):
+        assert res.state.reorth_count == 0
+        prev = (0, initial.f_current, initial.offdiag_sq())
+        for r in res.records:
+            assert type(r.skipped) is bool
+            if r.skipped:
+                assert r.theta == 0.0
+                assert (r.k, r.f, r.offdiag_sq) == prev
+            prev = (r.k, r.f, r.offdiag_sq)
+    assert [r.skipped for r in res.records] == [True] * 15
+    assert res.stop_reason == "no_progress"
+
+
+@pytest.mark.parametrize("method, sigma, max_sweeps, reason", [
+    ("c", 1e-2, 1, "max_sweeps"),
+    ("cthresh", 1e-3, 50, "no_progress"),
+    ("c", 1e-3, 80, "stationary"),
+])
+def test_converged_is_read_off_the_stop_reason(method, sigma, max_sweeps,
+                                               reason):
+    ts = noisy_problem(3, sigma=sigma)
+    res = run(ts, RunConfig(method=method, thresh=1e-2,
+                            max_sweeps=max_sweeps))
+    assert res.stop_reason == reason
+    assert res.converged == (res.stop_reason != "max_sweeps")
 
 
 def test_step_size_identity():

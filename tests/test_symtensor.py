@@ -13,7 +13,7 @@ from jacobidiag import symtensor
 from jacobidiag.angles import SubproblemView
 from jacobidiag.oracle import (_canonical_map, offdiag_sq_norm,
                                rotate_planes_reference, rotated_view)
-from jacobidiag.symtensor import (TensorSet, _classes, _packing,
+from jacobidiag.symtensor import (TensorSet, _packing,
                                   _symmetric_powers, load_tensorset,
                                   mode_product, multi_mode_product,
                                   save_tensorset, symmetrize, symmetry_error)
@@ -681,7 +681,7 @@ def dense_symmetry_error(arr):
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_packing_matches_sort_based_canonical_map(order, n):
-    reps, pos = _packing(order, n)
+    reps, pos, classes = _packing(order, n)
     assert reps.size == math.comb(n + order - 1, order)
     assert np.array_equal(reps[pos], _canonical_map(order, n))
     assert np.array_equal(pos[reps], np.arange(reps.size))
@@ -690,7 +690,6 @@ def test_packing_matches_sort_based_canonical_map(order, n):
     # within each
     diagonal = np.arange(n) * ((n ** order - 1) // (n - 1))
     assert np.array_equal(reps[:n], diagonal)
-    classes = _classes(order, n)
     assert classes[0] == (0, n, 1)
     edges = [lo for lo, _, _ in classes] + [reps.size]
     assert [hi for _, hi, _ in classes] == edges[1:]
