@@ -2,8 +2,8 @@
 of symmetric matrices and 3rd/4th-order symmetric tensors.
 
 The package root exports the solver API; the building blocks live in their
-modules, and the reference computations the tests compare against in
-``jacobidiag.oracle``."""
+modules, and the reference computations ``verify_invariants`` checks the
+solver against in ``jacobidiag.oracle``, which only that call loads."""
 
 from .symtensor import TensorSet, load_tensorset, save_tensorset
 from .sweeps import METHODS, RunConfig, RunResult, run, write_trajectory_csv

@@ -19,9 +19,9 @@ phi = 4 theta in [-pi, pi] it is a trig polynomial of degree 2 at most:
 with a2 = b2 = 0 for d in {2, 3}.  The coefficients are an exact linear map
 (``_trig_form``) of the coefficients A0, A1, ... of Omega, the stationarity
 polynomial in xi = x - 1/x, x = tan(theta), from whose real roots the
-d = 4 angle was once found (``oracle.best_angle_xi``).  They are quadratic
-forms in the restricted entries, read off one Gram product
-(``omega_xi_coeffs``).
+d = 4 angle was once found (``best_angle_xi`` in ``tests/reference.py``).
+They are quadratic forms in the restricted entries, read off one Gram
+product (``omega_xi_coeffs``).
 
 For d in {2, 3} the maximizer is theta = atan2(4 A0, A1) / 4.  For d = 4
 the critical points are the real roots of a quartic in tan(phi/2), solved
@@ -60,7 +60,8 @@ class SubproblemView:
     ``nu`` has shape (m, d+1); nu[l, w] is the entry of tensor l whose index
     contains the pair's first index (d - w) times and its second index w
     times (well defined by symmetry).  Only these entries enter h up to a
-    theta-independent constant; ``oracle`` evaluates h and its relatives.
+    theta-independent constant; ``oracle`` evaluates h and h~, and
+    ``tests/reference.py`` their relatives in x = tan(theta).
     """
 
     __slots__ = ("nu", "delta0")
@@ -175,8 +176,8 @@ def omega_xi_coeffs(view):
     G = nu^T nu (the m members add through it) and one product with the
     fixed integer matrix M_d (``_omega_matrix``).  The proximal term adds
     4 delta0 to A1, and for d = 4 also 16 delta0 to A3; at delta0 = 0 it
-    is skipped.  ``oracle.omega_xi_coeffs_expanded`` keeps the
-    hand-expanded forms as the reference.
+    is skipped.  ``omega_xi_coeffs_expanded`` in ``tests/reference.py``
+    keeps the hand-expanded forms as the reference.
     """
     nu = view.nu
     d = view.order

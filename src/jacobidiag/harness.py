@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import SubproblemView, best_angle, check_sq_norm
-from .geometry import RotationState, lambda_of, random_rotation
+from .geometry import QUARTER_PI, RotationState, lambda_of, random_rotation
 from .sweeps import RunConfig, run, upper_pairs, write_trajectory_csv
 from .symtensor import TensorSet, multi_mode_product, symmetrize
 
@@ -213,21 +213,24 @@ def _random_states(tensors, count, seed):
 def verify_invariants(tensors, seed=0, samples=40):
     """Run the built-in invariant suite against a tensor set.
 
-    Covers: analytic gradient vs central finite differences, the rational
-    identities of the restricted objective (orders 2 and 3), algebraic vs
-    brute-force angle maximization, and the f + offdiag = total partition.
-    Residuals are relative to ||T||^2.  ValueError, before any check:
-    samples < 1 (nothing checked), a squared norm above
-    ``angles.MAX_SQ_NORM``, inf included, or one at which the largest
-    proximal weight sampled, 0.1 ||T||^2, can overflow the angle step
-    (``check_sq_norm``, as in ``sweeps.run``), or one that is 0
-    (RotationState).
+    Four checks, each at sampled rotated states and pairs: the analytic
+    gradient vs central finite differences ("gradient-fd"), the packed
+    plane rotation ``TensorSet.rotate_plane`` vs the dense
+    ``oracle.rotate_planes_reference`` at angles in [-pi/4, pi/4]
+    ("plane-kernel", relative to ||T||_F), algebraic vs brute-force angle
+    maximization ("angle-oracle"), and the f + offdiag = total partition
+    ("conservation").  The other residuals are relative to ||T||^2.
+    ValueError, before any check: samples < 1 (nothing checked), a
+    squared norm above ``angles.MAX_SQ_NORM``, inf included, or one at
+    which the largest proximal weight sampled, 0.1 ||T||^2, can overflow
+    the angle step (``check_sq_norm``, as in ``sweeps.run``), or one that
+    is 0 (RotationState).
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     # imported here, so that importing the solver does not load the oracle
     from .oracle import (brute_force_angle, finite_difference_h_prime,
-                         h_prime_at_zero, h_tilde, tau, tau_identity_check)
+                         h_prime_at_zero, h_tilde, rotate_planes_reference)
 
     if not isinstance(tensors, TensorSet):
         tensors = TensorSet(tensors)
@@ -256,26 +259,20 @@ def verify_invariants(tensors, seed=0, samples=40):
         f"max FD deviation {worst_fd:.3e} (tol 1e-6), "
         f"max Lambda mismatch {worst_match:.3e} (tol 1e-10)"))
 
-    # rational identities (orders 2 and 3 only)
-    if d in (2, 3):
-        worst = 0.0
-        worst_period = 0.0
-        for state in _random_states(tensors, samples, seed + 1):
-            i = int(rng.integers(0, n - 1))
-            j = int(rng.integers(i + 1, n))
-            view = SubproblemView.from_tensors(state.tensors, i, j)
-            x = float(rng.uniform(-1.0, 1.0))
-            r1, r2 = tau_identity_check(view, x)
-            worst = max(worst, r1 / total, r2 / total)
-            if abs(x) > 1e-3:
-                tv = tau(view, x)
-                worst_period = max(worst_period,
-                                   abs(tv - tau(view, -1.0 / x))
-                                   / (1.0 + abs(tv)))
-        checks.append(CheckResult(
-            "tau-identities", worst <= 1e-10 and worst_period <= 1e-10,
-            f"max identity residual {worst:.3e}, "
-            f"max periodicity residual {worst_period:.3e} (tol 1e-10)"))
+    # plane kernel: the packed rotation vs the dense whole-stack rotation
+    worst = 0.0
+    for state in _random_states(tensors, samples, seed + 1):
+        i = int(rng.integers(0, n - 1))
+        j = int(rng.integers(i + 1, n))
+        theta = float(rng.uniform(-QUARTER_PI, QUARTER_PI))
+        dense = state.tensors.stack
+        rotate_planes_reference(dense, i, j, math.cos(theta), math.sin(theta))
+        packed = state.tensors.copy().rotate_plane(i, j, theta).stack
+        worst = max(worst, float(np.linalg.norm(packed - dense)))
+    worst /= math.sqrt(total)
+    checks.append(CheckResult(
+        "plane-kernel", worst <= 1e-12,
+        f"max ||packed - dense||_F / ||T||_F = {worst:.3e} (tol 1e-12)"))
 
     # algebraic angle vs brute-force oracle
     worst = 0.0

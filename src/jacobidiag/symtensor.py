@@ -431,6 +431,7 @@ class TensorSet:
         buffers built on the first call, ``_rotation_work``.  It
         agrees with the dense rotation (``oracle.rotate_planes_reference``)
         to rounding, not bitwise: the product sums in another order.
+        ``verify_invariants``' "plane-kernel" check compares the two.
         """
         if not (0 <= i < j < self.dim):
             raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, "

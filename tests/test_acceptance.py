@@ -14,10 +14,11 @@ from jacobidiag.angles import SubproblemView, best_angle
 from jacobidiag.geometry import RotationState, lambda_of, random_rotation
 from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.oracle import (brute_force_angle, finite_difference_h_prime,
-                               h_prime_at_zero, h_tilde, proximal_gamma, tau,
-                               tau_identity_check)
+                               h_prime_at_zero, h_tilde, proximal_gamma)
 from jacobidiag.sweeps import RunConfig, run, upper_pairs
 from jacobidiag.symtensor import TensorSet, symmetrize
+
+from reference import tau, tau_identity_check
 
 N = 10
 QP = math.pi / 4

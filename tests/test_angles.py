@@ -12,14 +12,14 @@ from jacobidiag.angles import (MAX_SQ_NORM, SubproblemView, _quartic_roots,
                                _trig_form, best_angle, omega_xi_coeffs,
                                solve_xi_roots)
 from jacobidiag.geometry import RotationState, lambda_of, random_rotation
-from jacobidiag.oracle import (best_angle_xi, brute_force_angle, h,
-                               h_derivatives_at_zero, h_prime_at_zero,
-                               h_tilde, local_maxima,
-                               omega_xi_coeffs_expanded, proximal_gamma, tau,
-                               tau_identity_check, tau_tilde, xi_roots,
-                               xi_to_x_candidates)
+from jacobidiag.oracle import (brute_force_angle, h, h_prime_at_zero,
+                               h_tilde, local_maxima, proximal_gamma)
 from jacobidiag.sweeps import upper_pairs
 from jacobidiag.symtensor import TensorSet, symmetrize
+
+from reference import (best_angle_xi, h_derivatives_at_zero,
+                       omega_xi_coeffs_expanded, tau, tau_identity_check,
+                       tau_tilde, xi_roots, xi_to_x_candidates)
 
 QP = math.pi / 4
 
@@ -251,7 +251,7 @@ def test_candidates_are_roots_of_reconstructed_omega(order, delta0):
 
 
 # ---------------------------------------------------------------------------
-# the critical points of g, and the xi route kept in oracle
+# the critical points of g, and the xi route kept in tests/reference.py
 
 def test_solve_xi_roots_basic():
     # g = b1 (cos(phi) - 1): critical at 0 and pi

@@ -8,10 +8,11 @@ from jacobidiag.geometry import (QUARTER_PI, RotationState, lambda_of,
                                  random_rotation, safe_norm)
 from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.sweeps import RunConfig, run, upper_pairs
-from jacobidiag.oracle import (finite_difference_h_prime, givens_generator,
-                               givens_matrix, lambda_reference,
-                               offdiag_sq_norm)
+from jacobidiag.oracle import finite_difference_h_prime
 from jacobidiag.symtensor import TensorSet, symmetrize
+
+from reference import (givens_generator, givens_matrix, lambda_reference,
+                       offdiag_sq_norm)
 
 SQ2 = math.sqrt(2.0) / 2.0
 

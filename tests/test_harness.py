@@ -5,13 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
-from jacobidiag import harness
+from jacobidiag import cli, harness, symtensor
 from jacobidiag.harness import (ExperimentSpec, make_diag_tensor,
                                 make_test_problem, parse_suite_file,
                                 run_benchmark, verify_invariants)
-from jacobidiag.oracle import offdiag_sq_norm
 from jacobidiag.sweeps import RunConfig, run
 from jacobidiag.symtensor import TensorSet, symmetry_error
+
+from reference import offdiag_sq_norm
+
+VERIFY_CHECKS = {"gradient-fd", "plane-kernel", "angle-oracle", "conservation"}
 
 
 def test_spec_validation():
@@ -222,16 +225,53 @@ def test_verify_invariants_pass_on_clean_problem():
     checks = verify_invariants(tensors, samples=10)
     assert checks and all(c.passed for c in checks)
     names = {c.name for c in checks}
-    assert {"gradient-fd", "tau-identities", "angle-oracle",
-            "conservation"} <= names
+    assert names == VERIFY_CHECKS
 
 
 def test_verify_invariants_order4_skips_identities():
+    # every order runs the same four checks; the tau identities are left to
+    # the tests (test_c04_identity_suite, test_angles.py)
     spec = ExperimentSpec(n=4, order=4, sigma=1e-2, seed_rot=12, seed_noise=13)
     tensors, _ = make_test_problem(spec)
     checks = verify_invariants(tensors, samples=6)
     assert all(c.passed for c in checks)
-    assert "tau-identities" not in {c.name for c in checks}
+    assert {c.name for c in checks} == VERIFY_CHECKS
+
+
+def flip_s1(monkeypatch, order):
+    """Corrupt the plane kernel: S_1, the map of the entries with one index
+    in {i, j}, rotates the wrong way."""
+    table = symtensor._POWER_TABLE[order].copy()
+    table[:(order + 1) ** 2] *= -1
+    monkeypatch.setitem(symtensor._POWER_TABLE, order, table)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_verify_invariants_fails_a_corrupted_plane_kernel(monkeypatch,
+                                                          order):
+    spec = ExperimentSpec(n=5, order=order, m=2, sigma=1e-2, seed_rot=3,
+                          seed_noise=4)
+    tensors, _ = make_test_problem(spec)
+    flip_s1(monkeypatch, order)
+    checks = {c.name: c for c in verify_invariants(tensors, samples=6)}
+    assert not checks["plane-kernel"].passed
+
+
+def test_cli_verify_exits_3_on_a_corrupted_plane_kernel(tmp_path, monkeypatch,
+                                                        capsys):
+    # the README problem passes, and fails once the kernel is corrupted
+    path = str(tmp_path / "problem.st")
+    assert cli.main(["gen", "--n", "10", "--d", "3", "--profile", "equal",
+                     "--sigma", "1e-4", "--seed-rot", "0", "--seed-noise",
+                     "1", "--out", path]) == 0
+    assert cli.main(["verify", "--in", path]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()[-4:]] == [
+        "PASS gradient-fd", "PASS plane-kernel", "PASS angle-oracle",
+        "PASS conservation"]
+    flip_s1(monkeypatch, 3)
+    assert cli.main(["verify", "--in", path]) == 3
+    assert "FAIL plane-kernel" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("k", [511, 510])

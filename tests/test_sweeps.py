@@ -9,12 +9,13 @@ from jacobidiag import sweeps
 from jacobidiag.angles import MAX_SQ_NORM, SubproblemView
 from jacobidiag.geometry import RotationState, random_rotation
 from jacobidiag.harness import ExperimentSpec, make_test_problem
-from jacobidiag.oracle import (best_angle_xi, lambda_reference,
-                               offdiag_sq_norm, rotate_planes_reference)
+from jacobidiag.oracle import rotate_planes_reference
 from jacobidiag.sweeps import (RunConfig, run, select_pair_gradient,
                                select_pair_max, upper_pairs,
                                write_trajectory_csv)
 from jacobidiag.symtensor import TensorSet
+
+from reference import best_angle_xi, lambda_reference, offdiag_sq_norm
 
 
 def noisy_problem(order, n=6, sigma=1e-2, seed=5):
@@ -356,7 +357,7 @@ def _assert_same_path(fast, reference):
 
 def test_fourth_order_trajectories_match_the_xi_route(monkeypatch):
     # the d = 4 angle from the trig form's quartic against the companion
-    # matrix route it replaced, kept in oracle
+    # matrix route it replaced, kept in tests/reference.py
     problems = [make_test_problem(ExperimentSpec(
         n=5, order=4, m=m, sigma=1e-2, seed_rot=7, seed_noise=8,
         profile="linear"))[0] for m in (1, 2)]

@@ -11,12 +11,13 @@ import pytest
 
 from jacobidiag import symtensor
 from jacobidiag.angles import SubproblemView
-from jacobidiag.oracle import (_canonical_map, offdiag_sq_norm,
-                               rotate_planes_reference, rotated_view)
+from jacobidiag.oracle import _canonical_map, rotate_planes_reference
 from jacobidiag.symtensor import (TensorSet, _packing,
                                   _symmetric_powers, load_tensorset,
                                   mode_product, multi_mode_product,
                                   save_tensorset, symmetrize, symmetry_error)
+
+from reference import givens_matrix, offdiag_sq_norm, rotated_view
 
 
 def random_symtensor(order, dim, seed, scale=1.0):
@@ -32,12 +33,7 @@ def random_orthogonal(n, seed):
 
 def naive_rotation(tensor, i, j, theta):
     """Oracle: full mode-product composition with the Givens matrix."""
-    n = tensor.dim
-    g = np.eye(n)
-    c, s = math.cos(theta), math.sin(theta)
-    g[i, i] = g[j, j] = c
-    g[i, j] = -s
-    g[j, i] = s
+    g = givens_matrix(tensor.dim, i, j, theta)
     return multi_mode_product(tensor.stack[0], g.T)
 
 

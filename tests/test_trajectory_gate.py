@@ -1,9 +1,12 @@
-"""tools/trajectory_gate.py: a dump reproduces itself bitwise, and
-``compare`` reports a changed angle."""
+"""tools/trajectory_gate.py: a dump reproduces itself bitwise, a run with
+ORTH_TOL patched re-orthonormalizes, and ``compare`` reports a changed
+angle."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+from jacobidiag import geometry, sweeps
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
@@ -11,8 +14,14 @@ _spec = importlib.util.spec_from_file_location(
 gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
-# one run with skips and a no-progress stop, one d = 4 run at m = 2
-GRID = (("cthresh", 3, 1, 0), ("g", 4, 2, 1))
+# one run with skips and a no-progress stop, one d = 4 run at m = 2, and
+# one d = 4 run at m = 2 with ORTH_TOL patched
+GRID = (("cthresh", 3, 1, 0, None, None), ("g", 4, 2, 1, None, None),
+        ("c", 4, 2, 0, None, gate.TIGHT_ORTH_TOL))
+
+
+def test_grid_keys_are_distinct():
+    assert len({gate._key(*run) for run in gate.GRID}) == len(gate.GRID) == 128
 
 
 def test_dump_is_reproducible_and_compare_reports_a_perturbed_angle(
@@ -22,9 +31,12 @@ def test_dump_is_reproducible_and_compare_reports_a_perturbed_angle(
     gate.dump(ROOT, b, GRID)
     assert a.read_bytes() == b.read_bytes()
     assert gate.main(["compare", str(a), str(b)]) == 0
-    assert "2 runs in a, 2 in b: bitwise identical" in capsys.readouterr().out
+    assert "3 runs in a, 3 in b: bitwise identical" in capsys.readouterr().out
 
     dumped = json.loads(a.read_text())
+    assert dumped["c d=4 m=2 p=0 orth_tol=1e-15"]["reorths"] > 0
+    assert dumped["g d=4 m=2 p=1"]["reorths"] == 0
+    assert sweeps.ORTH_TOL == geometry.ORTH_TOL         # restored
     run = dumped["cthresh d=3 m=1 p=0"]
     assert sum(run["skipped"]) > 0 and run["stop_reason"] == "no_progress"
     first = run["skipped"].index(False)

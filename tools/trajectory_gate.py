@@ -4,14 +4,23 @@ checkout, and compare two dumps.
     python tools/trajectory_gate.py dump <checkout> <out.json>
     python tools/trajectory_gate.py compare <a.json> <b.json>
 
-``dump`` imports ``jacobidiag`` from ``<checkout>/src`` and runs every
-method from the identity on the grid ``GRID``: d in {2, 3, 4}, m in
-{1, 2, 10} and the two problems of ``PROBLEMS``, n = 6, at most 30 sweeps
-(90 runs).  cthresh skips below ``THRESH``, so its runs stop on a sweep
-without a rotation; the other methods stop stationary or at 30 sweeps.
-Per run it writes every record field but ``wall_ms``, the stop
-reason, ``converged``, the rotation and re-orthonormalization counts, and
-the final Q and packed entries.  JSON writes a float as its shortest repr,
+``dump`` imports ``jacobidiag`` from ``<checkout>/src`` and runs, from the
+identity, the grid ``GRID`` of 128 runs at n = 6 and at most 30 sweeps:
+
+* every method at d in {2, 3, 4}, m in {1, 2, 10} and the two problems of
+  ``PROBLEMS`` (90 runs);
+* its 30 runs at m = 2 again, with ``sweeps.ORTH_TOL`` patched to
+  ``TIGHT_ORTH_TOL`` (and restored), so that Q drifts past it and the
+  run re-orthonormalizes;
+* c and gmax with ``delta0 = DELTA0`` at d in {3, 4}, m = 2 and both
+  problems (8 runs), the proximal term outside pc.
+
+cthresh skips below ``THRESH``, so its runs stop on a sweep without a
+rotation; the other methods stop stationary or at 30 sweeps.  A run's key
+names its method, d, m and problem, then its delta0 and ORTH_TOL where
+they are not the defaults.  Per run it writes every record field but
+``wall_ms``, the stop reason, ``converged``, the rotation and
+re-orthonormalization counts, and the final Q and packed entries.  JSON writes a float as its shortest repr,
 which reads back bitwise.
 
 ``compare`` prints the runs whose pairs, skips or stops differ (a stop is
@@ -35,10 +44,17 @@ MAX_SWEEPS = 30
 THRESH = 1e-7              # cthresh's threshold; the other methods ignore it
 # (profile, sigma, seed_rot, seed_noise)
 PROBLEMS = (("equal", 1e-2, 1, 2), ("linear", 1e-4, 3, 4))
-GRID = tuple((method, d, m, p)
-             for method in ("c", "g", "gmax", "cthresh", "pc")
-             for d in (2, 3, 4) for m in (1, 2, 10)
-             for p in range(len(PROBLEMS)))
+TIGHT_ORTH_TOL = 1e-15
+DELTA0 = 1e-3
+METHODS = ("c", "g", "gmax", "cthresh", "pc")
+# (method, d, m, problem, delta0, ORTH_TOL patch); None keeps the default
+GRID = (tuple((method, d, m, p, None, None) for method in METHODS
+              for d in (2, 3, 4) for m in (1, 2, 10)
+              for p in range(len(PROBLEMS)))
+        + tuple((method, d, 2, p, None, TIGHT_ORTH_TOL) for method in METHODS
+                for d in (2, 3, 4) for p in range(len(PROBLEMS)))
+        + tuple((method, d, 2, p, DELTA0, None) for method in ("c", "gmax")
+                for d in (3, 4) for p in range(len(PROBLEMS))))
 RECORD_FIELDS = ("k", "sweep", "i", "j", "theta", "f", "offdiag_sq",
                  "lambda_norm", "skipped")
 FLOAT_FIELDS = ("theta", "f", "offdiag_sq", "lambda_norm", "q", "packed")
@@ -62,21 +78,38 @@ def _import_package(checkout):
     return jacobidiag
 
 
-def _key(method, d, m, p):
-    return f"{method} d={d} m={m} p={p}"
+def _key(method, d, m, p, delta0, orth_tol):
+    key = f"{method} d={d} m={m} p={p}"
+    if delta0 is not None:
+        key += f" delta0={delta0:g}"
+    if orth_tol is not None:
+        key += f" orth_tol={orth_tol:g}"
+    return key
+
+
+def _run(jd, tensors, config, orth_tol):
+    """``jd.run`` with ``sweeps.ORTH_TOL`` patched to orth_tol (kept if
+    None) for the run's length."""
+    saved = jd.sweeps.ORTH_TOL
+    jd.sweeps.ORTH_TOL = saved if orth_tol is None else orth_tol
+    try:
+        return jd.run(tensors, config)
+    finally:
+        jd.sweeps.ORTH_TOL = saved
 
 
 def dump(checkout, out, grid=GRID):
     """Run ``grid`` against ``checkout``'s package and write the dump."""
     jd = _import_package(checkout)
     runs = {}
-    for method, d, m, p in grid:
+    for method, d, m, p, delta0, orth_tol in grid:
         profile, sigma, seed_rot, seed_noise = PROBLEMS[p]
         tensors, _ = jd.make_test_problem(jd.ExperimentSpec(
             n=N, order=d, m=m, profile=profile, sigma=sigma,
             seed_rot=seed_rot, seed_noise=seed_noise))
-        res = jd.run(tensors, jd.RunConfig(method=method, thresh=THRESH,
-                                           max_sweeps=MAX_SWEEPS))
+        res = _run(jd, tensors, jd.RunConfig(
+            method=method, thresh=THRESH, delta0=delta0,
+            max_sweeps=MAX_SWEEPS), orth_tol)
         st = res.state
         entry = {f: [getattr(r, f) for r in res.records]
                  for f in RECORD_FIELDS}
@@ -84,7 +117,7 @@ def dump(checkout, out, grid=GRID):
                      rotations=st.rotation_count, reorths=st.reorth_count,
                      q=st.q.ravel().tolist(),
                      packed=st.tensors.packed.ravel().tolist())
-        runs[_key(method, d, m, p)] = entry
+        runs[_key(method, d, m, p, delta0, orth_tol)] = entry
     with open(out, "w") as fh:
         json.dump(runs, fh)
 
