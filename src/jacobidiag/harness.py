@@ -14,6 +14,7 @@ simultaneously.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ import numpy as np
 from .angles import SubproblemView, best_angle, check_sq_norm
 from .geometry import QUARTER_PI, RotationState, lambda_of, random_rotation
 from .sweeps import RunConfig, run, upper_pairs, write_trajectory_csv
-from .symtensor import TensorSet, multi_mode_product, symmetrize
+from .symtensor import TensorSet, symmetrize
 
 __all__ = [
     "ExperimentSpec",
@@ -48,6 +49,11 @@ class ExperimentSpec:
     slice_mode: bool = False
 
     def __post_init__(self):
+        for attr in ("n", "order", "m"):
+            try:
+                operator.index(getattr(self, attr))
+            except TypeError:
+                raise ValueError(f"{attr} must be an integer") from None
         if self.n < 2:
             raise ValueError("need n >= 2")
         if self.order not in (2, 3, 4):
@@ -93,7 +99,9 @@ def make_test_problem(spec):
     sigma = 0 the rotated set is exactly diagonal at Q.
     """
     rot = random_rotation(spec.n, spec.seed_rot)
-    base = multi_mode_product(make_diag_tensor(spec).stack[0], rot.T)
+    # bitwise symmetric (read off packed entries), and so is the noise:
+    # every member is kept as built
+    base = make_diag_tensor(spec).rotated_by(rot).stack[0]
     q_true = rot.T
     rng = np.random.default_rng(spec.seed_noise)
 
@@ -105,10 +113,8 @@ def make_test_problem(spec):
 
     if spec.slice_mode:
         # slice i is parent[..., i]; slices of a bitwise-symmetric tensor
-        # are bitwise symmetric, so the stack needs no second check
-        parent = TensorSet(member()).stack[0]
-        return TensorSet._wrap(
-            np.ascontiguousarray(np.moveaxis(parent, -1, 0))), q_true
+        # are bitwise symmetric, so the constructor keeps them as cut
+        return TensorSet(list(np.moveaxis(member(), -1, 0))), q_true
     return TensorSet([member() for _ in range(spec.m)]), q_true
 
 

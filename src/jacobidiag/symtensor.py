@@ -12,8 +12,15 @@ could drift apart.  The dense ``(m,) + (n,)*d`` array is built on demand
 (``stack``) for I/O and for the reference computations.
 
 Dense input is checked for symmetry once, by one gather per axis
-permutation at the sorted multi-indices (``_orbit``); the constructor keeps
-the sorted entries, the loader and ``symmetrize`` average uneven members.
+permutation at the sorted multi-indices (``_orbit``).  The constructor,
+the loader and ``symmetrize`` share one rule (``_symmetrized``): a member
+that is bitwise symmetric keeps its sorted entries, any other member is
+replaced by its permutation average.  The constructor and the loader sum
+each orbit in ascending order of value, so one input gives one set
+whatever its route or transpose; ``symmetrize`` sums in permutation
+order, the test-problem noise recipe.  ``rotated_by`` is the one
+dense-to-packed step that neither checks nor averages: it reads the
+sorted entries of its own product.
 
 A plane rotation changes only the K entries with an index in {i, j}
 (K = 4,900 of N = 17,550 at d = 4, n = 24).  They fall into blocks of the
@@ -38,10 +45,7 @@ import numpy as np
 
 __all__ = [
     "TensorSet",
-    "mode_product",
-    "multi_mode_product",
     "symmetrize",
-    "symmetry_error",
     "save_tensorset",
     "load_tensorset",
 ]
@@ -215,13 +219,19 @@ def _orbit(stack):
     return orbit, orbit.max(axis=0) - orbit.min(axis=0)
 
 
-def _symmetrized(orbit, spread):
+def _symmetrized(orbit, spread, in_order=False):
     """(N, m) packed entries: a member's sorted entries where its spread is 0
-    everywhere, else its orbit sum (``itertools.permutations`` order) over
-    d!, which is bitwise the sum of its d! transposes over d!."""
+    everywhere, else the mean of its d! orbit values per entry.  The sum
+    runs in ascending order of value, which the values alone fix: every
+    transpose of a member averages to the same bits.  With ``in_order`` it
+    runs in ``itertools.permutations`` order, bitwise the sum of the
+    member's d! transposes over d! (``symmetrize``)."""
     packed = orbit[0].copy()
     uneven = np.any(spread != 0, axis=0)
-    packed[:, uneven] = orbit[:, :, uneven].sum(axis=0) / len(orbit)
+    terms = orbit[:, :, uneven]     # a copy: sorted in place
+    if not in_order:
+        terms.sort(axis=0)
+    packed[:, uneven] = terms.sum(axis=0) / len(orbit)
     return packed
 
 
@@ -234,20 +244,17 @@ def _cubical(tensor):
 
 
 def symmetrize(tensor):
-    """Average a cubical array over all index permutations (new ndarray).
+    """Average a cubical array over all index permutations (new ndarray):
+    its d! transposes summed in ``itertools.permutations`` order, over d!,
+    the noise recipe of ``harness.make_test_problem``.
 
     The result is bitwise symmetric; already bitwise-symmetric input is
     returned as an exact copy.
     """
     stack = _cubical(tensor)
-    return TensorSet._from_packed(_symmetrized(*_orbit(stack)),
-                                  stack.ndim - 1, stack.shape[-1]).stack[0]
-
-
-def symmetry_error(tensor):
-    """Max absolute deviation from full symmetry over all index permutations:
-    the largest orbit spread (NaN if the tensor holds a NaN)."""
-    return float(np.max(_orbit(_cubical(tensor))[1]))
+    packed = _symmetrized(*_orbit(stack), in_order=True)
+    return TensorSet._from_packed(packed, stack.ndim - 1,
+                                  stack.shape[-1]).stack[0]
 
 
 def _check_members(stack):
@@ -278,34 +285,6 @@ def _check_members(stack):
     return orbit, spread
 
 
-def mode_product(tensor, matrix, mode):
-    """k-mode product: contract ``matrix`` with the given mode of ``tensor``.
-
-    ``matrix`` has shape (p, n) with n the size of the contracted mode; the
-    result is a plain ndarray with that mode resized to p.  ``mode`` is a
-    0-based axis.
-    """
-    arr = np.asarray(tensor, dtype=np.float64)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("matrix must be 2-D")
-    if not (0 <= mode < arr.ndim):
-        raise ValueError(f"mode {mode} out of range for order-{arr.ndim} tensor")
-    if matrix.shape[1] != arr.shape[mode]:
-        raise ValueError(
-            f"dimension mismatch: matrix columns {matrix.shape[1]} != "
-            f"mode-{mode} size {arr.shape[mode]}")
-    return np.moveaxis(np.tensordot(matrix, arr, axes=([1], [mode])), 0, mode)
-
-
-def multi_mode_product(tensor, matrix):
-    """Contract ``matrix`` with every mode: T x_0 M x_1 M ... (plain ndarray)."""
-    arr = np.asarray(tensor, dtype=np.float64)
-    for axis in range(arr.ndim):
-        arr = mode_product(arr, matrix, axis)
-    return arr
-
-
 class TensorSet:
     """m >= 1 symmetric tensors of common order d in {2, 3, 4} and dimension
     n >= 2, stored as ``packed``: their entries at the N = C(n+d-1, d)
@@ -313,8 +292,10 @@ class TensorSet:
 
     ``TensorSet(arrays)`` takes one ``(n,)*d`` array (m = 1) or a list or
     tuple of them.  It copies, checks that every entry is finite and every
-    member symmetric within ``SYMMETRY_TOL * ||T||``, and keeps the entry
-    at each sorted multi-index.  ``stack`` builds the dense
+    member symmetric within ``SYMMETRY_TOL * ||T||``, and then, like
+    ``load_tensorset``, keeps a bitwise-symmetric member's sorted entries
+    and replaces any other member by its permutation average, so every
+    transpose of an input gives the same set.  ``stack`` builds the dense
     ``(m,) + (n,)*d`` array afresh on every read; nothing ``sweeps.run``
     does per rotation reads it.  ``packed`` cannot be rebound; writes into
     it in place are seen by every method.
@@ -328,8 +309,8 @@ class TensorSet:
             stack = np.stack(arrays, dtype=np.float64)
         else:
             stack = np.asarray(arrays, dtype=np.float64)[None]
-        orbit, _ = _check_members(stack)
-        self._init(orbit[0].copy(), stack.ndim - 1, stack.shape[-1])
+        self._init(_symmetrized(*_check_members(stack)), stack.ndim - 1,
+                   stack.shape[-1])
 
     def _init(self, packed, order, dim):
         """Fix the set's layout: ``packed``, made C-contiguous (a 1-D view
@@ -345,15 +326,6 @@ class TensorSet:
         self._by_class = tuple((c, flat[lo * m:hi * m])
                                for lo, hi, c in _packing(order, dim)[2])
         self._work = None
-
-    @classmethod
-    def _wrap(cls, stack):
-        """Trusted constructor from a dense stack: keeps the entry at each
-        sorted multi-index, no checks (internal use)."""
-        order, dim = stack.ndim - 1, stack.shape[-1]
-        reps = _packing(order, dim)[0]
-        return cls._from_packed(stack.reshape(stack.shape[0], -1).T[reps],
-                                order, dim)
 
     @classmethod
     def _from_packed(cls, packed, order, dim):
@@ -454,8 +426,10 @@ class TensorSet:
 
     def rotated_by(self, q):
         """New TensorSet with every tensor contracted with q^T on all modes,
-        packed at the sorted entries (the product is symmetric only up to
-        rounding)."""
+        by one ``tensordot`` per mode of the dense stack; ValueError unless
+        q is n x n.  The product is symmetric only up to rounding; the set
+        keeps its entries at the sorted multi-indices, unchecked and not
+        averaged, so a rotation by I reproduces ``packed``."""
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dim, self.dim):
             raise ValueError(
@@ -463,8 +437,11 @@ class TensorSet:
         qt = np.ascontiguousarray(q.T)
         out = self.stack
         for axis in range(1, self.order + 1):
-            out = mode_product(out, qt, axis)
-        return TensorSet._wrap(out)
+            out = np.moveaxis(np.tensordot(qt, out, axes=([1], [axis])),
+                              0, axis)
+        reps = _packing(self.order, self.dim)[0]
+        return TensorSet._from_packed(out.reshape(len(self), -1).T[reps],
+                                      self.order, self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +465,9 @@ def load_tensorset(path):
     """Read a tensor set.
 
     Each member is checked once, from one gather of its orbit values
-    (finite entries, largest orbit spread within SYMMETRY_TOL * ||T||).  A
-    member whose spread is 0 everywhere keeps its sorted entries; any other
-    member is replaced by its permutation average.
+    (finite entries, largest orbit spread within SYMMETRY_TOL * ||T||).  As
+    in the constructor, a member whose spread is 0 everywhere keeps its
+    sorted entries; any other member is replaced by its permutation average.
     """
     with open(path) as fh:
         header = fh.readline().split()

@@ -4,19 +4,21 @@ route independent of the closed forms it checks: explicit 2x...x2 block
 rotations for the rational identities of tau, the restricted objective in
 the tangent x = tan(theta), hand-expanded per-term sums for Omega's Gram
 product, the xi route (companion-matrix roots of Omega mapped back to
-tangents) for the d = 4 angle, explicit Givens matrices, a dense sum of
-the off-diagonal mass, and Lambda from dense near-diagonal entries."""
+tangents) for the d = 4 angle, explicit Givens matrices, one ``einsum``
+for a matrix applied to every mode, the d! transposes for symmetry, a
+dense sum of the off-diagonal mass, and Lambda from dense near-diagonal
+entries."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from jacobidiag.angles import (AngleResult, SubproblemView, best_angle,
                                omega_xi_coeffs)
-from jacobidiag.oracle import h, h_prime_at_zero, h_tilde
-from jacobidiag.symtensor import multi_mode_product
+from jacobidiag.oracle import _canonical_map, h, h_prime_at_zero, h_tilde
 
 
 def tau(view, x):
@@ -39,6 +41,42 @@ def givens_matrix(n, i, j, theta):
     g[i, j] = -s
     g[j, i] = s
     return g
+
+
+def all_mode_product(dense, matrix, order=None):
+    """The last ``order`` axes (default: all) of ``dense`` each contracted
+    with ``matrix``: out[..., a_1, ..., a_d] = sum over b of
+    M[a_1, b_1] ... M[a_d, b_d] dense[..., b_1, ..., b_d], by one
+    ``einsum``; the reference for ``TensorSet.rotated_by``, which passes
+    q^T."""
+    order = dense.ndim if order is None else order
+    src, dst = "abcd"[:order], "efgh"[:order]
+    spec = ",".join(o + i for o, i in zip(dst, src))
+    return np.einsum(f"{spec},...{src}->...{dst}", *[matrix] * order, dense)
+
+
+def dense_symmetrize(arr, by_value=False):
+    """The d! transposes added one by one, in ``itertools.permutations``
+    order (``symmetrize``) or, ``by_value``, per entry in ascending order
+    of value (the constructor's and the loader's average), divided by d!;
+    then every entry read at its sorted multi-index through the oracle's
+    sort-based map."""
+    terms = np.stack([arr.transpose(perm)
+                      for perm in itertools.permutations(range(arr.ndim))])
+    if by_value:
+        terms.sort(axis=0)
+    acc = np.zeros_like(arr)
+    for term in terms:
+        acc += term
+    acc /= math.factorial(arr.ndim)
+    return acc.reshape(-1)[_canonical_map(arr.ndim, arr.shape[0])].reshape(
+        arr.shape)
+
+
+def dense_symmetry_error(arr):
+    """Largest |T - T.transpose(p)| over all entries and permutations."""
+    return max(float(np.max(np.abs(arr - arr.transpose(perm))))
+               for perm in itertools.permutations(range(arr.ndim)))
 
 
 def givens_generator(n, i, j):
@@ -220,7 +258,7 @@ def rotated_view(view, theta):
         block = np.empty((2,) * d)
         for idx in np.ndindex(*block.shape):
             block[idx] = view.nu[ell, sum(idx)]
-        rot = multi_mode_product(block, g.T)
+        rot = all_mode_product(block, g.T)
         for w in range(d + 1):
             out[ell, w] = rot[(0,) * (d - w) + (1,) * w]
     return SubproblemView(out, view.delta0)

@@ -10,9 +10,9 @@ from jacobidiag.harness import (ExperimentSpec, make_diag_tensor,
                                 make_test_problem, parse_suite_file,
                                 run_benchmark, verify_invariants)
 from jacobidiag.sweeps import RunConfig, run
-from jacobidiag.symtensor import TensorSet, symmetry_error
+from jacobidiag.symtensor import TensorSet
 
-from reference import offdiag_sq_norm
+from reference import dense_symmetry_error, offdiag_sq_norm
 
 VERIFY_CHECKS = {"gradient-fd", "plane-kernel", "angle-oracle", "conservation"}
 
@@ -26,6 +26,18 @@ def test_spec_validation():
         ExperimentSpec(n=5, order=3, sigma=-1.0)
     with pytest.raises(ValueError):
         ExperimentSpec(n=5, order=3, slice_mode=True)
+
+
+@pytest.mark.parametrize("field,kwargs", [
+    ("n", dict(n=5.0, order=3)), ("order", dict(n=5, order=3.0)),
+    ("m", dict(n=5, order=3, m=2.5)), ("n", dict(n="5", order=3))])
+def test_spec_refuses_non_integral_sizes(field, kwargs):
+    # refused where the spec is made, naming the field, not deep inside
+    # make_test_problem; numpy integers are integers
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        ExperimentSpec(**kwargs)
+    spec = ExperimentSpec(n=np.int64(5), order=np.int32(3), m=np.int64(2))
+    assert len(make_test_problem(spec)[0]) == 2
 
 
 def test_slice_mode_refuses_m_other_than_1():
@@ -105,7 +117,7 @@ def test_slice_mode_consistency():
         ExperimentSpec(n=6, order=4, sigma=1e-2, seed_rot=2, seed_noise=3))
     for i in range(6):
         assert np.array_equal(slices.stack[i], parent.stack[0][..., i])
-        assert symmetry_error(slices.stack[i]) == 0.0
+        assert dense_symmetry_error(slices.stack[i]) == 0.0
     assert slices.frob_sq() == pytest.approx(parent.frob_sq(), rel=1e-14)
     # noise-free slices share the diagonalizer
     clean, q0 = make_test_problem(

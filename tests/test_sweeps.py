@@ -330,7 +330,7 @@ def test_trajectories_match_reference_kernel(monkeypatch):
     def reference_rotate_plane(self, i, j, theta):
         stack = self.stack
         rotate_planes_reference(stack, i, j, math.cos(theta), math.sin(theta))
-        self.packed[...] = TensorSet._wrap(stack).packed
+        self.packed[...] = TensorSet(list(stack)).packed
         return self
 
     def trajectories():

@@ -14,10 +14,11 @@ from jacobidiag.angles import SubproblemView
 from jacobidiag.oracle import _canonical_map, rotate_planes_reference
 from jacobidiag.symtensor import (TensorSet, _packing,
                                   _symmetric_powers, load_tensorset,
-                                  mode_product, multi_mode_product,
-                                  save_tensorset, symmetrize, symmetry_error)
+                                  save_tensorset, symmetrize)
 
-from reference import givens_matrix, offdiag_sq_norm, rotated_view
+from reference import (all_mode_product, dense_symmetrize,
+                       dense_symmetry_error, givens_matrix, offdiag_sq_norm,
+                       rotated_view)
 
 
 def random_symtensor(order, dim, seed, scale=1.0):
@@ -32,43 +33,42 @@ def random_orthogonal(n, seed):
 
 
 def naive_rotation(tensor, i, j, theta):
-    """Oracle: full mode-product composition with the Givens matrix."""
+    """Oracle: the Givens matrix applied to every mode by one einsum."""
     g = givens_matrix(tensor.dim, i, j, theta)
-    return multi_mode_product(tensor.stack[0], g.T)
+    return all_mode_product(tensor.stack[0], g.T)
 
 
 # ---------------------------------------------------------------------------
-# mode products
-
-def test_mode_product_identity_is_noop():
-    t = random_symtensor(3, 4, 0)
-    for mode in range(3):
-        assert np.array_equal(mode_product(t.stack[0], np.eye(4), mode),
-                              t.stack[0])
-
-
-def test_mode_product_hand_example():
-    t = np.array([[1.0, 2.0], [2.0, 3.0]])
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    out = mode_product(t, m, 0)
-    assert np.array_equal(out, [[2.0, 3.0], [1.0, 2.0]])
-
+# dense contraction with a matrix on every mode
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_norm_invariance_under_orthogonal(order):
     t = random_symtensor(order, 5, order)
     q = random_orthogonal(5, 17)
-    w = multi_mode_product(t.stack[0], q.T)
+    w = all_mode_product(t.stack[0], q.T)
     assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(t.stack[0]),
                                               rel=1e-10)
 
 
-def test_mode_product_dimension_mismatch():
-    t = random_symtensor(2, 3, 1).stack[0]
-    with pytest.raises(ValueError):
-        mode_product(t, np.eye(4), 0)
-    with pytest.raises(ValueError):
-        mode_product(t, np.eye(3), 5)
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_rotated_by_matches_einsum(order, m):
+    # rotated_by(q) contracts q^T with every mode of every member; by I it
+    # reproduces packed, and it refuses a q that is not n x n
+    rng = np.random.default_rng(20 + 10 * order + m)
+    n = 5
+    ts = TensorSet([symmetrize(rng.standard_normal((n,) * order))
+                    for _ in range(m)])
+    q = random_orthogonal(n, 30 + order)
+    expected = all_mode_product(ts.stack, q.T, order)
+    err = np.max(np.abs(ts.rotated_by(q).stack - expected))
+    assert err <= 1e-13 * np.linalg.norm(ts.stack)
+    same = ts.rotated_by(np.eye(n))
+    assert np.array_equal(same.packed, ts.packed)
+    assert not np.shares_memory(same.packed, ts.packed)
+    for bad in (np.eye(n + 1), np.eye(n)[:, :-1], np.ones(n)):
+        with pytest.raises(ValueError, match="does not match"):
+            ts.rotated_by(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +124,7 @@ def test_rotation_sequence_keeps_exact_symmetry():
     for _ in range(500):
         i, j = sorted(rng.choice(6, size=2, replace=False))
         t.rotate_plane(int(i), int(j), float(rng.uniform(-0.7, 0.7)))
-    assert symmetry_error(t.stack[0]) == 0.0
-    assert symmetry_error(t.stack[0]) <= 1e-12 * np.linalg.norm(t.stack[0])
+    assert dense_symmetry_error(t.stack[0]) == 0.0
 
 
 def test_rotate_bad_pair_rejected():
@@ -174,7 +173,7 @@ def test_row_kernel_matches_reference_bitwise(order, m, n, monkeypatch):
                                 exact(math.sin(theta)))
         assert np.array_equal(ts.stack, ref), (i, j, theta)
         for member in ts.stack:
-            assert symmetry_error(member) == 0.0
+            assert dense_symmetry_error(member) == 0.0
         fresh = offdiag_sq_norm(ts)
         assert abs(ts.offdiag_sq() - fresh) <= 1e-13 * fresh
     assert np.all(ref == np.round(ref)) and np.max(np.abs(ref)) < 2.0 ** 53
@@ -211,7 +210,7 @@ def test_row_kernel_error_within_twice_dense_reference(order, m, n):
                                            / scale))
         ref_err = max(ref_err, float(np.max(np.abs(ref - exact)) / scale))
         for member in ts.stack:
-            assert symmetry_error(member) == 0.0
+            assert dense_symmetry_error(member) == 0.0
         fresh = offdiag_sq_norm(ts)
         assert abs(ts.offdiag_sq() - fresh) <= 1e-13 * fresh
     assert 0.0 < ref_err < 1e-14
@@ -392,7 +391,9 @@ def test_every_constructor_fixes_the_layout(m, tmp_path):
     save_tensorset(path, ts)
     strided = np.repeat(ts.packed, 2, axis=1)[:, ::2]
     assert not strided.flags.c_contiguous
-    made = [ts, TensorSet(list(ts.stack)), TensorSet._wrap(ts.stack),
+    # one averaged input: each member carries 1e-13 of asymmetric noise
+    uneven = [a + 1e-13 * rng.standard_normal(a.shape) for a in ts.stack]
+    made = [ts, TensorSet(list(ts.stack)), TensorSet(uneven),
             TensorSet._from_packed(strided, 3, 4), ts.copy(),
             ts.rotated_by(random_orthogonal(4, 72)), load_tensorset(path),
             pickle.loads(pickle.dumps(ts)), copy.deepcopy(ts), copy.copy(ts)]
@@ -518,7 +519,7 @@ def test_constructor_rejects_asymmetry_at_extreme_scale(scale):
 def test_constructor_canonicalizes_tiny_asymmetry():
     arr = np.array([[1.0, 2.0], [2.0 + 1e-13, 3.0]])
     t = TensorSet(arr)
-    assert symmetry_error(t.stack[0]) == 0.0
+    assert dense_symmetry_error(t.stack[0]) == 0.0
 
 
 def test_symmetrize_examples():
@@ -642,7 +643,7 @@ def test_load_symmetrizes_tiny_asymmetry(tmp_path):
     p = tmp_path / "tiny.st"
     p.write_text("symtensor v1 d=2 n=2 m=1\n1 2\n2.0000000001 3\n")
     ts = load_tensorset(p)
-    assert symmetry_error(ts.stack[0]) == 0.0
+    assert dense_symmetry_error(ts.stack[0]) == 0.0
     assert ts.stack[0, 0, 1] == pytest.approx(2.00000000005)
 
 
@@ -657,21 +658,12 @@ def test_load_rejects_non_finite_entries(tmp_path, body):
 # ---------------------------------------------------------------------------
 # symmetry from the packed layout, against dense references
 
-def dense_symmetrize(arr):
-    """The d!-transpose sum divided by d!, then every entry read at its
-    sorted multi-index through the oracle's sort-based map."""
-    acc = np.zeros_like(arr)
-    for perm in itertools.permutations(range(arr.ndim)):
-        acc += arr.transpose(perm)
-    acc /= math.factorial(arr.ndim)
-    return acc.reshape(-1)[_canonical_map(arr.ndim, arr.shape[0])].reshape(
-        arr.shape)
-
-
-def dense_symmetry_error(arr):
-    """Largest |T - T.transpose(p)| over all entries and permutations."""
-    return max(float(np.max(np.abs(arr - arr.transpose(perm))))
-               for perm in itertools.permutations(range(arr.ndim)))
+def write_v1(path, stack):
+    """A dense stack in the ``symtensor v1`` text format, unchecked."""
+    m, n, order = stack.shape[0], stack.shape[-1], stack.ndim - 1
+    rows = [" ".join(f"{v:.17g}" for v in row) for row in stack.reshape(-1, n)]
+    path.write_text(f"symtensor v1 d={order} n={n} m={m}\n"
+                    + "\n".join(rows) + "\n")
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -718,23 +710,28 @@ def test_load_averages_like_dense_reference_bitwise(order, tmp_path):
     base = symmetrize(rng.standard_normal((n,) * order))
     tiny = base + 1e-12 * rng.standard_normal(base.shape)
     path = tmp_path / "pair.st"
-    rows = [" ".join(f"{v:.17g}" for v in row)
-            for row in np.stack([base, tiny]).reshape(-1, n)]
-    path.write_text(f"symtensor v1 d={order} n={n} m=2\n"
-                    + "\n".join(rows) + "\n")
-    expected = np.stack([base, dense_symmetrize(tiny)])
+    write_v1(path, np.stack([base, tiny]))
+    expected = np.stack([base, dense_symmetrize(tiny, by_value=True)])
     assert load_tensorset(path).stack.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
-def test_symmetry_error_matches_dense_pairwise_max(order):
-    rng = np.random.default_rng(420 + order)
-    for n in (2, 3, 5):
-        raw = rng.standard_normal((n,) * order)
-        near = symmetrize(raw) + 1e-12 * raw
-        for arr in (raw, near, symmetrize(raw)):
-            assert symmetry_error(arr) == dense_symmetry_error(arr)
-
-
-def test_symmetry_error_is_nan_on_nan():
-    assert math.isnan(symmetry_error([[1.0, np.nan], [np.nan, 2.0]]))
+def test_one_input_gives_one_set(order, tmp_path):
+    # the constructor and the loader keep or average by one rule, and the
+    # average sums each orbit in value order: every transpose of an input
+    # and its file give the same packed entries
+    rng = np.random.default_rng(430 + order)
+    n = 5
+    for trial in range(3):
+        base = symmetrize(rng.standard_normal((n,) * order))
+        a = base + 1e-12 * rng.standard_normal(base.shape)
+        assert dense_symmetry_error(a) > 0.0
+        path = tmp_path / f"a{trial}.st"
+        write_v1(path, a[None])
+        made = [TensorSet(a), load_tensorset(path)] + [
+            TensorSet(a.transpose(p))
+            for p in itertools.permutations(range(order))]
+        expected = dense_symmetrize(a, by_value=True)
+        for ts in made:
+            assert ts.packed.tobytes() == made[0].packed.tobytes()
+            assert ts.stack[0].tobytes() == expected.tobytes()
