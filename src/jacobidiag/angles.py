@@ -151,12 +151,16 @@ MAX_SQ_NORM = {d: float(np.finfo(np.float64).max / np.max(
 
 
 def check_sq_norm(sq_norm, order, delta0=0.0):
-    """Refuse a set whose ||T||^2 exceeds ``MAX_SQ_NORM[order]``, or a
-    proximal weight delta0 that can overflow Omega's coefficients with it:
-    |A_j| <= DBL_MAX (||T||^2 / MAX_SQ_NORM + delta0 max(_OMEGA_DELTA0) /
-    DBL_MAX), each term divided before the sum, since the product itself
-    can overflow.  ``sweeps.run`` and ``harness.verify_invariants`` call
-    it before any rotation."""
+    """Refuse a set whose ||T||^2 is 0 or inf (it under- or overflows) or
+    exceeds ``MAX_SQ_NORM[order]``, or a proximal weight delta0 that can
+    overflow Omega's coefficients with it: |A_j| <= DBL_MAX (||T||^2 /
+    MAX_SQ_NORM + delta0 max(_OMEGA_DELTA0) / DBL_MAX), each term divided
+    before the sum, since the product itself can overflow.  ``sweeps.run``
+    and ``harness.verify_invariants`` both refuse a set through it, before
+    any rotation."""
+    if not 0.0 < sq_norm < math.inf:
+        raise ValueError(f"the tensor set's squared norm is {sq_norm:g}; "
+                         f"need 0 < ||T||^2 < inf")
     if sq_norm > (bound := MAX_SQ_NORM[order]):
         raise ValueError(f"||T||^2 = {sq_norm:.3e} exceeds {bound:.3e}, "
                          f"where the angle step can overflow; rescale the "

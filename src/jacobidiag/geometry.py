@@ -112,7 +112,9 @@ class RotationState:
     (``f_current``) and ``offdiag_sq`` are read off the rotated set afresh
     on every call (``TensorSet.diag_sq_norm`` and ``offdiag_sq``).
 
-    ``source`` is a TensorSet, already checked when it was built.  Keeps
+    ``source`` is a TensorSet, already checked when it was built; its
+    squared norm ``total_sq_norm`` is not: ``sweeps.run`` refuses a zero or
+    overflowing one through ``angles.check_sq_norm``.  Keeps
     a reference to it, the unrotated set, so Q can be
     re-orthonormalized and the working tensors rebuilt if floating-point
     drift ever exceeds ORTH_TOL.  ``apply`` does not check the drift (the
@@ -126,9 +128,6 @@ class RotationState:
     def __init__(self, source, q0=None):
         self.source = source
         self.total_sq_norm = source.frob_sq()
-        if not 0.0 < self.total_sq_norm < math.inf:
-            raise ValueError(f"the tensor set's squared norm is "
-                             f"{self.total_sq_norm:g}; need 0 < ||T||^2 < inf")
         n = source.dim
         if q0 is None:
             q = np.eye(n, order="F")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import SubproblemView, best_angle, check_sq_norm
-from .geometry import QUARTER_PI, RotationState, lambda_of, random_rotation
+from .geometry import QUARTER_PI, lambda_of, random_rotation
 from .sweeps import RunConfig, run, upper_pairs, write_trajectory_csv
 from .symtensor import TensorSet, symmetrize
 
@@ -210,27 +210,24 @@ class CheckResult:
     detail: str
 
 
-def _random_states(tensors, count, seed):
-    for t in range(count):
-        q = random_rotation(tensors.dim, seed + 7919 * t)
-        yield RotationState(tensors, q)
-
-
 def verify_invariants(tensors, seed=0, samples=40):
     """Run the built-in invariant suite against a tensor set.
 
-    Four checks, each at sampled rotated states and pairs: the analytic
-    gradient vs central finite differences ("gradient-fd"), the packed
-    plane rotation ``TensorSet.rotate_plane`` vs the dense
-    ``oracle.rotate_planes_reference`` at angles in [-pi/4, pi/4]
+    One pass over ``samples`` rotated copies of the set, the t-th rotated
+    by ``geometry.random_rotation(n, seed + 7919 t)``; each copy is checked
+    four ways at one random pair: the analytic gradient vs central finite
+    differences ("gradient-fd"), the packed plane rotation
+    ``TensorSet.rotate_plane`` vs the dense
+    ``oracle.rotate_planes_reference`` at an angle in [-pi/4, pi/4]
     ("plane-kernel", relative to ||T||_F), algebraic vs brute-force angle
-    maximization ("angle-oracle"), and the f + offdiag = total partition
+    maximization with delta0 cycling through (0, 1e-3, 1e-1) ||T||^2
+    ("angle-oracle"), and the f + offdiag = total partition
     ("conservation").  The other residuals are relative to ||T||^2.
-    ValueError, before any check: samples < 1 (nothing checked), a
-    squared norm above ``angles.MAX_SQ_NORM``, inf included, or one at
-    which the largest proximal weight sampled, 0.1 ||T||^2, can overflow
-    the angle step (``check_sq_norm``, as in ``sweeps.run``), or one that
-    is 0 (RotationState).
+    Returns one CheckResult per check, in that order.
+    ValueError, before any check: samples < 1 (nothing checked), or a
+    squared norm that ``angles.check_sq_norm`` refuses, as ``sweeps.run``
+    does: 0, inf, above ``angles.MAX_SQ_NORM``, or one at which the largest
+    proximal weight sampled, 0.1 ||T||^2, can overflow the angle step.
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
@@ -240,69 +237,57 @@ def verify_invariants(tensors, seed=0, samples=40):
 
     if not isinstance(tensors, TensorSet):
         tensors = TensorSet(tensors)
-    d, n = tensors.order, tensors.dim
+    n = tensors.dim
     total = tensors.frob_sq()
-    check_sq_norm(total, d, 0.1 * total)
+    check_sq_norm(total, tensors.order, 0.1 * total)
     rng = np.random.default_rng(seed)
-    checks = []
-
-    # gradient: h'(0) = -2 Lambda[i,j] and both match finite differences
-    worst_fd = 0.0
-    worst_match = 0.0
-    for state in _random_states(tensors, samples, seed):
-        lam = lambda_of(state.tensors)
-        i = int(rng.integers(0, n - 1))
-        j = int(rng.integers(i + 1, n))
-        view = SubproblemView.from_tensors(state.tensors, i, j)
-        analytic = h_prime_at_zero(view)
-        lam_ij = lam[upper_pairs(n).index((i, j))]
-        worst_match = max(worst_match,
-                          abs(analytic + 2.0 * lam_ij) / (1.0 + abs(analytic)))
-        fd = finite_difference_h_prime(state, i, j)
-        worst_fd = max(worst_fd, abs(fd - analytic) / (1.0 + abs(analytic)))
-    checks.append(CheckResult(
-        "gradient-fd", worst_fd <= 1e-6 and worst_match <= 1e-10,
-        f"max FD deviation {worst_fd:.3e} (tol 1e-6), "
-        f"max Lambda mismatch {worst_match:.3e} (tol 1e-10)"))
-
-    # plane kernel: the packed rotation vs the dense whole-stack rotation
-    worst = 0.0
-    for state in _random_states(tensors, samples, seed + 1):
+    worst_fd = worst_match = worst_kernel = worst_angle = worst_sum = 0.0
+    for t in range(samples):
+        ts = tensors.rotated_by(random_rotation(n, seed + 7919 * t))
         i = int(rng.integers(0, n - 1))
         j = int(rng.integers(i + 1, n))
         theta = float(rng.uniform(-QUARTER_PI, QUARTER_PI))
-        dense = state.tensors.stack
-        rotate_planes_reference(dense, i, j, math.cos(theta), math.sin(theta))
-        packed = state.tensors.copy().rotate_plane(i, j, theta).stack
-        worst = max(worst, float(np.linalg.norm(packed - dense)))
-    worst /= math.sqrt(total)
-    checks.append(CheckResult(
-        "plane-kernel", worst <= 1e-12,
-        f"max ||packed - dense||_F / ||T||_F = {worst:.3e} (tol 1e-12)"))
-
-    # algebraic angle vs brute-force oracle
-    worst = 0.0
-    for t, state in enumerate(_random_states(tensors, samples, seed + 2)):
-        i = int(rng.integers(0, n - 1))
-        j = int(rng.integers(i + 1, n))
         delta0 = (0.0, 1e-3 * total, 1e-1 * total)[t % 3]
-        view = SubproblemView.from_tensors(state.tensors, i, j, delta0)
-        alg = best_angle(view)
-        orc = brute_force_angle(view)
-        va = h_tilde(view, alg.theta)
-        vo = h_tilde(view, orc.theta)
-        worst = max(worst, abs(va - vo) / (1.0 + abs(vo)))
-    checks.append(CheckResult(
-        "angle-oracle", worst <= 1e-10,
-        f"max oracle value gap {worst:.3e} (tol 1e-10)"))
+        view = SubproblemView.from_tensors(ts, i, j, delta0)
 
-    # conservation: f + offdiag == total at random states
-    worst = 0.0
-    for state in _random_states(tensors, max(samples // 4, 5), seed + 3):
-        worst = max(worst, abs(state.f_current + state.offdiag_sq() - total)
-                    / total)
-    checks.append(CheckResult(
-        "conservation", worst <= 1e-9,
-        f"max |f + offdiag - total| / total = {worst:.3e} (tol 1e-9)"))
+        # gradient: h'(0) = -2 Lambda[i,j] and both match finite differences
+        analytic = h_prime_at_zero(view)
+        lam_ij = lambda_of(ts)[upper_pairs(n).index((i, j))]
+        worst_match = max(worst_match,
+                          abs(analytic + 2.0 * lam_ij) / (1.0 + abs(analytic)))
+        fd = finite_difference_h_prime(ts, i, j)
+        worst_fd = max(worst_fd, abs(fd - analytic) / (1.0 + abs(analytic)))
 
-    return checks
+        # plane kernel: the packed rotation vs the dense whole-stack rotation
+        dense = ts.stack
+        rotate_planes_reference(dense, i, j, math.cos(theta), math.sin(theta))
+        packed = ts.copy().rotate_plane(i, j, theta).stack
+        worst_kernel = max(worst_kernel, float(np.linalg.norm(packed - dense)))
+
+        # algebraic angle vs brute-force oracle
+        vo = h_tilde(view, brute_force_angle(view).theta)
+        va = h_tilde(view, best_angle(view).theta)
+        worst_angle = max(worst_angle, abs(va - vo) / (1.0 + abs(vo)))
+
+        # conservation: f + offdiag == total
+        worst_sum = max(worst_sum, abs(ts.diag_sq_norm() + ts.offdiag_sq()
+                                       - total) / total)
+    worst_kernel /= math.sqrt(total)
+
+    return [
+        CheckResult(
+            "gradient-fd", bool(worst_fd <= 1e-6 and worst_match <= 1e-10),
+            f"max FD deviation {worst_fd:.3e} (tol 1e-6), "
+            f"max Lambda mismatch {worst_match:.3e} (tol 1e-10)"),
+        CheckResult(
+            "plane-kernel", bool(worst_kernel <= 1e-12),
+            f"max ||packed - dense||_F / ||T||_F = {worst_kernel:.3e} "
+            f"(tol 1e-12)"),
+        CheckResult(
+            "angle-oracle", bool(worst_angle <= 1e-10),
+            f"max oracle value gap {worst_angle:.3e} (tol 1e-10)"),
+        CheckResult(
+            "conservation", bool(worst_sum <= 1e-9),
+            f"max |f + offdiag - total| / total = {worst_sum:.3e} "
+            f"(tol 1e-9)"),
+    ]

@@ -1,7 +1,7 @@
 """Reference computations that ``harness.verify_invariants`` checks the
 solver against, each by a route independent of the code it checks: direct
 evaluation of the restricted objective h and a grid search for the angle,
-a central finite difference of f on rotated copies of the whole set for the
+a central finite difference of f on rotated copies of a tensor set for the
 gradient, and a dense whole-stack rotation and symmetry gather for the
 packed plane-rotation kernel.  ``verify_invariants`` imports this module
 when it is called, so importing the solver does not load it.  The
@@ -129,13 +129,13 @@ def _scalar_fn(view):
     return fn
 
 
-def _golden_max(fn, lo, hi, tol=1e-12):
+def _golden_max(fn, lo, hi):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
+    while b - a > 1e-12:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
@@ -148,13 +148,14 @@ def _golden_max(fn, lo, hi, tol=1e-12):
     return xm, fn(xm)
 
 
-def _parabolic_polish(fn, theta, lo, hi, step=1e-5):
+def _parabolic_polish(fn, theta, lo, hi):
     """One quadratic-fit step with a wide stencil.
 
     Golden section stalls anywhere inside the plateau where the objective
     is flat to machine precision (width ~sqrt(eps/|h''|)); the parabola
     vertex through points step apart locates a clean maximum to ~1e-10.
     """
+    step = 1e-5
     t = min(max(theta, lo + step), hi - step)
     vm, v0, vp = fn(t - step), fn(t), fn(t + step)
     denom = vp - 2.0 * v0 + vm
@@ -170,15 +171,12 @@ def _parabolic_polish(fn, theta, lo, hi, step=1e-5):
     return theta, fn(theta)
 
 
-def local_maxima(view, grid_points=2049):
-    """(theta, h~(theta)) at every grid-local maximum on [-pi/4, pi/4],
-    refined to a 1e-12 bracket and polished with a parabolic step; empty
-    when h~ is flat on the grid.  Independent of the polynomial machinery."""
-    if grid_points < 1000:
-        raise ValueError("grid_points must be at least 1000")
-    if grid_points % 2 == 0:
-        grid_points += 1                 # keep theta = 0 on the grid
-    thetas = np.linspace(-QUARTER_PI, QUARTER_PI, grid_points)
+def local_maxima(view):
+    """(theta, h~(theta)) at every local maximum of a 2049-point grid on
+    [-pi/4, pi/4] (odd, so theta = 0 is on it), refined to a 1e-12 bracket
+    and polished with a parabolic step; empty when h~ is flat on the grid.
+    Independent of the polynomial machinery."""
+    thetas = np.linspace(-QUARTER_PI, QUARTER_PI, 2049)
     values = h_tilde(view, thetas)
     v0 = float(h_tilde(view, 0.0))
     if float(np.max(values) - np.min(values)) <= 1e-15 * (1.0 + abs(v0)):
@@ -188,15 +186,15 @@ def local_maxima(view, grid_points=2049):
     cands = []
     for k in np.flatnonzero((values >= padded[:-2]) & (values >= padded[2:])):
         lo = thetas[max(k - 1, 0)]
-        hi = thetas[min(k + 1, grid_points - 1)]
+        hi = thetas[min(k + 1, len(thetas) - 1)]
         t, _ = _golden_max(fn, lo, hi)
         cands.append(_parabolic_polish(fn, t, -QUARTER_PI, QUARTER_PI))
     return cands
 
 
-def brute_force_angle(view, grid_points=2049):
+def brute_force_angle(view):
     """Reference maximizer: the best local maximum, best_angle's tie rules."""
-    cands = local_maxima(view, grid_points)
+    cands = local_maxima(view)
     if not cands:
         return AngleResult(0.0, 0.0)
     vmax = max(v for _, v in cands)
@@ -207,12 +205,14 @@ def brute_force_angle(view, grid_points=2049):
     return AngleResult(float(theta), float(value - float(h_tilde(view, 0.0))))
 
 
-def finite_difference_h_prime(state, i, j, step=1e-5):
-    """Central finite difference of theta -> f(Q G(i,j,theta)) at 0.
+def finite_difference_h_prime(tensors, i, j):
+    """Central finite difference, step 1e-5, of theta -> f of the TensorSet
+    ``tensors`` rotated by G(i, j, theta), at theta = 0.
 
     Rotates copies of the full tensor set (the real objective path), so it
     is independent of the closed-form gradient formulas it is used to check.
     """
-    plus = state.tensors.copy().rotate_plane(i, j, step)
-    minus = state.tensors.copy().rotate_plane(i, j, -step)
+    step = 1e-5
+    plus = tensors.copy().rotate_plane(i, j, step)
+    minus = tensors.copy().rotate_plane(i, j, -step)
     return (plus.diag_sq_norm() - minus.diag_sq_norm()) / (2 * step)

@@ -27,7 +27,7 @@ import functools
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,8 +48,6 @@ __all__ = [
 ]
 
 METHODS = ("c", "g", "gmax", "cthresh", "pc")
-
-CSV_HEADER = "k,sweep,i,j,theta,f,offdiag_sq,lambda_norm,skipped,wall_ms"
 
 
 @functools.lru_cache(maxsize=64)
@@ -164,6 +162,10 @@ class IterationRecord:
     wall_ms: float
 
 
+_CSV_FIELDS = tuple(f.name for f in fields(IterationRecord))
+CSV_HEADER = ",".join(_CSV_FIELDS)
+
+
 @dataclass
 class RunResult:
     """Outcome of ``run``.  stationarity_tol, thresh, delta0 and eps are the
@@ -205,7 +207,7 @@ class RunResult:
 
 def run(tensors, config=None, q0=None):
     """Run one Jacobi variant on a tensor set from Q0 (default identity);
-    refuse, before any rotation, one whose ||T||^2 exceeds
+    refuse, before any rotation, one whose ||T||^2 is 0 or inf or exceeds
     ``angles.MAX_SQ_NORM`` for its order, or whose delta0 can overflow the
     angle step with it (``angles.check_sq_norm``)."""
     cfg = config or RunConfig()
@@ -277,13 +279,19 @@ def run(tensors, config=None, q0=None):
                      eps=eps)
 
 
-def _fmt(x):
+def _csv_cell(x):
+    """A record field as CSV text: bool 1/0, int as is, float to 17 digits."""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, int):
+        return str(x)
     return f"{x:.17g}"
 
 
 def write_trajectory_csv(path, result):
-    """Write the trajectory as CSV: with the run's record_every > 1, only
-    every record_every-th rotation (no skipped visits) plus the last record."""
+    """Write the trajectory as CSV, one column per IterationRecord field:
+    with the run's record_every > 1, only every record_every-th rotation
+    (no skipped visits) plus the last record."""
     every = result.config.record_every
     recs = result.records
     with open(path, "w") as fh:
@@ -292,8 +300,5 @@ def write_trajectory_csv(path, result):
             last = idx == len(recs) - 1
             if not last and every > 1 and (r.skipped or r.k % every != 0):
                 continue
-            fh.write(",".join([
-                str(r.k), str(r.sweep), str(r.i), str(r.j),
-                _fmt(r.theta), _fmt(r.f), _fmt(r.offdiag_sq),
-                _fmt(r.lambda_norm), "1" if r.skipped else "0",
-                _fmt(r.wall_ms)]) + "\n")
+            fh.write(",".join(_csv_cell(getattr(r, name))
+                              for name in _CSV_FIELDS) + "\n")

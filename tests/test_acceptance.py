@@ -173,7 +173,7 @@ def test_c02_gradient_correctness():
             lam_ij = lam[upper_pairs(8).index((i, j))]
             worst_lam = max(worst_lam, abs(analytic + 2 * lam_ij)
                             / (1 + abs(analytic)))
-            fd = finite_difference_h_prime(state, i, j, step=1e-5)
+            fd = finite_difference_h_prime(state.tensors, i, j)
             worst_fd = max(worst_fd, abs(fd - analytic) / (1 + abs(analytic)))
     ok = worst_fd <= 1e-6 and worst_lam <= 1e-10
     _report(2, "gradient correctness", ok,

@@ -163,7 +163,7 @@ def test_gradient_against_finite_differences(order):
     lam[np.triu_indices(n, 1)] = lambda_of(state.tensors)
     lam -= lam.T
     for (i, j) in [(0, 1), (1, 3), (2, 4)]:
-        fd = finite_difference_h_prime(state, i, j)
+        fd = finite_difference_h_prime(state.tensors, i, j)
         analytic = -2.0 * lam[i, j]
         assert fd == pytest.approx(analytic, abs=1e-6 * (1 + abs(analytic)))
         # inner-product form <Q Lambda, Q delta_ij> = -2 Lambda[i, j]

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 import warnings
@@ -5,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jacobidiag import cli, harness, symtensor
+from jacobidiag import cli, geometry, harness, symtensor
 from jacobidiag.harness import (ExperimentSpec, make_diag_tensor,
                                 make_test_problem, parse_suite_file,
                                 run_benchmark, verify_invariants)
@@ -14,7 +16,7 @@ from jacobidiag.symtensor import TensorSet
 
 from reference import dense_symmetry_error, offdiag_sq_norm
 
-VERIFY_CHECKS = {"gradient-fd", "plane-kernel", "angle-oracle", "conservation"}
+VERIFY_CHECKS = ["gradient-fd", "plane-kernel", "angle-oracle", "conservation"]
 
 
 def test_spec_validation():
@@ -236,18 +238,33 @@ def test_verify_invariants_pass_on_clean_problem():
     tensors, _ = make_test_problem(spec)
     checks = verify_invariants(tensors, samples=10)
     assert checks and all(c.passed for c in checks)
-    names = {c.name for c in checks}
-    assert names == VERIFY_CHECKS
+    assert [c.name for c in checks] == VERIFY_CHECKS
 
 
-def test_verify_invariants_order4_skips_identities():
-    # every order runs the same four checks; the tau identities are left to
-    # the tests (test_c04_identity_suite, test_angles.py)
-    spec = ExperimentSpec(n=4, order=4, sigma=1e-2, seed_rot=12, seed_noise=13)
+@pytest.mark.parametrize("order,m", [(2, 3), (3, 1), (4, 2)])
+def test_verify_invariants_at_every_order(order, m):
+    # every order runs the same four checks, in order, and each verdict is
+    # a Python bool, so a list of checks goes through json.dumps
+    spec = ExperimentSpec(n=4, order=order, m=m, sigma=1e-2, seed_rot=12,
+                          seed_noise=13)
     tensors, _ = make_test_problem(spec)
     checks = verify_invariants(tensors, samples=6)
-    assert all(c.passed for c in checks)
-    assert {c.name for c in checks} == VERIFY_CHECKS
+    assert [c.name for c in checks] == VERIFY_CHECKS
+    assert all(type(c.passed) is bool and c.passed for c in checks)
+    json.dumps([dataclasses.asdict(c) for c in checks])
+
+
+def test_verify_invariants_builds_no_solver_state(monkeypatch):
+    # verify checks rotated copies of the set, not the solver's iterate
+    spec = ExperimentSpec(n=5, order=3, m=2, sigma=1e-2, seed_rot=10,
+                          seed_noise=11)
+    tensors, _ = make_test_problem(spec)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("verify_invariants built a RotationState")
+
+    monkeypatch.setattr(geometry.RotationState, "__init__", refuse)
+    assert all(c.passed for c in verify_invariants(tensors, samples=6))
 
 
 def flip_s1(monkeypatch, order):
