@@ -23,7 +23,7 @@ import numpy as np
 from .angles import SubproblemView, best_angle, check_sq_norm
 from .geometry import QUARTER_PI, lambda_of, random_rotation
 from .sweeps import RunConfig, run, upper_pairs, write_trajectory_csv
-from .symtensor import TensorSet, symmetrize
+from .symtensor import TensorSet, _orbit
 
 __all__ = [
     "ExperimentSpec",
@@ -34,6 +34,16 @@ __all__ = [
     "CheckResult",
     "verify_invariants",
 ]
+
+
+def _check_integer(name, value):
+    """ValueError naming ``name`` unless ``value`` is an integer (a NumPy
+    integer too: ``operator.index``)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
 
 @dataclass
 class ExperimentSpec:
@@ -49,17 +59,17 @@ class ExperimentSpec:
     slice_mode: bool = False
 
     def __post_init__(self):
-        for attr in ("n", "order", "m"):
-            try:
-                operator.index(getattr(self, attr))
-            except TypeError:
-                raise ValueError(f"{attr} must be an integer") from None
+        for attr in ("n", "order", "m", "seed_rot", "seed_noise"):
+            _check_integer(attr, getattr(self, attr))
         if self.n < 2:
             raise ValueError("need n >= 2")
         if self.order not in (2, 3, 4):
             raise ValueError("order must be 2, 3 or 4")
         if self.m < 1:
             raise ValueError("need m >= 1")
+        for attr in ("seed_rot", "seed_noise"):
+            if getattr(self, attr) < 0:
+                raise ValueError(f"{attr} must be a non-negative integer")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and nonnegative")
         if self.slice_mode and (self.order, self.m) != (4, 1):
@@ -106,10 +116,15 @@ def make_test_problem(spec):
     rng = np.random.default_rng(spec.seed_noise)
 
     def member():
-        if spec.sigma > 0:
-            return base + symmetrize(
-                spec.sigma * rng.standard_normal(base.shape))
-        return base
+        if spec.sigma == 0:
+            return base
+        # the d! transposes of the draw summed in itertools.permutations
+        # order, over d!: bitwise perfbench/problems.py's _sym_noise, which
+        # perfbench/test_problems.py checks
+        orbit, _ = _orbit(spec.sigma * rng.standard_normal((1,) + base.shape))
+        noise = TensorSet._from_packed(orbit.sum(axis=0) / len(orbit),
+                                       spec.order, spec.n)
+        return base + noise.stack[0]
 
     if spec.slice_mode:
         # slice i is parent[..., i]; slices of a bitwise-symmetric tensor
@@ -172,7 +187,9 @@ def parse_suite_file(path):
     """Parse a benchmark suite: one config per line of key=value tokens.
 
     Example line:  algo=pc delta0=1e-2 max-sweeps=100 name=pc-strong
-    Blank lines and lines starting with '#' are skipped.
+    Blank lines and lines starting with '#' are skipped.  A line that sets
+    one field twice (``max-sweeps`` and ``max_sweeps`` name one field) is
+    refused.
     """
     configs = []
     with open(path) as fh:
@@ -189,6 +206,8 @@ def parse_suite_file(path):
                     if key not in _SUITE_KEYS:
                         raise ValueError(f"unknown key {key!r}")
                     attr, cast = _SUITE_KEYS[key]
+                    if attr in kwargs:
+                        raise ValueError(f"{attr} is set twice (by {key!r})")
                     kwargs[attr] = cast(value)
                 if "method" not in kwargs:
                     raise ValueError("missing algo=")
@@ -224,13 +243,18 @@ def verify_invariants(tensors, seed=0, samples=40):
     ("angle-oracle"), and the f + offdiag = total partition
     ("conservation").  The other residuals are relative to ||T||^2.
     Returns one CheckResult per check, in that order.
-    ValueError, before any check: samples < 1 (nothing checked), or a
-    squared norm that ``angles.check_sq_norm`` refuses, as ``sweeps.run``
-    does: 0, inf, above ``angles.MAX_SQ_NORM``, or one at which the largest
-    proximal weight sampled, 0.1 ||T||^2, can overflow the angle step.
+    ValueError, before any check: samples not an integer >= 1 (nothing
+    checked), seed not a non-negative integer, or a squared norm that
+    ``angles.check_sq_norm`` refuses, as ``sweeps.run`` does: 0, inf, above
+    ``angles.MAX_SQ_NORM``, or one at which the largest proximal weight
+    sampled, 0.1 ||T||^2, can overflow the angle step.
     """
+    _check_integer("samples", samples)
+    _check_integer("seed", seed)
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     # imported here, so that importing the solver does not load the oracle
     from .oracle import (brute_force_angle, finite_difference_h_prime,
                          h_prime_at_zero, h_tilde, rotate_planes_reference)

@@ -12,15 +12,13 @@ could drift apart.  The dense ``(m,) + (n,)*d`` array is built on demand
 (``stack``) for I/O and for the reference computations.
 
 Dense input is checked for symmetry once, by one gather per axis
-permutation at the sorted multi-indices (``_orbit``).  The constructor,
-the loader and ``symmetrize`` share one rule (``_symmetrized``): a member
-that is bitwise symmetric keeps its sorted entries, any other member is
-replaced by its permutation average.  The constructor and the loader sum
-each orbit in ascending order of value, so one input gives one set
-whatever its route or transpose; ``symmetrize`` sums in permutation
-order, the test-problem noise recipe.  ``rotated_by`` is the one
-dense-to-packed step that neither checks nor averages: it reads the
-sorted entries of its own product.
+permutation at the sorted multi-indices (``_orbit``).  The constructor and
+the loader share one rule (``_symmetrized``): a member that is bitwise
+symmetric keeps its sorted entries, any other member is replaced by its
+permutation average, each orbit summed in ascending order of value, so one
+input gives one set whatever its route or transpose.  ``rotated_by`` is
+the one dense-to-packed step that neither checks nor averages: it reads
+the sorted entries of its own product.
 
 A plane rotation changes only the K entries with an index in {i, j}
 (K = 4,900 of N = 17,550 at d = 4, n = 24).  They fall into blocks of the
@@ -45,7 +43,6 @@ import numpy as np
 
 __all__ = [
     "TensorSet",
-    "symmetrize",
     "save_tensorset",
     "load_tensorset",
 ]
@@ -219,42 +216,17 @@ def _orbit(stack):
     return orbit, orbit.max(axis=0) - orbit.min(axis=0)
 
 
-def _symmetrized(orbit, spread, in_order=False):
+def _symmetrized(orbit, spread):
     """(N, m) packed entries: a member's sorted entries where its spread is 0
     everywhere, else the mean of its d! orbit values per entry.  The sum
     runs in ascending order of value, which the values alone fix: every
-    transpose of a member averages to the same bits.  With ``in_order`` it
-    runs in ``itertools.permutations`` order, bitwise the sum of the
-    member's d! transposes over d! (``symmetrize``)."""
+    transpose of a member averages to the same bits."""
     packed = orbit[0].copy()
     uneven = np.any(spread != 0, axis=0)
     terms = orbit[:, :, uneven]     # a copy: sorted in place
-    if not in_order:
-        terms.sort(axis=0)
+    terms.sort(axis=0)
     packed[:, uneven] = terms.sum(axis=0) / len(orbit)
     return packed
-
-
-def _cubical(tensor):
-    """One cubical array of a supported order, as a (1,) + (n,)*d stack."""
-    arr = np.asarray(tensor, dtype=np.float64)
-    if arr.ndim not in _SUPPORTED_ORDERS or len(set(arr.shape)) != 1:
-        raise ValueError(f"bad tensor shape {arr.shape}")
-    return arr[None]
-
-
-def symmetrize(tensor):
-    """Average a cubical array over all index permutations (new ndarray):
-    its d! transposes summed in ``itertools.permutations`` order, over d!,
-    the noise recipe of ``harness.make_test_problem``.
-
-    The result is bitwise symmetric; already bitwise-symmetric input is
-    returned as an exact copy.
-    """
-    stack = _cubical(tensor)
-    packed = _symmetrized(*_orbit(stack), in_order=True)
-    return TensorSet._from_packed(packed, stack.ndim - 1,
-                                  stack.shape[-1]).stack[0]
 
 
 def _check_members(stack):
@@ -374,10 +346,6 @@ class TensorSet:
         """||T||^2, summed over the dense expansion (O(m n^d))."""
         stack = self.stack
         return float(np.vdot(stack, stack))
-
-    def diags(self):
-        """(m, n) array of diagonal vectors (W[j, j, ..., j])_j (a copy)."""
-        return self.packed[:self.dim].T.copy()
 
     def diag_sq_norm(self):
         """Sum of squared diagonal entries over the set (the objective f):

@@ -57,10 +57,11 @@ def all_mode_product(dense, matrix, order=None):
 
 def dense_symmetrize(arr, by_value=False):
     """The d! transposes added one by one, in ``itertools.permutations``
-    order (``symmetrize``) or, ``by_value``, per entry in ascending order
-    of value (the constructor's and the loader's average), divided by d!;
-    then every entry read at its sorted multi-index through the oracle's
-    sort-based map."""
+    order (the generators' noise recipe: ``harness.make_test_problem`` and
+    ``perfbench/problems.py``'s ``_sym_noise``) or, ``by_value``, per entry
+    in ascending order of value (the constructor's and the loader's
+    average), divided by d!; then every entry read at its sorted
+    multi-index through the oracle's sort-based map."""
     terms = np.stack([arr.transpose(perm)
                       for perm in itertools.permutations(range(arr.ndim))])
     if by_value:

@@ -16,9 +16,9 @@ from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.oracle import (brute_force_angle, finite_difference_h_prime,
                                h_prime_at_zero, h_tilde, proximal_gamma)
 from jacobidiag.sweeps import RunConfig, run, upper_pairs
-from jacobidiag.symtensor import TensorSet, symmetrize
+from jacobidiag.symtensor import TensorSet
 
-from reference import tau, tau_identity_check
+from reference import dense_symmetrize, tau, tau_identity_check
 
 N = 10
 QP = math.pi / 4
@@ -57,7 +57,7 @@ def random_problem(order, dim, seed, m=1):
     rng = np.random.default_rng(seed)
     tensors = []
     for _ in range(m):
-        arr = symmetrize(rng.standard_normal((dim,) * order))
+        arr = dense_symmetrize(rng.standard_normal((dim,) * order))
         arr /= np.linalg.norm(arr)
         tensors.append(arr)
     return TensorSet(tensors)

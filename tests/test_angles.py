@@ -15,9 +15,9 @@ from jacobidiag.geometry import RotationState, lambda_of, random_rotation
 from jacobidiag.oracle import (brute_force_angle, h, h_prime_at_zero,
                                h_tilde, local_maxima, proximal_gamma)
 from jacobidiag.sweeps import upper_pairs
-from jacobidiag.symtensor import TensorSet, symmetrize
+from jacobidiag.symtensor import TensorSet
 
-from reference import (best_angle_xi, h_derivatives_at_zero,
+from reference import (best_angle_xi, dense_symmetrize, h_derivatives_at_zero,
                        omega_xi_coeffs_expanded, tau, tau_identity_check,
                        tau_tilde, xi_roots, xi_to_x_candidates)
 
@@ -31,7 +31,7 @@ def random_view(order, seed, m=1, delta0=0.0, scale=1.0):
 
 def random_set(order, dim, seed, m=1):
     rng = np.random.default_rng(seed)
-    return TensorSet([symmetrize(rng.standard_normal((dim,) * order))
+    return TensorSet([dense_symmetrize(rng.standard_normal((dim,) * order))
                       for _ in range(m)])
 
 

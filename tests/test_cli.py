@@ -242,7 +242,9 @@ def test_bench_clashing_labels_exits_2(tmp_path, capsys, names):
     ("algo=c max-sweeps=abc", "invalid literal for int()"),
     ("algo=zz", "unknown method 'zz'"),
     ("algo=c eps=nan", "eps must be finite"),
-    ("algo=c record-every=0", "record_every must be >= 1")])
+    ("algo=c record-every=0", "record_every must be >= 1"),
+    ("algo=c max-sweeps=5 max_sweeps=50", "max_sweeps is set twice"),
+    ("algo=c algo=g", "method is set twice")])
 def test_bench_suite_value_error_exits_2_with_location(tmp_path, capsys,
                                                        line, message):
     problem = tmp_path / "p.st"
@@ -312,6 +314,26 @@ def test_gen_non_finite_sigma_exits_2(tmp_path, capsys, sigma):
     assert cli.main(gen_args(out, **{"--sigma": sigma})) == 2
     assert "sigma must be finite and nonnegative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,field", [("--seed-rot", "seed_rot"),
+                                        ("--seed-noise", "seed_noise")])
+def test_gen_negative_seed_exits_2_naming_it(tmp_path, capsys, flag, field):
+    out = tmp_path / "p.st"
+    assert cli.main(gen_args(out, **{flag: "-1"})) == 2
+    assert f"{field} must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_negative_seed_exits_2_naming_it(tmp_path, capsys):
+    problem = tmp_path / "p.st"
+    cli.main(gen_args(problem))
+    capsys.readouterr()
+    code = cli.main(["verify", "--in", str(problem), "--seed", "-3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "seed must be a non-negative integer" in captured.err
+    assert "PASS" not in captured.out
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -9,17 +9,17 @@ from jacobidiag.geometry import (QUARTER_PI, RotationState, lambda_of,
 from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.sweeps import RunConfig, run, upper_pairs
 from jacobidiag.oracle import finite_difference_h_prime
-from jacobidiag.symtensor import TensorSet, symmetrize
+from jacobidiag.symtensor import TensorSet
 
-from reference import (givens_generator, givens_matrix, lambda_reference,
-                       offdiag_sq_norm)
+from reference import (dense_symmetrize, givens_generator, givens_matrix,
+                       lambda_reference, offdiag_sq_norm)
 
 SQ2 = math.sqrt(2.0) / 2.0
 
 
 def random_set(order, dim, seed, m=1):
     rng = np.random.default_rng(seed)
-    return TensorSet([symmetrize(rng.standard_normal((dim,) * order))
+    return TensorSet([dense_symmetrize(rng.standard_normal((dim,) * order))
                       for _ in range(m)])
 
 

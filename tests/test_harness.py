@@ -14,7 +14,7 @@ from jacobidiag.harness import (ExperimentSpec, make_diag_tensor,
 from jacobidiag.sweeps import RunConfig, run
 from jacobidiag.symtensor import TensorSet
 
-from reference import dense_symmetry_error, offdiag_sq_norm
+from reference import dense_symmetrize, dense_symmetry_error, offdiag_sq_norm
 
 VERIFY_CHECKS = ["gradient-fd", "plane-kernel", "angle-oracle", "conservation"]
 
@@ -32,14 +32,26 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("field,kwargs", [
     ("n", dict(n=5.0, order=3)), ("order", dict(n=5, order=3.0)),
-    ("m", dict(n=5, order=3, m=2.5)), ("n", dict(n="5", order=3))])
+    ("m", dict(n=5, order=3, m=2.5)), ("n", dict(n="5", order=3)),
+    ("seed_rot", dict(n=5, order=3, seed_rot=1.5)),
+    ("seed_noise", dict(n=5, order=3, seed_noise="2"))])
 def test_spec_refuses_non_integral_sizes(field, kwargs):
     # refused where the spec is made, naming the field, not deep inside
     # make_test_problem; numpy integers are integers
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         ExperimentSpec(**kwargs)
-    spec = ExperimentSpec(n=np.int64(5), order=np.int32(3), m=np.int64(2))
+    spec = ExperimentSpec(n=np.int64(5), order=np.int32(3), m=np.int64(2),
+                          sigma=1e-3, seed_rot=np.int64(0),
+                          seed_noise=np.int32(4))
     assert len(make_test_problem(spec)[0]) == 2
+
+
+@pytest.mark.parametrize("field", ["seed_rot", "seed_noise"])
+def test_spec_refuses_negative_seeds(field):
+    # refused by name, not by NumPy's generator inside make_test_problem
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be a non-negative integer$"):
+        ExperimentSpec(n=5, order=3, **{field: -1})
 
 
 def test_slice_mode_refuses_m_other_than_1():
@@ -52,7 +64,8 @@ def test_slice_mode_refuses_m_other_than_1():
 def test_equal_profile_diagonal():
     spec = ExperimentSpec(n=10, order=3, profile="equal")
     d = make_diag_tensor(spec)
-    assert np.allclose(d.diags()[0], 1.0 / math.sqrt(10.0), rtol=0, atol=0)
+    assert np.allclose(d.packed[:d.dim].T[0], 1.0 / math.sqrt(10.0),
+                       rtol=0, atol=0)
     assert d.frob_sq() == pytest.approx(1.0, rel=1e-14)
     assert offdiag_sq_norm(d) == 0.0
 
@@ -61,14 +74,14 @@ def test_linear_profile_diagonal():
     spec = ExperimentSpec(n=10, order=4, profile="linear")
     d = make_diag_tensor(spec)
     expect = np.arange(1, 11) / math.sqrt(385.0)
-    assert np.allclose(d.diags()[0], expect, rtol=1e-15)
+    assert np.allclose(d.packed[:d.dim].T[0], expect, rtol=1e-15)
     assert d.frob_sq() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_custom_profile():
     spec = ExperimentSpec(n=3, order=2, profile=[1.0, 2.0, 2.0])
     d = make_diag_tensor(spec)
-    assert np.array_equal(d.diags()[0], [1.0, 2.0, 2.0])
+    assert np.array_equal(d.packed[:d.dim].T[0], [1.0, 2.0, 2.0])
     with pytest.raises(ValueError):
         make_diag_tensor(ExperimentSpec(n=3, order=2, profile=[0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
@@ -97,6 +110,24 @@ def test_problem_determinism_and_noise_seeds():
     other = ExperimentSpec(n=5, order=3, sigma=1e-2, seed_rot=1, seed_noise=3)
     b, _ = make_test_problem(other)
     assert not np.array_equal(a1.stack, b.stack)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_noise_averages_each_draw_in_permutation_order(order, m):
+    # member k is the noise-free base plus the k-th seed_noise draw summed
+    # over its d! transposes in itertools.permutations order, over d!: the
+    # recipe of perfbench/problems.py, bit for bit
+    spec = ExperimentSpec(n=5, order=order, m=m, sigma=1e-3, seed_rot=3,
+                          seed_noise=8)
+    tensors, _ = make_test_problem(spec)
+    clean = dataclasses.replace(spec, m=1, sigma=0.0)
+    base = make_test_problem(clean)[0].stack[0]
+    rng = np.random.default_rng(spec.seed_noise)
+    expected = np.stack([
+        base + dense_symmetrize(spec.sigma * rng.standard_normal(base.shape))
+        for _ in range(m)])
+    assert tensors.stack.tobytes() == expected.tobytes()
 
 
 def test_multi_tensor_problem_shares_rotation():
@@ -158,7 +189,12 @@ def test_parse_suite_file(tmp_path):
 SUITE_VALUE_ERRORS = [("algo=c max-sweeps=abc", "invalid literal for int()"),
                       ("algo=zz", "unknown method 'zz'"),
                       ("algo=c eps=nan", "eps must be finite"),
-                      ("algo=c record-every=0", "record_every must be >= 1")]
+                      ("algo=c record-every=0", "record_every must be >= 1"),
+                      ("algo=c max-sweeps=5 max_sweeps=50",
+                       "max_sweeps is set twice (by 'max_sweeps')"),
+                      ("algo=c record_every=2 record-every=3",
+                       "record_every is set twice (by 'record-every')"),
+                      ("algo=c algo=g", "method is set twice (by 'algo')")]
 
 
 @pytest.mark.parametrize("line,message", SUITE_VALUE_ERRORS)
@@ -301,6 +337,19 @@ def test_cli_verify_exits_3_on_a_corrupted_plane_kernel(tmp_path, monkeypatch,
     flip_s1(monkeypatch, 3)
     assert cli.main(["verify", "--in", path]) == 3
     assert "FAIL plane-kernel" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(samples=2.5), "samples must be an integer"),
+    (dict(seed=-3), "seed must be a non-negative integer"),
+    (dict(seed=1.5), "seed must be an integer")])
+def test_verify_invariants_refuses_bad_samples_and_seed(monkeypatch, kwargs,
+                                                        message):
+    # refused by name before any check: no set is even rotated
+    tensors, _ = make_test_problem(ExperimentSpec(n=4, order=3, sigma=1e-3))
+    monkeypatch.setattr(TensorSet, "rotated_by", None)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        verify_invariants(tensors, **kwargs)
 
 
 @pytest.mark.parametrize("k", [511, 510])
