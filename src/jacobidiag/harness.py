@@ -14,7 +14,6 @@ simultaneously.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 
@@ -22,7 +21,8 @@ import numpy as np
 
 from .angles import SubproblemView, best_angle, check_sq_norm
 from .geometry import QUARTER_PI, lambda_of, random_rotation
-from .sweeps import RunConfig, run, upper_pairs, write_trajectory_csv
+from .sweeps import (RunConfig, _check_integer, _check_nonnegative, run,
+                     upper_pairs, write_trajectory_csv)
 from .symtensor import TensorSet, _orbit
 
 __all__ = [
@@ -36,18 +36,10 @@ __all__ = [
 ]
 
 
-def _check_integer(name, value):
-    """ValueError naming ``name`` unless ``value`` is an integer (a NumPy
-    integer too: ``operator.index``)."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer") from None
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """Parameters of one synthetic diagonalization problem."""
+    """One synthetic problem's parameters, each checked when it is made
+    (frozen: ``make_diag_tensor`` and ``make_test_problem`` rely on it)."""
 
     n: int
     order: int
@@ -59,22 +51,27 @@ class ExperimentSpec:
     slice_mode: bool = False
 
     def __post_init__(self):
-        for attr in ("n", "order", "m", "seed_rot", "seed_noise"):
-            _check_integer(attr, getattr(self, attr))
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        if self.order not in (2, 3, 4):
+        for attr, minimum in (("n", 2), ("order", 2), ("m", 1),
+                              ("seed_rot", 0), ("seed_noise", 0)):
+            _check_integer(attr, getattr(self, attr), minimum)
+        if self.order > 4:
             raise ValueError("order must be 2, 3 or 4")
-        if self.m < 1:
-            raise ValueError("need m >= 1")
-        for attr in ("seed_rot", "seed_noise"):
-            if getattr(self, attr) < 0:
-                raise ValueError(f"{attr} must be a non-negative integer")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError("sigma must be finite and nonnegative")
+        _check_nonnegative("sigma", self.sigma)
         if self.slice_mode and (self.order, self.m) != (4, 1):
             raise ValueError(f"slice mode needs order 4 and m = 1, got "
                              f"order {self.order} and m = {self.m}")
+        if isinstance(self.profile, str):
+            valid = self.profile in ("equal", "linear")
+        else:
+            try:
+                values = np.asarray(self.profile, dtype=np.float64)
+                valid = (values.shape == (self.n,)
+                         and np.isfinite(values).all() and values @ values > 0)
+            except (TypeError, ValueError):
+                valid = False
+        if not valid:
+            raise ValueError(f"profile must be 'equal', 'linear' or {self.n} "
+                             f"finite values of nonzero norm")
 
 
 def make_diag_tensor(spec):
@@ -82,23 +79,14 @@ def make_diag_tensor(spec):
 
     Built-in profiles have unit Frobenius norm: 'equal' puts 1/sqrt(n) on
     the diagonal, 'linear' puts (i+1)/sqrt(sum of squares).  A custom
-    profile is any length-n vector with nonzero norm (used as given).
+    profile, which ``ExperimentSpec`` has checked, is used as given.
     """
-    n = spec.n
     if isinstance(spec.profile, str):
-        if spec.profile == "equal":
-            values = np.full(n, 1.0 / math.sqrt(n))
-        elif spec.profile == "linear":
-            ints = np.arange(1, n + 1, dtype=np.float64)
-            values = ints / math.sqrt(float(np.sum(ints**2)))
-        else:
-            raise ValueError(f"unknown profile {spec.profile!r}")
+        weights = (np.arange(1, spec.n + 1, dtype=np.float64)
+                   if spec.profile == "linear" else np.ones(spec.n))
+        values = weights / math.sqrt(float(np.sum(weights**2)))
     else:
         values = np.asarray(spec.profile, dtype=np.float64)
-        if values.shape != (n,):
-            raise ValueError(f"custom profile must have length {n}")
-        if float(np.dot(values, values)) == 0:
-            raise ValueError("custom profile must have nonzero norm")
     return TensorSet.from_diagonal(values, spec.order)
 
 
@@ -106,31 +94,30 @@ def make_test_problem(spec):
     """Build (TensorSet, ground-truth Q) for the spec, deterministically.
 
     The ground-truth Q satisfies  A0 x_k Q^T (all modes) = D,  so with
-    sigma = 0 the rotated set is exactly diagonal at Q.
+    sigma = 0 the rotated set is exactly diagonal at Q.  The noise is added
+    to A0's packed entries, and a sigma at which they overflow is refused.
     """
     rot = random_rotation(spec.n, spec.seed_rot)
-    # bitwise symmetric (read off packed entries), and so is the noise:
-    # every member is kept as built
-    base = make_diag_tensor(spec).rotated_by(rot).stack[0]
-    q_true = rot.T
-    rng = np.random.default_rng(spec.seed_noise)
-
-    def member():
-        if spec.sigma == 0:
-            return base
-        # the d! transposes of the draw summed in itertools.permutations
-        # order, over d!: bitwise perfbench/problems.py's _sym_noise, which
-        # perfbench/test_problems.py checks
-        orbit, _ = _orbit(spec.sigma * rng.standard_normal((1,) + base.shape))
-        noise = TensorSet._from_packed(orbit.sum(axis=0) / len(orbit),
-                                       spec.order, spec.n)
-        return base + noise.stack[0]
-
+    packed = np.repeat(make_diag_tensor(spec).rotated_by(rot).packed,
+                       spec.m, 1)
+    if spec.sigma != 0:
+        rng = np.random.default_rng(spec.seed_noise)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # overflow is refused below, by name; the m draws in one call
+            # (m separate draws' stream), each summed over its d! transposes
+            # in itertools.permutations order, over d!: bitwise
+            # perfbench/problems.py's _sym_noise (perfbench/test_problems.py)
+            orbit, _ = _orbit(spec.sigma * rng.standard_normal(
+                (spec.m,) + (spec.n,) * spec.order))
+            packed += orbit.sum(axis=0) / len(orbit)
+        if not np.isfinite(packed).all():
+            raise ValueError(f"sigma = {spec.sigma:g} overflows the entries")
+    tensors = TensorSet._from_packed(packed, spec.order, spec.n)
     if spec.slice_mode:
         # slice i is parent[..., i]; slices of a bitwise-symmetric tensor
         # are bitwise symmetric, so the constructor keeps them as cut
-        return TensorSet(list(np.moveaxis(member(), -1, 0))), q_true
-    return TensorSet([member() for _ in range(spec.m)]), q_true
+        return TensorSet(list(np.moveaxis(tensors.stack[0], -1, 0))), rot.T
+    return tensors, rot.T
 
 
 def run_benchmark(tensors, configs, outdir=None):
@@ -208,7 +195,10 @@ def parse_suite_file(path):
                     attr, cast = _SUITE_KEYS[key]
                     if attr in kwargs:
                         raise ValueError(f"{attr} is set twice (by {key!r})")
-                    kwargs[attr] = cast(value)
+                    try:
+                        kwargs[attr] = cast(value)
+                    except ValueError as exc:
+                        raise ValueError(f"{key}={value}: {exc}") from None
                 if "method" not in kwargs:
                     raise ValueError("missing algo=")
                 configs.append(RunConfig(**kwargs))
@@ -249,12 +239,8 @@ def verify_invariants(tensors, seed=0, samples=40):
     ``angles.MAX_SQ_NORM``, or one at which the largest proximal weight
     sampled, 0.1 ||T||^2, can overflow the angle step.
     """
-    _check_integer("samples", samples)
-    _check_integer("seed", seed)
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    _check_integer("samples", samples, 1)
+    _check_integer("seed", seed, 0)
     # imported here, so that importing the solver does not load the oracle
     from .oracle import (brute_force_angle, finite_difference_h_prime,
                          h_prime_at_zero, h_tilde, rotate_planes_reference)

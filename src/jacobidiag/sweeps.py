@@ -93,6 +93,29 @@ def select_pair_gradient(lam, eps, norm=None):
     return select_pair_max(lam)
 
 
+def _check_integer(name, value, minimum):
+    """ValueError naming ``name`` unless ``value`` is an integer (a NumPy
+    integer too: ``operator.index``) of at least ``minimum``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be a non-negative integer"
+                         if minimum == 0 else f"{name} must be >= {minimum}")
+
+
+def _check_nonnegative(name, value):
+    """ValueError naming ``name`` unless ``value`` is a finite real >= 0;
+    a non-number (a string, None) is refused the same way."""
+    try:
+        if math.isfinite(value) and value >= 0:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     """Driver knobs; None fields resolve to scale-aware defaults at run time.
@@ -114,17 +137,11 @@ class RunConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; "
                              f"expected one of {METHODS}")
-        for attr in ("max_sweeps", "record_every"):
-            try:
-                value = operator.index(getattr(self, attr))
-            except TypeError:
-                raise ValueError(f"{attr} must be an integer") from None
-            if value < 1:
-                raise ValueError(f"{attr} must be >= 1")
+        _check_integer("max_sweeps", self.max_sweeps, 1)
+        _check_integer("record_every", self.record_every, 1)
         for attr in ("eps", "delta0", "thresh", "stationarity_tol"):
-            v = getattr(self, attr)
-            if v is not None and not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{attr} must be finite and nonnegative")
+            if getattr(self, attr) is not None:
+                _check_nonnegative(attr, getattr(self, attr))
 
     @property
     def label(self):

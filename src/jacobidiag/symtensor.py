@@ -418,15 +418,11 @@ class TensorSet:
 #   <m blocks of n^d whitespace-separated floats, row-major>
 
 def save_tensorset(path, tensors):
+    """Write a set in the v1 format above, 17 significant digits."""
     ts = tensors if isinstance(tensors, TensorSet) else TensorSet(tensors)
-    d, n, m = ts.order, ts.dim, len(ts)
-    stack = ts.stack
     with open(path, "w") as fh:
-        fh.write(f"symtensor v1 d={d} n={n} m={m}\n")
-        for member in stack:
-            for row in member.reshape(-1, n):
-                fh.write(" ".join(f"{v:.17g}" for v in row))
-                fh.write("\n")
+        fh.write(f"symtensor v1 d={ts.order} n={ts.dim} m={len(ts)}\n")
+        np.savetxt(fh, ts.stack.reshape(-1, ts.dim), fmt="%.17g")
 
 
 def load_tensorset(path):

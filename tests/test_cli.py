@@ -240,6 +240,8 @@ def test_bench_clashing_labels_exits_2(tmp_path, capsys, names):
 
 @pytest.mark.parametrize("line,message", [
     ("algo=c max-sweeps=abc", "invalid literal for int()"),
+    ("algo=c eps=abc", "eps=abc: could not convert string"),
+    ("algo=c max-sweeps=2.5", "max-sweeps=2.5: invalid literal for int()"),
     ("algo=zz", "unknown method 'zz'"),
     ("algo=c eps=nan", "eps must be finite"),
     ("algo=c record-every=0", "record_every must be >= 1"),
@@ -316,6 +318,19 @@ def test_gen_non_finite_sigma_exits_2(tmp_path, capsys, sigma):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("d", ["2", "3", "4"])
+def test_gen_overflowing_sigma_exits_2_naming_it(tmp_path, capsys, d):
+    # as under -W error::RuntimeWarning: no overflow warning escapes
+    out = tmp_path / "p.st"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(gen_args(out, **{"--n": "3", "--d": d,
+                                         "--sigma": "1e308"}))
+    assert code == 2
+    assert "error: sigma = 1e+308 overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,field", [("--seed-rot", "seed_rot"),
                                         ("--seed-noise", "seed_noise")])
 def test_gen_negative_seed_exits_2_naming_it(tmp_path, capsys, flag, field):
@@ -344,7 +359,7 @@ def test_verify_without_samples_exits_2(tmp_path, capsys, samples):
     code = cli.main(["verify", "--in", str(problem), "--samples", samples])
     assert code == 2
     captured = capsys.readouterr()
-    assert "samples >= 1" in captured.err
+    assert "samples must be >= 1" in captured.err
     assert "PASS" not in captured.out
 
 

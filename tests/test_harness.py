@@ -82,15 +82,42 @@ def test_custom_profile():
     spec = ExperimentSpec(n=3, order=2, profile=[1.0, 2.0, 2.0])
     d = make_diag_tensor(spec)
     assert np.array_equal(d.packed[:d.dim].T[0], [1.0, 2.0, 2.0])
-    with pytest.raises(ValueError):
-        make_diag_tensor(ExperimentSpec(n=3, order=2, profile=[0.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        make_diag_tensor(ExperimentSpec(n=3, order=2, profile=[1.0, 2.0]))
 
 
 def test_unknown_profile():
-    with pytest.raises(ValueError):
-        make_diag_tensor(ExperimentSpec(n=4, order=2, profile="cubic"))
+    with pytest.raises(ValueError, match="^profile must be 'equal', 'linear'"):
+        ExperimentSpec(n=4, order=2, profile="cubic")
+    # frozen: a field cannot be set after the checks, past them
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ExperimentSpec(n=4, order=2).profile = "cubic"
+
+
+@pytest.mark.parametrize("profile", [
+    "flat", [1.0, 2.0], [0.0, 0.0, 0.0], [math.nan, 1.0, 2.0],
+    [math.inf, 1.0, 2.0], ["a", "b", "c"], [{}, 1.0, 2.0], None])
+def test_spec_refuses_bad_profile_when_made(profile):
+    # refused by name where the spec is made, before make_diag_tensor
+    # or from_diagonal sees it
+    with pytest.raises(ValueError, match="^profile must be 'equal', 'linear' "
+                       "or 3 finite values of nonzero norm$"):
+        ExperimentSpec(n=3, order=2, profile=profile)
+
+
+@pytest.mark.parametrize("sigma", ["1e-3", None, 1j])
+def test_spec_refuses_non_numeric_sigma_by_name(sigma):
+    with pytest.raises(ValueError,
+                       match="^sigma must be finite and nonnegative, got "):
+        ExperimentSpec(n=5, order=3, sigma=sigma)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_overflowing_noise_is_refused_by_name(order):
+    # sigma * draw overflows: refused naming sigma, with no RuntimeWarning
+    spec = ExperimentSpec(n=3, order=order, m=2, sigma=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^sigma = 1e[+]308 overflows"):
+            make_test_problem(spec)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -187,6 +214,9 @@ def test_parse_suite_file(tmp_path):
 
 
 SUITE_VALUE_ERRORS = [("algo=c max-sweeps=abc", "invalid literal for int()"),
+                      ("algo=c eps=abc", "eps=abc: could not convert string"),
+                      ("algo=c max-sweeps=2.5",
+                       "max-sweeps=2.5: invalid literal for int()"),
                       ("algo=zz", "unknown method 'zz'"),
                       ("algo=c eps=nan", "eps must be finite"),
                       ("algo=c record-every=0", "record_every must be >= 1"),

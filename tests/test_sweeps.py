@@ -216,10 +216,12 @@ def test_config_validation():
 
 @pytest.mark.parametrize("attr", ["eps", "delta0", "thresh",
                                   "stationarity_tol"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, "1", b"1", 1j, [0.1]])
 def test_config_rejects_non_finite_knobs(attr, value):
-    # NaN passes a plain `v < 0` test; inf would reach angles.py or never stop
-    with pytest.raises(ValueError, match=f"{attr} must be finite"):
+    # NaN passes a plain `v < 0` test; inf would reach angles.py or never
+    # stop; a non-number is refused by name, not by math.isfinite's TypeError
+    with pytest.raises(ValueError,
+                       match=f"^{attr} must be finite and nonnegative, got "):
         RunConfig(**{attr: value})
 
 

@@ -642,6 +642,22 @@ def write_v1(path, stack):
                     + "\n".join(rows) + "\n")
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_save_writes_the_bytes_of_the_reference_writer(order, m, tmp_path):
+    # 17 significant digits of every entry, signed zero, subnormal and
+    # largest finite values included, n to a line
+    n = 3
+    rng = np.random.default_rng(640 + order)
+    packed = rng.standard_normal((math.comb(n + order - 1, order), m))
+    packed[:4, 0] = [-0.0, 5e-324, -1.7976931348623157e308, 1.0 / 3.0]
+    ts = TensorSet._from_packed(packed, order, n)
+    save_tensorset(tmp_path / "saved.st", ts)
+    write_v1(tmp_path / "reference.st", ts.stack)
+    assert ((tmp_path / "saved.st").read_bytes()
+            == (tmp_path / "reference.st").read_bytes())
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_packing_matches_sort_based_canonical_map(order, n):
