@@ -116,9 +116,10 @@ def _check_nonnegative(name, value):
     raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Driver knobs; None fields resolve to scale-aware defaults at run time.
+    Frozen: the fields are checked once, when the config is made.
 
     Defaults: eps = 0.1 * (2/n); delta0 = 1e-3 * total_sq_norm (pc only,
     otherwise 0); stationarity_tol and thresh = 1e-10 * sqrt(total_sq_norm).

@@ -371,7 +371,10 @@ def test_verify_without_samples_exits_2(tmp_path, capsys, samples):
      "expected 9 values in {}, found 8"),
     ("symtensor v1 d=2 n=2 m=1\n1 x\nx 3\n",
      "{}: could not convert string to float: 'x'"),
-], ids=["huge-n", "truncated", "non-numeric"])
+    # the first bad token in file order, as when every token was parsed
+    ("symtensor v1 d=2 n=3 m=1\n1 x 2\ny 3 x\n2 z 4\n",
+     "{}: could not convert string to float: 'x'"),
+], ids=["huge-n", "truncated", "non-numeric", "non-numeric-first-named"])
 def test_run_malformed_body_exits_2(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.st"
     bad.write_text(text)
@@ -380,4 +383,17 @@ def test_run_malformed_body_exits_2(tmp_path, capsys, text, message):
                      "--csv", str(tmp_path / "o.csv")])
     assert code == 2
     assert f"error: {message.format(bad)}" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_run_of_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    bad = tmp_path / "latin1.st"
+    bad.write_bytes(b"symtensor v1 d=2 n=2 m=1\n1 \xff\n2 3\n")
+    code = cli.main(["run", "--in", str(bad), "--algo", "c",
+                     "--max-sweeps", "5", "--tol", "1e-8",
+                     "--csv", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 27:"
+        " invalid start byte\n")
     assert not (tmp_path / "o.csv").exists()

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import warnings
 
@@ -212,6 +213,16 @@ def test_config_validation():
     cfg = RunConfig(method="g", eps=0.5)
     with pytest.raises(ValueError):
         run(noisy_problem(2, n=6), cfg)      # 0.5 > 2/n
+
+
+@pytest.mark.parametrize("attr,value", [("max_sweeps", 2.5), ("eps", "x"),
+                                        ("method", "c")])
+def test_config_fields_cannot_be_set_after_construction(attr, value):
+    # a field set later would skip the checks that construction runs
+    cfg = RunConfig(method="g")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, attr, value)
+    assert getattr(cfg, attr) == getattr(RunConfig(method="g"), attr)
 
 
 @pytest.mark.parametrize("attr", ["eps", "delta0", "thresh",

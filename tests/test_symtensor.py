@@ -11,6 +11,7 @@ import pytest
 
 from jacobidiag import symtensor
 from jacobidiag.angles import SubproblemView
+from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.oracle import _canonical_map, rotate_planes_reference
 from jacobidiag.symtensor import (TensorSet, _packing,
                                   _symmetric_powers, load_tensorset,
@@ -716,3 +717,82 @@ def test_one_input_gives_one_set(order, tmp_path):
         for ts in made:
             assert ts.packed.tobytes() == made[0].packed.tobytes()
             assert ts.stack[0].tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the loader parses each distinct token once: bitwise the in-memory route
+
+def assert_loads_like_memory(path):
+    """Assert that ``load_tensorset(path)`` is bitwise the set built in
+    memory from every token of the file, each parsed on its own; return
+    the tokens."""
+    header, body = path.read_text().split("\n", 1)
+    fields = dict(kv.split("=") for kv in header.split()[2:])
+    d, n, m = int(fields["d"]), int(fields["n"]), int(fields["m"])
+    tokens = body.split()
+    dense = np.array(tokens, dtype=float).reshape((m,) + (n,) * d)
+    assert (load_tensorset(path).packed.tobytes()
+            == TensorSet(list(dense)).packed.tobytes())
+    return tokens
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_load_of_generated_file_matches_in_memory_route(order, m, tmp_path):
+    # gen's files repeat each value at every place of its orbit
+    spec = ExperimentSpec(n=5, order=order, m=m, sigma=1e-3, seed_rot=order,
+                          seed_noise=m)
+    path = tmp_path / "gen.st"
+    save_tensorset(path, make_test_problem(spec)[0])
+    tokens = assert_loads_like_memory(path)
+    assert len(set(tokens)) <= m * math.comb(5 + order - 1, order)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_load_of_file_without_repeated_tokens(order, tmp_path):
+    # symmetric only to rounding: every token distinct, and each member is
+    # averaged, as in memory
+    rng = np.random.default_rng(450 + order)
+    base = dense_symmetrize(rng.standard_normal((4,) * order))
+    path = tmp_path / "round.st"
+    write_v1(path, (base * (1 + 1e-13 * rng.standard_normal(base.shape)))[None])
+    tokens = assert_loads_like_memory(path)
+    assert len(set(tokens)) == len(tokens)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_load_of_values_spelled_differently(order, tmp_path):
+    # twin places hold one value in different spellings ("2", "2.0", "2e0";
+    # "-0" beside "0"): each spelling is its own token and parses to the
+    # same bits, and the spread of 0 and -0 is 0, so the member is kept.
+    # Zeros go by row-major order of place, and an orbit's sorted place
+    # comes first in it: W[0, ..., 0] reads "0", the last row's orbit "-0"
+    # at its sorted place; a loader that merged tokens by value would make
+    # that -0 a +0
+    rng = np.random.default_rng(460 + order)
+    packed = rng.integers(1, 4, (math.comb(3 + order - 1, order), 1))
+    packed[[0, -1]] = 0     # the last row has copies: twin zeros
+    ints = TensorSet._from_packed(packed.astype(float), order, 3).stack[0]
+    zeros = itertools.cycle(["0", "-0", "0.0", "-0e0"])
+    others = itertools.cycle(["{:g}", "{:.1f}", "{:g}e0"])
+    words = [next(zeros) if v == 0 else next(others).format(v)
+             for v in ints.reshape(-1)]
+    path = tmp_path / "spelled.st"
+    path.write_text(f"symtensor v1 d={order} n=3 m=1\n" + " ".join(words)
+                    + "\n")
+    tokens = assert_loads_like_memory(path)
+    assert len(set(tokens)) > len(set(np.array(tokens, dtype=float)))
+    assert {"0", "-0"} <= set(tokens)
+    assert np.signbit(load_tensorset(path).packed[[0, -1], 0]).tolist() == [
+        False, True]
+
+
+def test_load_of_token_repeated_across_members(tmp_path):
+    # one dict spans the members: a token shared by all three maps to one
+    # value in each
+    rng = np.random.default_rng(470)
+    a = dense_symmetrize(rng.standard_normal((4,) * 3))
+    path = tmp_path / "shared.st"
+    write_v1(path, np.stack([a, -a, a]))
+    tokens = assert_loads_like_memory(path)
+    assert len(set(tokens)) == 2 * math.comb(4 + 2, 3)
