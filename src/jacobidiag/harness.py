@@ -178,32 +178,36 @@ def parse_suite_file(path):
     one field twice (``max-sweeps`` and ``max_sweeps`` name one field) is
     refused.
     """
+    try:      # a text read decodes whole chunks, so name the file only
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     configs = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            kwargs = {}
-            try:      # any error on this line names the file and line
-                for token in line.split():
-                    if "=" not in token:
-                        raise ValueError(f"expected key=value, got {token!r}")
-                    key, value = token.split("=", 1)
-                    if key not in _SUITE_KEYS:
-                        raise ValueError(f"unknown key {key!r}")
-                    attr, cast = _SUITE_KEYS[key]
-                    if attr in kwargs:
-                        raise ValueError(f"{attr} is set twice (by {key!r})")
-                    try:
-                        kwargs[attr] = cast(value)
-                    except ValueError as exc:
-                        raise ValueError(f"{key}={value}: {exc}") from None
-                if "method" not in kwargs:
-                    raise ValueError("missing algo=")
-                configs.append(RunConfig(**kwargs))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        kwargs = {}
+        try:      # any error on this line names the file and line
+            for token in line.split():
+                if "=" not in token:
+                    raise ValueError(f"expected key=value, got {token!r}")
+                key, value = token.split("=", 1)
+                if key not in _SUITE_KEYS:
+                    raise ValueError(f"unknown key {key!r}")
+                attr, cast = _SUITE_KEYS[key]
+                if attr in kwargs:
+                    raise ValueError(f"{attr} is set twice (by {key!r})")
+                try:
+                    kwargs[attr] = cast(value)
+                except ValueError as exc:
+                    raise ValueError(f"{key}={value}: {exc}") from None
+            if "method" not in kwargs:
+                raise ValueError("missing algo=")
+            configs.append(RunConfig(**kwargs))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not configs:
         raise ValueError(f"suite file {path} defines no configurations")
     return configs

@@ -386,14 +386,26 @@ def test_run_malformed_body_exits_2(tmp_path, capsys, text, message):
     assert not (tmp_path / "o.csv").exists()
 
 
-def test_run_of_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
-    bad = tmp_path / "latin1.st"
-    bad.write_bytes(b"symtensor v1 d=2 n=2 m=1\n1 \xff\n2 3\n")
-    code = cli.main(["run", "--in", str(bad), "--algo", "c",
-                     "--max-sweeps", "5", "--tol", "1e-8",
-                     "--csv", str(tmp_path / "o.csv")])
+@pytest.mark.parametrize("name,data,argv,position", [
+    ("latin1.st", b"symtensor v1 d=2 n=2 m=1\n1 \xff\n2 3\n",
+     ["run", "--in", "{bad}", "--algo", "c", "--max-sweeps", "5",
+      "--tol", "1e-8", "--csv", "{out}"], 27),
+    # a text read decodes whole chunks, so the file is named, not the line
+    ("latin1.cfg", b"algo=c eps=\xff\n",
+     ["bench", "--in", "{problem}", "--suite", "{bad}", "--outdir", "{out}"],
+     11),
+], ids=["run", "bench"])
+def test_run_of_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys,
+                                                          name, data, argv,
+                                                          position):
+    paths = {"bad": tmp_path / name, "problem": tmp_path / "p.st",
+             "out": tmp_path / "out"}
+    paths["bad"].write_bytes(data)
+    cli.main(gen_args(paths["problem"]))
+    capsys.readouterr()
+    code = cli.main([arg.format(**paths) for arg in argv])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 27:"
-        " invalid start byte\n")
-    assert not (tmp_path / "o.csv").exists()
+        f"error: {paths['bad']}: 'utf-8' codec can't decode byte 0xff in"
+        f" position {position}: invalid start byte\n")
+    assert not paths["out"].exists()

@@ -307,12 +307,15 @@ def test_verify_invariants_pass_on_clean_problem():
     assert [c.name for c in checks] == VERIFY_CHECKS
 
 
-@pytest.mark.parametrize("order,m", [(2, 3), (3, 1), (4, 2)])
-def test_verify_invariants_at_every_order(order, m):
+@pytest.mark.parametrize("order,m,slice_mode", [
+    (2, 3, False), (3, 1, False), (4, 2, False),
+    (4, 1, True),     # the n = 4 third-order slices of a 4th-order tensor
+], ids=["2-3", "3-1", "4-2", "4-slices"])
+def test_verify_invariants_at_every_order(order, m, slice_mode):
     # every order runs the same four checks, in order, and each verdict is
     # a Python bool, so a list of checks goes through json.dumps
     spec = ExperimentSpec(n=4, order=order, m=m, sigma=1e-2, seed_rot=12,
-                          seed_noise=13)
+                          seed_noise=13, slice_mode=slice_mode)
     tensors, _ = make_test_problem(spec)
     checks = verify_invariants(tensors, samples=6)
     assert [c.name for c in checks] == VERIFY_CHECKS
