@@ -21,13 +21,15 @@ EXIT_INVARIANT = 3
 
 
 def _build_parser():
+    # options only as written in full: a prefix could later name two
     parser = argparse.ArgumentParser(
-        prog="jacobidiag",
+        prog="jacobidiag", allow_abbrev=False,
         description="Jacobi-rotation simultaneous diagonalization of "
                     "symmetric matrices and 3rd/4th-order symmetric tensors.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a synthetic test problem")
+    gen = sub.add_parser("gen", help="generate a synthetic test problem",
+                         allow_abbrev=False)
     gen.add_argument("--n", type=int, required=True, help="dimension")
     gen.add_argument("--d", type=int, required=True, help="tensor order (2-4)")
     gen.add_argument("--m", type=int, default=1, help="number of tensors")
@@ -40,7 +42,8 @@ def _build_parser():
                      help="cut the 4th-order tensor into n 3rd-order slices")
     gen.add_argument("--out", required=True, help="output tensor file")
 
-    runp = sub.add_parser("run", help="run one algorithm on a tensor file")
+    runp = sub.add_parser("run", help="run one algorithm on a tensor file",
+                          allow_abbrev=False)
     runp.add_argument("--in", dest="infile", required=True)
     runp.add_argument("--algo", choices=list(METHODS), required=True)
     runp.add_argument("--eps", type=float, default=None)
@@ -51,13 +54,15 @@ def _build_parser():
                       help="stationarity tolerance on ||Lambda||")
     runp.add_argument("--csv", required=True, help="trajectory output path")
 
-    bench = sub.add_parser("bench", help="run a suite of configurations")
+    bench = sub.add_parser("bench", help="run a suite of configurations",
+                           allow_abbrev=False)
     bench.add_argument("--in", dest="infile", required=True)
     bench.add_argument("--suite", required=True,
                        help="config file, one algorithm per line")
     bench.add_argument("--outdir", required=True)
 
-    ver = sub.add_parser("verify", help="run the invariant suite on a file")
+    ver = sub.add_parser("verify", help="run the invariant suite on a file",
+                         allow_abbrev=False)
     ver.add_argument("--in", dest="infile", required=True)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--samples", type=int, default=40)

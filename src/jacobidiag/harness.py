@@ -38,13 +38,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One synthetic problem's parameters, each checked when it is made
-    (frozen: ``make_diag_tensor`` and ``make_test_problem`` rely on it)."""
+    """One synthetic problem's parameters, each checked when it is made.
+    Frozen, with a named profile: every value read later is one checked."""
 
     n: int
     order: int
     m: int = 1
-    profile: object = "equal"      # "equal" | "linear" | explicit diagonal
+    profile: str = "equal"         # "equal" | "linear"
     sigma: float = 0.0
     seed_rot: int = 0
     seed_noise: int = 1
@@ -60,34 +60,19 @@ class ExperimentSpec:
         if self.slice_mode and (self.order, self.m) != (4, 1):
             raise ValueError(f"slice mode needs order 4 and m = 1, got "
                              f"order {self.order} and m = {self.m}")
-        if isinstance(self.profile, str):
-            valid = self.profile in ("equal", "linear")
-        else:
-            try:
-                values = np.asarray(self.profile, dtype=np.float64)
-                valid = (values.shape == (self.n,)
-                         and np.isfinite(values).all() and values @ values > 0)
-            except (TypeError, ValueError):
-                valid = False
-        if not valid:
-            raise ValueError(f"profile must be 'equal', 'linear' or {self.n} "
-                             f"finite values of nonzero norm")
+        if not (isinstance(self.profile, str)
+                and self.profile in ("equal", "linear")):
+            raise ValueError(f"profile must be 'equal' or 'linear', "
+                             f"got {self.profile!r}")
 
 
 def make_diag_tensor(spec):
-    """Diagonal tensor (a TensorSet with m = 1) for the spec's profile.
-
-    Built-in profiles have unit Frobenius norm: 'equal' puts 1/sqrt(n) on
-    the diagonal, 'linear' puts (i+1)/sqrt(sum of squares).  A custom
-    profile, which ``ExperimentSpec`` has checked, is used as given.
-    """
-    if isinstance(spec.profile, str):
-        weights = (np.arange(1, spec.n + 1, dtype=np.float64)
-                   if spec.profile == "linear" else np.ones(spec.n))
-        values = weights / math.sqrt(float(np.sum(weights**2)))
-    else:
-        values = np.asarray(spec.profile, dtype=np.float64)
-    return TensorSet.from_diagonal(values, spec.order)
+    """Diagonal TensorSet (m = 1) of unit Frobenius norm: 'equal' puts
+    1/sqrt(n) on the diagonal, 'linear' (i+1)/sqrt(sum of squares)."""
+    weights = (np.arange(1, spec.n + 1, dtype=np.float64)
+               if spec.profile == "linear" else np.ones(spec.n))
+    return TensorSet.from_diagonal(
+        weights / math.sqrt(float(np.sum(weights**2))), spec.order)
 
 
 def make_test_problem(spec):
@@ -120,14 +105,15 @@ def make_test_problem(spec):
     return tensors, rot.T
 
 
-def run_benchmark(tensors, configs, outdir=None):
+def run_benchmark(tensors, configs, outdir):
     """Run each config on the same problem from the identity; return one
     row per config, in order.
 
     A row is the run's ``RunResult.summary()`` plus ``csv_path``, its
-    trajectory CSV under outdir (None without outdir).  A run that raised
-    gives {"label", "method", "error"}, and the other configs still run.
-    ValueError before any run if two CSV names clash.
+    trajectory CSV, written under outdir.  A run that raised gives
+    {"label", "method", "error"}, and the other configs still run.
+    ValueError before any run, and before outdir is made, if two CSV
+    names clash.
     """
     by_file = {}
     for cfg in configs:
@@ -137,8 +123,7 @@ def run_benchmark(tensors, configs, outdir=None):
             raise ValueError(f"configs {by_file[fname].label!r} and "
                              f"{cfg.label!r} share the file name {fname!r}")
         by_file[fname] = cfg
-    if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
+    os.makedirs(outdir, exist_ok=True)
     rows = []
     for fname, cfg in by_file.items():
         try:
@@ -148,10 +133,8 @@ def run_benchmark(tensors, configs, outdir=None):
                          "error": f"{type(exc).__name__}: {exc}"})
             continue
         row = res.summary()
-        row["csv_path"] = None
-        if outdir is not None:
-            row["csv_path"] = os.path.join(outdir, fname)
-            write_trajectory_csv(row["csv_path"], res)
+        row["csv_path"] = os.path.join(outdir, fname)
+        write_trajectory_csv(row["csv_path"], res)
         rows.append(row)
     return rows
 

@@ -11,10 +11,12 @@ Variants (method codes used throughout the package and the CLI):
     pc       cyclic order with proximal penalty delta0 * gamma(theta)
 
 Lambda is read as its upper triangle (``geometry.lambda_of``), a vector in
-the cyclic order ``upper_pairs``: the selectors and cthresh's skip test
-index it by pair position.  Every variant stops at max_sweeps or when
-||Lambda|| (``geometry.lambda_norm``) falls to the stationarity tolerance;
-cthresh additionally stops on a sweep without a rotation.
+the cyclic order ``upper_pairs``.  Each visit picks a position in it (the
+selectors' for g and gmax, the visit's own for the others), and ``run``
+takes the pair and cthresh's skip test from that position.  Every variant
+stops at max_sweeps or when ||Lambda|| (``geometry.lambda_norm``) falls to
+the stationarity tolerance; cthresh additionally stops on a sweep without
+a rotation.
 A run is strictly sequential, one path per visit: pick the pair, skip it
 (cthresh, theta 0) or solve its angle and rotate, append one record.
 After every sweep, a stationary stop included, Q is re-orthonormalized if
@@ -56,40 +58,32 @@ def upper_pairs(n):
     return tuple((i, j) for i in range(n - 1) for j in range(i + 1, n))
 
 
-def _pairs_of(lam):
-    """``upper_pairs(n)`` for an upper triangle of P = n(n-1)/2 entries."""
-    return upper_pairs((1 + math.isqrt(1 + 8 * len(lam))) // 2)
-
-
 def select_pair_max(lam):
-    """Pair maximizing |Lambda[i,j]| (ties: the first in row-major order),
-    from the upper triangle ``lam`` (``geometry.lambda_of``).
+    """Position in ``upper_pairs`` order of the pair maximizing
+    |Lambda[i,j]| (ties: the first), from the upper triangle ``lam``
+    (``geometry.lambda_of``).
 
     Returns None when Lambda vanishes (stationary point)."""
     vals = np.abs(lam)
     k = int(vals.argmax())
-    if vals[k] == 0.0:
-        return None
-    return _pairs_of(lam)[k]
+    return None if vals[k] == 0.0 else k
 
 
-def select_pair_gradient(lam, eps, norm=None):
-    """First pair in cyclic order with 2 |Lambda[i,j]| >= eps ||Lambda||,
-    from the upper triangle ``lam`` (``geometry.lambda_of``).
+def select_pair_gradient(lam, eps, norm):
+    """Position in ``upper_pairs`` order of the first pair with
+    2 |Lambda[i,j]| >= eps ||Lambda||, from the upper triangle ``lam``
+    (``geometry.lambda_of``) and its ``norm`` (``geometry.lambda_norm``).
 
     Guaranteed to exist for 0 < eps <= 2/n (the maximal entry satisfies
     2 |Lambda[i,j]| >= (2/n) ||Lambda||); the argmax pair is the roundoff
-    fallback.  Returns None when Lambda vanishes.  ``norm`` is
-    ``geometry.lambda_norm(lam)`` if the caller has it already.
+    fallback.  Returns None when Lambda vanishes.
     """
-    if norm is None:
-        norm = lambda_norm(lam)
     if norm == 0.0:
         return None
     bound = eps * norm
     for k, x in enumerate(lam.tolist()):
         if 2.0 * abs(x) >= bound:
-            return _pairs_of(lam)[k]
+            return k
     return select_pair_max(lam)
 
 
@@ -143,6 +137,8 @@ class RunConfig:
         for attr in ("eps", "delta0", "thresh", "stationarity_tol"):
             if getattr(self, attr) is not None:
                 _check_nonnegative(attr, getattr(self, attr))
+        if self.method == "cthresh" and self.thresh == 0:
+            raise ValueError("thresh must be positive for cthresh")
 
     @property
     def label(self):
@@ -248,8 +244,6 @@ def run(tensors, config=None, q0=None):
     tol = cfg.stationarity_tol if cfg.stationarity_tol is not None \
         else 1e-10 * scale
     thresh = cfg.thresh if cfg.thresh is not None else 1e-10 * scale
-    if cfg.method == "cthresh" and thresh <= 0:
-        raise ValueError("cthresh needs a positive threshold")
 
     pairs = upper_pairs(n)
     records = []
@@ -267,14 +261,15 @@ def run(tensors, config=None, q0=None):
                 break
             # Lambda != 0 here, so neither selector returns None
             if cfg.method == "g":
-                i, j = select_pair_gradient(lam, eps, lam_norm)
+                pick = select_pair_gradient(lam, eps, lam_norm)
             elif cfg.method == "gmax":
-                i, j = select_pair_max(lam)
+                pick = select_pair_max(lam)
             else:
-                i, j = pairs[pos]
+                pick = pos
+            i, j = pairs[pick]
             theta = 0.0
             skipped = cfg.method == "cthresh" and bool(
-                abs(lam[pos]) <= thresh / n)
+                abs(lam[pick]) <= thresh / n)
             if not skipped:
                 view = SubproblemView.from_tensors(state.tensors, i, j, delta0)
                 theta = best_angle(view).theta

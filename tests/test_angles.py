@@ -336,6 +336,30 @@ def test_solve_xi_roots_keeps_a_tiny_root():
         assert tiny == pytest.approx(e0 / f0, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("nu,delta0,want", [
+    # two critical points 2e-12 apart: one of Ferrari's quadratic factors
+    # has a discriminant below zero by rounding only, a double root
+    ([2.0, 1.0, 0.0, -2.0, -1.0], 30.2813718062942,
+     [-0.1247298386420, -0.1247298386420, 0.0, 3.058487403319033]),
+    # Omega = 32 (-1, -11, -36, -16, 64): a triple critical point at
+    # tan(phi/2) = 1/2, where the resolvent cubic, depressed, is z^3 = 0
+    ([-1.0, 0.0, 2.0, 4.0, 1.0], 36.0,
+     [2.0 * math.atan(-2.0)] + [2.0 * math.atan(0.5)] * 3),
+    # Omega = (0, 0, -96, 0, 128): g = sin(phi) (cos(phi) - 1) has
+    # g' = g'' = 0 at phi = 0, where a Newton step would divide 0 by 0
+    ([-2.0, 0.0, -1.0, -1.0, 0.0], 12.0,
+     [-2.0 * math.pi / 3, 0.0, 0.0, 2.0 * math.pi / 3]),
+], ids=["double", "triple", "inflection-at-0"])
+def test_degenerate_critical_points_are_kept(nu, delta0, want):
+    # exact fourth-order views whose g' has a repeated root: each root is
+    # returned as often as it repeats, and the best angle is the oracle's
+    view = SubproblemView([nu], delta0)
+    assert sorted(critical_phis(view)) == pytest.approx(want, abs=1e-9)
+    va = h_tilde(view, best_angle(view).theta)
+    vo = h_tilde(view, brute_force_angle(view).theta)
+    assert abs(va - vo) <= 1e-10 * (1 + abs(vo))
+
+
 def test_quartic_roots_planted():
     def monic(roots):
         c = np.array([1.0])

@@ -152,10 +152,15 @@ def test_run_non_finite_delta0_exits_2(tmp_path, capsys, value):
 
 
 def test_run_unknown_algo_is_argparse_error(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "--in", "x", "--algo", "newton", "--max-sweeps", "5",
-                  "--tol", "1e-8", "--csv", "y"])
-    assert exc.value.code == 2
+    # an unknown method, and an option abbreviated: argparse refuses each
+    # (SystemExit) before any file is read
+    argv = ["run", "--in", "x", "--algo", "c", "--max-sweeps", "5",
+            "--tol", "1e-8", "--csv", "y"]
+    for given, bad in (("c", "newton"), ("--max-sweeps", "--max-sweep"),
+                       ("--tol", "--to")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([bad if arg == given else arg for arg in argv])
+        assert exc.value.code == 2
 
 
 def test_bench_runs_suite(tmp_path, capsys):
@@ -246,7 +251,8 @@ def test_bench_clashing_labels_exits_2(tmp_path, capsys, names):
     ("algo=c eps=nan", "eps must be finite"),
     ("algo=c record-every=0", "record_every must be >= 1"),
     ("algo=c max-sweeps=5 max_sweeps=50", "max_sweeps is set twice"),
-    ("algo=c algo=g", "method is set twice")])
+    ("algo=c algo=g", "method is set twice"),
+    ("algo=cthresh thresh=0", "thresh must be positive for cthresh")])
 def test_bench_suite_value_error_exits_2_with_location(tmp_path, capsys,
                                                        line, message):
     problem = tmp_path / "p.st"
@@ -374,7 +380,15 @@ def test_verify_without_samples_exits_2(tmp_path, capsys, samples):
     # the first bad token in file order, as when every token was parsed
     ("symtensor v1 d=2 n=3 m=1\n1 x 2\ny 3 x\n2 z 4\n",
      "{}: could not convert string to float: 'x'"),
-], ids=["huge-n", "truncated", "non-numeric", "non-numeric-first-named"])
+    ("symtensor v1 d=x n=2 m=1\n1 2\n2 3\n", "bad symtensor header in {}"),
+    ("symtensor v1 d=5 n=2 m=1\n1\n",
+     "unsupported symtensor parameters d=5 n=2 m=1"),
+    ("symtensor v1 d=2 n=1 m=1\n1\n",
+     "unsupported symtensor parameters d=2 n=1 m=1"),
+    ("symtensor v1 d=2 n=2 m=0\n",
+     "unsupported symtensor parameters d=2 n=2 m=0"),
+], ids=["huge-n", "truncated", "non-numeric", "non-numeric-first-named",
+        "non-integer-header", "d=5", "n=1", "m=0"])
 def test_run_malformed_body_exits_2(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.st"
     bad.write_text(text)

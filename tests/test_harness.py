@@ -78,28 +78,29 @@ def test_linear_profile_diagonal():
     assert d.frob_sq() == pytest.approx(1.0, rel=1e-14)
 
 
-def test_custom_profile():
-    spec = ExperimentSpec(n=3, order=2, profile=[1.0, 2.0, 2.0])
-    d = make_diag_tensor(spec)
-    assert np.array_equal(d.packed[:d.dim].T[0], [1.0, 2.0, 2.0])
-
-
 def test_unknown_profile():
-    with pytest.raises(ValueError, match="^profile must be 'equal', 'linear'"):
+    with pytest.raises(ValueError,
+                       match="^profile must be 'equal' or 'linear', got "
+                             "'cubic'$"):
         ExperimentSpec(n=4, order=2, profile="cubic")
-    # frozen: a field cannot be set after the checks, past them
+    # frozen: a field cannot be set after the checks, past them; every
+    # field is immutable, so a spec hashes
+    spec = ExperimentSpec(n=4, order=2)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        ExperimentSpec(n=4, order=2).profile = "cubic"
+        spec.profile = "cubic"
+    assert hash(spec) == hash(ExperimentSpec(n=4, order=2))
 
 
 @pytest.mark.parametrize("profile", [
     "flat", [1.0, 2.0], [0.0, 0.0, 0.0], [math.nan, 1.0, 2.0],
-    [math.inf, 1.0, 2.0], ["a", "b", "c"], [{}, 1.0, 2.0], None])
+    [math.inf, 1.0, 2.0], ["a", "b", "c"], [{}, 1.0, 2.0], None,
+    [1.0, 2.0, 2.0], np.array([1.0, 2.0, 2.0]), ["equal"]])
 def test_spec_refuses_bad_profile_when_made(profile):
     # refused by name where the spec is made, before make_diag_tensor
-    # or from_diagonal sees it
-    with pytest.raises(ValueError, match="^profile must be 'equal', 'linear' "
-                       "or 3 finite values of nonzero norm$"):
+    # sees it: a profile is one of two names, never values that could be
+    # changed after the check
+    with pytest.raises(ValueError,
+                       match="^profile must be 'equal' or 'linear', got "):
         ExperimentSpec(n=3, order=2, profile=profile)
 
 
@@ -195,9 +196,11 @@ def test_parse_suite_file(tmp_path):
         "algo=c\n"
         "\n"
         "algo=g eps=0.02 name=grad-small\n"
-        "algo=pc delta0=1e-3 max-sweeps=40 tol=1e-9\n")
+        "algo=pc delta0=1e-3 max-sweeps=40 tol=1e-9\n"
+        "algo=cthresh thresh=1e-8\n")
     configs = parse_suite_file(p)
-    assert [c.method for c in configs] == ["c", "g", "pc"]
+    assert [c.method for c in configs] == ["c", "g", "pc", "cthresh"]
+    assert configs[3].label == "cthresh-thresh=1e-08"
     assert configs[1].eps == 0.02 and configs[1].label == "grad-small"
     assert configs[2].max_sweeps == 40
     assert configs[2].stationarity_tol == 1e-9
@@ -224,7 +227,10 @@ SUITE_VALUE_ERRORS = [("algo=c max-sweeps=abc", "invalid literal for int()"),
                        "max_sweeps is set twice (by 'max_sweeps')"),
                       ("algo=c record_every=2 record-every=3",
                        "record_every is set twice (by 'record-every')"),
-                      ("algo=c algo=g", "method is set twice (by 'algo')")]
+                      ("algo=c algo=g", "method is set twice (by 'algo')"),
+                      ("algo=c eps", "expected key=value, got 'eps'"),
+                      ("algo=cthresh thresh=0",
+                       "thresh must be positive for cthresh")]
 
 
 @pytest.mark.parametrize("line,message", SUITE_VALUE_ERRORS)
@@ -279,8 +285,6 @@ def test_run_benchmark_reports_and_csv(tmp_path, monkeypatch):
         assert row["offdiag_sq"] == res.state.offdiag_sq()
         assert row["sweeps"] == res.sweeps_used
         assert (tmp_path / f"{row['label']}.csv").exists()
-    without_dir = run_benchmark(tensors, configs[:1])
-    assert without_dir[0]["csv_path"] is None
 
 
 def test_run_benchmark_labels_show_delta0_for_every_method(tmp_path):
@@ -305,6 +309,8 @@ def test_verify_invariants_pass_on_clean_problem():
     checks = verify_invariants(tensors, samples=10)
     assert checks and all(c.passed for c in checks)
     assert [c.name for c in checks] == VERIFY_CHECKS
+    # dense members are checked as TensorSet(members), here bitwise tensors
+    assert verify_invariants(list(tensors.stack), samples=10) == checks
 
 
 @pytest.mark.parametrize("order,m,slice_mode", [

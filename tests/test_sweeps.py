@@ -8,7 +8,7 @@ import pytest
 
 from jacobidiag import sweeps
 from jacobidiag.angles import MAX_SQ_NORM, SubproblemView
-from jacobidiag.geometry import RotationState, random_rotation
+from jacobidiag.geometry import RotationState, lambda_norm, random_rotation
 from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.oracle import rotate_planes_reference
 from jacobidiag.sweeps import (RunConfig, run, select_pair_gradient,
@@ -37,6 +37,19 @@ def upper(lam):
     return lam[np.triu_indices(len(lam), 1)]
 
 
+def max_pair(lam):
+    """``select_pair_max`` on a full skew Lambda, its position read as the
+    pair ``run`` takes from ``upper_pairs``."""
+    k = select_pair_max(upper(lam))
+    return None if k is None else upper_pairs(len(lam))[k]
+
+
+def gradient_pair(lam, eps, norm):
+    """``select_pair_gradient`` on a full skew Lambda, as ``max_pair``."""
+    k = select_pair_gradient(upper(lam), eps, norm)
+    return None if k is None else upper_pairs(len(lam))[k]
+
+
 # ---------------------------------------------------------------------------
 # pair selection
 
@@ -44,22 +57,23 @@ def test_select_pair_max_cases():
     lam = np.zeros((6, 6))
     lam[2, 5] = -3.0
     lam[5, 2] = 3.0
-    assert select_pair_max(upper(lam)) == (2, 5)
+    assert max_pair(lam) == (2, 5)
+    assert select_pair_max(upper(lam)) == upper_pairs(6).index((2, 5))
     assert select_pair_max(np.zeros(4 * 3 // 2)) is None
     tie = np.zeros((4, 4))
     tie[0, 1] = tie[1, 2] = 2.0
     tie -= tie.T
-    assert select_pair_max(upper(tie)) == (0, 1)
+    assert max_pair(tie) == (0, 1)
     # the first maximum in row-major order, not in column-major order
     tie = np.zeros((4, 4))
     tie[0, 3] = tie[1, 2] = -2.0
-    assert select_pair_max(upper(tie - tie.T)) == (0, 3)
+    assert max_pair(tie - tie.T) == (0, 3)
 
 
 def test_select_pair_max_satisfies_two_over_n_bound():
     for seed in range(20):
         lam = skew(7, seed)
-        i, j = select_pair_max(upper(lam))
+        i, j = max_pair(lam)
         assert 2 * abs(lam[i, j]) >= (2.0 / 7) * np.linalg.norm(lam) * (1 - 1e-12)
 
 
@@ -68,15 +82,15 @@ def test_select_pair_gradient_cases():
     lam[2, 5] = 1.0
     lam[5, 2] = -1.0
     for eps in (2.0 / 6, 0.01):
-        assert select_pair_gradient(upper(lam), eps) == (2, 5)
-    assert select_pair_gradient(np.zeros(5 * 4 // 2), 0.1) is None
+        assert gradient_pair(lam, eps, lambda_norm(upper(lam))) == (2, 5)
+    assert select_pair_gradient(np.zeros(5 * 4 // 2), 0.1, 0.0) is None
     # the cyclic order scanned above, one sweep long
     assert upper_pairs(3) == ((0, 1), (0, 2), (1, 2))
     assert len(upper_pairs(5)) == 5 * 4 // 2
     for seed in range(20):
         lam = skew(8, 100 + seed)
         eps = 2.0 / 8
-        i, j = select_pair_gradient(upper(lam), eps)
+        i, j = gradient_pair(lam, eps, lambda_norm(upper(lam)))
         assert 2 * abs(lam[i, j]) >= eps * np.linalg.norm(lam) * (1 - 1e-12)
 
 
@@ -111,18 +125,18 @@ def row_major_gradient(lam, eps):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_pair_selection_matches_a_row_major_scan(n):
+    # eps = 4 > 2/n: no entry reaches the bound, and the argmax is taken
     for seed in range(40):
         lam = skew(n, seed) if seed % 4 == 0 else skew_with_ties(n, seed)
         want = row_major_max(lam)
-        assert select_pair_max(upper(lam)) == want
+        assert max_pair(lam) == want
         if want is None:
-            assert select_pair_gradient(upper(lam), 0.1) is None
+            assert gradient_pair(lam, 0.1, lambda_norm(upper(lam))) is None
             continue
-        for eps in (2.0 / n, 0.5 / n, 1e-3):
+        for eps in (2.0 / n, 0.5 / n, 1e-3, 4.0):
             want = row_major_gradient(lam, eps)
-            assert select_pair_gradient(upper(lam), eps) == want
-            norm = float(np.linalg.norm(lam))
-            assert select_pair_gradient(upper(lam), eps, norm) == want
+            for norm in (lambda_norm(upper(lam)), float(np.linalg.norm(lam))):
+                assert gradient_pair(lam, eps, norm) == want
 
 
 def test_stationarity_norm_matches_lambda():
@@ -213,6 +227,12 @@ def test_config_validation():
     cfg = RunConfig(method="g", eps=0.5)
     with pytest.raises(ValueError):
         run(noisy_problem(2, n=6), cfg)      # 0.5 > 2/n
+    # cthresh's threshold is refused when the config is made; its default,
+    # 1e-10 ||T||, is positive for every set run accepts
+    with pytest.raises(ValueError, match="^thresh must be positive for "
+                                         "cthresh$"):
+        RunConfig(method="cthresh", thresh=0)
+    assert RunConfig(method="c", thresh=0).thresh == 0
 
 
 @pytest.mark.parametrize("attr,value", [("max_sweeps", 2.5), ("eps", "x"),
@@ -646,7 +666,8 @@ def test_csv_deterministic_except_walltime(tmp_path):
     cfg = RunConfig(method="pc", max_sweeps=5)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trajectory_csv(p1, run(ts, cfg))
-    write_trajectory_csv(p2, run(ts, cfg))
+    # a dense array is run as TensorSet(array), here bitwise ts
+    write_trajectory_csv(p2, run(ts.stack[0], cfg))
     strip = lambda p: ["," .join(line.split(",")[:-1])
                        for line in p.read_text().splitlines()]
     assert strip(p1) == strip(p2)

@@ -554,6 +554,11 @@ def test_from_diagonal_rejects_bad_input(values):
         TensorSet.from_diagonal(values, 3)
 
 
+def test_from_diagonal_rejects_an_unsupported_order():
+    with pytest.raises(ValueError, match="^unsupported tensor order 5$"):
+        TensorSet.from_diagonal([1.0, 2.0], 5)
+
+
 def test_tensorset_validation():
     with pytest.raises(ValueError):
         TensorSet([])
@@ -657,6 +662,11 @@ def test_save_writes_the_bytes_of_the_reference_writer(order, m, tmp_path):
     write_v1(tmp_path / "reference.st", ts.stack)
     assert ((tmp_path / "saved.st").read_bytes()
             == (tmp_path / "reference.st").read_bytes())
+    # a dense array is saved as TensorSet(array), here bitwise ts
+    save_tensorset(tmp_path / "dense.st", ts.stack[0] if m == 1
+                   else list(ts.stack))
+    assert ((tmp_path / "dense.st").read_bytes()
+            == (tmp_path / "saved.st").read_bytes())
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
