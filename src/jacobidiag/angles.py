@@ -24,10 +24,14 @@ They are quadratic forms in the restricted entries, read off one Gram
 product (``omega_xi_coeffs``).
 
 For d in {2, 3} the maximizer is theta = atan2(4 A0, A1) / 4.  For d = 4
-the critical points are the real roots of a quartic in tan(phi/2), solved
-in closed form and polished by Newton's method on g' (``solve_xi_roots``);
-together with phi in {0, pi} they are scored by a form of g without
-cancellation near phi = 0.
+a certificate (``_certified_max``) first tries to show that g < 0 outside
+an interval around 0 on which g is strictly concave; the maximizer is
+then the one root of g' there, found by Newton's method from 0.  The
+certificate holds on most steps of a run near its limit, where pairs are
+nearly diagonal.  Where it fails, the critical points are the real roots
+of a quartic in tan(phi/2), solved in closed form and polished by Newton's
+method on g' (``solve_xi_roots``); together with phi in {0, pi} they are
+scored by a form of g without cancellation near phi = 0 (``_gain``).
 """
 
 from __future__ import annotations
@@ -316,9 +320,9 @@ _MINUS_PI_SNAP = -math.pi + 1e-14
 
 def solve_xi_roots(trig):
     """Critical points of g (from ``_trig_form``) in (-pi, pi], each
-    polished by Newton's method on g'.  The name is the one the xi route
-    had, which the benchmark's tracer hooks; the rename waits for ROADMAP
-    item 1.
+    polished by Newton's method on g'.  ``best_angle`` calls it only where
+    ``_certified_max`` fails.  The name is the one the xi route had, which
+    the benchmark's tracer hooks; the rename waits for ROADMAP item 1.
 
     In a frame phi = phi0 + psi, g'(phi0 + psi) = p cos(psi) - q sin(psi)
     + 2 r cos(2 psi) - 2 s sin(2 psi), with p = a1 cos(phi0) - b1 sin(phi0),
@@ -379,20 +383,90 @@ class AngleResult:
     gain: float
 
 
+def _gain(phi, e0, f0, a1, b1, a2, b2):
+    """g(phi) = s (e0 - 4 a2 h^2) - 2 h^2 (f0 - 4 b2 h^2), h = sin(phi/2),
+    s = sin(phi): the trig form rewritten around g'(0) = e0 and
+    g''(0) = -f0, with no cancellation at tiny phi."""
+    hh = math.sin(0.5 * phi) ** 2
+    return (math.sin(phi) * (e0 - 4.0 * a2 * hh)
+            - 2.0 * hh * (f0 - 4.0 * b2 * hh))
+
+
+# Newton's method stops once a step is this small relative to phi: the point
+# it steps to is then off by about the step squared, far below rounding
+_STEP_RTOL = 2.0 ** -40
+_MAX_STEPS = 64
+
+
+def _certified_max(trig):
+    """The global maximizer phi of g (from ``_trig_form``) when a
+    certificate shows that it is the one root of g' on an interval where g
+    is strictly concave; None when the certificate fails.
+
+    With h = sin(phi/2) and s = sin(phi), g = s (e0 - 4 a2 h^2)
+    - 2 h^2 (f0 - 4 b2 h^2) (``_gain``).  Bound s e0 by 2 |e0| |h|
+    (|s| <= 2 |h|), -4 a2 s h^2 by 4 |a2| h^2 (|s| <= 1) and 8 b2 h^4 by
+    8 max(b2, 0) h^2 (h^2 <= 1):
+
+        g <= 2 |e0| |h| - c h^2,   c = 2 f0 - 4 |a2| - 8 max(b2, 0).
+
+    If 2 |e0| < c, every phi with |h| > 2 |e0| / c has g < 0 = g(0), so the
+    global maximum lies in |phi| <= phi_max = 2 asin(2 |e0| / c).  Next,
+    g''' = -a1 cos(phi) + b1 sin(phi) - 8 a2 cos(2 phi) + 8 b2 sin(2 phi),
+    so |g'''| <= L = |a1| + |b1| + 8 |a2| + 8 |b2|, and g'' <= -f0 + L |phi|.
+    If also phi_max L < f0, g'' < 0 on the interval: g' falls strictly
+    there, from g'(0) = e0 toward the side of 0 that e0's sign picks, and
+    its one root there is the maximizer (g is at most 0 at the interval's
+    ends, and g(0) = 0).  Both bounds are strict for phi != 0, which
+    leaves slack for the rounding of the two tests.
+
+    The root is found by Newton's method on ``_slopes`` from phi = 0, each
+    step kept inside the bracket that the signs of g' have shrunk so far,
+    and replaced by bisection where it would leave it.  A run that does not
+    converge in ``_MAX_STEPS`` steps returns None too.
+    """
+    e0, f0, a1, b1, a2, b2 = trig
+    c = 2.0 * f0 - 4.0 * abs(a2) - 8.0 * max(b2, 0.0)
+    if not 2.0 * abs(e0) < c:
+        return None
+    phi_max = 2.0 * math.asin(2.0 * abs(e0) / c)
+    if not phi_max * (abs(a1) + abs(b1) + 8.0 * (abs(a2) + abs(b2))) < f0:
+        return None
+    lo, hi = (0.0, phi_max) if e0 > 0.0 else (-phi_max, 0.0)
+    phi, gp, gpp = 0.0, e0, -f0
+    for _ in range(_MAX_STEPS):
+        if gp == 0.0:
+            return phi
+        nxt = phi - gp / gpp if gpp < 0.0 else math.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        elif abs(nxt - phi) <= _STEP_RTOL * abs(nxt):
+            return nxt
+        phi = nxt
+        gp, gpp = _slopes(phi, *trig)
+        if gp > 0.0:
+            lo = phi
+        else:
+            hi = phi
+    return None
+
+
 def best_angle(view):
     """Maximize h~ over [-pi/4, pi/4]; return theta and h~(theta) - h~(0).
 
     d in {2, 3}: theta = atan2(4 A0, A1) / 4 with the cancellation-free gain
     A0^2 / (r + A1) if A1 > 0, else (r - A1) / 16, r = hypot(4 A0, A1); the
     tie at A0 = 0 > A1 goes to +pi/4, and a constant h~ gives (0, 0).
-    d = 4: the critical points phi of g (``solve_xi_roots``) and phi in
-    {0, pi}, each scored by
-
-        g(phi) = s (e0 - 4 a2 h^2) - 2 h^2 (f0 - 4 b2 h^2),
-
-    h = sin(phi/2), s = sin(phi), which has no cancellation at tiny phi;
-    gains within 1e-12 relative of the best tie, and ties go to smaller
-    |theta|, then to +, so a constant h~ gives (0, 0).
+    d = 4: where ``_certified_max`` certifies that g has one maximizer in
+    an interval around 0, outside which g < 0, that maximizer, found by
+    Newton's method, and its gain (``_gain``); (0, 0) if that gain is not
+    positive (at e0 = 0, or by rounding).  Otherwise the critical points
+    phi of g (``solve_xi_roots``) and phi in {0, pi}, each scored by
+    ``_gain``, which has no cancellation at tiny phi; gains within 1e-12
+    relative of the best tie, and ties go to smaller |theta|, then to +,
+    so a constant h~ gives (0, 0).  The certificate holds on most steps of
+    a run near its limit, where pairs are nearly diagonal; it fails on
+    pairs far from diagonal and where a tie is possible.
     Both gains stay exact down to far below the resolution of h~ itself.
     """
     omega = omega_xi_coeffs(view)
@@ -406,12 +480,14 @@ def best_angle(view):
         # atan2 = +pi (theta = +pi/4), not -pi
         return AngleResult(0.25 * math.atan2(4.0 * a0 + 0.0, a1), gain)
     trig = _trig_form(omega)
-    e0, f0, _, b1, a2, b2 = trig
-    scored = [(0.0, 0.0), (-2.0 * b1, QUARTER_PI)]
-    for phi in solve_xi_roots(trig):
-        hh = math.sin(0.5 * phi) ** 2
-        scored.append((math.sin(phi) * (e0 - 4.0 * a2 * hh)
-                       - 2.0 * hh * (f0 - 4.0 * b2 * hh), 0.25 * phi))
+    phi = _certified_max(trig)
+    if phi is not None:
+        gain = _gain(phi, *trig)
+        return AngleResult(0.25 * phi, gain) if gain > 0.0 \
+            else AngleResult(0.0, 0.0)
+    # g(pi) = -2 b1
+    scored = [(0.0, 0.0), (-2.0 * trig[3], QUARTER_PI)]
+    scored += [(_gain(phi, *trig), 0.25 * phi) for phi in solve_xi_roots(trig)]
     floor = max(scored)[0]
     floor -= 1e-12 * abs(floor)
     gain, theta = min((p for p in scored if p[0] >= floor),

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobidiag import angles
-from jacobidiag.angles import (MAX_SQ_NORM, SubproblemView, _quartic_roots,
-                               _trig_form, best_angle, check_sq_norm,
-                               omega_xi_coeffs, solve_xi_roots)
+from jacobidiag import angles, sweeps
+from jacobidiag.angles import (MAX_SQ_NORM, SubproblemView, _certified_max,
+                               _quartic_roots, _trig_form, best_angle,
+                               check_sq_norm, omega_xi_coeffs, solve_xi_roots)
 from jacobidiag.geometry import RotationState, lambda_of, random_rotation
+from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.oracle import (brute_force_angle, h, h_prime_at_zero,
                                h_tilde, local_maxima, proximal_gamma)
-from jacobidiag.sweeps import upper_pairs
+from jacobidiag.sweeps import RunConfig, run, upper_pairs
 from jacobidiag.symtensor import TensorSet
 
 from reference import (best_angle_xi, dense_symmetrize, h_derivatives_at_zero,
@@ -596,6 +597,99 @@ def test_best_angle_is_scale_covariant_up_to_overflow():
         assert b.theta == a.theta and b.gain == 4.0**509 * a.gain
         with pytest.raises(ValueError, match="must be finite"):
             best_angle(SubproblemView(2.0**511 * base.nu))
+
+
+def scaled_off_diagonal_views(m, delta0_rel, seed, exponents, count=40):
+    """Fourth-order views whose off-diagonal entries are scaled by
+    10^U(exponents), delta0 = delta0_rel ||nu||^2."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        nu = rng.standard_normal((m, 5))
+        nu[:, 1:-1] *= 10.0 ** rng.uniform(*exponents)
+        yield SubproblemView(nu, delta0_rel * float(np.sum(nu * nu)))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("delta0_rel", [0.0, 1e-3, 1e-1])
+def test_certified_step_matches_the_quartic(m, delta0_rel, monkeypatch):
+    # near-diagonal: off-diagonal entries 1e-12 to 1e-1 of the others
+    views = [v for v in scaled_off_diagonal_views(m, delta0_rel, 7100 + m,
+                                                  (-12.0, -1.0))
+             if _certified_max(_trig_form(omega_xi_coeffs(v))) is not None]
+    assert len(views) >= 30
+    fast = [best_angle(v) for v in views]
+    monkeypatch.setattr(angles, "_certified_max", lambda trig: None)
+    for a, b in zip(fast, map(best_angle, views)):
+        assert a.gain == pytest.approx(b.gain, rel=1e-12, abs=0.0)
+        assert a.theta == pytest.approx(b.theta, rel=1e-12, abs=0.0)
+
+
+def test_certificate_bounds_g_where_it_holds():
+    # g < 0 outside |phi| <= phi_max and g'' < 0 inside, on grids; the
+    # maximizer is a root of g' inside the interval.  The trig forms come
+    # from views with off-diagonal entries 1e-3 to 1 of the others (phi_max
+    # up to about 0.6), and from random coefficients, where |a2| and |b2|
+    # can be large against f0 and a looser bound would fail
+    trigs = [_trig_form(omega_xi_coeffs(v)) for m in (1, 3)
+             for delta0_rel in (0.0, 1e-1)
+             for v in scaled_off_diagonal_views(m, delta0_rel, 7200 + m,
+                                                (-3.0, 0.0))]
+    rng = np.random.default_rng(7400)
+    for _ in range(400):
+        a2, b2 = rng.standard_normal(2)
+        f0 = abs(rng.standard_normal()) * 10.0 ** rng.uniform(0.0, 1.5)
+        e0 = rng.standard_normal() * 10.0 ** rng.uniform(-3.0, 0.5)
+        trigs.append((e0, f0, e0 - 2.0 * a2, f0 - 4.0 * b2, a2, b2))
+    certified = 0
+    for trig in trigs:
+        phi = _certified_max(trig)
+        if phi is None:
+            continue
+        certified += 1
+        e0, f0, a1, b1, a2, b2 = trig
+        phi_max = 2.0 * math.asin(
+            2.0 * abs(e0) / (2.0 * f0 - 4.0 * abs(a2) - 8.0 * max(b2, 0.0)))
+        grid = np.linspace(-math.pi, math.pi, 2049)
+        out = grid[np.abs(grid) > phi_max]
+        hh = np.sin(0.5 * out) ** 2
+        g = np.sin(out) * (e0 - 4.0 * a2 * hh) - 2.0 * hh * (f0 - 4.0 * b2 * hh)
+        assert np.all(g < 0.0)
+        inside = np.linspace(-phi_max, phi_max, 2049)
+        gpp = (-a1 * np.sin(inside) - b1 * np.cos(inside)
+               - 4.0 * a2 * np.sin(2.0 * inside)
+               - 4.0 * b2 * np.cos(2.0 * inside))
+        assert np.all(gpp < 0.0)
+        assert abs(phi) <= phi_max
+        assert abs(_g_prime(trig, phi)) <= 1e-12 * (abs(e0) + f0 * abs(phi))
+    assert 250 <= certified < len(trigs)
+
+
+def test_quarter_tie_view_falls_back_to_the_quartic(monkeypatch):
+    # h~ peaks at both +-pi/4, far outside any interval around 0 that the
+    # certificate could give
+    calls = []
+    solve = angles.solve_xi_roots
+    monkeypatch.setattr(angles, "solve_xi_roots",
+                        lambda trig: calls.append(trig) or solve(trig))
+    view = SubproblemView([[0.0, 1.0, 0.0, 1.0, 0.0]])
+    assert _certified_max(_trig_form(omega_xi_coeffs(view))) is None
+    assert best_angle(view).theta == QP
+    assert len(calls) == 1
+
+
+def test_most_angle_steps_of_a_run_skip_the_quartic(monkeypatch):
+    # a guard against a certificate that never holds: the run would still
+    # be right, only slower
+    steps, quartics = [], []
+    pick, solve = sweeps.best_angle, angles.solve_xi_roots
+    monkeypatch.setattr(sweeps, "best_angle",
+                        lambda view: steps.append(1) or pick(view))
+    monkeypatch.setattr(angles, "solve_xi_roots",
+                        lambda trig: quartics.append(1) or solve(trig))
+    tensors, _ = make_test_problem(ExperimentSpec(n=8, order=4, sigma=1e-4))
+    run(tensors, RunConfig(method="c"))
+    assert len(steps) > 50
+    assert len(quartics) <= len(steps) // 2
 
 
 def test_brute_force_basics():

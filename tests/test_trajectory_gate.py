@@ -1,6 +1,6 @@
 """tools/trajectory_gate.py: a dump reproduces itself bitwise, a run with
 ORTH_TOL patched re-orthonormalizes, and ``compare`` reports a changed
-angle."""
+angle, relative and in radians."""
 
 import importlib.util
 import json
@@ -31,7 +31,9 @@ def test_dump_is_reproducible_and_compare_reports_a_perturbed_angle(
     gate.dump(ROOT, b, GRID)
     assert a.read_bytes() == b.read_bytes()
     assert gate.main(["compare", str(a), str(b)]) == 0
-    assert "3 runs in a, 3 in b: bitwise identical" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "3 runs in a, 3 in b: bitwise identical" in out
+    assert "largest absolute theta change: 0 rad\n" in out
 
     dumped = json.loads(a.read_text())
     assert dumped["c d=4 m=2 p=0 orth_tol=1e-15"]["reorths"] > 0
@@ -40,10 +42,15 @@ def test_dump_is_reproducible_and_compare_reports_a_perturbed_angle(
     run = dumped["cthresh d=3 m=1 p=0"]
     assert sum(run["skipped"]) > 0 and run["stop_reason"] == "no_progress"
     first = run["skipped"].index(False)
+    old = run["theta"][first]
     run["theta"][first] *= 1 + 1e-9
     b.write_text(json.dumps(dumped))
     assert gate.main(["compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert "  theta: 1e-09 (cthresh d=3 m=1 p=0)" in out
     assert "  f: 0\n" in out
+    # and the absolute change, in radians
+    moved = abs(run["theta"][first] - old)
+    assert f"largest absolute theta change: {moved:.3g} rad " \
+        "(cthresh d=3 m=1 p=0)" in out
     assert out.rstrip().endswith("trajectories differ")

@@ -27,7 +27,10 @@ which reads back bitwise.
 the stop reason, ``converged`` and both counts) and, per float field, the
 largest relative change over all runs.  A record field's change is
 |a - b| / max(|a|, |b|) per value; Q's and the packed entries' is
-max |a - b| / max |a| per run.  It exits 0 when the trajectories match:
+max |a - b| / max |a| per run.  It also prints the largest absolute theta
+change in radians: late in a run theta is tiny, and a change at the
+rounding of the larger angles reads there as a large relative one.  The
+exit code does not read it.  It exits 0 when the trajectories match:
 the same pairs, skips and stops, and every float within ``FLOAT_RTOL``
 (bitwise where the arithmetic allows); otherwise 1.
 """
@@ -145,6 +148,7 @@ def compare(a, b):
             lines.append(f"only in {name}: {', '.join(sorted(only))}")
             match = False
     worst = {f: (0.0, None) for f in FLOAT_FIELDS}
+    theta_abs = (0.0, None)
     for key in (k for k in a if k in b):
         ra, rb = a[key], b[key]
         va, vb = _visits(ra), _visits(rb)
@@ -173,10 +177,17 @@ def compare(a, b):
                 rel = _rel_values(ra[f][:count], rb[f][:count])
             if rel > worst[f][0]:
                 worst[f] = (rel, key)
+        moved = max((abs(x - y) for x, y in zip(ra["theta"], rb["theta"])),
+                    default=0.0)
+        if moved > theta_abs[0]:
+            theta_abs = (moved, key)
     lines.append("largest relative change per float field:")
     for f, (rel, key) in worst.items():
         lines.append(f"  {f}: {rel:.3g}" + (f" ({key})" if key else ""))
         match = match and rel <= FLOAT_RTOL
+    moved, key = theta_abs
+    lines.append(f"largest absolute theta change: {moved:.3g} rad"
+                 + (f" ({key})" if key else ""))
     bitwise = match and all(rel == 0.0 for rel, _ in worst.values())
     lines.append(f"{len(a)} runs in a, {len(b)} in b: " + (
         "bitwise identical" if bitwise else
