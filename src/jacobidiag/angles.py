@@ -456,7 +456,9 @@ def best_angle(view):
 
     d in {2, 3}: theta = atan2(4 A0, A1) / 4 with the cancellation-free gain
     A0^2 / (r + A1) if A1 > 0, else (r - A1) / 16, r = hypot(4 A0, A1); the
-    tie at A0 = 0 > A1 goes to +pi/4, and a constant h~ gives (0, 0).
+    tie at A0 = 0 > A1 goes to +pi/4, and a constant h~ (A0 = A1 = 0) gets
+    (0, 0) from the same atan2.  At every order a non-finite coefficient of
+    Omega that the step reads raises ValueError.
     d = 4: where ``_certified_max`` certifies that g has one maximizer in
     an interval around 0, outside which g < 0, that maximizer, found by
     Newton's method, and its gain (``_gain``); (0, 0) if that gain is not
@@ -472,13 +474,14 @@ def best_angle(view):
     omega = omega_xi_coeffs(view)
     if len(omega) == 3:
         a0, a1, _ = omega.tolist()
-        if a0 == 0.0 and a1 == 0.0:
-            return AngleResult(0.0, 0.0)
+        if not (math.isfinite(a0) and math.isfinite(a1)):
+            raise ValueError("Omega's coefficients must be finite")
         r = math.hypot(4.0 * a0, a1)
         gain = a0 * (a0 / (r + a1)) if a1 > 0.0 else (r - a1) / 16.0
-        # + 0.0 turns A0 = -0.0 into +0.0, so the A0 = 0 > A1 tie gets
-        # atan2 = +pi (theta = +pi/4), not -pi
-        return AngleResult(0.25 * math.atan2(4.0 * a0 + 0.0, a1), gain)
+        # + 0.0 turns a -0.0 into +0.0: the A0 = 0 > A1 tie gets atan2 = +pi
+        # (theta = +pi/4), not -pi, and a constant h~ (A0 = A1 = 0) gets
+        # atan2(+0.0, +0.0) = +0.0, not -0.0 or pi
+        return AngleResult(0.25 * math.atan2(4.0 * a0 + 0.0, a1 + 0.0), gain)
     trig = _trig_form(omega)
     phi = _certified_max(trig)
     if phi is not None:

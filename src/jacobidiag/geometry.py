@@ -130,28 +130,22 @@ class RotationState:
         self.total_sq_norm = source.frob_sq()
         n = source.dim
         if q0 is None:
-            q = np.eye(n, order="F")
+            self.q = np.eye(n, order="F")
             self.tensors = source.copy()
         else:
-            q = np.array(q0, dtype=np.float64, order="F")
+            self.q = q = np.array(q0, dtype=np.float64, order="F")
             if q.shape != (n, n):
                 raise ValueError(f"Q0 shape {q.shape} does not match n={n}")
             # "not <=" also refuses the NaN a non-finite entry leaves
-            err = float(np.linalg.norm(q.T @ q - np.eye(n)))
-            if not err <= ORTH_TOL:
+            if not (err := self.orthogonality_error()) <= ORTH_TOL:
                 raise ValueError(
                     f"Q0 is not orthogonal: ||Q^T Q - I|| = {err:.3e}")
             if not abs(np.linalg.det(q) - 1.0) <= 1e-8:
                 raise ValueError("Q0 must have determinant +1")
             self.tensors = source.rotated_by(q)
-        self.q = q
         self._g, self._q_rows = np.empty((2, 2)), np.empty((2, n))
         self.rotation_count = 0
         self.reorth_count = 0
-
-    @property
-    def dim(self):
-        return self.source.dim
 
     @property
     def f_current(self):
@@ -166,8 +160,7 @@ class RotationState:
         return lambda_norm(lambda_of(self.tensors))
 
     def orthogonality_error(self):
-        n = self.dim
-        return float(np.linalg.norm(self.q.T @ self.q - np.eye(n)))
+        return float(np.linalg.norm(self.q.T @ self.q - np.eye(len(self.q))))
 
     def apply(self, i, j, theta):
         """Rotate by theta in the (i, j) plane, 0 <= i < j < n: Q <- Q G,

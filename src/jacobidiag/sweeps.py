@@ -228,7 +228,7 @@ def run(tensors, config=None, q0=None):
     if not isinstance(tensors, TensorSet):
         tensors = TensorSet(tensors)
     state = RotationState(tensors, q0)
-    n = state.dim
+    n = tensors.dim
     total = state.total_sq_norm
     if cfg.delta0 is not None:
         delta0 = cfg.delta0

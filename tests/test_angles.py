@@ -445,13 +445,53 @@ def test_best_angle_fourth_order_quarter_tie_breaks_positive():
     assert h_tilde(view, QP) - h_tilde(view, 0.0) == pytest.approx(8.0)
 
 
-def test_best_angle_constant_objective():
+def is_plus_zero(x):
+    # == 0.0 holds for -0.0 too
+    return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
+def test_best_angle_constant_objective(monkeypatch):
     # nu = 0: h is constant, and with delta0 > 0, h~ = -delta0 gamma peaks
     # at theta = 0
     for order in (2, 3, 4):
         for delta0 in (0.0, 0.5):
             res = best_angle(SubproblemView(np.zeros((2, order + 1)), delta0))
-            assert res.theta == 0.0 and res.gain == 0.0
+            assert is_plus_zero(res.theta) and is_plus_zero(res.gain)
+    # at d <= 3 a constant h~ is A0 = A1 = 0, of either sign, and the one
+    # atan2 must give (+0.0, +0.0) for all four
+    for order in (2, 3):
+        view = SubproblemView(np.zeros((1, order + 1)))
+        for a0 in (0.0, -0.0):
+            for a1 in (0.0, -0.0):
+                omega = np.array([a0, a1, 0.0])
+                monkeypatch.setattr(angles, "omega_xi_coeffs",
+                                    lambda v: omega)
+                res = best_angle(view)
+                assert is_plus_zero(res.theta) and is_plus_zero(res.gain)
+
+
+def overflowing_view(order, kind):
+    """A view whose Omega overflows: entries of 1e160, or pair (0, 1) of a
+    test problem scaled by 2^520 (its entries are finite, their squares
+    are not)."""
+    if kind == "full":
+        return SubproblemView(np.full((1, order + 1), 1e160))
+    ts, _ = make_test_problem(ExperimentSpec(n=4, order=order, sigma=1e-2))
+    return SubproblemView.from_tensors(
+        TensorSet(list(2.0**520 * ts.stack)), 0, 1)
+
+
+@pytest.mark.parametrize("kind", ["full", "scaled-set"])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_best_angle_refuses_an_overflowing_omega_at_every_order(order, kind):
+    # run and verify refuse such a set before the first rotation
+    # (check_sq_norm); a direct caller gets the same refusal at every order,
+    # not a NaN angle
+    with np.errstate(over="ignore", invalid="ignore"):
+        view = overflowing_view(order, kind)
+        with pytest.raises(ValueError,
+                           match="Omega's coefficients must be finite"):
+            best_angle(view)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])

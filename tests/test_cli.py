@@ -10,6 +10,8 @@ from jacobidiag.harness import CheckResult
 from jacobidiag.sweeps import RunConfig, run
 from jacobidiag.symtensor import TensorSet, load_tensorset, save_tensorset
 
+from test_harness import SUITE_VALUE_ERRORS
+
 
 def gen_args(out, **over):
     base = {"--n": "6", "--d": "3", "--m": "1", "--profile": "equal",
@@ -243,16 +245,7 @@ def test_bench_clashing_labels_exits_2(tmp_path, capsys, names):
     assert "share the file name" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line,message", [
-    ("algo=c max-sweeps=abc", "invalid literal for int()"),
-    ("algo=c eps=abc", "eps=abc: could not convert string"),
-    ("algo=c max-sweeps=2.5", "max-sweeps=2.5: invalid literal for int()"),
-    ("algo=zz", "unknown method 'zz'"),
-    ("algo=c eps=nan", "eps must be finite"),
-    ("algo=c record-every=0", "record_every must be >= 1"),
-    ("algo=c max-sweeps=5 max_sweeps=50", "max_sweeps is set twice"),
-    ("algo=c algo=g", "method is set twice"),
-    ("algo=cthresh thresh=0", "thresh must be positive for cthresh")])
+@pytest.mark.parametrize("line,message", SUITE_VALUE_ERRORS)
 def test_bench_suite_value_error_exits_2_with_location(tmp_path, capsys,
                                                        line, message):
     problem = tmp_path / "p.st"

@@ -271,7 +271,7 @@ def test_offdiag_sq_matches_a_fresh_oracle_sum_when_tiny(order):
     ts, _ = make_test_problem(spec)
     state = run(ts, RunConfig(method="c")).state
     assert state.offdiag_sq() <= 1e-20 * state.total_sq_norm
-    for i, j in upper_pairs(state.dim):
+    for i, j in upper_pairs(state.tensors.dim):
         view = SubproblemView.from_tensors(state.tensors, i, j)
         state.apply(i, j, best_angle(view).theta)
         fresh = offdiag_sq_norm(state.tensors)

@@ -216,6 +216,8 @@ def test_parse_suite_file(tmp_path):
         parse_suite_file(p)
 
 
+# (suite line, message): each is refused with the file and line, by
+# parse_suite_file here and by `bench` with exit 2 in tests/test_cli.py
 SUITE_VALUE_ERRORS = [("algo=c max-sweeps=abc", "invalid literal for int()"),
                       ("algo=c eps=abc", "eps=abc: could not convert string"),
                       ("algo=c max-sweeps=2.5",

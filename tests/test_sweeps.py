@@ -443,7 +443,7 @@ def test_forced_reorthonormalization_keeps_ascent(monkeypatch):
         assert rec.f >= prev - 1e-12 * total
         prev = rec.f
     assert state.f_current >= prev - 1e-12 * total
-    n = state.dim
+    n = state.tensors.dim
     assert np.linalg.norm(state.q.T @ state.q - np.eye(n)) <= 1e-12
     assert np.linalg.det(state.q) == pytest.approx(1.0, abs=1e-12)
 

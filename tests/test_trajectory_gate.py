@@ -1,6 +1,6 @@
 """tools/trajectory_gate.py: a dump reproduces itself bitwise, a run with
 ORTH_TOL patched re-orthonormalizes, and ``compare`` reports a changed
-angle, relative and in radians."""
+angle, relative and in radians, and how many values moved."""
 
 import importlib.util
 import json
@@ -34,6 +34,7 @@ def test_dump_is_reproducible_and_compare_reports_a_perturbed_angle(
     out = capsys.readouterr().out
     assert "3 runs in a, 3 in b: bitwise identical" in out
     assert "largest absolute theta change: 0 rad\n" in out
+    assert "theta values moved by more than 1e-12 relative: 0\n" in out
 
     dumped = json.loads(a.read_text())
     assert dumped["c d=4 m=2 p=0 orth_tol=1e-15"]["reorths"] > 0
@@ -53,4 +54,7 @@ def test_dump_is_reproducible_and_compare_reports_a_perturbed_angle(
     moved = abs(run["theta"][first] - old)
     assert f"largest absolute theta change: {moved:.3g} rad " \
         "(cthresh d=3 m=1 p=0)" in out
+    # and where theta moved: one value, at the perturbed theta's magnitude
+    assert "theta values moved by more than 1e-12 relative: 1, largest " \
+        f"|theta| among them {abs(run['theta'][first]):.3g} rad\n" in out
     assert out.rstrip().endswith("trajectories differ")

@@ -28,9 +28,11 @@ the stop reason, ``converged`` and both counts) and, per float field, the
 largest relative change over all runs.  A record field's change is
 |a - b| / max(|a|, |b|) per value; Q's and the packed entries' is
 max |a - b| / max |a| per run.  It also prints the largest absolute theta
-change in radians: late in a run theta is tiny, and a change at the
-rounding of the larger angles reads there as a large relative one.  The
-exit code does not read it.  It exits 0 when the trajectories match:
+change in radians, and how many theta values moved by more than
+``FLOAT_RTOL`` relative, with the largest |theta| among them: late in a
+run theta is tiny, and a change at the rounding of the larger angles
+reads there as a large relative one.  The exit code does not read these
+two lines.  It exits 0 when the trajectories match:
 the same pairs, skips and stops, and every float within ``FLOAT_RTOL``
 (bitwise where the arithmetic allows); otherwise 1.
 """
@@ -148,7 +150,7 @@ def compare(a, b):
             lines.append(f"only in {name}: {', '.join(sorted(only))}")
             match = False
     worst = {f: (0.0, None) for f in FLOAT_FIELDS}
-    theta_abs = (0.0, None)
+    theta_abs, theta_moves = (0.0, None), []
     for key in (k for k in a if k in b):
         ra, rb = a[key], b[key]
         va, vb = _visits(ra), _visits(rb)
@@ -177,10 +179,12 @@ def compare(a, b):
                 rel = _rel_values(ra[f][:count], rb[f][:count])
             if rel > worst[f][0]:
                 worst[f] = (rel, key)
-        moved = max((abs(x - y) for x, y in zip(ra["theta"], rb["theta"])),
-                    default=0.0)
+        thetas = list(zip(ra["theta"], rb["theta"]))
+        moved = max((abs(x - y) for x, y in thetas), default=0.0)
         if moved > theta_abs[0]:
             theta_abs = (moved, key)
+        theta_moves += [max(abs(x), abs(y)) for x, y in thetas if x != y
+                        and abs(x - y) / max(abs(x), abs(y)) > FLOAT_RTOL]
     lines.append("largest relative change per float field:")
     for f, (rel, key) in worst.items():
         lines.append(f"  {f}: {rel:.3g}" + (f" ({key})" if key else ""))
@@ -188,6 +192,10 @@ def compare(a, b):
     moved, key = theta_abs
     lines.append(f"largest absolute theta change: {moved:.3g} rad"
                  + (f" ({key})" if key else ""))
+    lines.append(f"theta values moved by more than {FLOAT_RTOL:g} relative: "
+                 f"{len(theta_moves)}" + (
+                     f", largest |theta| among them {max(theta_moves):.3g} "
+                     f"rad" if theta_moves else ""))
     bitwise = match and all(rel == 0.0 for rel, _ in worst.values())
     lines.append(f"{len(a)} runs in a, {len(b)} in b: " + (
         "bitwise identical" if bitwise else
