@@ -16,14 +16,12 @@ phi = 4 theta in [-pi, pi] it is a trig polynomial of degree 2 at most:
            = a1 sin(phi) + b1 (cos(phi) - 1)
              + a2 sin(2 phi) + b2 (cos(2 phi) - 1),
 
-with a2 = b2 = 0 for d in {2, 3}.  The coefficients are an exact linear map
-(``_trig_form``) of the coefficients A0, A1, ... of Omega, the stationarity
-polynomial in xi = x - 1/x, x = tan(theta), from whose real roots the
-d = 4 angle was once found (``best_angle_xi`` in ``tests/reference.py``).
-They are quadratic forms in the restricted entries, read off one Gram
-product (``omega_xi_coeffs``).
+with a2 = b2 = 0 for d in {2, 3}.  The coefficients are quadratic forms
+in the restricted entries, read off one Gram product through a fixed exact
+matrix (``omega_xi_coeffs``, ``_trig_table``), with g'(0) = e0 and
+-g''(0) = f0 read off rows of their own.
 
-For d in {2, 3} the maximizer is theta = atan2(4 A0, A1) / 4.  For d = 4
+For d in {2, 3} the maximizer is theta = atan2(e0, f0) / 4.  For d = 4
 a certificate (``_certified_max``) first tries to show that g < 0 outside
 an interval around 0 on which g is strictly concave; the maximizer is
 then the one root of g' there, found by Newton's method from 0.  The
@@ -32,6 +30,8 @@ nearly diagonal.  Where it fails, the critical points are the real roots
 of a quartic in tan(phi/2), solved in closed form and polished by Newton's
 method on g' (``solve_xi_roots``); together with phi in {0, pi} they are
 scored by a form of g without cancellation near phi = 0 (``_gain``).
+``tests/reference.py`` keeps an independent route to the coefficients
+and to the d = 4 angle (``best_angle_xi``).
 """
 
 from __future__ import annotations
@@ -102,66 +102,73 @@ class SubproblemView:
         return self.nu.shape[1] - 1
 
 
-def _omega_matrix(d):
-    """Exact integer matrix M_d with Omega's coefficients (delta0 = 0,
-    highest degree first) = M_d @ vec(nu^T nu).
+def _trig_table(d):
+    """Exact matrix T_d with g's coefficients (delta0 = 0) = T_d @ vec(G),
+    G = nu^T nu: rows (e0, f0) for d in {2, 3}, (e0, f0, a1, b1, a2, b2)
+    for d = 4.
 
-    Under x = tan(theta), h = rho(x) / (1 + x^2)^d where entry (w, v) of
-    G = nu^T nu enters rho = P1^2 + P2^2 as b_w b_v (x^s + (-1)^s x^(2d-s)),
-    s = w + v, b the binomials.  Then dh/dtheta = omega(x) / (1 + x^2)^d
-    with omega = (1 + x^2) rho' - 2 d x rho, and Omega is defined by
-
-        omega(x) = (1 + x^2)^(d-k) sum_j A_j x^j (x^2 - 1)^(k-j),  k = deg Omega;
-
-    the basis polynomial of A_j has degree 2d - j and leading coefficient 1,
-    so the A_j peel off one by one.  Polynomials are coefficient arrays,
-    highest degree first; integers far below 2^53 keep every step exact.
+    Entry (w, v) of G enters h as b_w b_v K_(w+v)(theta), b the binomials,
+    K_s = c^(2d-s) s^s + (-1)^s c^s s^(2d-s) (the squares of ``oracle``'s
+    two diagonal entries T1 and T2), c = cos(theta), s = sin(theta).  In
+    z = exp(i theta), c = (z + 1/z)/2 and s = (z - 1/z)/(2i), so K_s is a
+    product of binomial convolutions; with gamma_k its coefficient of z^k,
+    its cos(k theta) and sin(k theta) terms are 2 Re gamma_k and
+    -2 Im gamma_k.  K_s is pi/2-periodic, so only k in {0, 4, 8} remain,
+    and phi = 4 theta reads b1 + i a1 off k = 4 and b2 + i a2 off k = 8.
+    e0 = a1 + 2 a2 = g'(0) and f0 = b1 + 4 b2 = -g''(0) get rows of their
+    own: near-diagonal pairs have e0 tiny, and forming it from a1 and a2
+    would leave only their rounding.  Dyadic fractions keep every step
+    exact.
     """
-    k = 4 if d == 4 else 2
-    x2p1, x2m1 = [1.0, 0.0, 1.0], [1.0, 0.0, -1.0]
-    basis = []
-    for j in range(k + 1):
-        b = np.ones(1)
-        for f in [[1.0, 0.0]] * j + [x2m1] * (k - j) + [x2p1] * (d - k):
-            b = np.convolve(b, f)
-        basis.append(b)
-    table = np.zeros((k + 1, 2 * d + 1))
-    for s in range(2 * d + 1):
-        rho = np.zeros(2 * d + 1)
-        rho[2 * d - s] += 1.0
-        rho[s] += (-1.0) ** s
-        drho = rho[:-1] * np.arange(2 * d, 0, -1)
-        # the x^(2d+1) terms cancel: drop them
-        omega = (np.convolve(x2p1, drho) - 2 * d * np.append(rho, 0.0))[1:]
-        for j in range(k + 1):
-            table[j, s] = omega[j]
-            omega[j:] -= table[j, s] * basis[j]
-        assert not omega.any()
+    cos, sin = np.array([0.5, 0.0, 0.5]), np.array([0.5j, 0.0, -0.5j])
+    cp, sp = [np.ones(1)], [np.ones(1)]
+    for _ in range(2 * d):
+        cp.append(np.convolve(cp[-1], cos))
+        sp.append(np.convolve(sp[-1], sin))
+    # gamma[k + 2d, s]: coefficient of z^k in K_s
+    gamma = np.array([np.convolve(cp[2 * d - s], sp[s])
+                      + (-1) ** s * np.convolve(cp[s], sp[2 * d - s])
+                      for s in range(2 * d + 1)]).T
+    assert not gamma[2 * d + 2::4].any()
+    b1, a1 = 2.0 * gamma[2 * d + 4].real, -2.0 * gamma[2 * d + 4].imag
+    rows = [a1, b1]
+    if d == 4:
+        b2, a2 = 2.0 * gamma[4 * d].real, -2.0 * gamma[4 * d].imag
+        rows = [a1 + 2.0 * a2, b1 + 4.0 * b2, a1, b1, a2, b2]
     binom = np.array(_BINOM[d])
     w = np.arange(d + 1)
-    return (np.outer(binom, binom) * table[:, w[:, None] + w]).reshape(k + 1, -1)
+    return (np.outer(binom, binom)
+            * np.array(rows)[:, w[:, None] + w]).reshape(len(rows), -1)
 
 
-_OMEGA_MATRIX = {d: _omega_matrix(d) for d in _BINOM}
-_OMEGA_DELTA0 = {2: np.array([0.0, 4.0, 0.0]), 3: np.array([0.0, 4.0, 0.0]),
-                 4: np.array([0.0, 4.0, 0.0, 16.0, 0.0])}
-# Largest ||T||^2 at which no coefficient of Omega (delta0 = 0) can overflow:
-# a member holds nu[l, w] at C(d, w) dense places, so |G_wv| <= ||T||^2 /
-# sqrt(C(d, w) C(d, v)) (Cauchy-Schwarz), and |A_j| <= c_d ||T||^2, c_d the
-# largest row sum of |M_d| weighted so (206 at d = 4, 38 at d = 3, 24 at d = 2)
-MAX_SQ_NORM = {d: float(np.finfo(np.float64).max / np.max(
-    np.abs(_OMEGA_MATRIX[d]) @ (1.0 / np.sqrt(np.outer(b, b))).ravel()))
+_TRIG_TABLE = {d: _trig_table(d) for d in _BINOM}
+# Largest Euclidean norm N of the coefficients that the step takes: every
+# sum it forms from them then stays finite, the largest being r + f0 <= 2 N
+# at d <= 3 and the certificate's |a1| + |b1| + 8 (|a2| + |b2|)
+# <= sqrt(130) N < 0.72 DBL_MAX at d = 4 (Cauchy-Schwarz)
+_MAX_NORM = {d: float(np.finfo(np.float64).max) / (16.0 if d == 4 else 4.0)
+             for d in _BINOM}
+# Largest ||T||^2 at which every coefficient is at most a quarter of that
+# with delta0 = 0, so that N, at most sqrt(6) times the largest, is below
+# it: a member holds nu[l, w] at C(d, w) dense places, so |G_wv| <=
+# ||T||^2 / sqrt(C(d, w) C(d, v)) (Cauchy-Schwarz), and every coefficient
+# is at most w_d ||T||^2, w_d the largest row sum of |T_d| weighted so;
+# f0's row is the largest at every order (1.5 at d = 2, 2.37 at d = 3,
+# 3.22 at d = 4)
+MAX_SQ_NORM = {d: float(_MAX_NORM[d] / (4.0 * np.max(
+    np.abs(_TRIG_TABLE[d]) @ (1.0 / np.sqrt(np.outer(b, b))).ravel())))
     for d, b in _BINOM.items()}
 
 
 def check_sq_norm(sq_norm, order, delta0=0.0):
     """Refuse a set whose ||T||^2 is 0 or inf (it under- or overflows) or
     exceeds ``MAX_SQ_NORM[order]``, or a proximal weight delta0 that can
-    overflow Omega's coefficients with it: |A_j| <= DBL_MAX (||T||^2 /
-    MAX_SQ_NORM + delta0 max(_OMEGA_DELTA0) / DBL_MAX), each term divided
-    before the sum, since the product itself can overflow.  ``sweeps.run``
-    and ``harness.verify_invariants`` both refuse a set through it, before
-    any rotation."""
+    push a coefficient of g past a quarter of ``_MAX_NORM[order]`` = N
+    with it: the coefficients are at most N / 4 (||T||^2 / MAX_SQ_NORM
+    + delta0 / N), each term divided before the sum, since the product
+    itself can overflow.  A set it accepts never meets the refusal of
+    ``omega_xi_coeffs``.  ``sweeps.run`` and ``harness.verify_invariants``
+    both refuse a set through it, before any rotation."""
     if not 0.0 < sq_norm < math.inf:
         raise ValueError(f"the tensor set's squared norm is {sq_norm:g}; "
                          f"need 0 < ||T||^2 < inf")
@@ -169,56 +176,38 @@ def check_sq_norm(sq_norm, order, delta0=0.0):
         raise ValueError(f"||T||^2 = {sq_norm:.3e} exceeds {bound:.3e}, "
                          f"where the angle step can overflow; rescale the "
                          f"input")
-    if sq_norm / bound + delta0 / (
-            np.finfo(np.float64).max / _OMEGA_DELTA0[order].max()) > 1.0:
+    if sq_norm / bound + delta0 / _MAX_NORM[order] > 1.0:
         raise ValueError(f"delta0 = {delta0:.3e} with ||T||^2 = "
                          f"{sq_norm:.3e} can overflow the angle step; "
                          f"lower delta0")
 
 
 def omega_xi_coeffs(view):
-    """Coefficients of Omega(xi) for the view, proximal term included,
-    highest degree first: a quadratic for d in {2, 3}, a quartic for d = 4.
+    """g's coefficients for the view, proximal term included, as a list:
+    (e0, f0) for d in {2, 3}, (e0, f0, a1, b1, a2, b2) for d = 4.  The
+    name is kept only for ``perfbench/spans.py``, which hooks it.
 
-    Each coefficient is a quadratic form in nu, so Omega is one Gram product
-    G = nu^T nu (the m members add through it) and one product with the
-    fixed integer matrix M_d (``_omega_matrix``).  The proximal term adds
-    4 delta0 to A1, and for d = 4 also 16 delta0 to A3; at delta0 = 0 it
-    is skipped.  ``omega_xi_coeffs_expanded`` in ``tests/reference.py``
-    keeps the hand-expanded forms as the reference.
+    Each coefficient is a quadratic form in nu, so they are one Gram
+    product G = nu^T nu (the m members add through it) and one product
+    with the fixed exact matrix T_d (``_trig_table``).  The proximal term
+    -delta0 gamma(phi/4) = delta0 (cos(phi) - 1) / 4 adds delta0/4 to f0,
+    and for d = 4 also to b1.  Coefficients that are not finite, or whose
+    Euclidean norm exceeds ``_MAX_NORM``, where the step's own sums can
+    overflow, raise ValueError, at every order.
     """
     nu = view.nu
     d = view.order
-    omega = _OMEGA_MATRIX[d] @ (nu.T @ nu).ravel()
+    trig = _TRIG_TABLE[d] @ (nu.T @ nu).ravel()
     if view.delta0:
-        omega += view.delta0 * _OMEGA_DELTA0[d]
-    return omega
-
-
-def _trig_form(omega):
-    """(e0, f0, a1, b1, a2, b2) of g(phi) = h~(phi/4) - h~(0) from Omega's
-    coefficients A0, A1, ... (highest degree first):
-
-        g = a1 sin(phi) + b1 (cos(phi) - 1)
-            + a2 sin(2 phi) + b2 (cos(2 phi) - 1)
-
-    for d = 4: a1 = (16 A0 - A4)/128, b1 = (4 A1 + A3)/128,
-    a2 = (16 A0 - 4 A2 + A4)/1024, b2 = (4 A1 - A3)/512.  Under
-    3 A4 = -48 A0 - 4 A2 they read a1 = A0/4 + A2/96 and a2 = -A2/192, so
-    A4 is not needed.  The proximal term enters b1 only, as delta0/4.
-    (For d in {2, 3}, a1 = A0/4, b1 = A1/16 and a2 = b2 = 0.)
-
-    e0 = a1 + 2 a2 = g'(0) = A0/4 and f0 = b1 + 4 b2 = -g''(0) = A1/16 are
-    kept as such: near-diagonal pairs have A0 tiny, and forming e0 from a1
-    and a2 would leave only their rounding.
-    """
-    a0, a1, a2, a3, _ = omega.tolist()
-    if not all(map(math.isfinite, (a0, a1, a2, a3))):
-        raise ValueError("Omega's coefficients must be finite")
-    e0 = 0.25 * a0
-    # b1 and b2 scaled before the sum, which then cannot overflow
-    return (e0, 0.0625 * a1, e0 + a2 / 96.0, a1 / 32.0 + a3 / 128.0,
-            -a2 / 192.0, a1 / 128.0 - a3 / 512.0)
+        trig[1] += 0.25 * view.delta0
+        if d == 4:
+            trig[3] += 0.25 * view.delta0
+    trig = trig.tolist()
+    # written so that NaN fails it too; hypot is inf if any is
+    if not math.hypot(*trig) <= _MAX_NORM[d]:
+        raise ValueError(f"the angle step's coefficients must be finite, "
+                         f"with norm at most {_MAX_NORM[d]:.3e}")
+    return trig
 
 
 def _slopes(phi, e0, f0, a1, b1, a2, b2):
@@ -319,10 +308,10 @@ _MINUS_PI_SNAP = -math.pi + 1e-14
 
 
 def solve_xi_roots(trig):
-    """Critical points of g (from ``_trig_form``) in (-pi, pi], each
-    polished by Newton's method on g'.  ``best_angle`` calls it only where
-    ``_certified_max`` fails.  The name is the one the xi route had, which
-    the benchmark's tracer hooks; the rename waits for ROADMAP item 1.
+    """Critical points of g (coefficients from ``omega_xi_coeffs``) in
+    (-pi, pi], each polished by Newton's method on g'.  ``best_angle``
+    calls it only where ``_certified_max`` fails.  The name is kept only
+    for ``perfbench/spans.py``, which hooks it.
 
     In a frame phi = phi0 + psi, g'(phi0 + psi) = p cos(psi) - q sin(psi)
     + 2 r cos(2 psi) - 2 s sin(2 psi), with p = a1 cos(phi0) - b1 sin(phi0),
@@ -399,7 +388,7 @@ _MAX_STEPS = 64
 
 
 def _certified_max(trig):
-    """The global maximizer phi of g (from ``_trig_form``) when a
+    """The global maximizer phi of g (from ``omega_xi_coeffs``) when a
     certificate shows that it is the one root of g' on an interval where g
     is strictly concave; None when the certificate fails.
 
@@ -454,11 +443,12 @@ def _certified_max(trig):
 def best_angle(view):
     """Maximize h~ over [-pi/4, pi/4]; return theta and h~(theta) - h~(0).
 
-    d in {2, 3}: theta = atan2(4 A0, A1) / 4 with the cancellation-free gain
-    A0^2 / (r + A1) if A1 > 0, else (r - A1) / 16, r = hypot(4 A0, A1); the
-    tie at A0 = 0 > A1 goes to +pi/4, and a constant h~ (A0 = A1 = 0) gets
-    (0, 0) from the same atan2.  At every order a non-finite coefficient of
-    Omega that the step reads raises ValueError.
+    d in {2, 3}: g = e0 sin(phi) + f0 (cos(phi) - 1), so theta =
+    atan2(e0, f0) / 4 with the cancellation-free gain e0^2 / (r + f0) if
+    f0 > 0, else r - f0, r = hypot(e0, f0); the tie at e0 = 0 > f0 goes to
+    +pi/4, and a constant h~ (e0 = f0 = 0) gets (0, 0) from the same atan2.
+    At every order coefficients that are not finite, or too large for the
+    step's own sums, raise ValueError (``omega_xi_coeffs``).
     d = 4: where ``_certified_max`` certifies that g has one maximizer in
     an interval around 0, outside which g < 0, that maximizer, found by
     Newton's method, and its gain (``_gain``); (0, 0) if that gain is not
@@ -471,18 +461,15 @@ def best_angle(view):
     pairs far from diagonal and where a tie is possible.
     Both gains stay exact down to far below the resolution of h~ itself.
     """
-    omega = omega_xi_coeffs(view)
-    if len(omega) == 3:
-        a0, a1, _ = omega.tolist()
-        if not (math.isfinite(a0) and math.isfinite(a1)):
-            raise ValueError("Omega's coefficients must be finite")
-        r = math.hypot(4.0 * a0, a1)
-        gain = a0 * (a0 / (r + a1)) if a1 > 0.0 else (r - a1) / 16.0
-        # + 0.0 turns a -0.0 into +0.0: the A0 = 0 > A1 tie gets atan2 = +pi
-        # (theta = +pi/4), not -pi, and a constant h~ (A0 = A1 = 0) gets
+    trig = omega_xi_coeffs(view)
+    if len(trig) == 2:
+        e0, f0 = trig
+        r = math.hypot(e0, f0)
+        gain = e0 * (e0 / (r + f0)) if f0 > 0.0 else r - f0
+        # + 0.0 turns a -0.0 into +0.0: the e0 = 0 > f0 tie gets atan2 = +pi
+        # (theta = +pi/4), not -pi, and a constant h~ (e0 = f0 = 0) gets
         # atan2(+0.0, +0.0) = +0.0, not -0.0 or pi
-        return AngleResult(0.25 * math.atan2(4.0 * a0 + 0.0, a1 + 0.0), gain)
-    trig = _trig_form(omega)
+        return AngleResult(0.25 * math.atan2(e0 + 0.0, f0 + 0.0), gain)
     phi = _certified_max(trig)
     if phi is not None:
         gain = _gain(phi, *trig)

@@ -2,7 +2,8 @@
 ``jacobidiag verify`` also uses are in ``jacobidiag.oracle``.  Each takes a
 route independent of the closed forms it checks: explicit 2x...x2 block
 rotations for the rational identities of tau, the restricted objective in
-the tangent x = tan(theta), hand-expanded per-term sums for Omega's Gram
+the tangent x = tan(theta), hand-expanded per-term sums for the
+stationarity polynomial Omega mapped to g's coefficients for their Gram
 product, the xi route (companion-matrix roots of Omega mapped back to
 tangents) for the d = 4 angle, explicit Givens matrices, one ``einsum``
 for a matrix applied to every mode, the d! transposes for symmetry, a
@@ -16,8 +17,7 @@ import math
 
 import numpy as np
 
-from jacobidiag.angles import (AngleResult, SubproblemView, best_angle,
-                               omega_xi_coeffs)
+from jacobidiag.angles import AngleResult, SubproblemView, best_angle
 from jacobidiag.oracle import _canonical_map, h, h_prime_at_zero, h_tilde
 
 
@@ -132,12 +132,14 @@ def h_derivatives_at_zero(view):
 
 def omega_xi_coeffs_expanded(view):
     """Omega's coefficients (highest degree first) from hand-expanded
-    per-term sums, the reference for ``angles.omega_xi_coeffs``'s Gram
-    product.
+    per-term sums; through ``trig_from_omega``, the reference for
+    ``angles.omega_xi_coeffs``'s Gram product.
 
-    Per-tensor coefficients are summed (the subproblem objectives share the
-    denominator (1+x^2)^d, so they add); delta0 adds 4 delta0 to A1, and
-    for d = 4 also 16 delta0 to A3.
+    Omega is the stationarity polynomial in xi = x - 1/x, x = tan(theta):
+    dh~/dtheta = x^k Omega(x - 1/x) / (1 + x^2)^k, k = deg Omega (2 for
+    d in {2, 3}, 4 for d = 4).  Per-tensor coefficients are summed (the
+    subproblem objectives share the denominator (1+x^2)^d, so they add);
+    delta0 adds 4 delta0 to A1, and for d = 4 also 16 delta0 to A3.
     """
     d = view.order
     nu = view.nu
@@ -156,6 +158,26 @@ def omega_xi_coeffs_expanded(view):
                       + 12 * v3**2) + 4.0 * d0
     e = 80.0 * np.sum(6 * v2 * v3 - v0 * v3 - 6 * v1 * v2 + v1 * v4)
     return np.array([a, b, 4 * a + c, 3 * b + dd, 2 * a + 2 * c + e])
+
+
+def trig_from_omega(omega):
+    """g's coefficients, as ``angles.omega_xi_coeffs`` returns them, from
+    Omega's A0, A1, ... (highest degree first): (e0, f0) = (A0/4, A1/16)
+    for d in {2, 3}, and for d = 4
+
+        e0 = A0/4,  f0 = A1/16,  a1 = A0/4 + A2/96,  b1 = A1/32 + A3/128,
+        a2 = -A2/192,  b2 = A1/128 - A3/512,
+
+    with g(phi) = h~(phi/4) - h~(0) = a1 sin(phi) + b1 (cos(phi) - 1)
+    + a2 sin(2 phi) + b2 (cos(2 phi) - 1), e0 = g'(0) and f0 = -g''(0).
+    A4 is not needed: 3 A4 = -48 A0 - 4 A2.
+    """
+    a0, a1, *rest = (float(v) for v in omega)
+    if len(rest) == 1:
+        return [a0 / 4.0, a1 / 16.0]
+    a2, a3, _ = rest
+    return [a0 / 4.0, a1 / 16.0, a0 / 4.0 + a2 / 96.0, a1 / 32.0 + a3 / 128.0,
+            -a2 / 192.0, a1 / 128.0 - a3 / 512.0]
 
 
 def xi_roots(coeffs):
@@ -218,8 +240,9 @@ def xi_gain_numerator(omega):
 
 
 def best_angle_xi(view):
-    """The d = 4 angle by the xi route, the reference for
-    ``angles.best_angle``'s trig form (d <= 3 is passed through to it).
+    """The d = 4 angle by the xi route from the hand-expanded Omega, the
+    reference for ``angles.best_angle``'s trig form (d <= 3 is passed
+    through to it).
 
     Candidate tangents {0, +-1} plus the mapped real xi roots, each scored
     by Horner's rule on ``xi_gain_numerator`` in plain floats, with
@@ -228,7 +251,7 @@ def best_angle_xi(view):
     """
     if view.order < 4:
         return best_angle(view)
-    omega = omega_xi_coeffs(view)
+    omega = omega_xi_coeffs_expanded(view)
     xis = xi_roots(omega)
     if xis is None:
         return AngleResult(0.0, 0.0)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from jacobidiag import angles, sweeps
 from jacobidiag.angles import (MAX_SQ_NORM, SubproblemView, _certified_max,
-                               _quartic_roots, _trig_form, best_angle,
-                               check_sq_norm, omega_xi_coeffs, solve_xi_roots)
+                               _quartic_roots, best_angle, check_sq_norm,
+                               omega_xi_coeffs, solve_xi_roots)
 from jacobidiag.geometry import RotationState, lambda_of, random_rotation
 from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.oracle import (brute_force_angle, h, h_prime_at_zero,
@@ -20,7 +20,8 @@ from jacobidiag.symtensor import TensorSet
 
 from reference import (best_angle_xi, dense_symmetrize, h_derivatives_at_zero,
                        omega_xi_coeffs_expanded, tau, tau_identity_check,
-                       tau_tilde, xi_roots, xi_to_x_candidates)
+                       tau_tilde, trig_from_omega, xi_roots,
+                       xi_to_x_candidates)
 
 QP = math.pi / 4
 
@@ -50,21 +51,30 @@ def exact_gain(view, x):
     return total
 
 
-def trig_form(omega):
-    """_trig_form for every order: for d <= 3, g = [4 A0 sin(phi)
-    + A1 (cos(phi) - 1)] / 16, the form best_angle's atan2 maximizes."""
-    if len(omega) == 3:
-        e0, f0 = 0.25 * omega[0], 0.0625 * omega[1]
-        return e0, f0, e0, f0, 0.0, 0.0
-    return _trig_form(omega)
+def trig_form(view):
+    """(e0, f0, a1, b1, a2, b2) for every order: for d <= 3
+    ``omega_xi_coeffs`` gives (e0, f0), and g = e0 sin(phi)
+    + f0 (cos(phi) - 1), the form best_angle's atan2 maximizes."""
+    trig = omega_xi_coeffs(view)
+    if len(trig) == 2:
+        e0, f0 = trig
+        return [e0, f0, e0, f0, 0.0, 0.0]
+    return trig
+
+
+def g_of(trig, phi):
+    """g(phi) from (e0, f0, a1, b1, a2, b2)."""
+    _, _, a1, b1, a2, b2 = trig
+    return (a1 * np.sin(phi) + b1 * (np.cos(phi) - 1.0)
+            + a2 * np.sin(2 * phi) + b2 * (np.cos(2 * phi) - 1.0))
 
 
 def critical_phis(view):
-    return solve_xi_roots(trig_form(omega_xi_coeffs(view)))
+    return solve_xi_roots(trig_form(view))
 
 
 def trig_with_critical_tangents(roots, scale=1.0):
-    """_trig_form-style tuple whose g' has its critical points at
+    """(e0, f0, a1, b1, a2, b2) whose g' has its critical points at
     phi = 2 atan(t), t the given roots: the quartic scale * prod(t - root)
     read back through its frame-0 coefficients.  g' quartics have
     c2 = -3 (c0 + c4), so the roots must satisfy e2 = -3 (1 + e4)."""
@@ -148,12 +158,11 @@ def test_view_differs_from_ambient_f_by_constant():
 
 
 # ---------------------------------------------------------------------------
-# Omega coefficients
+# the coefficients of g
 
 def test_omega_third_order_diagonal_example():
     view = SubproblemView([[1.0, 0.0, 0.0, 0.0]])
-    poly = omega_xi_coeffs(view)
-    assert np.allclose(poly, [0.0, 6.0, 0.0], atol=0)
+    assert omega_xi_coeffs(view) == [0.0, 0.375]
     # g = (3/8) (cos(phi) - 1): critical at phi = 0 and pi
     assert sorted(critical_phis(view)) == [0.0, math.pi]
     assert best_angle(view) == best_angle_xi(view)
@@ -165,9 +174,10 @@ def test_omega_delta0_shifts_linear_coeff_only(order):
     shifted = SubproblemView(base.nu, delta0=0.25)
     c0 = omega_xi_coeffs(base)
     c1 = omega_xi_coeffs(shifted)
+    # -delta0 gamma = delta0 (cos(phi) - 1) / 4: f0 gains delta0 / 4
+    assert len(c1) == 2
     assert c1[0] == c0[0]
-    assert c1[1] == pytest.approx(c0[1] + 4 * 0.25, rel=1e-14)
-    assert c1[2] == c0[2]
+    assert c1[1] == pytest.approx(c0[1] + 0.25 / 4, rel=1e-14)
 
 
 def test_omega_delta0_shift_fourth_order():
@@ -175,26 +185,28 @@ def test_omega_delta0_shift_fourth_order():
     shifted = SubproblemView(base.nu, delta0=0.5)
     c0 = omega_xi_coeffs(base)
     c1 = omega_xi_coeffs(shifted)
-    # b and d both gain 4*delta0; Omega coeffs are [a, b, 4a+c, 3b+d, ...]
+    # (e0, f0, a1, b1, a2, b2): f0 and b1 both gain delta0 / 4, as
+    # -delta0 gamma = delta0 (cos(phi) - 1) / 4
     assert c1[0] == c0[0]
-    assert c1[1] == pytest.approx(c0[1] + 2.0, rel=1e-14)
+    assert c1[1] == pytest.approx(c0[1] + 0.125, rel=1e-14)
     assert c1[2] == c0[2]
-    assert c1[3] == pytest.approx(c0[3] + 8.0, rel=1e-14)
-    assert c1[4] == c0[4]
+    assert c1[3] == pytest.approx(c0[3] + 0.125, rel=1e-14)
+    assert c1[4:] == c0[4:]
 
 
 def test_omega_degrees():
-    assert len(omega_xi_coeffs(random_view(2, 1))) - 1 == 2
-    assert len(omega_xi_coeffs(random_view(3, 1))) - 1 == 2
-    assert len(omega_xi_coeffs(random_view(4, 1))) - 1 == 4
+    # (e0, f0) at d <= 3, (e0, f0, a1, b1, a2, b2) at d = 4
+    assert len(omega_xi_coeffs(random_view(2, 1))) == 2
+    assert len(omega_xi_coeffs(random_view(3, 1))) == 2
+    assert len(omega_xi_coeffs(random_view(4, 1))) == 6
 
 
 def test_omega_multi_tensor_additivity():
     va = random_view(3, 11)
     vb = random_view(3, 12)
     both = SubproblemView(np.vstack([va.nu, vb.nu]), delta0=0.125)
-    expect = (omega_xi_coeffs(va) + omega_xi_coeffs(vb)
-              + np.array([0.0, 0.5, 0.0]))
+    expect = (np.add(omega_xi_coeffs(va), omega_xi_coeffs(vb))
+              + np.array([0.0, 0.125 / 4]))
     assert np.allclose(omega_xi_coeffs(both), expect, rtol=1e-14)
 
 
@@ -202,20 +214,27 @@ def test_omega_multi_tensor_additivity():
 @pytest.mark.parametrize("m", [1, 3, 14])
 @pytest.mark.parametrize("delta0", [0.0, 0.3])
 def test_omega_gram_product_matches_expanded_forms(order, m, delta0):
-    # one Gram product against the hand-expanded per-term sums, on plain
-    # views and on views scaled by 10^U(-3, 3)
+    # one Gram product against the reference's hand-expanded per-term sums
+    # (omega_xi_coeffs_expanded) mapped through trig_from_omega, on plain
+    # views and on views scaled by 10^U(-3, 3); and g itself against h~
+    # sampled in phi
     rng = np.random.default_rng(7000 + 10 * order + m)
+    phi = np.linspace(-math.pi, math.pi, 65)
     for scaled in (False, True):
         for _ in range(10):
             nu = rng.standard_normal((m, order + 1))
             if scaled:
                 nu *= 10.0 ** rng.uniform(-3.0, 3.0)
             view = SubproblemView(nu, delta0)
-            want = omega_xi_coeffs_expanded(view)
-            got = omega_xi_coeffs(view)
+            want = np.array(trig_from_omega(omega_xi_coeffs_expanded(view)))
+            got = np.array(omega_xi_coeffs(view))
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) \
                 <= 1e-14 * np.max(np.abs(want))
+            v0 = h_tilde(view, 0.0)
+            assert np.max(np.abs(g_of(trig_form(view), phi)
+                                 - (h_tilde(view, phi / 4) - v0))) \
+                <= 1e-12 * (v0 + delta0)
 
 
 def _numeric_omega_coeffs(view):
@@ -342,11 +361,11 @@ def test_solve_xi_roots_keeps_a_tiny_root():
     # has a discriminant below zero by rounding only, a double root
     ([2.0, 1.0, 0.0, -2.0, -1.0], 30.2813718062942,
      [-0.1247298386420, -0.1247298386420, 0.0, 3.058487403319033]),
-    # Omega = 32 (-1, -11, -36, -16, 64): a triple critical point at
+    # (a1, b1, a2, b2) = (-20, -15, 6, -7/4): a triple critical point at
     # tan(phi/2) = 1/2, where the resolvent cubic, depressed, is z^3 = 0
     ([-1.0, 0.0, 2.0, 4.0, 1.0], 36.0,
      [2.0 * math.atan(-2.0)] + [2.0 * math.atan(0.5)] * 3),
-    # Omega = (0, 0, -96, 0, 128): g = sin(phi) (cos(phi) - 1) has
+    # (a1, b1, a2, b2) = (-1, 0, 1/2, 0): g = sin(phi) (cos(phi) - 1) has
     # g' = g'' = 0 at phi = 0, where a Newton step would divide 0 by 0
     ([-2.0, 0.0, -1.0, -1.0, 0.0], 12.0,
      [-2.0 * math.pi / 3, 0.0, 0.0, 2.0 * math.pi / 3]),
@@ -423,13 +442,13 @@ def test_best_angle_diagonal_view_stays_put():
 
 
 def test_best_angle_swap_matrix_tie_breaks_positive(monkeypatch):
-    # h~ peaks at both +-pi/4; the view's Omega has A0 = h'(0) = +0.0, and
-    # the same Omega with A0 = -0.0 must pick the same end
+    # h~ peaks at both +-pi/4; the view has e0 = g'(0) = +0.0, and the
+    # same coefficients with e0 = -0.0 must pick the same end
     view = SubproblemView([[0.0, 1.0, 0.0]])
-    omega = omega_xi_coeffs(view)
-    for a0 in (0.0, -0.0):
-        omega[0] = a0
-        monkeypatch.setattr(angles, "omega_xi_coeffs", lambda v: omega)
+    trig = omega_xi_coeffs(view)
+    for e0 in (0.0, -0.0):
+        trig[0] = e0
+        monkeypatch.setattr(angles, "omega_xi_coeffs", lambda v: trig)
         res = best_angle(view)
         assert res.theta == pytest.approx(QP)
         assert res.gain == pytest.approx(2.0)
@@ -457,23 +476,23 @@ def test_best_angle_constant_objective(monkeypatch):
         for delta0 in (0.0, 0.5):
             res = best_angle(SubproblemView(np.zeros((2, order + 1)), delta0))
             assert is_plus_zero(res.theta) and is_plus_zero(res.gain)
-    # at d <= 3 a constant h~ is A0 = A1 = 0, of either sign, and the one
+    # at d <= 3 a constant h~ is e0 = f0 = 0, of either sign, and the one
     # atan2 must give (+0.0, +0.0) for all four
     for order in (2, 3):
         view = SubproblemView(np.zeros((1, order + 1)))
-        for a0 in (0.0, -0.0):
-            for a1 in (0.0, -0.0):
-                omega = np.array([a0, a1, 0.0])
+        for e0 in (0.0, -0.0):
+            for f0 in (0.0, -0.0):
+                trig = [e0, f0]
                 monkeypatch.setattr(angles, "omega_xi_coeffs",
-                                    lambda v: omega)
+                                    lambda v: trig)
                 res = best_angle(view)
                 assert is_plus_zero(res.theta) and is_plus_zero(res.gain)
 
 
 def overflowing_view(order, kind):
-    """A view whose Omega overflows: entries of 1e160, or pair (0, 1) of a
-    test problem scaled by 2^520 (its entries are finite, their squares
-    are not)."""
+    """A view whose coefficients of g overflow: entries of 1e160, or pair
+    (0, 1) of a test problem scaled by 2^520 (its entries are finite,
+    their squares are not)."""
     if kind == "full":
         return SubproblemView(np.full((1, order + 1), 1e160))
     ts, _ = make_test_problem(ExperimentSpec(n=4, order=order, sigma=1e-2))
@@ -489,8 +508,9 @@ def test_best_angle_refuses_an_overflowing_omega_at_every_order(order, kind):
     # not a NaN angle
     with np.errstate(over="ignore", invalid="ignore"):
         view = overflowing_view(order, kind)
-        with pytest.raises(ValueError,
-                           match="Omega's coefficients must be finite"):
+        with pytest.raises(
+                ValueError,
+                match="the angle step's coefficients must be finite"):
             best_angle(view)
 
 
@@ -577,7 +597,7 @@ def test_gain_is_exact_on_near_diagonal_views(order, m, delta0):
 @pytest.mark.parametrize("nu", [[0.2004, 6.09e-15, -0.0780],
                                 [0.2004, 3e-15, 1e-15, -2e-15, -0.0780]])
 def test_best_angle_moves_when_h_prime_is_tiny(nu):
-    # h'(0) is ~1e-14 of Omega's largest coefficient; the step is tiny but
+    # g'(0) = e0 is ~1e-13 of g's largest coefficient; the step is tiny but
     # exact, not theta = 0
     view = SubproblemView([nu])
     res = best_angle(view)
@@ -591,17 +611,16 @@ def test_best_angle_moves_when_h_prime_is_tiny(nu):
 @pytest.mark.parametrize("delta0", [0.0, 0.3])
 def test_gain_numerator_on_grid(order, delta0):
     # h~ - h~(0) = a1 sin(phi) + b1 (cos(phi) - 1) + a2 sin(2 phi)
-    # + b2 (cos(2 phi) - 1) with phi = 4 theta: _trig_form for d = 4, and
-    # [4 A0 sin(phi) + A1 (cos(phi) - 1)] / 16 for d <= 3; the exact
+    # + b2 (cos(2 phi) - 1) with phi = 4 theta, on a grid in x = tan(theta),
+    # with a1 = e0, b1 = f0 and a2 = b2 = 0 for d <= 3; the exact
     # g'(0) = e0 and -g''(0) = f0 are a1 + 2 a2 and b1 + 4 b2
     xs = np.linspace(-1.0, 1.0, 101)
     phi = 4.0 * np.arctan(xs)
     for seed in range(10):
         view = random_view(order, 6000 + seed, m=3, delta0=delta0)
-        omega = omega_xi_coeffs(view)
-        e0, f0, a1, b1, a2, b2 = trig_form(omega)
-        got = (a1 * np.sin(phi) + b1 * (np.cos(phi) - 1.0)
-               + a2 * np.sin(2 * phi) + b2 * (np.cos(2 * phi) - 1.0))
+        trig = trig_form(view)
+        e0, f0, a1, b1, a2, b2 = trig
+        got = g_of(trig, phi)
         v0 = h_tilde(view, 0.0)
         want = h_tilde(view, np.arctan(xs)) - v0
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + abs(v0))
@@ -614,7 +633,8 @@ def test_gain_numerator_on_grid(order, delta0):
        delta0=st.sampled_from([0.0, 1e-3, 0.3]),
        seed=st.integers(0, 2**32 - 1), k=st.integers(-200, 200))
 def test_best_angle_is_exactly_scale_covariant(order, m, delta0, seed, k):
-    # scaling nu by 2^k and delta0 by 4^k scales Omega and q by 4^k exactly
+    # scaling nu by 2^k and delta0 by 4^k scales g's coefficients by 4^k
+    # exactly
     base = random_view(order, seed, m=m, delta0=delta0)
     scaled = SubproblemView(2.0**k * base.nu, 4.0**k * delta0)
     a, b = best_angle(base), best_angle(scaled)
@@ -623,20 +643,44 @@ def test_best_angle_is_exactly_scale_covariant(order, m, delta0, seed, k):
 
 
 def test_best_angle_is_scale_covariant_up_to_overflow():
-    # x 2^509: Omega is finite but 4 A1 + A3 is not, so b1 and b2 must be
-    # scaled before they are summed; x 2^511: Omega itself overflows
+    # x 2^509: the coefficients' norm is within a factor 4 below
+    # _MAX_NORM[4], and the step stays exactly covariant; x 2^511: the norm
+    # is above it, where the step's own sums could overflow, and the step
+    # refuses
     base = SubproblemView([[1.0, 0.02, 0.0, 0.01, 1.0]])
     a = best_angle(base)
     assert a.theta != 0.0
+    limit = angles._MAX_NORM[4]
     with np.errstate(over="ignore", invalid="ignore"):
         big = SubproblemView(2.0**509 * base.nu)
-        omega = omega_xi_coeffs(big)
-        assert np.all(np.isfinite(omega))
-        assert math.isinf(4.0 * omega[1] + omega[3])
+        assert 0.25 * limit < math.hypot(*omega_xi_coeffs(big)) <= limit
         b = best_angle(big)
         assert b.theta == a.theta and b.gain == 4.0**509 * a.gain
         with pytest.raises(ValueError, match="must be finite"):
             best_angle(SubproblemView(2.0**511 * base.nu))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_best_angle_near_overflow_refuses_or_is_exact(order):
+    # a direct caller's view scaled by 2^k toward overflow gets the exactly
+    # scaled answer or a ValueError, never a wrong angle: the coefficients
+    # can be finite while a sum the step forms from them (r + f0 at d <= 3,
+    # the certificate's at d = 4) is not
+    rng = np.random.default_rng(80 + order)
+    refused = 0
+    for _ in range(30):
+        base = SubproblemView(rng.standard_normal((2, order + 1)))
+        a = best_angle(base)
+        for k in range(505, 515):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    b = best_angle(SubproblemView(2.0**k * base.nu))
+                except ValueError:
+                    refused += 1
+                    continue
+            assert b.theta == a.theta
+            assert b.gain == math.ldexp(a.gain, 2 * k)
+    assert 0 < refused < 300
 
 
 def scaled_off_diagonal_views(m, delta0_rel, seed, exponents, count=40):
@@ -655,7 +699,7 @@ def test_certified_step_matches_the_quartic(m, delta0_rel, monkeypatch):
     # near-diagonal: off-diagonal entries 1e-12 to 1e-1 of the others
     views = [v for v in scaled_off_diagonal_views(m, delta0_rel, 7100 + m,
                                                   (-12.0, -1.0))
-             if _certified_max(_trig_form(omega_xi_coeffs(v))) is not None]
+             if _certified_max(omega_xi_coeffs(v)) is not None]
     assert len(views) >= 30
     fast = [best_angle(v) for v in views]
     monkeypatch.setattr(angles, "_certified_max", lambda trig: None)
@@ -670,7 +714,7 @@ def test_certificate_bounds_g_where_it_holds():
     # from views with off-diagonal entries 1e-3 to 1 of the others (phi_max
     # up to about 0.6), and from random coefficients, where |a2| and |b2|
     # can be large against f0 and a looser bound would fail
-    trigs = [_trig_form(omega_xi_coeffs(v)) for m in (1, 3)
+    trigs = [omega_xi_coeffs(v) for m in (1, 3)
              for delta0_rel in (0.0, 1e-1)
              for v in scaled_off_diagonal_views(m, delta0_rel, 7200 + m,
                                                 (-3.0, 0.0))]
@@ -712,7 +756,7 @@ def test_quarter_tie_view_falls_back_to_the_quartic(monkeypatch):
     monkeypatch.setattr(angles, "solve_xi_roots",
                         lambda trig: calls.append(trig) or solve(trig))
     view = SubproblemView([[0.0, 1.0, 0.0, 1.0, 0.0]])
-    assert _certified_max(_trig_form(omega_xi_coeffs(view))) is None
+    assert _certified_max(omega_xi_coeffs(view)) is None
     assert best_angle(view).theta == QP
     assert len(calls) == 1
 
@@ -798,17 +842,18 @@ def test_view_rejects_a_non_finite_delta0(order, delta0):
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_omega_stays_within_the_squared_norm_bound(order):
-    # |A_j| <= c_d ||T||^2, c_d = DBL_MAX / MAX_SQ_NORM; a view's own
-    # entries weigh sum_w C(d, w) nu_w^2 in ||T||^2, a lower bound for it
+    # every coefficient of g is at most c_d ||T||^2, c_d = _MAX_NORM /
+    # (4 MAX_SQ_NORM); a view's own entries weigh sum_w C(d, w) nu_w^2 in
+    # ||T||^2, a lower bound for it
     rng = np.random.default_rng(40 + order)
-    c_d = sys.float_info.max / MAX_SQ_NORM[order]
+    c_d = angles._MAX_NORM[order] / (4.0 * MAX_SQ_NORM[order])
     weights = np.array([math.comb(order, w) for w in range(order + 1)])
     worst = 0.0
     for _ in range(2000):
         nu = rng.standard_normal((int(rng.integers(1, 4)), order + 1))
         nu *= rng.uniform(0.0, 1.0, size=order + 1) ** 3
-        omega = omega_xi_coeffs(SubproblemView(nu))
-        worst = max(worst, float(np.max(np.abs(omega)))
+        trig = omega_xi_coeffs(SubproblemView(nu))
+        worst = max(worst, max(map(abs, trig))
                     / (c_d * float(np.sum(weights * nu * nu))))
     assert 0.1 < worst <= 1.0
     assert MAX_SQ_NORM[4] == pytest.approx(8.710e305, rel=1e-3)

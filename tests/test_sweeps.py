@@ -281,7 +281,7 @@ def test_run_refuses_a_set_whose_omega_can_overflow(k):
 @pytest.mark.parametrize("order", [3, 4])
 def test_run_refuses_a_delta0_that_can_overflow_omega(order, method,
                                                        monkeypatch):
-    # delta0 = 1e308 overflows the proximal term of Omega: refused before
+    # delta0 = 1e308 overflows the angle step's proximal term: refused before
     # the first rotation, with no overflow warning; 1e306 still runs
     ts = make_test_problem(ExperimentSpec(n=4, order=order, sigma=1e-2))[0]
     ref = run(ts, RunConfig(method, delta0=1e306, max_sweeps=2))
@@ -389,8 +389,8 @@ def _assert_same_path(fast, reference):
 
 
 def test_fourth_order_trajectories_match_the_xi_route(monkeypatch):
-    # the d = 4 angle from the trig form's quartic against the companion
-    # matrix route it replaced, kept in tests/reference.py
+    # the d = 4 angle from the trig form against the companion-matrix
+    # route on the reference's hand-expanded sums, in tests/reference.py
     problems = [make_test_problem(ExperimentSpec(
         n=5, order=4, m=m, sigma=1e-2, seed_rot=7, seed_noise=8,
         profile="linear"))[0] for m in (1, 2)]
@@ -584,8 +584,9 @@ def test_gradient_single_point_convergence_trend():
 
 
 def test_gradient_run_at_scaled_input_reaches_stationarity():
-    # x 2^7 the last pairs have |Lambda[i, j]| ~ 1e-13 of Omega's largest
-    # coefficient; every such step must still move, or g never stops
+    # x 2^7 the last pairs have |Lambda[i, j]| ~ 1e-12 of the largest
+    # coefficient of the angle step; every such step must still move, or g
+    # never stops
     spec = ExperimentSpec(n=5, order=3, sigma=1e-2, seed_rot=5, seed_noise=3)
     tensors, _ = make_test_problem(spec)
     res = run(TensorSet(2.0**7 * tensors.stack[0]),

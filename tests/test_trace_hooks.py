@@ -20,7 +20,7 @@ def test_every_trace_hook_sees_calls(monkeypatch):
     hooks = [(f"{mod}:{cls + '.' if cls else ''}{attr}", mod, cls, attr, obs)
              for _, mod, cls, attr, obs in spans.HOOKS]
     monkeypatch.setattr(spans, "HOOKS", hooks)
-    # order 3 takes the closed-form angle; order 4 solves for xi roots
+    # order 3 takes the closed-form angle; order 4 finds critical points
     # only where the certified Newton step fails, on 9 of 20 steps here
     third, _ = make_test_problem(ExperimentSpec(n=5, order=3, sigma=1e-2))
     fourth, _ = make_test_problem(ExperimentSpec(n=5, order=4, sigma=1e-2))

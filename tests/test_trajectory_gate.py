@@ -1,7 +1,9 @@
 """tools/trajectory_gate.py: a dump reproduces itself bitwise, a run with
 ORTH_TOL patched re-orthonormalizes, and ``compare`` reports a changed
-angle, relative and in radians, and how many values moved."""
+angle, relative and in radians, how many values moved, and whether the
+path is the same within rounding."""
 
+import copy
 import importlib.util
 import json
 from pathlib import Path
@@ -58,3 +60,52 @@ def test_dump_is_reproducible_and_compare_reports_a_perturbed_angle(
     assert "theta values moved by more than 1e-12 relative: 1, largest " \
         f"|theta| among them {abs(run['theta'][first]):.3g} rad\n" in out
     assert out.rstrip().endswith("trajectories differ")
+
+
+def test_compare_reads_the_same_path_within_rounding(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    gate.dump(ROOT, a, GRID)
+    base = json.loads(a.read_text())
+    tight, plain = "c d=4 m=2 p=0 orth_tol=1e-15", "g d=4 m=2 p=1"
+
+    def compare(change):
+        """(verdict line reads yes, exit code) after change(dump)."""
+        dumped = copy.deepcopy(base)
+        change(dumped[plain], dumped[tight])
+        b.write_text(json.dumps(dumped))
+        code = gate.main(["compare", str(a), str(b)])
+        out = capsys.readouterr().out
+        assert ("same path within rounding: yes\n" in out) \
+            != ("same path within rounding: no\n" in out)
+        return "same path within rounding: yes\n" in out, code
+
+    def theta_at_rounding(run, _):
+        # the smallest angle moves by one rounding of the largest: far more
+        # than FLOAT_RTOL of itself, far less than FLOAT_RTOL of the run's
+        thetas = [abs(t) for t in run["theta"]]
+        k = thetas.index(min(t for t in thetas if t))
+        run["theta"][k] += 2.0**-52 * max(thetas)
+
+    def reorth(run):
+        run["reorths"] += 1
+
+    def swap_pair(run, _):
+        k = next(k for k in range(len(run["i"]) - 1)
+                 if (run["i"][k], run["j"][k])
+                 != (run["i"][k + 1], run["j"][k + 1]))
+        for f in ("i", "j"):
+            run[f][k], run[f][k + 1] = run[f][k + 1], run[f][k]
+
+    def stop(run, _):
+        run["stop_reason"] = "max_sweeps" \
+            if run["stop_reason"] != "max_sweeps" else "stationary"
+
+    def f_moved(run, _):
+        run["f"][-1] *= 1 + 1e-9
+
+    assert compare(lambda run, _: None) == (True, 0)
+    assert compare(theta_at_rounding) == (True, 1)
+    assert compare(lambda _, run: reorth(run)) == (True, 1)
+    assert compare(lambda run, _: reorth(run)) == (False, 1)
+    for change in (swap_pair, stop, f_moved):
+        assert compare(change) == (False, 1)
