@@ -54,7 +54,7 @@ def random_rotation(n, seed):
     return _special_orthogonal_factor(rng.standard_normal((n, n)))
 
 
-def lambda_of(tensors):
+def lambda_of(tensors, lam=None, rows=None):
     """Upper triangle of the gradient matrix Lambda of a (rotated)
     TensorSet: the (P,) vector of Lambda[i, j], i < j, in the row-major
     order of ``sweeps.upper_pairs``.
@@ -64,15 +64,27 @@ def lambda_of(tensors):
     contraction over the m members, then d * (S_ij - S_ji): O(m n^2) work.
     At m = 1 the take reads the kernel's 1-D view of ``packed``
     (``TensorSet._entries``) and the contraction is a plain product.
+
+    Given ``lam``, the vector before a rotation in the (i, j) plane, and
+    ``rows``, that pair's entry of ``symtensor._lambda_rows``, it rewrites
+    in place only the 2n - 3 entries in rows i and j, by the same lines,
+    O(m n) work, and returns ``lam``: bitwise a full recompute, since no
+    other entry reads an entry the rotation touched.
     """
-    near = tensors._entries.take(
-        _lambda_positions(tensors.order, tensors.dim), axis=0)  # (4, P[, m])
+    if rows is None:
+        positions = _lambda_positions(tensors.order, tensors.dim)
+    else:
+        rows, positions = rows
+    near = tensors._entries.take(positions, axis=0)   # (4, P or 2n-3[, m])
     if near.ndim == 2:
-        s = near[:2] * near[2:]                         # (2, P)
+        s = near[:2] * near[2:]
     else:
         s = np.vecdot(near[:2], near[2:])
-    lam = s[0] - s[1]
-    lam *= tensors.order
+    new = s[0] - s[1]
+    new *= tensors.order
+    if rows is None:
+        return new
+    lam[rows] = new
     return lam
 
 

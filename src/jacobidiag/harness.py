@@ -23,7 +23,7 @@ from .angles import SubproblemView, best_angle, check_sq_norm
 from .geometry import QUARTER_PI, lambda_of, random_rotation
 from .sweeps import (RunConfig, _check_integer, _check_nonnegative, run,
                      upper_pairs, write_trajectory_csv)
-from .symtensor import TensorSet, _orbit
+from .symtensor import TensorSet, _lambda_rows, _orbit
 
 __all__ = [
     "ExperimentSpec",
@@ -211,14 +211,17 @@ def verify_invariants(tensors, seed=0, samples=40):
 
     One pass over ``samples`` rotated copies of the set, the t-th rotated
     by ``geometry.random_rotation(n, seed + 7919 t)``; each copy is checked
-    four ways at one random pair: the analytic gradient vs central finite
+    five ways at one random pair: the analytic gradient vs central finite
     differences ("gradient-fd"), the packed plane rotation
     ``TensorSet.rotate_plane`` vs the dense
     ``oracle.rotate_planes_reference`` at an angle in [-pi/4, pi/4]
-    ("plane-kernel", relative to ||T||_F), algebraic vs brute-force angle
-    maximization with delta0 cycling through (0, 1e-3, 1e-1) ||T||^2
-    ("angle-oracle"), and the f + offdiag = total partition
-    ("conservation").  The other residuals are relative to ||T||^2.
+    ("plane-kernel", relative to ||T||_F), Lambda of the copy updated in
+    rows i and j after that rotation, as ``sweeps.run`` updates it, vs a
+    full ``lambda_of`` of the rotated copy, bitwise ("lambda-rows"),
+    algebraic vs brute-force angle maximization with delta0 cycling
+    through (0, 1e-3, 1e-1) ||T||^2 ("angle-oracle"), and the f + offdiag
+    = total partition ("conservation").  The other residuals are relative
+    to ||T||^2.
     Returns one CheckResult per check, in that order.
     ValueError, before any check: samples not an integer >= 1 (nothing
     checked), seed not a non-negative integer, or a squared norm that
@@ -239,6 +242,7 @@ def verify_invariants(tensors, seed=0, samples=40):
     check_sq_norm(total, tensors.order, 0.1 * total)
     rng = np.random.default_rng(seed)
     worst_fd = worst_match = worst_kernel = worst_angle = worst_sum = 0.0
+    rows_off = 0
     for t in range(samples):
         ts = tensors.rotated_by(random_rotation(n, seed + 7919 * t))
         i = int(rng.integers(0, n - 1))
@@ -249,17 +253,23 @@ def verify_invariants(tensors, seed=0, samples=40):
 
         # gradient: h'(0) = -2 Lambda[i,j] and both match finite differences
         analytic = h_prime_at_zero(view)
-        lam_ij = lambda_of(ts)[upper_pairs(n).index((i, j))]
+        k = upper_pairs(n).index((i, j))
+        lam = lambda_of(ts)
         worst_match = max(worst_match,
-                          abs(analytic + 2.0 * lam_ij) / (1.0 + abs(analytic)))
+                          abs(analytic + 2.0 * lam[k]) / (1.0 + abs(analytic)))
         fd = finite_difference_h_prime(ts, i, j)
         worst_fd = max(worst_fd, abs(fd - analytic) / (1.0 + abs(analytic)))
 
         # plane kernel: the packed rotation vs the dense whole-stack rotation
         dense = ts.stack
         rotate_planes_reference(dense, i, j, math.cos(theta), math.sin(theta))
-        packed = ts.copy().rotate_plane(i, j, theta).stack
-        worst_kernel = max(worst_kernel, float(np.linalg.norm(packed - dense)))
+        rotated = ts.copy().rotate_plane(i, j, theta)
+        worst_kernel = max(worst_kernel,
+                           float(np.linalg.norm(rotated.stack - dense)))
+
+        # Lambda rows: run's update after the rotation vs a fresh lambda_of
+        lam = lambda_of(rotated, lam, _lambda_rows(ts.order, n)[k])
+        rows_off += not np.array_equal(lam, lambda_of(rotated))
 
         # algebraic angle vs brute-force oracle
         vo = h_tilde(view, brute_force_angle(view).theta)
@@ -280,6 +290,10 @@ def verify_invariants(tensors, seed=0, samples=40):
             "plane-kernel", bool(worst_kernel <= 1e-12),
             f"max ||packed - dense||_F / ||T||_F = {worst_kernel:.3e} "
             f"(tol 1e-12)"),
+        CheckResult(
+            "lambda-rows", rows_off == 0,
+            f"{rows_off} of {samples} row-updated Lambda differ from a "
+            f"full recompute (bitwise)"),
         CheckResult(
             "angle-oracle", bool(worst_angle <= 1e-10),
             f"max oracle value gap {worst_angle:.3e} (tol 1e-10)"),

@@ -18,9 +18,10 @@ stops at max_sweeps or when ||Lambda|| (``geometry.lambda_norm``) falls to
 the stationarity tolerance; cthresh additionally stops on a sweep without
 a rotation.
 A run is strictly sequential, one path per visit: pick the pair, skip it
-(cthresh, theta 0) or solve its angle and rotate, append one record.
-After every sweep, a stationary stop included, Q is re-orthonormalized if
-its drift ||Q^T Q - I|| exceeds ORTH_TOL.
+(cthresh, theta 0) or solve its angle, rotate and rewrite Lambda's rows i
+and j, append one record.  Lambda is computed in full only at the start
+and after a re-orthonormalization, which follows any sweep, a stationary
+stop included, whose drift ||Q^T Q - I|| exceeds ORTH_TOL.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .angles import SubproblemView, best_angle, check_sq_norm
 from .geometry import ORTH_TOL, RotationState, lambda_norm, lambda_of
-from .symtensor import TensorSet
+from .symtensor import TensorSet, _lambda_rows
 
 __all__ = [
     "METHODS",
@@ -246,15 +247,16 @@ def run(tensors, config=None, q0=None):
     thresh = cfg.thresh if cfg.thresh is not None else 1e-10 * scale
 
     pairs = upper_pairs(n)
+    rows = _lambda_rows(tensors.order, n)
     records = []
     f_initial = state.f_current
     t0 = time.perf_counter()
     reason = "max_sweeps"
+    lam = lambda_of(state.tensors)
 
     for sweep in range(cfg.max_sweeps):
         count_at_start = state.rotation_count
         for pos in range(len(pairs)):
-            lam = lambda_of(state.tensors)
             lam_norm = lambda_norm(lam)
             if lam_norm <= tol:
                 reason = "stationary"
@@ -274,12 +276,14 @@ def run(tensors, config=None, q0=None):
                 view = SubproblemView.from_tensors(state.tensors, i, j, delta0)
                 theta = best_angle(view).theta
                 state.apply(i, j, theta)
+                lambda_of(state.tensors, lam, rows[pick])
             records.append(IterationRecord(
                 state.rotation_count, sweep, i, j, theta, state.f_current,
                 state.offdiag_sq(), lam_norm, skipped,
                 (time.perf_counter() - t0) * 1e3))
         if state.orthogonality_error() > ORTH_TOL:
             state.reorthonormalize()
+            lam = lambda_of(state.tensors)
         if reason == "stationary":
             break
         if cfg.method == "cthresh" and state.rotation_count == count_at_start:

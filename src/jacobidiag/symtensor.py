@@ -110,6 +110,19 @@ def _lambda_positions(order, dim):
 
 
 @functools.lru_cache(maxsize=16)
+def _lambda_rows(order, dim):
+    """Per pair i < j in row-major order, (rows, positions): the ascending
+    positions of the 2n - 3 pairs that share an index with it, the only
+    entries of Lambda a rotation in its plane changes, and the (4, 2n - 3)
+    columns of ``_lambda_positions`` at them.  O(n^3) entries in all."""
+    i, j = np.triu_indices(dim, 1)
+    rows = [np.flatnonzero((i == a) | (i == b) | (j == a) | (j == b))
+            for a, b in zip(i, j)]
+    table = _lambda_positions(order, dim)
+    return tuple((r, table[:, r]) for r in rows)
+
+
+@functools.lru_cache(maxsize=16)
 def _rotation_plan(order, dim):
     """Index tables (row_i, row_j, bounds) of the packed plane rotation,
     built once per (d, n).

@@ -7,8 +7,8 @@ stationarity polynomial Omega mapped to g's coefficients for their Gram
 product, the xi route (companion-matrix roots of Omega mapped back to
 tangents) for the d = 4 angle, explicit Givens matrices, one ``einsum``
 for a matrix applied to every mode, the d! transposes for symmetry, a
-dense sum of the off-diagonal mass, and Lambda from dense near-diagonal
-entries."""
+dense sum of the off-diagonal mass, Lambda from dense near-diagonal
+entries, and the sweep loop with Lambda recomputed before every visit."""
 
 from __future__ import annotations
 
@@ -17,8 +17,12 @@ import math
 
 import numpy as np
 
+from jacobidiag import sweeps
 from jacobidiag.angles import AngleResult, SubproblemView, best_angle
+from jacobidiag.geometry import RotationState, lambda_norm, lambda_of
 from jacobidiag.oracle import _canonical_map, h, h_prime_at_zero, h_tilde
+from jacobidiag.sweeps import (select_pair_gradient, select_pair_max,
+                               upper_pairs)
 
 
 def tau(view, x):
@@ -323,3 +327,47 @@ def lambda_reference(tensors):
         tensors.stack[(slice(None), k) + (p,) * (d - 1)])   # (m, n, n)
     s = np.einsum("akl,al->kl", near, near.diagonal(axis1=1, axis2=2))
     return d * (s - s.T)
+
+
+def run_recomputing_lambda(tensors, result):
+    """``sweeps.run``'s loop with Lambda computed afresh before every visit,
+    the reference for its row update: the run of ``result``'s config on
+    ``tensors`` from the identity, with the settings ``result`` resolved
+    and ``sweeps.ORTH_TOL`` read when the sweep ends.  Returns the visits
+    as (sweep, i, j, theta, skipped, ||Lambda||), the stop reason and the
+    final state."""
+    cfg, state = result.config, RotationState(tensors)
+    n = tensors.dim
+    pairs = upper_pairs(n)
+    visits, reason = [], "max_sweeps"
+    for sweep in range(cfg.max_sweeps):
+        count_at_start = state.rotation_count
+        for pos in range(len(pairs)):
+            lam = lambda_of(state.tensors)
+            norm = lambda_norm(lam)
+            if norm <= result.stationarity_tol:
+                reason = "stationary"
+                break
+            if cfg.method == "g":
+                pick = select_pair_gradient(lam, result.eps, norm)
+            elif cfg.method == "gmax":
+                pick = select_pair_max(lam)
+            else:
+                pick = pos
+            i, j = pairs[pick]
+            skipped = cfg.method == "cthresh" and bool(
+                abs(lam[pick]) <= result.thresh / n)
+            theta = 0.0
+            if not skipped:
+                theta = best_angle(SubproblemView.from_tensors(
+                    state.tensors, i, j, result.delta0)).theta
+                state.apply(i, j, theta)
+            visits.append((sweep, i, j, theta, skipped, norm))
+        if state.orthogonality_error() > sweeps.ORTH_TOL:
+            state.reorthonormalize()
+        if reason == "stationary":
+            break
+        if cfg.method == "cthresh" and state.rotation_count == count_at_start:
+            reason = "no_progress"
+            break
+    return visits, reason, state

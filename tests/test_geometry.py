@@ -9,7 +9,7 @@ from jacobidiag.geometry import (QUARTER_PI, RotationState, lambda_of,
 from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.sweeps import RunConfig, run, upper_pairs
 from jacobidiag.oracle import finite_difference_h_prime
-from jacobidiag.symtensor import TensorSet
+from jacobidiag.symtensor import TensorSet, _lambda_rows
 
 from reference import (dense_symmetrize, givens_generator, givens_matrix,
                        lambda_reference, offdiag_sq_norm)
@@ -140,6 +140,31 @@ def test_lambda_matches_the_dense_gather_formula(order, m):
             err = np.linalg.norm(lam - ref_upper)
             assert err <= 1e-13 * ts.frob_sq()
             assert err <= 1e-15 * np.linalg.norm(ref_upper)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 3])
+def test_lambda_row_update_is_bitwise_a_full_recompute(order, m):
+    # after every rotation, rewriting rows i and j of Lambda gives the bits
+    # of a fresh lambda_of, and leaves every other entry as it was
+    n = 6
+    state = RotationState(random_set(order, n, 400 + order, m=m))
+    pairs, tables = upper_pairs(n), _lambda_rows(order, n)
+    rng = np.random.default_rng(order * 10 + m)
+    lam = lambda_of(state.tensors)
+    for _ in range(40):
+        k = int(rng.integers(len(pairs)))
+        i, j = pairs[k]
+        before = lam.copy()
+        state.apply(i, j, float(rng.uniform(-QUARTER_PI, QUARTER_PI)))
+        assert lambda_of(state.tensors, lam, tables[k]) is lam
+        assert np.array_equal(lam, lambda_of(state.tensors))
+        rows = tables[k][0]
+        assert rows.tolist() == [p for p, (a, b) in enumerate(pairs)
+                                 if {a, b} & {i, j}]
+        kept = np.ones(len(pairs), dtype=bool)
+        kept[rows] = False
+        assert np.array_equal(lam[kept], before[kept])
 
 
 def test_safe_norm_is_bitwise_numpy_norm_in_normal_range():

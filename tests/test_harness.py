@@ -16,7 +16,8 @@ from jacobidiag.symtensor import TensorSet
 
 from reference import dense_symmetrize, dense_symmetry_error, offdiag_sq_norm
 
-VERIFY_CHECKS = ["gradient-fd", "plane-kernel", "angle-oracle", "conservation"]
+VERIFY_CHECKS = ["gradient-fd", "plane-kernel", "lambda-rows", "angle-oracle",
+                 "conservation"]
 
 
 def test_spec_validation():
@@ -320,7 +321,7 @@ def test_verify_invariants_pass_on_clean_problem():
     (4, 1, True),     # the n = 4 third-order slices of a 4th-order tensor
 ], ids=["2-3", "3-1", "4-2", "4-slices"])
 def test_verify_invariants_at_every_order(order, m, slice_mode):
-    # every order runs the same four checks, in order, and each verdict is
+    # every order runs the same five checks, in order, and each verdict is
     # a Python bool, so a list of checks goes through json.dumps
     spec = ExperimentSpec(n=4, order=order, m=m, sigma=1e-2, seed_rot=12,
                           seed_noise=13, slice_mode=slice_mode)
@@ -372,12 +373,37 @@ def test_cli_verify_exits_3_on_a_corrupted_plane_kernel(tmp_path, monkeypatch,
                      "1", "--out", path]) == 0
     assert cli.main(["verify", "--in", path]) == 0
     out = capsys.readouterr().out
-    assert [line.split(":")[0] for line in out.splitlines()[-4:]] == [
-        "PASS gradient-fd", "PASS plane-kernel", "PASS angle-oracle",
-        "PASS conservation"]
+    assert [line.split(":")[0] for line in out.splitlines()[-5:]] == [
+        "PASS gradient-fd", "PASS plane-kernel", "PASS lambda-rows",
+        "PASS angle-oracle", "PASS conservation"]
     flip_s1(monkeypatch, 3)
     assert cli.main(["verify", "--in", path]) == 3
     assert "FAIL plane-kernel" in capsys.readouterr().out
+
+
+def drop_last_row(monkeypatch):
+    """Corrupt the Lambda row update: every pair's update skips the last
+    of its 2n - 3 entries."""
+    tables = harness._lambda_rows
+
+    def broken(order, dim):
+        return tuple((rows[:-1], positions[:, :-1])
+                     for rows, positions in tables(order, dim))
+
+    monkeypatch.setattr(harness, "_lambda_rows", broken)
+
+
+@pytest.mark.parametrize("order,m", [(2, 1), (3, 2), (4, 1)])
+def test_verify_invariants_fails_a_broken_lambda_row_update(monkeypatch,
+                                                            order, m):
+    spec = ExperimentSpec(n=5, order=order, m=m, sigma=1e-2, seed_rot=3,
+                          seed_noise=4)
+    tensors, _ = make_test_problem(spec)
+    drop_last_row(monkeypatch)
+    checks = {c.name: c for c in verify_invariants(tensors, samples=6)}
+    assert not checks["lambda-rows"].passed
+    assert checks["lambda-rows"].detail.startswith("6 of 6 ")
+    assert all(c.passed for name, c in checks.items() if name != "lambda-rows")
 
 
 @pytest.mark.parametrize("kwargs,message", [

@@ -51,7 +51,7 @@ def test_readme_command_line_block_runs_as_written(tmp_path):
     for row in rows:
         assert (tmp_path / row["csv_path"]).exists()
     passed = [ln for ln in done.stdout.splitlines() if ln.startswith("PASS ")]
-    assert len(passed) == 4, done.stdout
+    assert len(passed) == 5, done.stdout
 
     # a refusal exits 2 through the interpreter, naming the field
     done = bash("jacobidiag gen --n 4 --d 3 --seed-rot -1 --out bad.st",

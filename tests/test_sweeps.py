@@ -16,7 +16,8 @@ from jacobidiag.sweeps import (RunConfig, run, select_pair_gradient,
                                write_trajectory_csv)
 from jacobidiag.symtensor import TensorSet
 
-from reference import best_angle_xi, lambda_reference, offdiag_sq_norm
+from reference import (best_angle_xi, lambda_reference, offdiag_sq_norm,
+                       run_recomputing_lambda)
 
 
 def noisy_problem(order, n=6, sigma=1e-2, seed=5):
@@ -429,6 +430,33 @@ def test_view_gather_keeps_angles_bitwise(monkeypatch):
     monkeypatch.setattr(SubproblemView, "from_tensors",
                         classmethod(dense_view))
     assert thetas() == fast
+
+
+@pytest.mark.parametrize("orth_tol", [None, 0.0], ids=["default", "tol0"])
+@pytest.mark.parametrize("method", sweeps.METHODS)
+def test_row_updated_lambda_matches_a_recompute_before_every_visit(
+        monkeypatch, method, orth_tol):
+    # run rewrites only rows i and j of Lambda after each rotation; a loop
+    # that recomputes it before every visit sees the same bits: the same
+    # norms, pairs, angles, skips and stop, also across cthresh's skips and,
+    # with ORTH_TOL patched to 0, a re-orthonormalization after every sweep
+    if orth_tol is not None:
+        monkeypatch.setattr(sweeps, "ORTH_TOL", orth_tol)
+    for order, m in ((2, 3), (3, 1), (4, 2)):
+        ts, _ = make_test_problem(ExperimentSpec(
+            n=6, order=order, m=m, sigma=1e-2, seed_rot=order,
+            seed_noise=m, profile="linear"))
+        res = run(ts, RunConfig(method=method, thresh=1e-2, max_sweeps=30))
+        visits, reason, state = run_recomputing_lambda(ts, res)
+        assert [(r.sweep, r.i, r.j, r.theta, r.skipped, r.lambda_norm)
+                for r in res.records] == visits
+        assert res.stop_reason == reason
+        assert np.array_equal(res.state.q, state.q)
+        assert res.state.reorth_count == state.reorth_count
+        if method == "cthresh":
+            assert any(r.skipped for r in res.records)
+        if orth_tol is not None:
+            assert res.state.reorth_count > 0
 
 
 def test_forced_reorthonormalization_keeps_ascent(monkeypatch):
