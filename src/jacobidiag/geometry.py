@@ -125,8 +125,8 @@ class RotationState:
     on every call (``TensorSet.diag_sq_norm`` and ``offdiag_sq``).
 
     ``source`` is a TensorSet, already checked when it was built; its
-    squared norm ``total_sq_norm`` is not: ``sweeps.run`` refuses a zero or
-    overflowing one through ``angles.check_sq_norm``.  Keeps
+    squared norm ``total_sq_norm``, a packed sum (``frob_sq``), is not:
+    ``sweeps.run`` refuses 0 or an overflow (``check_sq_norm``).  Keeps
     a reference to it, the unrotated set, so Q can be
     re-orthonormalized and the working tensors rebuilt if floating-point
     drift ever exceeds ORTH_TOL.  ``apply`` does not check the drift (the

@@ -220,8 +220,8 @@ def verify_invariants(tensors, seed=0, samples=40):
     full ``lambda_of`` of the rotated copy, bitwise ("lambda-rows"),
     algebraic vs brute-force angle maximization with delta0 cycling
     through (0, 1e-3, 1e-1) ||T||^2 ("angle-oracle"), and the f + offdiag
-    = total partition ("conservation").  The other residuals are relative
-    to ||T||^2.
+    = total partition ("conservation"), relative to ||T||^2 as is the FD
+    gap; the Lambda mismatch and the oracle gap are relative to 1 + |value|.
     Returns one CheckResult per check, in that order.
     ValueError, before any check: samples not an integer >= 1 (nothing
     checked), seed not a non-negative integer, or a squared norm that
@@ -258,7 +258,7 @@ def verify_invariants(tensors, seed=0, samples=40):
         worst_match = max(worst_match,
                           abs(analytic + 2.0 * lam[k]) / (1.0 + abs(analytic)))
         fd = finite_difference_h_prime(ts, i, j)
-        worst_fd = max(worst_fd, abs(fd - analytic) / (1.0 + abs(analytic)))
+        worst_fd = max(worst_fd, abs(fd - analytic) / total)
 
         # plane kernel: the packed rotation vs the dense whole-stack rotation
         dense = ts.stack

@@ -9,7 +9,7 @@ those: an entry-major ``packed`` array of shape (N, m), rows grouped by how
 many dense entries each stands for (``_packing``).  Symmetry is a property
 of the storage, not of the values: there are no duplicate entries that
 could drift apart.  The dense ``(m,) + (n,)*d`` array is built on demand
-(``stack``) for I/O and for the reference computations.
+(``stack``) for I/O, ``rotated_by`` and the reference computations.
 
 Dense input is checked for symmetry once, by one gather per axis
 permutation at the sorted multi-indices (``_orbit``).  The constructor and
@@ -356,9 +356,9 @@ class TensorSet:
         return TensorSet._from_packed, (self.packed, self.order, self.dim)
 
     def frob_sq(self):
-        """||T||^2, summed over the dense expansion (O(m n^d))."""
-        stack = self.stack
-        return float(np.vdot(stack, stack))
+        """||T||^2 in O(m N): per class, diagonal included, copies times the
+        rows' ``vdot``, which, unlike ``dot``, overflows to inf silently."""
+        return sum(c * float(np.vdot(p, p)) for c, p in self._by_class)
 
     def diag_sq_norm(self):
         """Sum of squared diagonal entries over the set (the objective f):

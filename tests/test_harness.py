@@ -332,6 +332,21 @@ def test_verify_invariants_at_every_order(order, m, slice_mode):
     json.dumps([dataclasses.asdict(c) for c in checks])
 
 
+def test_verify_gradient_fd_reads_the_same_at_every_scale():
+    # an equal-profile matrix is rotation invariant, so h'(0) is the
+    # noise's alone, ~1e-4 ||T||^2, and the difference quotient's rounding
+    # ~1e-11 ||T||^2: relative to 1 + |h'(0)| it failed from 2^11 on and
+    # read ~1e-311 at 2^-498
+    spec = ExperimentSpec(n=2, order=2, sigma=1e-2, seed_rot=14,
+                          seed_noise=15)
+    tensors, _ = make_test_problem(spec)
+    want = verify_invariants(tensors, samples=2)[0]
+    assert want.passed
+    for k in (-498, 11, 498):
+        big = TensorSet._from_packed(2.0**k * tensors.packed, 2, 2)
+        assert verify_invariants(big, samples=2)[0] == want
+
+
 def test_verify_invariants_builds_no_solver_state(monkeypatch):
     # verify checks rotated copies of the set, not the solver's iterate
     spec = ExperimentSpec(n=5, order=3, m=2, sigma=1e-2, seed_rot=10,

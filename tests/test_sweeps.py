@@ -5,11 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobidiag import sweeps
 from jacobidiag.angles import MAX_SQ_NORM, SubproblemView
 from jacobidiag.geometry import RotationState, lambda_norm, random_rotation
-from jacobidiag.harness import ExperimentSpec, make_test_problem
+from jacobidiag.harness import (ExperimentSpec, make_test_problem,
+                                verify_invariants)
 from jacobidiag.oracle import rotate_planes_reference
 from jacobidiag.sweeps import (RunConfig, run, select_pair_gradient,
                                select_pair_max, upper_pairs,
@@ -630,6 +633,55 @@ def test_fourth_order_gradient_run_at_scaled_input_reaches_stationarity(k):
     res = run(TensorSet(2.0**k * tensors.stack[0]),
               RunConfig(method="g", max_sweeps=20))
     assert res.converged and res.stop_reason == "stationary"
+
+
+def scaled(tensors, k):
+    """The set times 2^k, exactly: every entry keeps its mantissa."""
+    return TensorSet._from_packed(2.0**k * tensors.packed, tensors.order,
+                                  tensors.dim)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(order=st.sampled_from([2, 3, 4]), n=st.integers(2, 6),
+       m=st.integers(1, 3), method=st.sampled_from(sweeps.METHODS),
+       seed=st.integers(0, 2**16), k=st.integers(-498, 498))
+def test_run_keeps_the_paper_invariants_at_any_scale(order, n, m, method,
+                                                     seed, k):
+    spec = ExperimentSpec(n=n, order=order, m=m, sigma=1e-2, seed_rot=seed,
+                          seed_noise=seed + 1)
+    ts = scaled(make_test_problem(spec)[0], k)
+    total = ts.frob_sq()
+    res = run(ts, RunConfig(method=method))
+    prev = res.f_initial
+    for rec in res.records:
+        assert rec.f >= prev - 1e-12 * total
+        if method == "pc":
+            gamma = 2.0 * (math.sin(rec.theta) * math.cos(rec.theta))**2
+            assert rec.f - prev >= res.delta0 * gamma - 1e-10 * total
+        assert abs(rec.f + rec.offdiag_sq - total) <= 1e-9 * total
+        prev = rec.f
+    state = res.state
+    assert abs(state.f_current + state.offdiag_sq() - total) <= 1e-9 * total
+    assert state.orthogonality_error() <= 1e-8
+    assert abs(np.linalg.det(state.q) - 1.0) <= 1e-8
+    failed = [c for c in verify_invariants(ts, samples=2) if not c.passed]
+    assert failed == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the default stationarity_tol, 1e-10 sqrt(||T||^2), is linear in the "
+    "scale and ||Lambda|| quadratic; ROADMAP item 6's tolerance change "
+    "must make the path scale-free"))
+def test_run_takes_one_path_at_every_scale():
+    # c makes 55 rotations unscaled, 53 at x 2^-1, 64 at x 2^7, and at
+    # x 2^-300 stops "stationary" after 0
+    spec = ExperimentSpec(n=5, order=3, sigma=1e-2, seed_rot=5, seed_noise=3)
+    tensors, _ = make_test_problem(spec)
+    cfg = RunConfig(method="c", max_sweeps=20)
+    path = [(r.i, r.j, r.theta) for r in run(tensors, cfg).records]
+    for k in (-1, 7, -300):
+        assert [(r.i, r.j, r.theta)
+                for r in run(scaled(tensors, k), cfg).records] == path
 
 
 def test_run_result_reports_the_resolved_settings():

@@ -463,6 +463,29 @@ def test_partition_diag_plus_offdiag(order):
         t.frob_sq(), rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_frob_sq_matches_the_dense_sum(order, m):
+    rng = np.random.default_rng(60 + 10 * order + m)
+    for n in (2, 3, 7):
+        ts = TensorSet([dense_symmetrize(rng.standard_normal((n,) * order))
+                        for _ in range(m)])
+        dense = ts.stack
+        assert ts.frob_sq() == pytest.approx(float(np.vdot(dense, dense)),
+                                             rel=1e-14)
+
+
+@pytest.mark.parametrize("k, want", [(511, math.inf), (600, math.inf),
+                                     (-600, 0.0)])
+def test_frob_sq_over_and_underflows_without_a_warning(k, want):
+    # at 2^511 the squares lie near the largest float and their sum overflows
+    ts = random_symtensor(3, 4, 65)
+    big = TensorSet._from_packed(2.0**k * ts.packed, 3, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert big.frob_sq() == want
+
+
 def zeroed_diagonal_sq(ts):
     """The off-diagonal sum the long way: copy, zero the diagonal, sum."""
     tmp = ts.stack.copy()
