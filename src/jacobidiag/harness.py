@@ -220,8 +220,9 @@ def verify_invariants(tensors, seed=0, samples=40):
     full ``lambda_of`` of the rotated copy, bitwise ("lambda-rows"),
     algebraic vs brute-force angle maximization with delta0 cycling
     through (0, 1e-3, 1e-1) ||T||^2 ("angle-oracle"), and the f + offdiag
-    = total partition ("conservation"), relative to ||T||^2 as is the FD
-    gap; the Lambda mismatch and the oracle gap are relative to 1 + |value|.
+    = total partition ("conservation").  Every gap but the kernel's is
+    relative to ||T||^2 and the kernel's to ||T||_F, so each check reads
+    the same at any scale.
     Returns one CheckResult per check, in that order.
     ValueError, before any check: samples not an integer >= 1 (nothing
     checked), seed not a non-negative integer, or a squared norm that
@@ -256,7 +257,7 @@ def verify_invariants(tensors, seed=0, samples=40):
         k = upper_pairs(n).index((i, j))
         lam = lambda_of(ts)
         worst_match = max(worst_match,
-                          abs(analytic + 2.0 * lam[k]) / (1.0 + abs(analytic)))
+                          abs(analytic + 2.0 * lam[k]) / total)
         fd = finite_difference_h_prime(ts, i, j)
         worst_fd = max(worst_fd, abs(fd - analytic) / total)
 
@@ -274,7 +275,7 @@ def verify_invariants(tensors, seed=0, samples=40):
         # algebraic angle vs brute-force oracle
         vo = h_tilde(view, brute_force_angle(view).theta)
         va = h_tilde(view, best_angle(view).theta)
-        worst_angle = max(worst_angle, abs(va - vo) / (1.0 + abs(vo)))
+        worst_angle = max(worst_angle, abs(va - vo) / total)
 
         # conservation: f + offdiag == total
         worst_sum = max(worst_sum, abs(ts.diag_sq_norm() + ts.offdiag_sq()

@@ -174,12 +174,13 @@ def _parabolic_polish(fn, theta, lo, hi):
 def local_maxima(view):
     """(theta, h~(theta)) at every local maximum of a 2049-point grid on
     [-pi/4, pi/4] (odd, so theta = 0 is on it), refined to a 1e-12 bracket
-    and polished with a parabolic step; empty when h~ is flat on the grid.
-    Independent of the polynomial machinery."""
+    and polished with a parabolic step; empty when h~ is flat on the grid,
+    its spread within 1e-15 of its largest |h~| there, a bound that scales
+    with the view.  Independent of the polynomial machinery."""
     thetas = np.linspace(-QUARTER_PI, QUARTER_PI, 2049)
     values = h_tilde(view, thetas)
-    v0 = float(h_tilde(view, 0.0))
-    if float(np.max(values) - np.min(values)) <= 1e-15 * (1.0 + abs(v0)):
+    if float(np.max(values) - np.min(values)) <= 1e-15 * float(
+            np.max(np.abs(values))):
         return []
     fn = _scalar_fn(view)
     padded = np.concatenate(([-math.inf], values, [-math.inf]))
@@ -193,12 +194,13 @@ def local_maxima(view):
 
 
 def brute_force_angle(view):
-    """Reference maximizer: the best local maximum, best_angle's tie rules."""
+    """Reference maximizer: the best local maximum, best_angle's tie rules,
+    with maxima within 1e-13 |best| of the best tied."""
     cands = local_maxima(view)
     if not cands:
         return AngleResult(0.0, 0.0)
     vmax = max(v for _, v in cands)
-    tie_tol = 1e-13 * (1.0 + abs(vmax))
+    tie_tol = 1e-13 * abs(vmax)
     theta = min((t for t, v in cands if v >= vmax - tie_tol),
                 key=lambda t: (abs(t), t < 0))
     value = dict(cands)[theta]

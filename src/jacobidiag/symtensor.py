@@ -24,11 +24,14 @@ A plane rotation changes only the K entries with an index in {i, j}
 (K = 4,900 of N = 17,550 at d = 4, n = 24).  They fall into blocks of the
 t + 1 entries i^a j^(t-a) R with t indices in {i, j}, and the rotation
 maps each block by S_t, the t-th symmetric power of the 2 x 2 Givens
-matrix.  ``rotate_plane`` gathers them into buffers the set plans once,
-maps them by one matrix product per t and scatters them back (see
-``_rotation_work``), at m = 1 through a 1-D view of ``packed`` made with
-the set, which ``geometry.lambda_of`` reads too; it agrees with the dense
-rotation to rounding only.
+matrix.  ``rotate_plane`` reads the K packed positions of its pair from
+one row of a table built once per (d, n) (``_rotation_plan``), gathers
+the entries into buffers the set plans once, maps them by one matrix
+product per t and scatters them back (see ``_rotation_work``), at m = 1
+through a 1-D view of ``packed`` made with the set, which
+``geometry.lambda_of`` reads too; it agrees with the dense rotation to
+rounding only.  The table holds P K = O(n^(d+1)) positions, one row per
+pair, 2.58 MiB at (4, 24); no dense index is formed per rotation.
 
 Index convention: all indices and modes are 0-based.
 """
@@ -124,22 +127,31 @@ def _lambda_rows(order, dim):
 
 @functools.lru_cache(maxsize=16)
 def _rotation_plan(order, dim):
-    """Index tables (row_i, row_j, bounds) of the packed plane rotation,
-    built once per (d, n).
+    """(table, bounds) of the packed plane rotation, built once per (d, n):
+    row p of the (P, K) table holds the packed positions of the K entries
+    that a rotation in the plane of pair p, the p-th of ``upper_pairs``'
+    row-major order, touches.  Pair (i, j) is row i (2n - i - 3) / 2 + j - 1.
 
     A touched entry has t >= 1 indices in {i, j} and a rest multiset R of
     d - t indices outside {i, j}; the t + 1 entries i^a j^(t-a) R of one
     (t, R) form a block, which the rotation maps by S_t
     (``_symmetric_power_table``).  The touched entries are ordered by
-    (t, a, block): rows [lo, hi) = bounds[t - 1] hold the blocks with t
+    (t, a, block): columns [lo, hi) = bounds[t - 1] hold the blocks with t
     hits as t + 1 runs of equal length, one per a, so they read as a
     (t + 1, blocks * m) array.
 
-    The touched entries' dense indices split as ``row_i[i] + row_j[j]``:
-    rest labels u in [0, n-2) map to u + [u >= i] + [u >= j - 1], which
-    skips i and j; the first part depends on i alone, the second on j
-    alone.  So no table is keyed by the pair: the two (n, K) row tables,
-    K = O(n^(d-1)), are O(n^d) like the position table.
+    The table is built from the entries' dense indices, which split as
+    ``row_i[i] + row_j[j]``: rest labels u in [0, n-2) map to
+    u + [u >= i] + [u >= j - 1], which skips i and j; the first part
+    depends on i alone, the second on j alone.  The rows of one i are
+    filled at a time, so no (P, K) intp array is made on the way.
+
+    Its dtype is the smallest unsigned one that holds N - 1, and its size
+    grows as P K = O(n^(d+1)): 2,704,800 bytes (2.58 MiB, uint16) at
+    (d, n) = (4, 24), 35,672 at (3, 14), 11,348,480 (10.8 MiB) at (4, 32)
+    and 6,682,650 (6.4 MiB) at (2, 150).  ``_lambda_rows``, O(n^3) intp,
+    is smaller at d = 4 (496,800 bytes at (4, 24)) and far larger at d = 2
+    (132,759,000 at (2, 150)).
     """
     strides = dim ** np.arange(order - 1, -1, -1)
     ij = np.arange(dim)[:, None, None]              # i, or j, per table row
@@ -156,26 +168,36 @@ def _rotation_plan(order, dim):
             row_j.append(part_j + ij[:, :, 0] * strides[r + a:].sum())
         bounds.append((k, k + (t + 1) * len(combos)))
         k = bounds[-1][1]
-    return np.hstack(row_i), np.hstack(row_j), tuple(bounds)
+    row_i, row_j = np.hstack(row_i), np.hstack(row_j)
+    pos = _packing(order, dim)[1]
+    table = np.empty((dim * (dim - 1) // 2, k),
+                     dtype=np.min_scalar_type(math.comb(dim + order - 1,
+                                                        order) - 1))
+    lo = 0
+    for i in range(dim - 1):
+        table[lo:lo + dim - 1 - i] = pos[row_i[i] + row_j[i + 1:]]
+        lo += dim - 1 - i
+    return table, tuple(bounds)
 
 
 def _rotation_work(order, dim, row):
-    """One set's ``rotate_plane`` buffers: the (K,) dense and packed
-    positions, the (K,) + row entries before and after (row: the shape of
-    one row of the kernel's entries, ``TensorSet._entries``), a flat view
-    of the (d, d+1, d+1) array of S_1, ..., S_d, and per t the views (S_t,
-    old block, new block) of the product for t hits."""
-    row_i, row_j, bounds = _rotation_plan(order, dim)
-    k = row_i.shape[1]
-    flat, touched = np.empty((2, k), dtype=np.intp)
+    """One set's ``rotate_plane`` buffers: the (P, K) position table of
+    ``_rotation_plan``, shared by every set of that (d, n), the (K,) intp
+    positions of one rotation, the (K,) + row entries before and after
+    (row: the shape of one row of the kernel's entries,
+    ``TensorSet._entries``), a flat view of the (d, d+1, d+1) array of
+    S_1, ..., S_d, and per t the views (S_t, old block, new block) of the
+    product for t hits."""
+    table, bounds = _rotation_plan(order, dim)
+    k = table.shape[1]
+    touched = np.empty(k, dtype=np.intp)
     old, new = np.empty((2, k) + row)
     powers = np.empty((order, order + 1, order + 1))
     steps = tuple((powers[t - 1, :t + 1, :t + 1],
                    old[lo:hi].reshape(t + 1, -1),
                    new[lo:hi].reshape(t + 1, -1))
                   for t, (lo, hi) in enumerate(bounds, start=1))
-    return (row_i, row_j, _packing(order, dim)[1], flat, touched, old, new,
-            powers.reshape(-1), steps)
+    return table, touched, old, new, powers.reshape(-1), steps
 
 
 def _symmetric_power_table(order):
@@ -377,11 +399,13 @@ class TensorSet:
     def rotate_plane(self, i, j, theta):
         """In-place Givens rotation of all modes of every member tensor.
 
-        Gathers the O(m n^(d-1)) packed entries with an index in {i, j},
-        maps the blocks with t hits by the symmetric power S_t in one
-        matrix product per t, and scatters them back, as rows or, at m = 1,
-        through a 1-D view (``_init``); see ``_rotation_plan`` and, for the
-        buffers built on the first call, ``_rotation_work``.  It
+        Copies the packed positions of the K = O(n^(d-1)) entries with an
+        index in {i, j} from the pair's row of ``_rotation_plan``'s table
+        into an intp buffer, gathers those entries of every member, maps
+        the blocks with t hits by the symmetric power S_t in one matrix
+        product per t, and scatters them back, as rows or, at m = 1,
+        through a 1-D view (``_init``); see ``_rotation_work`` for the
+        buffers built on the first call.  It
         agrees with the dense rotation (``oracle.rotate_planes_reference``)
         to rounding, not bitwise: the product sums in another order.
         ``verify_invariants``' "plane-kernel" check compares the two.
@@ -393,10 +417,9 @@ class TensorSet:
         if self._work is None:
             self._work = _rotation_work(self.order, self.dim,
                                         entries.shape[1:])
-        row_i, row_j, pos, flat, touched, old, new, powers, steps = self._work
-        np.add(row_i[i], row_j[j], out=flat)
+        table, touched, old, new, powers, steps = self._work
+        touched[...] = table[i * (2 * self.dim - i - 3) // 2 + j - 1]
         # mode="clip" (no index is out of range) lets take skip a buffer
-        pos.take(flat, out=touched, mode="clip")
         entries.take(touched, axis=0, out=old, mode="clip")
         _symmetric_powers(self.order, math.cos(theta), math.sin(theta),
                           powers)

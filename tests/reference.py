@@ -8,7 +8,9 @@ product, the xi route (companion-matrix roots of Omega mapped back to
 tangents) for the d = 4 angle, explicit Givens matrices, one ``einsum``
 for a matrix applied to every mode, the d! transposes for symmetry, a
 dense sum of the off-diagonal mass, Lambda from dense near-diagonal
-entries, and the sweep loop with Lambda recomputed before every visit."""
+entries, the sweep loop with Lambda recomputed before every visit, and
+the plane kernel with its positions looked up per rotation from dense
+indices."""
 
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from jacobidiag import sweeps
 from jacobidiag.angles import AngleResult, SubproblemView, best_angle
 from jacobidiag.geometry import RotationState, lambda_norm, lambda_of
 from jacobidiag.oracle import _canonical_map, h, h_prime_at_zero, h_tilde
+from jacobidiag.symtensor import _packing, _symmetric_powers
 from jacobidiag.sweeps import (select_pair_gradient, select_pair_max,
                                upper_pairs)
 
@@ -371,3 +374,53 @@ def run_recomputing_lambda(tensors, result):
             reason = "no_progress"
             break
     return visits, reason, state
+
+
+def rotation_rows(order, dim):
+    """(row_i, row_j, bounds): two (n, K) intp tables whose sum
+    ``row_i[i] + row_j[j]`` is the dense index of each entry that a rotation
+    in the (i, j) plane touches, in the kernel's (t, a, block) order, and
+    the column range [lo, hi) of the blocks with t hits, t = 1..d.
+
+    Rest labels u in [0, n-2) of the d - t indices outside {i, j} map to
+    u + [u >= i] + [u >= j - 1], which skips i and j: the first part
+    depends on i alone and the second on j alone, so each table is keyed
+    by one index."""
+    strides = dim ** np.arange(order - 1, -1, -1)
+    ij = np.arange(dim)[:, None, None]              # i, or j, per table row
+    row_i, row_j, bounds, k = [], [], [], 0
+    for t in range(1, order + 1):
+        r = order - t
+        combos = list(itertools.combinations_with_replacement(
+            range(dim - 2), r))
+        rest = np.array(combos, dtype=np.intp).reshape(len(combos), r)
+        part_i = ((rest + (rest >= ij)) * strides[:r]).sum(axis=-1)
+        part_j = ((rest >= ij - 1) * strides[:r]).sum(axis=-1)
+        for a in range(t + 1):          # a hit axes take i, the rest j
+            row_i.append(part_i + ij[:, :, 0] * strides[r:r + a].sum())
+            row_j.append(part_j + ij[:, :, 0] * strides[r + a:].sum())
+        bounds.append((k, k + (t + 1) * len(combos)))
+        k = bounds[-1][1]
+    return np.hstack(row_i), np.hstack(row_j), tuple(bounds)
+
+
+def rotate_plane_by_rows(tensors, i, j, theta):
+    """``TensorSet.rotate_plane`` with the touched positions looked up per
+    rotation, ``pos[row_i[i] + row_j[j]]`` (``rotation_rows``, ``pos`` the
+    dense-to-packed map of ``_packing``): the same gather, one product per
+    t into fresh buffers of the same layout, and the same scatter."""
+    order, dim = tensors.order, tensors.dim
+    row_i, row_j, bounds = rotation_rows(order, dim)
+    touched = _packing(order, dim)[1][row_i[i] + row_j[j]]
+    packed = tensors.packed
+    entries = packed.reshape(-1) if packed.shape[1] == 1 else packed
+    old = entries[touched]
+    new = np.empty_like(old)
+    powers = np.empty((order, order + 1, order + 1))
+    _symmetric_powers(order, math.cos(theta), math.sin(theta),
+                      powers.reshape(-1))
+    for t, (lo, hi) in enumerate(bounds, start=1):
+        np.dot(powers[t - 1, :t + 1, :t + 1], old[lo:hi].reshape(t + 1, -1),
+               out=new[lo:hi].reshape(t + 1, -1))
+    entries[touched] = new
+    return tensors

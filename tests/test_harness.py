@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from jacobidiag import cli, geometry, harness, symtensor
+from jacobidiag.angles import AngleResult
 from jacobidiag.harness import (ExperimentSpec, make_diag_tensor,
                                 make_test_problem, parse_suite_file,
                                 run_benchmark, verify_invariants)
@@ -345,6 +346,38 @@ def test_verify_gradient_fd_reads_the_same_at_every_scale():
     for k in (-498, 11, 498):
         big = TensorSet._from_packed(2.0**k * tensors.packed, 2, 2)
         assert verify_invariants(big, samples=2)[0] == want
+
+
+def scaled_problem(k):
+    """A (4, 4, 1) problem times 2^k, exactly."""
+    tensors, _ = make_test_problem(ExperimentSpec(
+        n=4, order=4, sigma=1e-2, seed_rot=16, seed_noise=17))
+    return TensorSet._from_packed(2.0**k * tensors.packed, 4, 4)
+
+
+def test_verify_reads_the_same_at_every_scale():
+    # every gap is relative to ||T||^2 (the kernel's to ||T||_F), and the
+    # oracle's flatness and tie tests are relative to the view, so a scale
+    # by 2^k changes no reading
+    want = verify_invariants(scaled_problem(0), samples=6)
+    assert all(c.passed for c in want)
+    for k in (-300, 300):
+        assert verify_invariants(scaled_problem(k), samples=6) == want
+
+
+@pytest.mark.parametrize("k", [0, -300])
+def test_verify_angle_oracle_fails_a_zero_angle_at_every_scale(monkeypatch,
+                                                                k):
+    # an angle step stuck at 0 fails at any scale: a flatness test in
+    # absolute units of h~ calls every view flat below ||T|| ~ 2^-30, and
+    # the grid search then returns theta = 0 too
+    monkeypatch.setattr(harness, "best_angle",
+                        lambda view: AngleResult(0.0, 0.0))
+    checks = {c.name: c for c in verify_invariants(scaled_problem(k),
+                                                   samples=6)}
+    assert not checks["angle-oracle"].passed
+    assert all(c.passed for name, c in checks.items()
+               if name != "angle-oracle")
 
 
 def test_verify_invariants_builds_no_solver_state(monkeypatch):

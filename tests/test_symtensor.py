@@ -13,13 +13,14 @@ from jacobidiag import symtensor
 from jacobidiag.angles import SubproblemView
 from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.oracle import _canonical_map, rotate_planes_reference
-from jacobidiag.symtensor import (TensorSet, _packing,
+from jacobidiag.sweeps import upper_pairs
+from jacobidiag.symtensor import (TensorSet, _packing, _rotation_plan,
                                   _symmetric_powers, load_tensorset,
                                   save_tensorset)
 
 from reference import (all_mode_product, dense_symmetrize,
                        dense_symmetry_error, givens_matrix, offdiag_sq_norm,
-                       rotated_view)
+                       rotate_plane_by_rows, rotated_view, rotation_rows)
 
 
 def random_symtensor(order, dim, seed, scale=1.0):
@@ -273,6 +274,56 @@ def test_symmetric_powers_keep_the_weighted_norm(order):
                 <= 1e-14 * weights.max()
 
 
+@pytest.mark.parametrize("order,n,dtype", [
+    (2, 5, np.uint8), (2, 23, np.uint16), (3, 6, np.uint8),
+    (3, 11, np.uint16), (4, 6, np.uint8), (4, 8, np.uint16)])
+def test_rotation_plan_rows_are_the_dense_index_positions(order, n, dtype):
+    # row p of the table is pos[row_i[i] + row_j[j]] for the p-th pair of
+    # upper_pairs, in the smallest unsigned dtype that holds N - 1, and
+    # rotations through it are bitwise those that look the positions up
+    table, bounds = _rotation_plan(order, n)
+    row_i, row_j, ref_bounds = rotation_rows(order, n)
+    pos = _packing(order, n)[1]
+    size = math.comb(n + order - 1, order)
+    assert table.dtype == np.min_scalar_type(size - 1) == dtype
+    assert bounds == ref_bounds
+    assert table.shape == (n * (n - 1) // 2, row_i.shape[1])
+    for p, (i, j) in enumerate(upper_pairs(n)):
+        assert i * (2 * n - i - 3) // 2 + j - 1 == p
+        assert np.array_equal(table[p], pos[row_i[i] + row_j[j]]), (i, j)
+    rng = np.random.default_rng(40 * order + n)
+    for m in (1, 2):
+        ts = TensorSet([dense_symmetrize(rng.standard_normal((n,) * order))
+                        for _ in range(m)])
+        ref = ts.copy()
+        steps = [(i, j, 0.3 - 0.1 * i) for i, j in upper_pairs(n)]
+        for _ in range(40):
+            i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+            steps.append((i, j, float(rng.uniform(-0.8, 0.8))))
+        for i, j, theta in steps:
+            ts.rotate_plane(i, j, theta)
+            rotate_plane_by_rows(ref, i, j, theta)
+            assert np.array_equal(ts.packed, ref.packed), (m, i, j)
+
+
+def test_rotation_plan_builds_without_a_pair_keyed_intp_array():
+    # measured peak of a cold (4, 24) build: 6,393,897 bytes (6,522,606
+    # as a process's first build), the uint16 table (2,704,800), the two
+    # (n, K) intp row tables (1,881,600) and one i-block's dense indices
+    # and positions (2 x 23 x 4,900 x 8 = 1,803,200); a (P, K) intp array
+    # on the way would add 10,819,200
+    _packing(4, 24)
+    _rotation_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        table = _rotation_plan(4, 24)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 2_704_800
+    assert peak < 7_000_000, peak
+
+
 @pytest.mark.parametrize("order,n,m,limit", [(4, 24, 1, 39_200),
                                               (3, 14, 14, 21_952)])
 def test_rotate_plane_allocates_no_touched_array(order, n, m, limit):
@@ -345,7 +396,7 @@ def test_rotation_work_areas_are_private(order):
         assert np.array_equal(a.packed, before)
         assert not np.array_equal(twin.packed, before)
         buffers = [np.asarray(x) for ts in (a, b, twin)
-                   for x in ts._work[3:8]]
+                   for x in ts._work[1:5]]
         assert not any(np.shares_memory(x, y)
                        for x, y in itertools.combinations(buffers, 2))
         # pickled, deep- and shallow-copied sets rotate like copy(): a

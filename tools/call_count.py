@@ -20,6 +20,11 @@ operators (``a * b``), so they are not counted.  ``--top K`` adds the K
 most called functions with their calls per rotation.  Counts repeat
 exactly from run to run; they compare two versions of the program and say
 nothing about time.
+
+``index_bytes`` gives, per lru-cached index table of ``symtensor``
+(``INDEX_TABLES``) that the runs built at (d, n), the ``nbytes`` of the
+arrays it holds.  An array that views another counts as its base, and
+each base counts once, under the first table that holds it.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ import json
 import os
 import sys
 from collections import Counter
+
+INDEX_TABLES = ("_packing", "_pair_positions", "_lambda_positions",
+                "_lambda_rows", "_rotation_plan")
 
 
 def _import_package(checkout):
@@ -90,6 +98,36 @@ def count_calls(jd, d, n, m, method):
     return res.state.rotation_count, +calls
 
 
+def index_bytes(d, n):
+    """{table name: bytes} of the ``INDEX_TABLES`` cached at (d, n); a
+    table that was not cached there is left out (the lookup builds it)."""
+    import numpy as np
+    from jacobidiag import symtensor
+
+    def arrays(value):          # through the nested tuples of a table
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            for item in value:
+                yield from arrays(item)
+
+    seen, out = set(), {}
+    for name in INDEX_TABLES:
+        table = getattr(symtensor, name)
+        misses = table.cache_info().misses
+        value = table(d, n)
+        if table.cache_info().misses != misses:
+            continue
+        out[name] = 0
+        for arr in arrays(value):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            if id(arr) not in seen:
+                seen.add(id(arr))
+                out[name] += arr.nbytes
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0], allow_abbrev=False)
@@ -110,6 +148,7 @@ def main(argv=None):
     for kind in ("python", "numpy", "builtin"):
         out[kind] = round(sum(c for (k, _), c in calls.items() if k == kind)
                           / rotations, 3)
+    out["index_bytes"] = index_bytes(args.d, args.n)
     if args.top:
         out["top"] = [[f"{kind} {name}", round(c / rotations, 3)]
                       for (kind, name), c in calls.most_common(args.top)]
