@@ -20,9 +20,10 @@ import sys
 
 import numpy as np
 
-from .symtensor import _lambda_positions
+from .symtensor import DOT_PIECE, _lambda_positions, _packing
 
 __all__ = [
+    "contracted_start",
     "random_rotation",
     "lambda_of",
     "lambda_norm",
@@ -41,6 +42,39 @@ def _special_orthogonal_factor(a):
     with its last column flipped if det Q is -1."""
     q, r = np.linalg.qr(a)
     q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
+    if np.linalg.det(q) < 0:
+        q[:, -1] *= -1.0
+    return q
+
+
+def contracted_start(tensors):
+    """Q0 of ``sweeps.run``'s default start: the eigenvectors of the
+    symmetric n x n matrix M = sum_l u_l T_l(., ., w, ..., w), each member
+    contracted with w on all modes but two and weighted by u; at d = 2,
+    M = sum_l u_l T_l.  w, a unit (n,) vector, and the (m,) weights u are
+    fixed per (n, m): standard normal draws of PCG64 with seed 0.  The
+    last column of Q0 is flipped if its determinant is -1.
+
+    This is Jennrich's simultaneous diagonalization (Leurgans, Ross and
+    Abel, SIAM J. Matrix Anal. Appl. 14(4), 1993): for a set sum_k
+    lambda_k q_k^(x d), M = sum_k c_k q_k q_k^T, whose eigenvectors are the
+    q_k when the c_k are distinct, so the sweeps only polish.  The members
+    are summed on the packed entries, scaled by 2^-e, e the exponent of
+    max |T| (``np.ldexp``, exact): sets that differ by a factor 2^k get
+    bitwise the same Q0, and no entry of M nears overflow.  The sum is
+    then expanded to one dense (n,)*d array and contracted with w: O(m N
+    + n^d) work, one n^d array, and one O(n^3) ``eigh``."""
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal(tensors.dim)
+    w /= np.linalg.norm(w)
+    u = rng.standard_normal(len(tensors))
+    e = math.frexp(float(np.max(np.abs(tensors.packed))))[1]
+    summed = np.ldexp(tensors.packed, -e) @ u
+    m = summed[_packing(tensors.order, tensors.dim)[1]].reshape(
+        (tensors.dim,) * tensors.order)
+    for _ in range(tensors.order - 2):
+        m = m @ w
+    q = np.linalg.eigh(m)[1]
     if np.linalg.det(q) < 0:
         q[:, -1] *= -1.0
     return q
@@ -95,28 +129,39 @@ def lambda_norm(lam):
     return _SQRT2 * safe_norm(lam)
 
 
+def _dot_self(flat):
+    """flat . flat of a 1-D array by ``np.vdot``, which, unlike ``dot``,
+    raises no floating-point warning on overflow: one call, or above
+    DOT_PIECE entries one per piece of that many, summed in order, so the
+    bits do not depend on the BLAS thread count."""
+    if flat.size <= DOT_PIECE:
+        return float(np.vdot(flat, flat))
+    return sum(float(np.vdot(p, p)) for p in (
+        flat[k:k + DOT_PIECE] for k in range(0, flat.size, DOT_PIECE)))
+
+
 def safe_norm(a):
     """Frobenius norm of an array whose sum of squares may over- or
     underflow.
 
-    The square root of the dot product of ``a.ravel("K")`` with itself,
-    as ``np.linalg.norm(a)`` computes it for real input, and so bitwise
-    equal to it, when that is finite and at least 2^-511, the square root
-    of the smallest normal float.  ``np.vdot``, unlike ``dot``, raises no
-    floating-point warning on overflow.  A smaller norm means a subnormal
-    or zero sum of squares, which has lost part or all of its precision
-    (squares below about 1e-324 vanish), and an infinite one an overflowed
-    sum; both fall back to amax * ||a / amax||, amax = max |a|, whose
-    squares lie in (0, 1].  A zero array has norm 0.
+    The square root of the dot product of ``a.ravel("K")`` with itself
+    (``_dot_self``), as ``np.linalg.norm(a)`` computes it for real input,
+    and so bitwise equal to it up to DOT_PIECE entries, when that is
+    finite and at least 2^-511, the square root of the smallest normal
+    float.  A smaller norm means a subnormal or zero sum of squares, which
+    has lost part or all of its precision (squares below about 1e-324
+    vanish), and an infinite one an overflowed sum; both fall back to
+    amax * ||a / amax||, amax = max |a|, whose squares lie in (0, 1].  A
+    zero array has norm 0.
     """
     flat = a.ravel("K")
-    norm = math.sqrt(np.vdot(flat, flat))
+    norm = math.sqrt(_dot_self(flat))
     if _SQRT_TINY <= norm < math.inf:
         return norm
     amax = float(np.max(np.abs(a)))
     if amax == 0.0:
         return 0.0
-    return amax * float(np.linalg.norm(a / amax))
+    return amax * math.sqrt(_dot_self(flat / amax))
 
 
 class RotationState:

@@ -22,6 +22,8 @@ A run is strictly sequential, one path per visit: pick the pair, skip it
 and j, append one record.  Lambda is computed in full only at the start
 and after a re-orthonormalization, which follows any sweep, a stationary
 stop included, whose drift ||Q^T Q - I|| exceeds ORTH_TOL.
+Without a given Q0, ``run`` starts from ``geometry.contracted_start``;
+the start changes only Q0, not the iteration the paper analyses.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .angles import SubproblemView, best_angle, check_sq_norm
-from .geometry import ORTH_TOL, RotationState, lambda_norm, lambda_of
+from .geometry import (ORTH_TOL, RotationState, contracted_start,
+                       lambda_norm, lambda_of)
 from .symtensor import TensorSet, _lambda_rows
 
 __all__ = [
@@ -186,7 +189,8 @@ class RunResult:
     """Outcome of ``run``.  stationarity_tol, thresh, delta0 and eps are the
     values the run used: the config's where given, else the defaults it
     resolved (see ``RunConfig``).  stop_reason is the only stop state:
-    ``converged`` is read off it."""
+    ``converged`` is read off it.  start is "contracted" when ``run`` chose
+    Q0 (``geometry.contracted_start``), "given" when the caller did."""
 
     state: RotationState
     records: list
@@ -197,6 +201,7 @@ class RunResult:
     thresh: float
     delta0: float
     eps: float
+    start: str
 
     @property
     def sweeps_used(self):
@@ -209,28 +214,32 @@ class RunResult:
     def summary(self):
         """The finished run as a dict: f, offdiag_sq and ||Lambda|| of the
         final state (after any end-of-sweep re-orthonormalization), and
-        the run's counts, last recorded wall time (0.0 without records)
-        and stop."""
+        the run's counts, last recorded wall time (0.0 without records),
+        stop and start."""
         st = self.state
         return {"label": self.config.label, "method": self.config.method,
                 "final_f": st.f_current, "offdiag_sq": st.offdiag_sq(),
                 "lambda_norm": st.lambda_norm(), "sweeps": self.sweeps_used,
                 "rotations": st.rotation_count,
                 "wall_ms": self.records[-1].wall_ms if self.records else 0.0,
-                "converged": self.converged, "stop_reason": self.stop_reason}
+                "converged": self.converged, "stop_reason": self.stop_reason,
+                "start": self.start}
 
 
 def run(tensors, config=None, q0=None):
-    """Run one Jacobi variant on a tensor set from Q0 (default identity);
-    refuse, before any rotation, one whose ||T||^2 is 0 or inf or exceeds
+    """Run one Jacobi variant on a tensor set from Q0; refuse, before any
+    rotation, one whose ||T||^2 is 0 or inf or exceeds
     ``angles.MAX_SQ_NORM`` for its order, or whose delta0 can overflow the
-    angle step with it (``angles.check_sq_norm``)."""
+    angle step with it (``angles.check_sq_norm``).
+
+    Without ``q0`` the run starts from ``geometry.contracted_start``, the
+    eigenvectors of one contraction of the set (start "contracted");
+    ``q0=np.eye(n)`` reproduces the identity-start runs of the paper."""
     cfg = config or RunConfig()
     if not isinstance(tensors, TensorSet):
         tensors = TensorSet(tensors)
-    state = RotationState(tensors, q0)
     n = tensors.dim
-    total = state.total_sq_norm
+    total = tensors.frob_sq()
     if cfg.delta0 is not None:
         delta0 = cfg.delta0
     else:
@@ -242,6 +251,10 @@ def run(tensors, config=None, q0=None):
     if cfg.method == "g" and not 0.0 < eps <= 2.0 / n:
         raise ValueError(f"eps must lie in (0, 2/n] = (0, {2.0 / n:g}], "
                          f"got {eps:g}")
+    start = "given"
+    if q0 is None:
+        start, q0 = "contracted", contracted_start(tensors)
+    state = RotationState(tensors, q0)
     tol = cfg.stationarity_tol if cfg.stationarity_tol is not None \
         else 1e-10 * scale
     thresh = cfg.thresh if cfg.thresh is not None else 1e-10 * scale
@@ -293,7 +306,7 @@ def run(tensors, config=None, q0=None):
     return RunResult(state=state, records=records, config=cfg,
                      f_initial=f_initial, stop_reason=reason,
                      stationarity_tol=tol, thresh=thresh, delta0=delta0,
-                     eps=eps)
+                     eps=eps, start=start)
 
 
 def _csv_cell(x):

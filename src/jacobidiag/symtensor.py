@@ -52,6 +52,10 @@ __all__ = [
 
 _SUPPORTED_ORDERS = (2, 3, 4)
 SYMMETRY_TOL = 1e-9        # accepted deviation from symmetry, relative to ||T||
+# entries per dot product in the sums of squares: OpenBLAS splits a ddot
+# of more than 10,000 entries over its threads, which changes its bits
+# with the thread count and, on a small host, costs a thread wake-up
+DOT_PIECE = 8192
 
 
 def _orbit_index(order, dim, reps):
@@ -186,8 +190,9 @@ def _rotation_work(order, dim, row):
     positions of one rotation, the (K,) + row entries before and after
     (row: the shape of one row of the kernel's entries,
     ``TensorSet._entries``), a flat view of the (d, d+1, d+1) array of
-    S_1, ..., S_d, and per t the views (S_t, old block, new block) of the
-    product for t hits."""
+    S_1, ..., S_d and the ((d+1)^2,) monomials it is made from
+    (``_symmetric_powers``), and per t the views (S_t, old block, new
+    block) of the product for t hits."""
     table, bounds = _rotation_plan(order, dim)
     k = table.shape[1]
     touched = np.empty(k, dtype=np.intp)
@@ -197,7 +202,8 @@ def _rotation_work(order, dim, row):
                    old[lo:hi].reshape(t + 1, -1),
                    new[lo:hi].reshape(t + 1, -1))
                   for t, (lo, hi) in enumerate(bounds, start=1))
-    return table, touched, old, new, powers.reshape(-1), steps
+    return (table, touched, old, new, powers.reshape(-1),
+            np.empty((order + 1) ** 2), steps)
 
 
 def _symmetric_power_table(order):
@@ -226,16 +232,39 @@ def _symmetric_power_table(order):
 _POWER_TABLE = {d: _symmetric_power_table(d) for d in _SUPPORTED_ORDERS}
 
 
-def _symmetric_powers(order, c, s, out):
+def _monomials_2(c, s):
+    c2, s2 = c * c, s * s
+    return (1.0, s, s2, c, c * s, c * s2, c2, c2 * s, c2 * s2)
+
+
+def _monomials_3(c, s):
+    c2, s2 = c * c, s * s
+    c3, s3 = c2 * c, s2 * s
+    return (1.0, s, s2, s3, c, c * s, c * s2, c * s3,
+            c2, c2 * s, c2 * s2, c2 * s3, c3, c3 * s, c3 * s2, c3 * s3)
+
+
+def _monomials_4(c, s):
+    c2, s2 = c * c, s * s
+    c3, s3 = c2 * c, s2 * s
+    c4, s4 = c3 * c, s3 * s
+    return (1.0, s, s2, s3, s4, c, c * s, c * s2, c * s3, c * s4,
+            c2, c2 * s, c2 * s2, c2 * s3, c2 * s4,
+            c3, c3 * s, c3 * s2, c3 * s3, c3 * s4,
+            c4, c4 * s, c4 * s2, c4 * s3, c4 * s4)
+
+
+_MONOMIALS = {2: _monomials_2, 3: _monomials_3, 4: _monomials_4}
+
+
+def _symmetric_powers(order, c, s, out, monomials):
     """Write S_1, ..., S_d at (c, s) into ``out``, the flat view of an array
-    laid out by ``_symmetric_power_table``: the monomials c^p s^q by
-    repeated multiplication of Python floats, then one product with that
-    table."""
-    cp, sp = [1.0], [1.0]
-    for _ in range(order):
-        cp.append(cp[-1] * c)
-        sp.append(sp[-1] * s)
-    np.dot(_POWER_TABLE[order], [a * b for a in cp for b in sp], out=out)
+    laid out by ``_symmetric_power_table``: the monomials c^p s^q,
+    p-major, as unrolled products of Python floats (c^p and s^q by
+    repeated multiplication), into the ((d+1)^2,) buffer ``monomials``,
+    then one product with that table."""
+    monomials[...] = _MONOMIALS[order](c, s)
+    np.dot(_POWER_TABLE[order], monomials, out=out)
 
 
 def _orbit(stack):
@@ -308,7 +337,8 @@ class TensorSet:
     it in place are seen by every method.
     """
 
-    __slots__ = ("_packed", "order", "dim", "_entries", "_by_class", "_work")
+    __slots__ = ("_packed", "order", "dim", "_entries", "_pieces", "_ndiag",
+                 "_work")
 
     def __init__(self, arrays):
         if isinstance(arrays, (list, tuple)):
@@ -325,13 +355,18 @@ class TensorSet:
         solver reads.  ``_entries``, which ``rotate_plane`` gathers from and
         scatters to, is ``packed``, or at m = 1 its 1-D view: a 1-D
         scatter costs about 30% less than one of (K, 1) rows at (4, 24).
-        ``_by_class``: (copies, 1-D rows) per class of ``_packing``."""
+        ``_pieces``: (copies, 1-D rows) per class of ``_packing``, cut into
+        pieces of at most DOT_PIECE entries, the first ``_ndiag`` of them
+        the diagonal's, so every sum of squares is one dot per piece."""
         self._packed = packed = np.ascontiguousarray(packed)
         self.order, self.dim = order, dim
         flat, m = packed.reshape(-1), packed.shape[1]
         self._entries = flat if m == 1 else packed
-        self._by_class = tuple((c, flat[lo * m:hi * m])
-                               for lo, hi, c in _packing(order, dim)[2])
+        self._pieces = tuple(
+            (c, flat[a:min(a + DOT_PIECE, hi * m)])
+            for lo, hi, c in _packing(order, dim)[2]
+            for a in range(lo * m, hi * m, DOT_PIECE))
+        self._ndiag = -(-dim * m // DOT_PIECE)
         self._work = None
 
     @classmethod
@@ -378,21 +413,26 @@ class TensorSet:
         return TensorSet._from_packed, (self.packed, self.order, self.dim)
 
     def frob_sq(self):
-        """||T||^2 in O(m N): per class, diagonal included, copies times the
-        rows' ``vdot``, which, unlike ``dot``, overflows to inf silently."""
-        return sum(c * float(np.vdot(p, p)) for c, p in self._by_class)
+        """||T||^2 in O(m N): per piece of a class (``_init``), diagonal
+        included, copies times the rows' ``vdot``, which, unlike ``dot``,
+        overflows to inf silently."""
+        return sum(c * float(np.vdot(p, p)) for c, p in self._pieces)
 
     def diag_sq_norm(self):
         """Sum of squared diagonal entries over the set (the objective f):
-        one dot product of the n diagonal rows."""
-        d = self._by_class[0][1]
-        return float(d.dot(d))
+        one dot product of the n m diagonal rows per piece, at m n <=
+        DOT_PIECE one in all."""
+        total = 0.0
+        for _, part in self._pieces[:self._ndiag]:
+            total += float(part.dot(part))
+        return total
 
     def offdiag_sq(self):
         """Squared off-diagonal mass, a fresh O(m N) sum, no subtraction:
-        per off-diagonal class, its copies times its rows' dot product."""
+        per piece of an off-diagonal class, its copies times its rows' dot
+        product."""
         total = 0.0
-        for copies, part in self._by_class[1:]:
+        for copies, part in self._pieces[self._ndiag:]:
             total += copies * float(part.dot(part))
         return total
 
@@ -417,12 +457,12 @@ class TensorSet:
         if self._work is None:
             self._work = _rotation_work(self.order, self.dim,
                                         entries.shape[1:])
-        table, touched, old, new, powers, steps = self._work
+        table, touched, old, new, powers, monomials, steps = self._work
         touched[...] = table[i * (2 * self.dim - i - 3) // 2 + j - 1]
         # mode="clip" (no index is out of range) lets take skip a buffer
         entries.take(touched, axis=0, out=old, mode="clip")
         _symmetric_powers(self.order, math.cos(theta), math.sin(theta),
-                          powers)
+                          powers, monomials)
         for power, old_t, new_t in steps:
             np.dot(power, old_t, out=new_t)
         entries[touched] = new

@@ -332,14 +332,14 @@ def lambda_reference(tensors):
     return d * (s - s.T)
 
 
-def run_recomputing_lambda(tensors, result):
+def run_recomputing_lambda(tensors, result, q0=None):
     """``sweeps.run``'s loop with Lambda computed afresh before every visit,
     the reference for its row update: the run of ``result``'s config on
-    ``tensors`` from the identity, with the settings ``result`` resolved
-    and ``sweeps.ORTH_TOL`` read when the sweep ends.  Returns the visits
-    as (sweep, i, j, theta, skipped, ||Lambda||), the stop reason and the
-    final state."""
-    cfg, state = result.config, RotationState(tensors)
+    ``tensors`` from ``q0`` (default the identity), with the settings
+    ``result`` resolved and ``sweeps.ORTH_TOL`` read when the sweep ends.
+    Returns the visits as (sweep, i, j, theta, skipped, ||Lambda||), the
+    stop reason and the final state."""
+    cfg, state = result.config, RotationState(tensors, q0)
     n = tensors.dim
     pairs = upper_pairs(n)
     visits, reason = [], "max_sweeps"
@@ -418,7 +418,7 @@ def rotate_plane_by_rows(tensors, i, j, theta):
     new = np.empty_like(old)
     powers = np.empty((order, order + 1, order + 1))
     _symmetric_powers(order, math.cos(theta), math.sin(theta),
-                      powers.reshape(-1))
+                      powers.reshape(-1), np.empty((order + 1) ** 2))
     for t, (lo, hi) in enumerate(bounds, start=1):
         np.dot(powers[t - 1, :t + 1, :t + 1], old[lo:hi].reshape(t + 1, -1),
                out=new[lo:hi].reshape(t + 1, -1))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from jacobidiag import sweeps
 from jacobidiag.angles import MAX_SQ_NORM, SubproblemView
-from jacobidiag.geometry import RotationState, lambda_norm, random_rotation
+from jacobidiag.geometry import (RotationState, contracted_start, lambda_norm,
+                                 random_rotation)
 from jacobidiag.harness import (ExperimentSpec, make_test_problem,
                                 verify_invariants)
 from jacobidiag.oracle import rotate_planes_reference
@@ -309,6 +310,8 @@ def test_run_just_under_the_squared_norm_bound(order, method):
     # its first sweep takes the unscaled run's pairs and angles (later
     # ones may part: the default tolerance scales as ||T||, Lambda as
     # ||T||^2)
+    # (both from the identity: the default start's first sweep at d = 2
+    # rotates by rounding only, and whether it stops is scale-dependent)
     ts = noisy_problem(order, n=5, sigma=1e-1)
     scale = math.sqrt(0.999 * MAX_SQ_NORM[order] / ts.frob_sq())
     big = TensorSet(scale * ts.stack[0])
@@ -316,8 +319,8 @@ def test_run_just_under_the_squared_norm_bound(order, method):
     cfg = RunConfig(method=method, max_sweeps=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = run(big, cfg)
-    ref = run(ts, cfg)
+        res = run(big, cfg, q0=np.eye(5))
+    ref = run(ts, cfg, q0=np.eye(5))
     first = len(upper_pairs(5))
     assert len(res.records) >= first and len(ref.records) >= first
     for r, s in zip(res.records[:first], ref.records[:first]):
@@ -443,13 +446,17 @@ def test_row_updated_lambda_matches_a_recompute_before_every_visit(
     # that recomputes it before every visit sees the same bits: the same
     # norms, pairs, angles, skips and stop, also across cthresh's skips and,
     # with ORTH_TOL patched to 0, a re-orthonormalization after every sweep
+    # (from the identity, whose long runs skip and drift the most;
+    # test_row_updated_lambda_matches_a_recompute_from_the_default_start
+    # covers the default start)
     if orth_tol is not None:
         monkeypatch.setattr(sweeps, "ORTH_TOL", orth_tol)
     for order, m in ((2, 3), (3, 1), (4, 2)):
         ts, _ = make_test_problem(ExperimentSpec(
             n=6, order=order, m=m, sigma=1e-2, seed_rot=order,
             seed_noise=m, profile="linear"))
-        res = run(ts, RunConfig(method=method, thresh=1e-2, max_sweeps=30))
+        res = run(ts, RunConfig(method=method, thresh=1e-2, max_sweeps=30),
+                  q0=np.eye(6))
         visits, reason, state = run_recomputing_lambda(ts, res)
         assert [(r.sweep, r.i, r.j, r.theta, r.skipped, r.lambda_norm)
                 for r in res.records] == visits
@@ -505,8 +512,11 @@ def test_reorthonormalization_recounts_offdiag(monkeypatch):
 
 
 def test_threshold_skips_and_stops_without_progress():
+    # from the identity, the state the skips are compared with
     ts = noisy_problem(3, sigma=1e-3)
-    res = run(ts, RunConfig(method="cthresh", thresh=1e-2, max_sweeps=50))
+    eye = np.eye(ts.dim)
+    res = run(ts, RunConfig(method="cthresh", thresh=1e-2, max_sweeps=50),
+              q0=eye)
     assert res.converged
     skipped = [r for r in res.records if r.skipped]
     rotated = [r for r in res.records if not r.skipped]
@@ -521,7 +531,8 @@ def test_threshold_skips_and_stops_without_progress():
     # re-orthonormalization ran between them); a threshold above every
     # |Lambda[i, j]| skips the whole first sweep
     initial = RotationState(ts)
-    for res in (res, run(ts, RunConfig(method="cthresh", thresh=1e3))):
+    for res in (res, run(ts, RunConfig(method="cthresh", thresh=1e3),
+                         q0=eye)):
         assert res.state.reorth_count == 0
         prev = (0, initial.f_current, initial.offdiag_sq())
         for r in res.records:
@@ -705,6 +716,156 @@ def test_converged_runs_are_stationary():
         res = run(ts, RunConfig(method=method, max_sweeps=80))
         assert res.converged
         assert res.state.lambda_norm() <= 1e-8 * math.sqrt(ts.frob_sq())
+
+
+# ---------------------------------------------------------------------------
+# the default start
+
+def path_of(res):
+    return [(r.i, r.j, r.theta, r.skipped) for r in res.records]
+
+
+@pytest.mark.parametrize("order,m", [(2, 2), (3, 1), (3, 2), (4, 1)])
+def test_default_start_takes_one_path_at_every_2k_scale(order, m):
+    # the start reads the set scaled to max |T| in [1/2, 1): bitwise the
+    # same Q0 at x 2^-300, x 1 and x 2^300, and with the stop tolerance
+    # scaled as ||Lambda|| (by 4^k), the same pairs, angles and final Q
+    ts, _ = make_test_problem(ExperimentSpec(
+        n=5, order=order, m=m, sigma=1e-2, seed_rot=order, seed_noise=m))
+
+    def runs(tensors, k):
+        return [run(tensors, RunConfig(method=method, max_sweeps=10,
+                                       stationarity_tol=1e-20 * 4.0**k))
+                for method in ("c", "pc")]
+
+    ref = runs(ts, 0)
+    for k in (-300, 300):
+        big = scaled(ts, k)
+        assert np.array_equal(contracted_start(big), contracted_start(ts))
+        for res, want in zip(runs(big, k), ref):
+            assert res.start == "contracted" and res.state.rotation_count > 0
+            assert path_of(res) == path_of(want)
+            assert np.array_equal(res.state.q, want.state.q)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_default_start_just_under_the_squared_norm_bound(order):
+    # a set scaled by 2^k to just under MAX_SQ_NORM gets the unscaled Q0
+    # and runs every method without a warning
+    ts = noisy_problem(order, n=5, sigma=1e-1)
+    k = math.floor(math.log2(MAX_SQ_NORM[order] / ts.frob_sq()) / 2)
+    big = scaled(ts, k)
+    assert MAX_SQ_NORM[order] / 4 < big.frob_sq() <= MAX_SQ_NORM[order]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(contracted_start(big), contracted_start(ts))
+        for method in sweeps.METHODS:
+            res = run(big, RunConfig(method=method, max_sweeps=3))
+            assert res.start == "contracted"
+            assert res.state.f_current <= big.frob_sq()
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_default_start_of_a_diagonal_set_is_a_signed_permutation(order):
+    # a diagonal M's eigenvectors are exactly a signed permutation, which
+    # keeps the set exactly diagonal: Lambda is 0 and no pair is rotated;
+    # at m = 2 too, and with tied and zero diagonal entries
+    values = [3.0, -1.0, 2.0, 0.5, -2.0, 0.0]
+    sets = [TensorSet.from_diagonal(values, order),
+            TensorSet([TensorSet.from_diagonal(v, order).stack[0]
+                       for v in (values, [1.0, 1.0, -2.0, 0.0, 0.0, 4.0])])]
+    for ts in sets:
+        q0 = contracted_start(ts)
+        assert set(np.abs(q0).ravel().tolist()) == {0.0, 1.0}
+        assert (np.abs(q0).sum(axis=0) == 1.0).all()
+        assert (np.abs(q0).sum(axis=1) == 1.0).all()
+        assert np.linalg.det(q0) == 1.0
+        for method in sweeps.METHODS:
+            res = run(ts, RunConfig(method=method))
+            assert (res.stop_reason, res.state.rotation_count,
+                    res.records) == ("stationary", 0, [])
+            assert res.summary()["offdiag_sq"] == 0.0
+
+
+@pytest.mark.parametrize("method", sweeps.METHODS)
+def test_default_start_diagonalizes_one_matrix_without_a_rotation(method):
+    # at d = 2, m = 1, M is the matrix itself (times u): its eigenvectors
+    # leave Lambda at rounding, far below the default tolerance
+    ts = noisy_problem(2, sigma=1e-2)
+    res = run(ts, RunConfig(method=method))
+    assert res.stop_reason == "stationary"
+    assert res.state.rotation_count == 0 and res.records == []
+    summary = res.summary()
+    assert (summary["start"], summary["rotations"]) == ("contracted", 0)
+    assert summary["offdiag_sq"] <= 1e-28 * ts.frob_sq()
+
+
+def test_identity_q0_is_the_identity_start():
+    # q0 = I rotates the set by I, which reproduces packed bitwise, so the
+    # run is the identity-start run (test_row_updated_lambda_matches_a_
+    # recompute_before_every_visit compares its records with a loop from I)
+    for order, m in ((2, 3), (3, 1), (4, 2)):
+        ts, _ = make_test_problem(ExperimentSpec(
+            n=6, order=order, m=m, sigma=1e-2, seed_rot=order, seed_noise=m))
+        assert np.array_equal(RotationState(ts, np.eye(6)).tensors.packed,
+                              ts.packed)
+        res = run(ts, RunConfig(max_sweeps=1), q0=np.eye(6))
+        assert res.start == res.summary()["start"] == "given"
+        assert (res.records[0].i, res.records[0].j) == (0, 1)
+
+
+@pytest.mark.parametrize("method", sweeps.METHODS)
+def test_row_updated_lambda_matches_a_recompute_from_the_default_start(
+        method):
+    # the row update from Q0 = contracted_start, against a loop that
+    # recomputes Lambda before every visit from that Q0
+    for order, m in ((2, 3), (3, 1), (4, 2)):
+        ts, _ = make_test_problem(ExperimentSpec(
+            n=6, order=order, m=m, sigma=1e-2, seed_rot=order,
+            seed_noise=m, profile="linear"))
+        res = run(ts, RunConfig(method=method, thresh=1e-6, max_sweeps=30))
+        assert res.state.rotation_count > 0
+        visits, reason, state = run_recomputing_lambda(
+            ts, res, contracted_start(ts))
+        assert [(r.sweep, r.i, r.j, r.theta, r.skipped, r.lambda_norm)
+                for r in res.records] == visits
+        assert res.stop_reason == reason
+        assert np.array_equal(res.state.q, state.q)
+
+
+@pytest.mark.parametrize("order,m,slices", [
+    (2, 3, False), (3, 2, False), (4, 3, False), (4, 1, True)])
+def test_default_start_recovers_a_noise_free_set(order, m, slices):
+    # m > 1 members (copies, or the slices of one 4th-order tensor) of one
+    # hidden diagonalization: Q0 is the hidden Q up to a signed permutation,
+    # and the run from it needs no rotation, where the identity start
+    # needs dozens
+    ts, q_true = make_test_problem(ExperimentSpec(
+        n=6, order=order, m=m, sigma=0.0, profile="linear", seed_rot=3,
+        slice_mode=slices))
+    assert len(ts) == (6 if slices else m)
+    overlap = np.abs(q_true.T @ contracted_start(ts))
+    assert sorted(overlap.argmax(axis=0).tolist()) == list(range(6))
+    assert overlap.max(axis=0).min() >= 1 - 1e-12
+    res = run(ts)
+    assert (res.stop_reason, res.state.rotation_count) == ("stationary", 0)
+    assert run(ts, q0=np.eye(6)).state.rotation_count > 10
+
+
+@pytest.mark.parametrize("order,m", [(3, 1), (3, 4), (4, 1)])
+def test_default_start_needs_fewer_rotations_on_noisy_sets(order, m):
+    # the start recovers most of the hidden rotation, and the sweeps from
+    # it reach the identity start's objective in fewer rotations
+    for seed in range(3):
+        ts, _ = make_test_problem(ExperimentSpec(
+            n=8, order=order, m=m, sigma=1e-4, profile="linear",
+            seed_rot=seed, seed_noise=seed + 10))
+        cfg = RunConfig(method="c")
+        ours, eye = run(ts, cfg), run(ts, cfg, q0=np.eye(8))
+        assert ours.stop_reason == eye.stop_reason == "stationary"
+        assert ours.state.rotation_count < eye.state.rotation_count
+        assert abs(ours.state.f_current - eye.state.f_current) \
+            <= 1e-12 * ts.frob_sq()
 
 
 # ---------------------------------------------------------------------------

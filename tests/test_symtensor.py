@@ -2,8 +2,10 @@ import copy
 import functools
 import itertools
 import math
+import os
 import pickle
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -159,8 +161,8 @@ def test_row_kernel_matches_reference_bitwise(order, m, n, monkeypatch):
 
     powers = symtensor._symmetric_powers
     monkeypatch.setattr(symtensor, "_symmetric_powers",
-                        lambda d, c, s, out: powers(d, exact(c), exact(s),
-                                                    out))
+                        lambda d, c, s, *out: powers(d, exact(c), exact(s),
+                                                     *out))
     rng = np.random.default_rng(100 * order + 10 * m + n)
 
     def integer_symtensor():
@@ -230,17 +232,21 @@ def test_row_kernel_error_within_twice_dense_reference(order, m, n):
 def powers_at(order, theta):
     powers = np.empty((order, order + 1, order + 1))
     _symmetric_powers(order, math.cos(theta), math.sin(theta),
-                      powers.reshape(-1))
+                      powers.reshape(-1), np.empty((order + 1) ** 2))
     return [powers[t - 1, :t + 1, :t + 1] for t in range(1, order + 1)]
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_symmetric_powers_in_place_match_the_table_product(order):
     # S_t written in place is bitwise the table's product with the list of
-    # monomials c^p s^q, p-major, each a product of Python floats
+    # monomials c^p s^q, p-major, each a product of Python floats, at 50
+    # random angles and 1,001 in [-pi/4, pi/4]
     rng = np.random.default_rng(80 + order)
-    out = np.empty(order * (order + 1) ** 2)
-    for theta in rng.uniform(-math.pi, math.pi, size=50):
+    out, monomials = np.empty(order * (order + 1) ** 2), np.empty(
+        (order + 1) ** 2)
+    for theta in np.concatenate([rng.uniform(-math.pi, math.pi, size=50),
+                                 np.linspace(-math.pi / 4, math.pi / 4,
+                                             1001)]).tolist():
         c, s = math.cos(theta), math.sin(theta)
         cp, sp = [1.0], [1.0]
         for _ in range(order):
@@ -248,7 +254,7 @@ def test_symmetric_powers_in_place_match_the_table_product(order):
             sp.append(sp[-1] * s)
         expected = symtensor._POWER_TABLE[order].dot(
             [a * b for a in cp for b in sp])
-        _symmetric_powers(order, c, s, out)
+        _symmetric_powers(order, c, s, out, monomials)
         assert np.array_equal(out, expected)
 
 
@@ -461,7 +467,7 @@ def test_every_constructor_fixes_the_layout(m, tmp_path):
         made.append(TensorSet.from_diagonal([1.0, 2.0, 3.0, 4.0], 3))
     for t in made:
         assert t.packed.flags.c_contiguous
-        classes = [rows for _, rows in t._by_class]
+        classes = [rows for _, rows in t._pieces]
         assert all(np.shares_memory(v, t.packed)
                    for v in [t._entries] + classes)
         assert sum(rows.size for rows in classes) == t.packed.size
@@ -542,6 +548,66 @@ def test_frob_sq_over_and_underflows_without_a_warning(k, want):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert big.frob_sq() == want
+
+
+# (4, 24, 1), whose 24-copies class has 10,626 rows, a (2, 100, 120)
+# set, whose diagonal has 12,000 rows, and a (2, 150, 1) set, whose Lambda
+# has 11,175 entries
+_SUMS_SCRIPT = """
+import numpy as np
+from jacobidiag.geometry import lambda_norm, lambda_of
+from jacobidiag.harness import ExperimentSpec, make_test_problem
+from jacobidiag.symtensor import TensorSet
+sets = [make_test_problem(ExperimentSpec(n=24, order=4, sigma=1e-4,
+                                         seed_rot=s, seed_noise=s))[0]
+        for s in (3, 6)]
+for n, m in ((100, 120), (150, 1)):
+    sets.append(TensorSet._from_packed(np.random.default_rng(0).standard_normal(
+        (n * (n + 1) // 2, m)), 2, n))
+for ts in sets:
+    print(ts.frob_sq().hex(), ts.diag_sq_norm().hex(),
+          ts.offdiag_sq().hex(), lambda_norm(lambda_of(ts)).hex())
+"""
+
+
+def test_sums_of_squares_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS threads a ddot above 10,000 entries, and two threads sum in
+    # another order; one dot per DOT_PIECE entries keeps every sum in one
+    # thread (one dot per class, or per Lambda, moved frob_sq, diag_sq_norm,
+    # offdiag_sq or lambda_norm of each of these sets by an ulp or two)
+    src = str(Path(symtensor.__file__).resolve().parents[1])
+    outs = [subprocess.run(
+        [sys.executable, "-c", _SUMS_SCRIPT], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=src,
+                             OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")]
+    assert len(outs[0].splitlines()) == 4
+    assert outs[0] == outs[1]
+
+
+def test_sums_of_squares_take_one_dot_per_piece():
+    # bitwise one dot per class where a class fits in one piece, and one
+    # per DOT_PIECE rows of it where not; the diagonal too, at m n > that
+    rng = np.random.default_rng(66)
+    for order, n, m in ((3, 12, 1), (4, 24, 1), (2, 100, 100)):
+        ts = TensorSet._from_packed(
+            rng.standard_normal((math.comb(n + order - 1, order), m)),
+            order, n)
+        flat = ts.packed.reshape(-1)
+        want = []
+        for lo, hi, c in _packing(order, n)[2]:
+            rows = flat[lo * m:hi * m]
+            sq = 0.0
+            for k in range(0, rows.size, symtensor.DOT_PIECE):
+                sq += float(np.vdot(rows[k:k + symtensor.DOT_PIECE],
+                                    rows[k:k + symtensor.DOT_PIECE]))
+            want.append(c * sq)
+            if rows.size <= symtensor.DOT_PIECE:
+                assert sq == float(rows.dot(rows))
+        assert ts.diag_sq_norm() == want[0]
+        assert ts.offdiag_sq() == pytest.approx(sum(want[1:]), rel=1e-15)
+        assert ts.frob_sq() == pytest.approx(sum(want), rel=1e-15)
+        assert all(p.size <= symtensor.DOT_PIECE for _, p in ts._pieces)
 
 
 def zeroed_diagonal_sq(ts):

@@ -1,14 +1,19 @@
 """tools/trajectory_gate.py: a dump reproduces itself bitwise, a run with
-ORTH_TOL patched re-orthonormalizes, and ``compare`` reports a changed
-angle, relative and in radians, how many values moved, and whether the
-path is the same within rounding."""
+ORTH_TOL patched re-orthonormalizes, the identity runs start from I and
+the default ones from ``run``'s own start, and ``compare`` reports a
+changed angle, relative and in radians, how many values moved, and
+whether the path is the same within rounding, over all runs or, with
+``--identity``, the identity runs alone."""
 
 import copy
 import importlib.util
 import json
 from pathlib import Path
 
-from jacobidiag import geometry, sweeps
+import numpy as np
+
+from jacobidiag import (ExperimentSpec, RunConfig, geometry,
+                        make_test_problem, sweeps)
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
@@ -16,14 +21,18 @@ _spec = importlib.util.spec_from_file_location(
 gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
-# one run with skips and a no-progress stop, one d = 4 run at m = 2, and
-# one d = 4 run at m = 2 with ORTH_TOL patched
-GRID = (("cthresh", 3, 1, 0, None, None), ("g", 4, 2, 1, None, None),
-        ("c", 4, 2, 0, None, gate.TIGHT_ORTH_TOL))
+# one run with skips and a no-progress stop, one d = 4 run at m = 2, one
+# d = 4 run at m = 2 with ORTH_TOL patched, and one from the default start
+GRID = (("cthresh", 3, 1, 0, None, None, "identity"),
+        ("g", 4, 2, 1, None, None, "identity"),
+        ("c", 4, 2, 0, None, gate.TIGHT_ORTH_TOL, "identity"),
+        ("g", 4, 2, 1, None, None, "default"))
 
 
 def test_grid_keys_are_distinct():
-    assert len({gate._key(*run) for run in gate.GRID}) == len(gate.GRID) == 128
+    keys = {gate._key(*run) for run in gate.GRID}
+    assert len(keys) == len(gate.GRID) == 188
+    assert sum(key.endswith(gate.DEFAULT_START) for key in keys) == 60
 
 
 def test_dump_is_reproducible_and_compare_reports_a_perturbed_angle(
@@ -34,13 +43,27 @@ def test_dump_is_reproducible_and_compare_reports_a_perturbed_angle(
     assert a.read_bytes() == b.read_bytes()
     assert gate.main(["compare", str(a), str(b)]) == 0
     out = capsys.readouterr().out
-    assert "3 runs in a, 3 in b: bitwise identical" in out
+    assert "4 runs in a, 4 in b: bitwise identical" in out
     assert "largest absolute theta change: 0 rad\n" in out
     assert "theta values moved by more than 1e-12 relative: 0\n" in out
 
     dumped = json.loads(a.read_text())
     assert dumped["c d=4 m=2 p=0 orth_tol=1e-15"]["reorths"] > 0
     assert dumped["g d=4 m=2 p=1"]["reorths"] == 0
+    # the identity run is run(q0=I), the default one run() without q0
+    profile, sigma, seed_rot, seed_noise = gate.PROBLEMS[1]
+    tensors, _ = make_test_problem(ExperimentSpec(
+        n=gate.N, order=4, m=2, profile=profile, sigma=sigma,
+        seed_rot=seed_rot, seed_noise=seed_noise))
+    cfg = RunConfig(method="g", thresh=gate.THRESH,
+                    max_sweeps=gate.MAX_SWEEPS)
+    for key, q0 in (("g d=4 m=2 p=1", np.eye(gate.N)),
+                    ("g d=4 m=2 p=1 start=default", None)):
+        res = sweeps.run(tensors, cfg, q0=q0)
+        assert dumped[key]["theta"] == [r.theta for r in res.records]
+        assert dumped[key]["q"] == res.state.q.ravel().tolist()
+    assert dumped["g d=4 m=2 p=1"]["rotations"] \
+        > dumped["g d=4 m=2 p=1 start=default"]["rotations"]
     assert sweeps.ORTH_TOL == geometry.ORTH_TOL         # restored
     run = dumped["cthresh d=3 m=1 p=0"]
     assert sum(run["skipped"]) > 0 and run["stop_reason"] == "no_progress"
@@ -109,3 +132,24 @@ def test_compare_reads_the_same_path_within_rounding(tmp_path, capsys):
     assert compare(lambda run, _: reorth(run)) == (False, 1)
     for change in (swap_pair, stop, f_moved):
         assert compare(change) == (False, 1)
+
+
+def test_compare_identity_reads_the_identity_runs_alone(tmp_path, capsys):
+    # a change of the default-start runs, even a missing one, fails the
+    # plain compare and passes --identity; one of an identity run fails both
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    gate.dump(ROOT, a, GRID)
+    dumped = json.loads(a.read_text())
+    default, plain = "g d=4 m=2 p=1 start=default", "g d=4 m=2 p=1"
+    dumped[default]["theta"][0] *= 1 + 1e-9
+    b.write_text(json.dumps(dumped))
+    assert gate.main(["compare", str(a), str(b)]) == 1
+    assert gate.main(["compare", "--identity", str(a), str(b)]) == 0
+    assert "3 runs in a, 3 in b: bitwise identical" in capsys.readouterr().out
+    del dumped[default]
+    b.write_text(json.dumps(dumped))
+    assert gate.main(["compare", str(a), str(b)]) == 1
+    assert gate.main(["compare", "--identity", str(a), str(b)]) == 0
+    dumped[plain]["theta"][0] *= 1 + 1e-9
+    b.write_text(json.dumps(dumped))
+    assert gate.main(["compare", "--identity", str(a), str(b)]) == 1

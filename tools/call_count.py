@@ -17,7 +17,9 @@ run made divided by its rotations, set-up included:
 
 The profile hook does not see ufuncs (``np.add``, ``np.vecdot``) or
 operators (``a * b``), so they are not counted.  ``--top K`` adds the K
-most called functions with their calls per rotation.  Counts repeat
+most called functions with their calls per rotation.  The garbage
+collector is run before and held off during the profiled run, so no
+finalizer of an earlier object is counted in it.  Counts repeat
 exactly from run to run; they compare two versions of the program and say
 nothing about time.
 
@@ -30,6 +32,7 @@ each base counts once, under the first table that holds it.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -88,11 +91,16 @@ def count_calls(jd, d, n, m, method):
             calls[_kind(event, arg, np.ndarray),
                   _name(event, frame, arg)] += 1
 
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(hook)
     try:
         res = jd.run(tensors, config)
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     # the hook also saw the call that switched it off
     calls["builtin", "setprofile"] -= 1
     return res.state.rotation_count, +calls

@@ -2,10 +2,13 @@
 checkout, and compare two dumps.
 
     python tools/trajectory_gate.py dump <checkout> <out.json>
-    python tools/trajectory_gate.py compare <a.json> <b.json>
+    python tools/trajectory_gate.py compare [--identity] <a.json> <b.json>
 
-``dump`` imports ``jacobidiag`` from ``<checkout>/src`` and runs, from the
-identity, the grid ``GRID`` of 128 runs at n = 6 and at most 30 sweeps:
+``dump`` imports ``jacobidiag`` from ``<checkout>/src`` and runs the grid
+``GRID`` of 188 runs at n = 6 and at most 30 sweeps.  128 of them start
+from the identity, passed as ``q0=np.eye(6)``, which every version of
+``run`` accepts, so their dumps compare across a change of the default
+start:
 
 * every method at d in {2, 3, 4}, m in {1, 2, 10} and the two problems of
   ``PROBLEMS`` (90 runs);
@@ -15,10 +18,13 @@ identity, the grid ``GRID`` of 128 runs at n = 6 and at most 30 sweeps:
 * c and gmax with ``delta0 = DELTA0`` at d in {3, 4}, m = 2 and both
   problems (8 runs), the proximal term outside pc.
 
+The other 60 run every method at d in {2, 3, 4}, m in {1, 2} and both
+problems from ``run``'s default start (no ``q0``).
+
 cthresh skips below ``THRESH``, so its runs stop on a sweep without a
 rotation; the other methods stop stationary or at 30 sweeps.  A run's key
 names its method, d, m and problem, then its delta0 and ORTH_TOL where
-they are not the defaults.  Per run it writes every record field but
+they are not the defaults, and " start=default" for a default start.  Per run it writes every record field but
 ``wall_ms``, the stop reason, ``converged``, the rotation and
 re-orthonormalization counts, and the final Q and packed entries.  JSON writes a float as its shortest repr,
 which reads back bitwise.
@@ -45,6 +51,8 @@ A change that re-associates a sum moves tiny late angles by far more than
 The exit code reads none of these three lines.  It exits 0 when the
 trajectories match: the same pairs, skips and stops, and every float
 within ``FLOAT_RTOL`` (bitwise where the arithmetic allows); otherwise 1.
+With ``--identity`` it compares only the identity-start runs of both
+dumps, the check for a change meant to move the default start alone.
 """
 
 from __future__ import annotations
@@ -54,6 +62,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 N = 6
 MAX_SWEEPS = 30
 THRESH = 1e-7              # cthresh's threshold; the other methods ignore it
@@ -62,14 +72,21 @@ PROBLEMS = (("equal", 1e-2, 1, 2), ("linear", 1e-4, 3, 4))
 TIGHT_ORTH_TOL = 1e-15
 DELTA0 = 1e-3
 METHODS = ("c", "g", "gmax", "cthresh", "pc")
-# (method, d, m, problem, delta0, ORTH_TOL patch); None keeps the default
-GRID = (tuple((method, d, m, p, None, None) for method in METHODS
+# (method, d, m, problem, delta0, ORTH_TOL patch, start); None keeps the
+# default delta0 and ORTH_TOL, and start is "identity" or "default"
+GRID = (tuple((method, d, m, p, None, None, "identity") for method in METHODS
               for d in (2, 3, 4) for m in (1, 2, 10)
               for p in range(len(PROBLEMS)))
-        + tuple((method, d, 2, p, None, TIGHT_ORTH_TOL) for method in METHODS
-                for d in (2, 3, 4) for p in range(len(PROBLEMS)))
-        + tuple((method, d, 2, p, DELTA0, None) for method in ("c", "gmax")
-                for d in (3, 4) for p in range(len(PROBLEMS))))
+        + tuple((method, d, 2, p, None, TIGHT_ORTH_TOL, "identity")
+                for method in METHODS for d in (2, 3, 4)
+                for p in range(len(PROBLEMS)))
+        + tuple((method, d, 2, p, DELTA0, None, "identity")
+                for method in ("c", "gmax") for d in (3, 4)
+                for p in range(len(PROBLEMS)))
+        + tuple((method, d, m, p, None, None, "default") for method in METHODS
+                for d in (2, 3, 4) for m in (1, 2)
+                for p in range(len(PROBLEMS))))
+DEFAULT_START = " start=default"
 RECORD_FIELDS = ("k", "sweep", "i", "j", "theta", "f", "offdiag_sq",
                  "lambda_norm", "skipped")
 FLOAT_FIELDS = ("theta", "f", "offdiag_sq", "lambda_norm", "q", "packed")
@@ -93,22 +110,27 @@ def _import_package(checkout):
     return jacobidiag
 
 
-def _key(method, d, m, p, delta0, orth_tol):
+def _key(method, d, m, p, delta0, orth_tol, start):
     key = f"{method} d={d} m={m} p={p}"
     if delta0 is not None:
         key += f" delta0={delta0:g}"
     if orth_tol is not None:
         key += f" orth_tol={orth_tol:g}"
+    if start == "default":
+        key += DEFAULT_START
     return key
 
 
-def _run(jd, tensors, config, orth_tol):
-    """``jd.run`` with ``sweeps.ORTH_TOL`` patched to orth_tol (kept if
-    None) for the run's length."""
+def _run(jd, tensors, config, orth_tol, start):
+    """``jd.run`` from the identity or the default start, with
+    ``sweeps.ORTH_TOL`` patched to orth_tol (kept if None) for the run's
+    length."""
     saved = jd.sweeps.ORTH_TOL
     jd.sweeps.ORTH_TOL = saved if orth_tol is None else orth_tol
     try:
-        return jd.run(tensors, config)
+        if start == "default":
+            return jd.run(tensors, config)
+        return jd.run(tensors, config, q0=np.eye(N))
     finally:
         jd.sweeps.ORTH_TOL = saved
 
@@ -117,14 +139,14 @@ def dump(checkout, out, grid=GRID):
     """Run ``grid`` against ``checkout``'s package and write the dump."""
     jd = _import_package(checkout)
     runs = {}
-    for method, d, m, p, delta0, orth_tol in grid:
+    for method, d, m, p, delta0, orth_tol, start in grid:
         profile, sigma, seed_rot, seed_noise = PROBLEMS[p]
         tensors, _ = jd.make_test_problem(jd.ExperimentSpec(
             n=N, order=d, m=m, profile=profile, sigma=sigma,
             seed_rot=seed_rot, seed_noise=seed_noise))
         res = _run(jd, tensors, jd.RunConfig(
             method=method, thresh=THRESH, delta0=delta0,
-            max_sweeps=MAX_SWEEPS), orth_tol)
+            max_sweeps=MAX_SWEEPS), orth_tol, start)
         st = res.state
         entry = {f: [getattr(r, f) for r in res.records]
                  for f in RECORD_FIELDS}
@@ -132,7 +154,7 @@ def dump(checkout, out, grid=GRID):
                      rotations=st.rotation_count, reorths=st.reorth_count,
                      q=st.q.ravel().tolist(),
                      packed=st.tensors.packed.ravel().tolist())
-        runs[_key(method, d, m, p, delta0, orth_tol)] = entry
+        runs[_key(method, d, m, p, delta0, orth_tol, start)] = entry
     with open(out, "w") as fh:
         json.dump(runs, fh)
 
@@ -228,6 +250,8 @@ def main(argv=None):
     d.add_argument("checkout")
     d.add_argument("out")
     c = sub.add_parser("compare", help="compare two dumps")
+    c.add_argument("--identity", action="store_true",
+                   help="compare the identity-start runs only")
     c.add_argument("a")
     c.add_argument("b")
     args = parser.parse_args(argv)
@@ -235,7 +259,11 @@ def main(argv=None):
         dump(args.checkout, args.out)
         return 0
     with open(args.a) as fa, open(args.b) as fb:
-        lines, match = compare(json.load(fa), json.load(fb))
+        a, b = json.load(fa), json.load(fb)
+    if args.identity:
+        a, b = ({k: v for k, v in runs.items()
+                 if not k.endswith(DEFAULT_START)} for runs in (a, b))
+    lines, match = compare(a, b)
     print("\n".join(lines))
     return 0 if match else 1
 
