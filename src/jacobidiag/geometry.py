@@ -93,22 +93,21 @@ def lambda_of(tensors, lam=None, rows=None):
     TensorSet: the (P,) vector of Lambda[i, j], i < j, in the row-major
     order of ``sweeps.upper_pairs``.
 
-    One take at the cached (4, P) table of packed positions of W[i, j..j],
-    W[j, i..i], W[j..j] and W[i..i] (``symtensor._lambda_positions``), one
-    contraction over the m members, then d * (S_ij - S_ji): O(m n^2) work.
-    At m = 1 the take reads the kernel's 1-D view of ``packed``
-    (``TensorSet._entries``) and the contraction is a plain product.
-
     Given ``lam``, the vector before a rotation in the (i, j) plane, and
-    ``rows``, that pair's entry of ``symtensor._lambda_rows``, it rewrites
-    in place only the 2n - 3 entries in rows i and j, by the same lines,
-    O(m n) work, and returns ``lam``: bitwise a full recompute, since no
-    other entry reads an entry the rotation touched.
+    ``rows``, that pair's (rows, positions) of ``symtensor._lambda_rows``,
+    it rewrites in place only the 2n - 3 entries in rows i and j, O(m n)
+    work, and returns ``lam``: bitwise a full recompute, since no other
+    entry reads an entry the rotation touched.  Without them every pair is
+    a row of a fresh vector, at the cached (4, P) table
+    ``symtensor._lambda_positions``: O(m n^2) work.  Either way one take of
+    the packed W[i, j..j], W[j, i..i], W[j..j] and W[i..i] (at m = 1 from
+    the kernel's 1-D view ``TensorSet._entries``), one contraction over
+    the m members, then d * (S_ij - S_ji).
     """
     if rows is None:
-        positions = _lambda_positions(tensors.order, tensors.dim)
-    else:
-        rows, positions = rows
+        rows = slice(None), _lambda_positions(tensors.order, tensors.dim)
+        lam = np.empty(rows[1].shape[1])
+    rows, positions = rows
     near = tensors._entries.take(positions, axis=0)   # (4, P or 2n-3[, m])
     if near.ndim == 2:
         s = near[:2] * near[2:]
@@ -116,8 +115,6 @@ def lambda_of(tensors, lam=None, rows=None):
         s = np.vecdot(near[:2], near[2:])
     new = s[0] - s[1]
     new *= tensors.order
-    if rows is None:
-        return new
     lam[rows] = new
     return lam
 

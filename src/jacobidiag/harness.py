@@ -106,8 +106,8 @@ def make_test_problem(spec):
 
 
 def run_benchmark(tensors, configs, outdir):
-    """Run each config on the same problem from the identity; return one
-    row per config, in order.
+    """Run each config on the same problem from ``run``'s default start
+    (``geometry.contracted_start``); return one row per config, in order.
 
     A row is the run's ``RunResult.summary()`` plus ``csv_path``, its
     trajectory CSV, written under outdir.  A run that raised gives

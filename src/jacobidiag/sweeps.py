@@ -165,8 +165,8 @@ class IterationRecord:
     k (the rotation count), f and offdiag_sq are post-rotation;
     lambda_norm is the pre-rotation gradient norm (the one the pair
     selection saw).  offdiag_sq is a fresh sum over the off-diagonal
-    entries (``TensorSet.offdiag_sq``), accurate relative to itself
-    however small it gets."""
+    entries (``TensorSet.offdiag_sq``), accurate relative to itself however
+    small it gets.  wall_ms counts from before ``run`` builds its start."""
 
     k: int
     sweep: int
@@ -251,6 +251,7 @@ def run(tensors, config=None, q0=None):
     if cfg.method == "g" and not 0.0 < eps <= 2.0 / n:
         raise ValueError(f"eps must lie in (0, 2/n] = (0, {2.0 / n:g}], "
                          f"got {eps:g}")
+    t0 = time.perf_counter()
     start = "given"
     if q0 is None:
         start, q0 = "contracted", contracted_start(tensors)
@@ -263,7 +264,6 @@ def run(tensors, config=None, q0=None):
     rows = _lambda_rows(tensors.order, n)
     records = []
     f_initial = state.f_current
-    t0 = time.perf_counter()
     reason = "max_sweeps"
     lam = lambda_of(state.tensors)
 

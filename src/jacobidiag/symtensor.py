@@ -120,13 +120,18 @@ def _lambda_positions(order, dim):
 def _lambda_rows(order, dim):
     """Per pair i < j in row-major order, (rows, positions): the ascending
     positions of the 2n - 3 pairs that share an index with it, the only
-    entries of Lambda a rotation in its plane changes, and the (4, 2n - 3)
-    columns of ``_lambda_positions`` at them.  O(n^3) entries in all."""
+    entries of Lambda a rotation in its plane changes (row i of the (n, n)
+    matrix of pair positions less column i, row j less columns i and j),
+    and the (4, 2n - 3) columns of ``_lambda_positions`` at them: rows of
+    a (P, 2n - 3) and a (P, 4, 2n - 3) array, 40 P (2n - 3) bytes."""
     i, j = np.triu_indices(dim, 1)
-    rows = [np.flatnonzero((i == a) | (i == b) | (j == a) | (j == b))
-            for a, b in zip(i, j)]
-    table = _lambda_positions(order, dim)
-    return tuple((r, table[:, r]) for r in rows)
+    at = np.empty((dim, dim), dtype=np.intp)
+    at[i, j] = at[j, i] = np.arange(i.size)
+    at = at[~np.eye(dim, dtype=bool)].reshape(dim, dim - 1)   # k without k
+    rows = np.sort(np.hstack((at[i], at[j][np.arange(dim - 1) != i[:, None]]
+                              .reshape(i.size, dim - 2))), axis=1)
+    return tuple(zip(rows, _lambda_positions(order, dim)[
+        np.arange(4)[:, None], rows[:, None]]))
 
 
 @functools.lru_cache(maxsize=16)
@@ -153,9 +158,7 @@ def _rotation_plan(order, dim):
     Its dtype is the smallest unsigned one that holds N - 1, and its size
     grows as P K = O(n^(d+1)): 2,704,800 bytes (2.58 MiB, uint16) at
     (d, n) = (4, 24), 35,672 at (3, 14), 11,348,480 (10.8 MiB) at (4, 32)
-    and 6,682,650 (6.4 MiB) at (2, 150).  ``_lambda_rows``, O(n^3) intp,
-    is smaller at d = 4 (496,800 bytes at (4, 24)) and far larger at d = 2
-    (132,759,000 at (2, 150)).
+    and 6,682,650 (6.4 MiB) at (2, 150).
     """
     strides = dim ** np.arange(order - 1, -1, -1)
     ij = np.arange(dim)[:, None, None]              # i, or j, per table row

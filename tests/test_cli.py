@@ -176,7 +176,9 @@ def test_bench_runs_suite(tmp_path, capsys):
     assert code == 0
     assert (outdir / "cyc.csv").exists()
     assert (outdir / "gm.csv").exists()
-    assert (outdir / "report.json").exists()
+    # no configuration is given a q0, so each starts from run's default
+    with open(outdir / "report.json") as fh:
+        assert [r["start"] for r in json.load(fh)] == ["contracted"] * 2
     out = capsys.readouterr().out
     assert "cyc" in out and "gm" in out
 

@@ -9,7 +9,7 @@ from jacobidiag.geometry import (QUARTER_PI, RotationState, lambda_of,
 from jacobidiag.harness import ExperimentSpec, make_test_problem
 from jacobidiag.sweeps import RunConfig, run, upper_pairs
 from jacobidiag.oracle import finite_difference_h_prime
-from jacobidiag.symtensor import TensorSet, _lambda_rows
+from jacobidiag.symtensor import TensorSet, _lambda_positions, _lambda_rows
 
 from reference import (dense_symmetrize, givens_generator, givens_matrix,
                        lambda_reference, offdiag_sq_norm)
@@ -165,6 +165,26 @@ def test_lambda_row_update_is_bitwise_a_full_recompute(order, m):
         kept = np.ones(len(pairs), dtype=bool)
         kept[rows] = False
         assert np.array_equal(lam[kept], before[kept])
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 7, 12])
+def test_lambda_rows_are_the_per_pair_scan(order, n):
+    # entry p is what a scan over all P pairs for those sharing an index
+    # with pair p gives, with the columns of _lambda_positions at them,
+    # and views into one (P, 2n - 3) and one (P, 4, 2n - 3) array
+    i, j = np.triu_indices(n, 1)
+    full, tables = _lambda_positions(order, n), _lambda_rows(order, n)
+    assert len(tables) == i.size
+    for (rows, positions), a, b in zip(tables, i, j):
+        scan = np.flatnonzero((i == a) | (i == b) | (j == a) | (j == b))
+        assert rows.dtype == scan.dtype and np.array_equal(rows, scan)
+        assert positions.dtype == full.dtype
+        assert np.array_equal(positions, full[:, scan])
+        assert rows.base.shape == (i.size, 2 * n - 3)
+        assert positions.base.shape == (i.size, 4, 2 * n - 3)
+        assert rows.base is tables[0][0].base
+        assert positions.base is tables[0][1].base
 
 
 def test_safe_norm_is_bitwise_numpy_norm_in_normal_range():

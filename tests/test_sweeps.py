@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import time
 import warnings
 
 import numpy as np
@@ -812,6 +813,20 @@ def test_identity_q0_is_the_identity_start():
         res = run(ts, RunConfig(max_sweeps=1), q0=np.eye(6))
         assert res.start == res.summary()["start"] == "given"
         assert (res.records[0].i, res.records[0].j) == (0, 1)
+
+
+def test_wall_ms_counts_the_default_start(monkeypatch):
+    # the clock is read before the start is built, so a start that takes
+    # 50 ms shows in the first record's wall_ms and in the summary's
+    def slow_start(tensors):
+        time.sleep(0.05)
+        return contracted_start(tensors)
+
+    monkeypatch.setattr(sweeps, "contracted_start", slow_start)
+    res = run(noisy_problem(3, sigma=1e-2), RunConfig(max_sweeps=1))
+    assert res.start == "contracted" and res.records
+    assert res.records[0].wall_ms >= 50.0
+    assert res.summary()["wall_ms"] >= res.records[0].wall_ms
 
 
 @pytest.mark.parametrize("method", sweeps.METHODS)

@@ -43,10 +43,15 @@ INDEX_TABLES = ("_packing", "_pair_positions", "_lambda_positions",
 
 
 def _import_package(checkout):
-    """``jacobidiag`` from ``<checkout>/src``; refuse one from elsewhere."""
+    """``jacobidiag`` from ``<checkout>/src``, with ``sys.path`` left as it
+    was; refuse one imported from anywhere else.  The other tools import
+    the package through this function too."""
     src = os.path.realpath(os.path.join(checkout, "src"))
     sys.path.insert(0, src)
-    import jacobidiag
+    try:
+        import jacobidiag
+    finally:
+        sys.path.remove(src)
     found = os.path.dirname(os.path.dirname(
         os.path.realpath(jacobidiag.__file__)))
     if found != src:

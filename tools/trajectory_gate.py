@@ -64,6 +64,10 @@ import sys
 
 import numpy as np
 
+# this directory, for a gate loaded by file path
+sys.path.insert(0, os.path.dirname(os.path.realpath(__file__)))
+from call_count import _import_package  # noqa: E402
+
 N = 6
 MAX_SWEEPS = 30
 THRESH = 1e-7              # cthresh's threshold; the other methods ignore it
@@ -92,22 +96,6 @@ RECORD_FIELDS = ("k", "sweep", "i", "j", "theta", "f", "offdiag_sq",
 FLOAT_FIELDS = ("theta", "f", "offdiag_sq", "lambda_norm", "q", "packed")
 STOP_FIELDS = ("stop_reason", "converged", "rotations", "reorths")
 FLOAT_RTOL = 1e-12
-
-
-def _import_package(checkout):
-    """``jacobidiag`` from ``<checkout>/src``; refuse one imported from
-    anywhere else."""
-    src = os.path.realpath(os.path.join(checkout, "src"))
-    sys.path.insert(0, src)
-    try:
-        import jacobidiag
-    finally:
-        sys.path.remove(src)
-    found = os.path.dirname(os.path.dirname(
-        os.path.realpath(jacobidiag.__file__)))
-    if found != src:
-        raise SystemExit(f"jacobidiag was imported from {found}, not {src}")
-    return jacobidiag
 
 
 def _key(method, d, m, p, delta0, orth_tol, start):
