@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 QUARTER_PI = math.pi / 4
-ORTH_TOL = 1e-8            # re-orthonormalization threshold on ||Q^T Q - I||
+ORTH_TOL = 1e-8     # Q in SO(n) to rounding: ||Q^T Q - I||, |det Q - 1| <= it
 _SQRT_TINY = math.sqrt(sys.float_info.min)    # 2^-511; see safe_norm
 _SQRT2 = math.sqrt(2.0)
 
@@ -166,6 +166,9 @@ class RotationState:
     (``f_current``) and ``offdiag_sq`` are read off the rotated set afresh
     on every call (``TensorSet.diag_sq_norm`` and ``offdiag_sq``).
 
+    ``q0``, the start, is the caller's choice (``sweeps.run``'s), checked:
+    (n, n), ||Q0^T Q0 - I|| and |det Q0 - 1| within ORTH_TOL.  The working
+    set is ``source.rotated_by(q0)``, as ``reorthonormalize`` rebuilds it.
     ``source`` is a TensorSet, already checked when it was built; its
     squared norm ``total_sq_norm``, a packed sum (``frob_sq``), is not:
     ``sweeps.run`` refuses 0 or an overflow (``check_sq_norm``).  Keeps
@@ -179,24 +182,20 @@ class RotationState:
     owns.
     """
 
-    def __init__(self, source, q0=None):
+    def __init__(self, source, q0):
         self.source = source
         self.total_sq_norm = source.frob_sq()
         n = source.dim
-        if q0 is None:
-            self.q = np.eye(n, order="F")
-            self.tensors = source.copy()
-        else:
-            self.q = q = np.array(q0, dtype=np.float64, order="F")
-            if q.shape != (n, n):
-                raise ValueError(f"Q0 shape {q.shape} does not match n={n}")
-            # "not <=" also refuses the NaN a non-finite entry leaves
-            if not (err := self.orthogonality_error()) <= ORTH_TOL:
-                raise ValueError(
-                    f"Q0 is not orthogonal: ||Q^T Q - I|| = {err:.3e}")
-            if not abs(np.linalg.det(q) - 1.0) <= 1e-8:
-                raise ValueError("Q0 must have determinant +1")
-            self.tensors = source.rotated_by(q)
+        self.q = q = np.array(q0, dtype=np.float64, order="F")
+        if q.shape != (n, n):
+            raise ValueError(f"Q0 shape {q.shape} does not match n={n}")
+        # "not <=" also refuses the NaN a non-finite entry leaves
+        if not (err := self.orthogonality_error()) <= ORTH_TOL:
+            raise ValueError(
+                f"Q0 is not orthogonal: ||Q^T Q - I|| = {err:.3e}")
+        if not abs(np.linalg.det(q) - 1.0) <= ORTH_TOL:
+            raise ValueError("Q0 must have determinant +1")
+        self.tensors = source.rotated_by(q)
         self._g, self._q_rows = np.empty((2, 2)), np.empty((2, n))
         self.rotation_count = 0
         self.reorth_count = 0

@@ -332,11 +332,12 @@ def lambda_reference(tensors):
     return d * (s - s.T)
 
 
-def run_recomputing_lambda(tensors, result, q0=None):
+def run_recomputing_lambda(tensors, result, q0):
     """``sweeps.run``'s loop with Lambda computed afresh before every visit,
     the reference for its row update: the run of ``result``'s config on
-    ``tensors`` from ``q0`` (default the identity), with the settings
-    ``result`` resolved and ``sweeps.ORTH_TOL`` read when the sweep ends.
+    ``tensors`` from ``q0``, the start of the run it replays, with the
+    settings ``result`` resolved and ``sweeps.ORTH_TOL`` read when the sweep
+    ends.
     Returns the visits as (sweep, i, j, theta, skipped, ||Lambda||), the
     stop reason and the final state."""
     cfg, state = result.config, RotationState(tensors, q0)

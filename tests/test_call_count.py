@@ -63,10 +63,11 @@ def test_index_bytes_count_each_base_once(monkeypatch):
 
 
 def test_lambda_is_computed_once_per_run_and_once_per_rotation():
-    # cthresh skips 3 of this problem's visits, and a skip leaves Lambda as
-    # it is: one full computation at the start, one row update per rotation
+    # the tool's problem (linear profile), on which cthresh skips a visit,
+    # and a skip leaves Lambda as it is: one full computation at the start,
+    # one row update per rotation
     tensors, _ = jacobidiag.make_test_problem(jacobidiag.ExperimentSpec(
-        n=5, order=2, m=2, sigma=1e-4))
+        n=5, order=2, m=2, sigma=1e-4, profile="linear"))
     res = jacobidiag.run(tensors, jacobidiag.RunConfig(method="cthresh"))
     assert len(res.records) > res.state.rotation_count
     rotations, calls = tool.count_calls(jacobidiag, 2, 5, 2, "cthresh")

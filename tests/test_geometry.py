@@ -68,7 +68,7 @@ def test_apply_refuses_a_bad_pair_or_angle():
                   -QUARTER_PI * (1 + 3e-12)]:
         assert_refused_unchanged(0, 1, theta)
     # the quarter turn itself, and a hair beyond it, are accepted
-    state = RotationState(random_set(3, 5, 50))
+    state = RotationState(random_set(3, 5, 50), np.eye(5))
     state.apply(0, 4, QUARTER_PI)
     state.apply(0, 4, -QUARTER_PI * (1 + 1e-13))
     assert state.rotation_count == 2
@@ -148,7 +148,8 @@ def test_lambda_row_update_is_bitwise_a_full_recompute(order, m):
     # after every rotation, rewriting rows i and j of Lambda gives the bits
     # of a fresh lambda_of, and leaves every other entry as it was
     n = 6
-    state = RotationState(random_set(order, n, 400 + order, m=m))
+    state = RotationState(random_set(order, n, 400 + order, m=m),
+                          np.eye(n))
     pairs, tables = upper_pairs(n), _lambda_rows(order, n)
     rng = np.random.default_rng(order * 10 + m)
     lam = lambda_of(state.tensors)
@@ -228,6 +229,8 @@ def test_state_construction_and_conservation():
 
 def test_state_rejects_bad_q0():
     ts = random_set(2, 4, 51)
+    with pytest.raises(TypeError):
+        RotationState(ts)                  # the caller chooses the start
     with pytest.raises(ValueError):
         RotationState(ts, np.eye(3))
     with pytest.raises(ValueError):
@@ -249,7 +252,7 @@ def test_state_rejects_a_non_finite_q0(bad):
 
 def test_apply_zero_rotation_is_identity():
     ts = random_set(3, 4, 52)
-    state = RotationState(ts)
+    state = RotationState(ts, np.eye(4))
     q0 = state.q.copy()
     w0 = state.tensors.stack.copy()
     f0 = state.f_current
@@ -262,10 +265,10 @@ def test_apply_zero_rotation_is_identity():
 def test_rotation_composition():
     ts = random_set(3, 5, 53)
     a, b = 0.3, 0.4
-    one = RotationState(ts)
+    one = RotationState(ts, np.eye(5))
     one.apply(1, 3, a)
     one.apply(1, 3, b)
-    two = RotationState(ts)
+    two = RotationState(ts, np.eye(5))
     two.apply(1, 3, a + b)
     assert np.max(np.abs(one.tensors.stack - two.tensors.stack)) <= 1e-12
     assert np.max(np.abs(one.q - two.q)) <= 1e-14
@@ -273,7 +276,7 @@ def test_rotation_composition():
 
 def test_f_plus_offdiag_is_total_after_each_apply():
     ts = random_set(4, 4, 54)
-    state = RotationState(ts)
+    state = RotationState(ts, np.eye(4))
     rng = np.random.default_rng(0)
     for _ in range(20):
         i, j = sorted(rng.choice(4, size=2, replace=False))
@@ -285,7 +288,7 @@ def test_f_plus_offdiag_is_total_after_each_apply():
 def test_f_current_follows_an_in_place_write_to_the_set():
     # f is read off the tensors, not kept beside them: a write to the
     # packed entries (rows [0, n) are the diagonal) shows at once
-    state = RotationState(random_set(3, 4, 58))
+    state = RotationState(random_set(3, 4, 58), np.eye(4))
     state.tensors.packed[0] += 1.0
     assert state.f_current == state.tensors.diag_sq_norm()
     state.tensors.packed[:4] = 0.0
@@ -325,7 +328,7 @@ def test_offdiag_sq_matches_a_fresh_oracle_sum_when_tiny(order):
 
 def test_orthogonality_drift_stays_tiny():
     ts = random_set(2, 10, 55)
-    state = RotationState(ts)
+    state = RotationState(ts, np.eye(10))
     rng = np.random.default_rng(1)
     for _ in range(10_000):
         i, j = sorted(rng.choice(10, size=2, replace=False))
@@ -352,7 +355,7 @@ def test_reorthonormalize_rebuilds_from_source():
 def test_q_stays_column_major():
     # apply updates two columns of Q; held column-major, both are contiguous
     ts = random_set(3, 5, 57)
-    for q0 in (None, random_rotation(5, 10)):
+    for q0 in (np.eye(5), random_rotation(5, 10)):
         state = RotationState(ts, q0)
         assert state.q.flags.f_contiguous
         for i, j in [(1, 3), (0, 1), (3, 4), (0, 4)]:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import math
 import time
 import warnings
@@ -156,7 +157,7 @@ def test_stationarity_norm_matches_lambda():
             ref = float(np.linalg.norm(lambda_reference(state.tensors)))
             assert abs(state.lambda_norm() - ref) <= 4 * math.ulp(ref)
         diag = TensorSet.from_diagonal([1.0, 2.0, 3.0], order)
-        assert RotationState(diag).lambda_norm() == 0.0
+        assert RotationState(diag, np.eye(3)).lambda_norm() == 0.0
 
 
 @pytest.mark.parametrize("method", ["c", "g", "pc"])
@@ -187,8 +188,8 @@ def test_lambda_norm_survives_an_overflowing_square():
     tensors, big = overflowing_square_problem()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        norm = RotationState(big).lambda_norm()
-    want = 2.0**600 * RotationState(tensors).lambda_norm()
+        norm = RotationState(big, np.eye(5)).lambda_norm()
+    want = 2.0**600 * RotationState(tensors, np.eye(5)).lambda_norm()
     assert abs(norm - want) <= 1e-14 * want
 
 
@@ -198,9 +199,9 @@ def test_lambda_norm_survives_an_underflowing_square():
     tensors, _ = make_test_problem(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        norm = RotationState(TensorSet(2.0**-280 * tensors.stack[0])
-                             ).lambda_norm()
-    want = 2.0**-560 * RotationState(tensors).lambda_norm()
+        norm = RotationState(TensorSet(2.0**-280 * tensors.stack[0]),
+                             np.eye(5)).lambda_norm()
+    want = 2.0**-560 * RotationState(tensors, np.eye(5)).lambda_norm()
     assert want > 0.0
     assert abs(norm - want) <= 1e-14 * want
 
@@ -458,7 +459,7 @@ def test_row_updated_lambda_matches_a_recompute_before_every_visit(
             seed_noise=m, profile="linear"))
         res = run(ts, RunConfig(method=method, thresh=1e-2, max_sweeps=30),
                   q0=np.eye(6))
-        visits, reason, state = run_recomputing_lambda(ts, res)
+        visits, reason, state = run_recomputing_lambda(ts, res, np.eye(6))
         assert [(r.sweep, r.i, r.j, r.theta, r.skipped, r.lambda_norm)
                 for r in res.records] == visits
         assert res.stop_reason == reason
@@ -531,7 +532,7 @@ def test_threshold_skips_and_stops_without_progress():
     # bitwise those of the record before it, or of the initial state (no
     # re-orthonormalization ran between them); a threshold above every
     # |Lambda[i, j]| skips the whole first sweep
-    initial = RotationState(ts)
+    initial = RotationState(ts, eye)
     for res in (res, run(ts, RunConfig(method="cthresh", thresh=1e3),
                          q0=eye)):
         assert res.state.reorth_count == 0
@@ -562,7 +563,7 @@ def test_converged_is_read_off_the_stop_reason(method, sigma, max_sweeps,
 
 def test_step_size_identity():
     ts = noisy_problem(3)
-    state = RotationState(ts)
+    state = RotationState(ts, np.eye(6))
     rng = np.random.default_rng(3)
     for _ in range(10):
         i, j = sorted(rng.choice(6, size=2, replace=False))
@@ -802,10 +803,12 @@ def test_default_start_diagonalizes_one_matrix_without_a_rotation(method):
 
 
 def test_identity_q0_is_the_identity_start():
-    # q0 = I rotates the set by I, which reproduces packed bitwise, so the
-    # run is the identity-start run (test_row_updated_lambda_matches_a_
-    # recompute_before_every_visit compares its records with a loop from I)
-    for order, m in ((2, 3), (3, 1), (4, 2)):
+    # RotationState builds its set only as source.rotated_by(q0), so
+    # q0 = I is the one identity start: rotating by I reproduces packed
+    # bitwise, and the run is the identity-start run (test_row_updated_
+    # lambda_matches_a_recompute_before_every_visit compares its records
+    # with a loop from I)
+    for order, m in itertools.product((2, 3, 4), (1, 3)):
         ts, _ = make_test_problem(ExperimentSpec(
             n=6, order=order, m=m, sigma=1e-2, seed_rot=order, seed_noise=m))
         assert np.array_equal(RotationState(ts, np.eye(6)).tensors.packed,

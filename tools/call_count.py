@@ -4,11 +4,13 @@
                                [--method c] [--top K]
 
 Imports ``jacobidiag`` from ``<checkout>/src`` (default: this checkout),
-builds ``harness.make_test_problem`` at (d, n, m) with sigma = 1e-4 and
-the default seeds, and runs ``sweeps.run`` with ``method`` once to fill
-the package's index caches.  It then runs it again under
-``sys.setprofile`` and prints, as one JSON object, the calls that second
-run made divided by its rotations, set-up included:
+builds ``harness.make_test_problem`` at (d, n, m) with sigma = 1e-4, the
+linear profile and the default seeds, and runs ``sweeps.run`` with
+``method`` once to fill the package's index caches.  (On the default
+equal profile a d = 2 problem is a scaled identity plus noise, whose run
+at (2, 64, 8) makes all 100 sweeps, 201,600 rotations.)  It then runs it
+again under ``sys.setprofile`` and prints, as one JSON object, the calls
+that second run made divided by its rotations, set-up included:
 
 * ``python``: calls of functions written in Python, NumPy's own included;
 * ``numpy``: calls of NumPy's built-in functions and of ndarray methods
@@ -86,7 +88,7 @@ def count_calls(jd, d, n, m, method):
     import numpy as np
 
     tensors, _ = jd.make_test_problem(jd.ExperimentSpec(
-        n=n, order=d, m=m, sigma=1e-4))
+        n=n, order=d, m=m, sigma=1e-4, profile="linear"))
     config = jd.RunConfig(method=method)
     jd.run(tensors, config)
     calls = Counter()
